@@ -7,7 +7,6 @@ schemes quantize the aperture (APS), keep the optimized positions but point at
 user 1 only (MA-MRT), or fix a half-wavelength grid (FPA).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +20,7 @@ from .beamformer import (
     theta_coefficients,
 )
 from .posopt import (
+    _grid_combination_chunks,
     correlation,
     correlation_objective,
     multi_start_sca,
@@ -97,36 +97,6 @@ def _gain_and_grad(x: np.ndarray, w: np.ndarray, kappa: float):
     return gain, grad
 
 
-def _fd_hessian_norm(x: np.ndarray, w: np.ndarray, kappa: float, h: float = 1e-4) -> float:
-    n = x.size
-
-    def gain(y):
-        return float(abs((w * np.exp(1j * kappa * y)).sum()) ** 2)
-
-    hess = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            val = (
-                gain(x + ei + ej) - gain(x + ei - ej) - gain(x - ei + ej) + gain(x - ei - ej)
-            ) / (4.0 * h * h)
-            hess[i, j] = hess[j, i] = val
-    return float(np.linalg.norm(hess, 2))
-
-
-def _check_ao_curvature(x: np.ndarray, w: np.ndarray, cfg: SystemConfig, delta_w: float):
-    for kappa in _user_kappas(cfg):
-        norm = _fd_hessian_norm(x, w, kappa, h=1e-4)
-        if norm > delta_w * (1.0 + 1e-3) + 1e-6:
-            raise RuntimeError(
-                "position-step curvature bound violated: finite-difference Hessian "
-                f"norm {norm:g} exceeds delta_w {delta_w:g} (kappa {kappa:g})"
-            )
-
-
 def _ao_position_step(
     x_k: np.ndarray,
     w: np.ndarray,
@@ -142,6 +112,10 @@ def _ao_position_step(
     minimum by projected supergradient steps with the diminishing schedule
     2 / (delta_w (k + 2)) suited to its delta_w-strong concavity, keeping the
     best iterate so the true objective never decreases.
+
+    delta_w = 2 kappa^2 n bounds each gain's Hessian: with u = w * exp(j kappa x)
+    it is -2 kappa^2 times the Laplacian with edge weights Re(conj(u_i) u_k), and
+    Gershgorin gives ||H|| <= 2 kappa^2 sqrt(n - 1) <= 2 kappa^2 n for unit w.
     """
     kappas = _user_kappas(cfg)
     c = np.array([cfg.snr_scale(0), cfg.snr_scale(1)])
@@ -157,7 +131,6 @@ def _ao_position_step(
     x = np.asarray(x_k, dtype=float)
     val = objective(x)
     for _ in range(max_rounds):
-        _check_ao_curvature(x, w, cfg, delta_w)
         base = [_gain_and_grad(x, w, kappas[i]) for i in (0, 1)]
         gains = np.array([b[0] for b in base])
         grads = [b[1] for b in base]
@@ -251,20 +224,6 @@ def ao_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeRes
 # Grid / fixed-array schemes
 
 
-def _grid_combination_chunks(m: int, n: int, gap: int, chunk: int = 100_000):
-    """Index n-subsets of range(m) with consecutive gaps >= gap, in lex order."""
-    reduced = m - (n - 1) * (gap - 1)
-    if reduced < n:
-        return
-    shift = (gap - 1) * np.arange(n)
-    combos = itertools.combinations(range(reduced), n)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            return
-        yield np.asarray(block, dtype=int) + shift
-
-
 def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> SchemeResult:
     """Exhaustive correlation maximization over a quantized aperture.
 
@@ -274,27 +233,21 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     """
     if not (grid_step > 0.0):
         raise ValueError("grid_step must be positive")
-    n = cfg.n_antennas
-    m = int(math.floor(cfg.span_l / grid_step + FEASIBILITY_TOL)) + 1
-    gap = max(1, math.ceil((cfg.d_min - FEASIBILITY_TOL) / grid_step))
-    reduced = m - (n - 1) * (gap - 1)
-    if reduced < n:
-        raise ValueError("no feasible antenna subset on this grid")
-    count = math.comb(reduced, n)
+    count, chunks = _grid_combination_chunks(
+        cfg.span_l, cfg.d_min, grid_step, cfg.n_antennas, chunk=100_000
+    )
     if count > APS_MAX_COMBINATIONS:
         raise ValueError(
             f"{count} candidate subsets exceed the cap {APS_MAX_COMBINATIONS}; "
             "use a coarser grid_step"
         )
     obj = correlation_objective(cfg)
-    values = grid_step * np.arange(m)
     best_f = -math.inf
     best_x = None
     # Subsets with identical inter-element difference multisets give the same
     # objective up to summation rounding, so ties are resolved within a small
     # absolute window; enumeration order is lexicographic and the first hit wins.
-    for idx in _grid_combination_chunks(m, n, gap):
-        pos = values[idx]
+    for pos in chunks:
         f = np.abs(np.exp(1j * obj.kappa * pos).sum(axis=1))
         j = int(np.flatnonzero(f >= f.max() - APS_TIE_TOL)[0])
         if f[j] > best_f + APS_TIE_TOL:
@@ -307,7 +260,7 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
 def ma_mrt(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeResult:
     """Optimized positions but a matched filter pointed at user 1 only."""
     x, trace = multi_start_sca(cfg, n_starts=n_starts, seed=seed)
-    h1 = steering_vector(x, cfg.theta_su[0], cfg.wavelength).entries
+    h1 = steering_vector(x, cfg.theta_su[0], cfg.wavelength)
     w = np.conj(h1) / math.sqrt(cfg.n_antennas)
     bf = Beamformer(w=w, t=1.0, case_label=None)
     return SchemeResult(Scheme.MA_MRT, x, bf, snr_pair(w, x, cfg), trace)

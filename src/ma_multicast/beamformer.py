@@ -56,12 +56,6 @@ def project_onto(v, u) -> np.ndarray:
     return v * (np.vdot(v, u) / nv2)
 
 
-def project_complement(v, u) -> np.ndarray:
-    """Component of u orthogonal to v."""
-    u = np.asarray(u, dtype=complex)
-    return u - project_onto(v, u)
-
-
 def projection_coefficients(x, cfg: SystemConfig) -> tuple:
     """Gains (a, b, c) of the two users along and across the shared direction.
 
@@ -70,8 +64,8 @@ def projection_coefficients(x, cfg: SystemConfig) -> tuple:
     actual vector projections, not from any simplified expression.
     """
     x = validate_positions(x, cfg.span_l, cfg.d_min)
-    h1 = steering_vector(x, cfg.theta_su[0], cfg.wavelength).entries
-    h2 = steering_vector(x, cfg.theta_su[1], cfg.wavelength).entries
+    h1 = steering_vector(x, cfg.theta_su[0], cfg.wavelength)
+    h2 = steering_vector(x, cfg.theta_su[1], cfg.wavelength)
     p = project_onto(h1, h2)
     b = float(np.linalg.norm(p))
     c = float(np.linalg.norm(h2 - p))
@@ -179,8 +173,8 @@ def build_beamformer(
         raise ValueError("mixing parameter t must lie in [0, 1]")
     t = min(max(t, 0.0), 1.0)
     n = cfg.n_antennas
-    h1 = steering_vector(x, cfg.theta_su[0], cfg.wavelength).entries
-    h2 = steering_vector(x, cfg.theta_su[1], cfg.wavelength).entries
+    h1 = steering_vector(x, cfg.theta_su[0], cfg.wavelength)
+    h2 = steering_vector(x, cfg.theta_su[1], cfg.wavelength)
     p = project_onto(h1, h2)
     b = float(np.linalg.norm(p))
     perp = h2 - p

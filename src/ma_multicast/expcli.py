@@ -1,17 +1,14 @@
 """Experiment harness: JSON config in, JSON/CSV artifacts out, CLI front end.
 
 All runs are deterministic for a fixed (config, seed) pair.  Sweep points are
-independent tasks; set MA_MULTICAST_WORKERS to run them on a thread pool
-(results are assembled in sweep order either way).
+evaluated one after another, in sweep order.
 """
 
 import argparse
 import json
 import logging
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +28,6 @@ from .sysmodel import FEASIBILITY_TOL, SystemConfig, beam_pattern
 
 log = logging.getLogger(__name__)
 
-WORKERS_ENV_VAR = "MA_MULTICAST_WORKERS"
 VALIDATION_SEED = 20240517
 
 
@@ -207,24 +203,6 @@ def load_config(path) -> ExperimentConfig:
 # Runs
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "")
-    try:
-        workers = int(raw)
-    except ValueError:
-        return 1
-    return max(workers, 1)
-
-
-def _map_tasks(fn, items):
-    items = list(items)
-    workers = _worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _db(value: float):
     return 10.0 * math.log10(value) if value > 0.0 else None
 
@@ -315,23 +293,18 @@ def _sweep_point(exp: ExperimentConfig, cfg: SystemConfig, label: str):
 def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
-    points = list(range(n_min, n_max + 1))
-
-    def task(n):
-        if (n - 1) * exp.system.d_min > exp.system.span_l + FEASIBILITY_TOL:
-            return n, None, [f"n={n}: (n - 1) * d_min exceeds span_l"]
-        cfg = replace(exp.system, n_antennas=n)
-        rates, skips = _sweep_point(exp, cfg, f"n={n}")
-        return n, rates, skips
-
     rows = []
     skips = []
-    for n, rates, point_skips in _map_tasks(task, points):
+    for n in range(n_min, n_max + 1):
+        if (n - 1) * exp.system.d_min > exp.system.span_l + FEASIBILITY_TOL:
+            rates, point_skips = [], [f"n={n}: (n - 1) * d_min exceeds span_l"]
+        else:
+            cfg = replace(exp.system, n_antennas=n)
+            rates, point_skips = _sweep_point(exp, cfg, f"n={n}")
         for message in point_skips:
             log.warning("sweep-n skip: %s", message)
             skips.append(message)
-        if rates:
-            rows.extend((n, scheme, rate) for scheme, rate in rates)
+        rows.extend((n, scheme, rate) for scheme, rate in rates)
     return rows, skips
 
 
@@ -339,23 +312,19 @@ def run_sweep_l(exp: ExperimentConfig, l_min: float, l_max: float, l_step: float
     if not (l_min > 0.0 and l_step > 0.0 and l_max >= l_min):
         raise ValueError("need 0 < l_min <= l_max and l_step > 0")
     count = int(math.floor((l_max - l_min) / l_step + FEASIBILITY_TOL)) + 1
-    points = [l_min + k * l_step for k in range(count)]
-
-    def task(l_value):
-        if (exp.system.n_antennas - 1) * exp.system.d_min > l_value + FEASIBILITY_TOL:
-            return l_value, None, [f"l={l_value:g}: smaller than (n - 1) * d_min"]
-        cfg = replace(exp.system, span_l=l_value)
-        rates, skips = _sweep_point(exp, cfg, f"l={l_value:g}")
-        return l_value, rates, skips
-
     rows = []
     skips = []
-    for l_value, rates, point_skips in _map_tasks(task, points):
+    for k in range(count):
+        l_value = l_min + k * l_step
+        if (exp.system.n_antennas - 1) * exp.system.d_min > l_value + FEASIBILITY_TOL:
+            rates, point_skips = [], [f"l={l_value:g}: smaller than (n - 1) * d_min"]
+        else:
+            cfg = replace(exp.system, span_l=l_value)
+            rates, point_skips = _sweep_point(exp, cfg, f"l={l_value:g}")
         for message in point_skips:
             log.warning("sweep-l skip: %s", message)
             skips.append(message)
-        if rates:
-            rows.extend((l_value, scheme, rate) for scheme, rate in rates)
+        rows.extend((l_value, scheme, rate) for scheme, rate in rates)
     return rows, skips
 
 

@@ -13,7 +13,7 @@ from .beamformer import (
     projection_coefficients,
     theta_coefficients,
 )
-from .posopt import correlation, correlation_objective, multi_start_sca
+from .posopt import _grid_combination_chunks, correlation, correlation_objective, multi_start_sca
 from .sysmodel import FEASIBILITY_TOL, SystemConfig
 
 MAX_EVALUATIONS = 100_000_000
@@ -49,35 +49,6 @@ def _mixing_grid(t_step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
 
 
-def _feasible_tuples(values: np.ndarray, n: int, d_min: float):
-    """All ascending n-tuples of grid values with spacing >= d_min, lex order."""
-    m = len(values)
-
-    def rec(start, prefix):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for i in range(start, m):
-            if prefix and values[i] - prefix[-1] < d_min - FEASIBILITY_TOL:
-                continue
-            prefix.append(values[i])
-            yield from rec(i + 1, prefix)
-            prefix.pop()
-
-    yield from rec(0, [])
-
-
-def _tuple_chunks(values: np.ndarray, n: int, d_min: float, chunk: int = 128):
-    block = []
-    for tup in _feasible_tuples(values, n, d_min):
-        block.append(tup)
-        if len(block) == chunk:
-            yield np.asarray(block, dtype=float)
-            block = []
-    if block:
-        yield np.asarray(block, dtype=float)
-
-
 def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOptimum:
     """Joint grid search over positions and mixing, via the projection route.
 
@@ -89,17 +60,15 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     n = cfg.n_antennas
     if n > grid.n_max:
         raise ValueError(f"brute force is capped at n_max = {grid.n_max} antennas")
-    m = int(math.floor(cfg.span_l / grid.position_step + FEASIBILITY_TOL)) + 1
-    gap = max(1, math.ceil((cfg.d_min - FEASIBILITY_TOL) / grid.position_step))
-    reduced = m - (n - 1) * (gap - 1)
-    if reduced < n:
-        raise ValueError("no feasible position tuple on this grid")
+    # each chunk costs chunk x t_grid.size floats per array, so keep it small
+    count, chunks = _grid_combination_chunks(
+        cfg.span_l, cfg.d_min, grid.position_step, n, chunk=128
+    )
     t_grid = _mixing_grid(grid.t_step)
-    if math.comb(reduced, n) * t_grid.size > MAX_EVALUATIONS:
+    if count * t_grid.size > MAX_EVALUATIONS:
         raise ValueError(
             "grid search would exceed the evaluation cap; coarsen the grid"
         )
-    values = grid.position_step * np.arange(m)
     kappa1 = (2.0 * math.pi / cfg.wavelength) * math.sin(cfg.theta_su[0])
     kappa2 = (2.0 * math.pi / cfg.wavelength) * math.sin(cfg.theta_su[1])
     c1, c2 = cfg.snr_scale(0), cfg.snr_scale(1)
@@ -107,7 +76,7 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     best_theta = -math.inf
     best_x = None
     best_t = None
-    for pos in _tuple_chunks(values, n, cfg.d_min):
+    for pos in chunks:
         e1 = np.exp(1j * kappa1 * pos)
         e2 = np.exp(1j * kappa2 * pos)
         ip = (np.conj(e1) * e2).sum(axis=1)

@@ -6,6 +6,7 @@ concave quadratic lower bound of the correlation objective exactly, via a
 Euclidean projection onto the spacing polytope.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -146,6 +147,29 @@ def random_positions(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     hi = cfg.span_l - (cfg.n_antennas - 1) * cfg.d_min
     u = np.sort(rng.uniform(0.0, max(hi, 0.0), cfg.n_antennas))
     return u + cfg.d_min * np.arange(cfg.n_antennas)
+
+
+def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, chunk: int):
+    """Feasible n-subsets of the grid {0, step, 2 step, ...} within the aperture.
+
+    Returns (count, chunks): the number of subsets whose consecutive spacings
+    are at least d_min, and an iterator over them in lexicographic order as
+    float position arrays of at most chunk rows.
+    """
+    m = int(math.floor(span_l / step + FEASIBILITY_TOL)) + 1
+    gap = max(1, math.ceil((d_min - FEASIBILITY_TOL) / step))
+    reduced = m - (n - 1) * (gap - 1)
+    if reduced < n:
+        raise ValueError("no feasible antenna subset on this grid")
+    values = step * np.arange(m)
+    shift = (gap - 1) * np.arange(n)
+
+    def chunks():
+        combos = itertools.combinations(range(reduced), n)
+        while block := list(itertools.islice(combos, chunk)):
+            yield values[np.asarray(block, dtype=int) + shift]
+
+    return math.comb(reduced, n), chunks()
 
 
 def sca_optimize(cfg: SystemConfig, init, tol: float = 1e-8, max_iter: int = 500):

@@ -1,8 +1,7 @@
 """Physical model of a linear movable-antenna multicast downlink.
 
 Antenna positions are expressed in carrier wavelengths, transmit power and
-noise power in dBm, user angles in radians.  Every function here is pure,
-so the module is safe to use from worker threads.
+noise power in dBm, user angles in radians.  Every function here is pure.
 """
 
 import math
@@ -88,18 +87,6 @@ def default_config(**overrides) -> SystemConfig:
     return SystemConfig(**overrides)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelVector:
-    """Unit-modulus steering entries together with the scalar path gain."""
-
-    entries: np.ndarray
-    gain: float = 1.0
-
-    @property
-    def full(self) -> np.ndarray:
-        return self.gain * self.entries
-
-
 @dataclass(frozen=True)
 class SnrPair:
     """Receive SNRs of both users and the resulting common rate."""
@@ -138,8 +125,8 @@ def validate_positions(x, span_l: float, d_min: float, tol: float = FEASIBILITY_
     return x
 
 
-def steering_vector(x, theta: float, wavelength: float = 1.0) -> ChannelVector:
-    """Unit-gain steering vector of the array seen from direction theta.
+def steering_vector(x, theta: float, wavelength: float = 1.0) -> np.ndarray:
+    """Unit-modulus steering vector of the array seen from direction theta.
 
     Parameters
     ----------
@@ -160,17 +147,7 @@ def steering_vector(x, theta: float, wavelength: float = 1.0) -> ChannelVector:
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
     phase = (2.0 * math.pi / wavelength) * math.sin(theta)
-    return ChannelVector(entries=np.exp(1j * phase * x), gain=1.0)
-
-
-def channel_vector(x, cfg: SystemConfig, user: int) -> ChannelVector:
-    """Line-of-sight channel of one user, path gain included."""
-    if user not in (0, 1):
-        raise ValueError("user must be 0 or 1")
-    x = validate_positions(x, cfg.span_l, cfg.d_min)
-    sv = steering_vector(x, cfg.theta_su[user], cfg.wavelength)
-    gain = 1.0 / math.sqrt(cfg.d_su[user] ** cfg.tau)
-    return ChannelVector(entries=sv.entries, gain=gain)
+    return np.exp(1j * phase * x)
 
 
 def _check_unit_norm(w) -> np.ndarray:
@@ -186,10 +163,10 @@ def _check_unit_norm(w) -> np.ndarray:
 def beam_gain(w, x, theta: float, wavelength: float = 1.0) -> float:
     """Array gain |h(theta)^T w|^2 of a unit-norm beamformer; lies in [0, N]."""
     w = _check_unit_norm(w)
-    sv = steering_vector(x, theta, wavelength)
-    if sv.entries.size != w.size:
+    h = steering_vector(x, theta, wavelength)
+    if h.size != w.size:
         raise ValueError("beamformer length does not match the number of antennas")
-    return float(abs(sv.entries @ w) ** 2)
+    return float(abs(h @ w) ** 2)
 
 
 def beam_pattern(w, x, thetas, wavelength: float = 1.0) -> np.ndarray:

@@ -5,6 +5,8 @@ Oracles used here:
   * the joint brute-force oracle upper-bounds AO on a coarse two-antenna
     setup whose continuous optimum lies exactly on the grid;
   * matched-filter identities pin the MRT scheme's SNRs;
+  * the closed-form Laplacian Hessian of each AO gain, cross-checked by
+    central differences, bounds the AO position-step curvature;
   * every scheme's stored SNR pair is recomputed from (w, x) from scratch.
 """
 
@@ -30,9 +32,11 @@ from ma_multicast import (
     min_snr_from_correlation,
     multi_start_sca,
     proposed_scheme,
+    random_positions,
     run_scheme,
     snr_pair,
 )
+from ma_multicast.baselines import _user_kappas
 
 
 ALL_SCHEMES = list(Scheme)
@@ -145,6 +149,70 @@ def test_ao_validates_init():
     cfg = SystemConfig()
     with pytest.raises(ValueError):
         ao_optimize(cfg, np.array([0.0, 0.5, 1.0]))
+
+
+def gain_hessian(x, w, kappa):
+    """Hessian of |sum_i w_i exp(j kappa x_i)|^2: -2 kappa^2 times a Laplacian."""
+    u = w * np.exp(1j * kappa * x)
+    weights = np.real(np.conj(u)[:, None] * u[None, :])
+    np.fill_diagonal(weights, 0.0)
+    laplacian = np.diag(weights.sum(axis=1)) - weights
+    return -2.0 * kappa**2 * laplacian
+
+
+def fd_gain_hessian(x, w, kappa, h=1e-4):
+    """Central-difference Hessian of the same gain, entry by entry."""
+    n = x.size
+
+    def gain(y):
+        return abs(np.sum(w * np.exp(1j * kappa * y))) ** 2
+
+    hess = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            ei = h * np.eye(n)[i]
+            ej = h * np.eye(n)[j]
+            hess[i, j] = hess[j, i] = (
+                gain(x + ei + ej) - gain(x + ei - ej) - gain(x - ei + ej) + gain(x - ei - ej)
+            ) / (4.0 * h * h)
+    return hess
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_ao_curvature_bound_covers_gain_hessian(n):
+    # the AO position step uses delta_w = 2 max|kappa_i|^2 n as its curvature;
+    # Gershgorin on the Laplacian gives the sharper 2 kappa^2 sqrt(n - 1)
+    rng = np.random.default_rng(900 + n)
+    worst_ratio = 0.0
+    for trial in range(60):
+        cfg = SystemConfig(
+            n_antennas=n,
+            span_l=(n - 1) * 0.5 + float(rng.uniform(0.0, 4.0)),
+            wavelength=float(rng.uniform(0.5, 2.0)),
+            theta_su=tuple(rng.uniform(0.0, math.pi, 2)),
+        )
+        x = random_positions(cfg, rng)
+        if trial % 2:
+            w = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n)) / math.sqrt(n)
+        else:
+            w = rng.normal(size=n) + 1j * rng.normal(size=n)
+            w /= np.linalg.norm(w)
+        kappas = _user_kappas(cfg)
+        delta_w = 2.0 * max(abs(k) for k in kappas) ** 2 * n
+        for kappa in kappas:
+            hess = gain_hessian(x, w, kappa)
+            norm = np.linalg.norm(hess, 2)
+            gershgorin = 2.0 * kappa**2 * math.sqrt(n - 1)
+            assert norm <= gershgorin * (1.0 + 1e-12) + 1e-12
+            assert gershgorin <= delta_w
+            if gershgorin > 0.0:
+                worst_ratio = max(worst_ratio, norm / gershgorin)
+            if trial < 3:
+                fd = fd_gain_hessian(x, w, kappa)
+                assert np.max(np.abs(fd - hess)) <= 1e-5 * max(delta_w, 1.0)
+    if n == 2:
+        # two antennas with equal moduli in phase make the bound tight
+        assert worst_ratio > 0.99
 
 
 # ---------------------------------------------------------------------------

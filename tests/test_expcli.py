@@ -19,7 +19,6 @@ from ma_multicast import (
 )
 from ma_multicast.expcli import (
     _db,
-    _worker_count,
     config_from_dict,
     default_experiment,
     run_beampattern,
@@ -229,23 +228,6 @@ def test_sweep_rates_match_run_single():
     assert rows[0][2] == pytest.approx(
         report["schemes"]["proposed"]["min_rate_bps_hz"], rel=1e-12
     )
-
-
-def test_worker_env_does_not_change_results(monkeypatch):
-    exp = small_experiment(schemes=(Scheme.FPA,))
-    monkeypatch.delenv("MA_MULTICAST_WORKERS", raising=False)
-    serial, _ = run_sweep_n(exp, 2, 5)
-    monkeypatch.setenv("MA_MULTICAST_WORKERS", "4")
-    threaded, _ = run_sweep_n(exp, 2, 5)
-    assert serial == threaded
-
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("MA_MULTICAST_WORKERS", raising=False)
-    assert _worker_count() == 1
-    for raw, expect in (("abc", 1), ("0", 1), ("3", 3)):
-        monkeypatch.setenv("MA_MULTICAST_WORKERS", raw)
-        assert _worker_count() == expect
 
 
 # ---------------------------------------------------------------------------

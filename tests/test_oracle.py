@@ -1,5 +1,6 @@
 """Tests for the brute-force joint oracle and its grid helpers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from ma_multicast import (
     snap_positions_to_grid,
     validate_positions,
 )
-from ma_multicast.oracle import _feasible_tuples, _tuple_chunks
+from ma_multicast.posopt import _grid_combination_chunks
+from ma_multicast.sysmodel import FEASIBILITY_TOL
 
 
 def enumerate_pairs(cfg, step, t_step):
@@ -208,20 +210,45 @@ def test_joint_vs_decoupled_certificate():
 # Tuple enumeration plumbing
 
 
+def reference_tuples(span_l, d_min, step, n):
+    """Plain itertools enumeration filtered by the float spacing check."""
+    values = step * np.arange(int(math.floor(span_l / step + 1e-9)) + 1)
+    return [
+        combo
+        for combo in itertools.combinations(values, n)
+        if all(b - a >= d_min - FEASIBILITY_TOL for a, b in zip(combo, combo[1:]))
+    ]
+
+
 def test_feasible_tuple_count_matches_binomial():
-    values = 0.5 * np.arange(7)
-    tuples = list(_feasible_tuples(values, 3, 1.0))
+    count, chunks = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=128)
+    tuples = [tuple(row) for block in chunks for row in block]
     # a two-slot gap per adjacent pair leaves C(5, 3) choices
-    assert len(tuples) == math.comb(5, 3)
+    assert count == len(tuples) == math.comb(5, 3)
     assert tuples == sorted(tuples)
     assert all(b - a >= 1.0 - 1e-9 and c - b >= 1.0 - 1e-9 for a, b, c in tuples)
-    loose = list(_feasible_tuples(values, 3, 0.5))
-    assert len(loose) == math.comb(7, 3)
+    loose_count, loose = _grid_combination_chunks(3.0, 0.5, 0.5, 3, chunk=128)
+    assert loose_count == sum(len(block) for block in loose) == math.comb(7, 3)
+    with pytest.raises(ValueError, match="no feasible"):
+        _grid_combination_chunks(1.0, 0.5, 0.5, 4, chunk=128)
 
 
-def test_tuple_chunks_preserve_order():
-    values = 0.5 * np.arange(7)
-    whole = np.asarray(list(_feasible_tuples(values, 3, 1.0)))
-    parts = list(_tuple_chunks(values, 3, 1.0, chunk=4))
+def test_grid_chunks_preserve_order():
+    _, whole = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=128)
+    _, parts = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=4)
+    parts = list(parts)
     assert max(len(p) for p in parts) <= 4
-    assert np.allclose(np.vstack(parts), whole)
+    assert np.array_equal(np.vstack(parts), np.vstack(list(whole)))
+
+
+@pytest.mark.parametrize(
+    "n, step, expected",
+    [(2, 0.05, 496), (2, 0.1, 136), (3, 0.05, 1771), (3, 0.1, 286)],
+)
+def test_grid_enumerator_matches_itertools_on_validation_grids(n, step, expected):
+    # span 2 and d_min 0.5 are the grids `validate` hands the joint oracle
+    want = reference_tuples(2.0, 0.5, step, n)
+    count, chunks = _grid_combination_chunks(2.0, 0.5, step, n, chunk=128)
+    got = np.vstack(list(chunks))
+    assert count == len(want) == expected
+    assert np.array_equal(got, np.asarray(want))

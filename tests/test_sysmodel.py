@@ -17,7 +17,6 @@ from ma_multicast import (
     SystemConfig,
     beam_gain,
     beam_pattern,
-    channel_vector,
     dbm_to_watt,
     default_config,
     snr_pair,
@@ -152,7 +151,7 @@ def test_steering_vector_matches_scalar_oracle():
         x = np.sort(rng.uniform(0.0, 10.0, n))
         theta = float(rng.uniform(0.0, math.pi))
         lam = float(rng.uniform(0.25, 4.0))
-        got = steering_vector(x, theta, lam).entries
+        got = steering_vector(x, theta, lam)
         want = scalar_steering(x, theta, lam)
         assert np.max(np.abs(got - np.array(want))) < 1e-12
 
@@ -160,7 +159,7 @@ def test_steering_vector_matches_scalar_oracle():
 def test_steering_vector_unit_modulus():
     rng = np.random.default_rng(8)
     x = np.sort(rng.uniform(0.0, 5.0, 6))
-    h = steering_vector(x, 1.234).entries
+    h = steering_vector(x, 1.234)
     assert np.allclose(np.abs(h), 1.0, atol=1e-14)
 
 
@@ -169,22 +168,11 @@ def test_steering_translation_is_global_phase():
     # so inner-product magnitudes cannot change
     rng = np.random.default_rng(9)
     x = random_feasible(rng, 5, 4.0, 0.5)
-    h0 = steering_vector(x, 0.9).entries
-    h1 = steering_vector(x + 0.37, 0.9).entries
+    h0 = steering_vector(x, 0.9)
+    h1 = steering_vector(x + 0.37, 0.9)
     phase = h1[0] / h0[0]
     assert abs(abs(phase) - 1.0) < 1e-12
     assert np.max(np.abs(h1 - phase * h0)) < 1e-12
-
-
-def test_channel_vector_uses_user_angle():
-    cfg = SystemConfig()
-    x = np.array([0.0, 0.5, 1.0, 1.5, 4.0])
-    h0 = channel_vector(x, cfg, 0).entries
-    h1 = channel_vector(x, cfg, 1).entries
-    assert np.max(np.abs(h0 - steering_vector(x, cfg.theta_su[0]).entries)) == 0.0
-    assert np.max(np.abs(h1 - steering_vector(x, cfg.theta_su[1]).entries)) == 0.0
-    with pytest.raises(ValueError):
-        channel_vector(x, cfg, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +206,7 @@ def test_matched_beamformer_reaches_n():
     n = 6
     x = random_feasible(rng, n, 6.0, 0.5)
     theta = 1.1
-    h = steering_vector(x, theta).entries
+    h = steering_vector(x, theta)
     w = np.conj(h) / math.sqrt(n)
     assert beam_gain(w, x, theta) == pytest.approx(n, rel=1e-12)
 
