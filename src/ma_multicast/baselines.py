@@ -7,6 +7,7 @@ schemes quantize the aperture (APS), keep the optimized positions but point at
 user 1 only (MA-MRT), or fix a half-wavelength grid (FPA).
 """
 
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,11 +31,17 @@ from .posopt import (
 )
 from .sysmodel import FEASIBILITY_TOL, SnrPair, SystemConfig, snr_pair, steering_vector, validate_positions
 
+log = logging.getLogger(__name__)
+
 APS_MAX_COMBINATIONS = 10_000_000
 # absolute window for treating two grid subsets as tied on the objective
 APS_TIE_TOL = 1e-9
 # Half-wavelength spacing used by the fixed-array and quantized-grid schemes.
 REFERENCE_SPACING = 0.5
+
+
+class InfeasibleSchemeError(ValueError):
+    """The configured geometry cannot host this scheme: a bad input, not a fault."""
 
 
 class Scheme(str, Enum):
@@ -217,6 +224,12 @@ def ao_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeRes
         result = ao_optimize(cfg, init)
         if best is None or result.snr.min_rate > best.snr.min_rate:
             best = result
+    if not best.trace.converged:
+        log.warning(
+            "ao n=%d span_l=%g n_starts=%d seed=%d: the best AO run stopped at "
+            "max_outer (%d outer iterations) without converging",
+            cfg.n_antennas, cfg.span_l, n_starts, seed, best.trace.outer_iterations,
+        )
     return best
 
 
@@ -233,11 +246,14 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     """
     if not (grid_step > 0.0):
         raise ValueError("grid_step must be positive")
-    count, chunks = _grid_combination_chunks(
-        cfg.span_l, cfg.d_min, grid_step, cfg.n_antennas, chunk=100_000
-    )
+    try:
+        count, chunks = _grid_combination_chunks(
+            cfg.span_l, cfg.d_min, grid_step, cfg.n_antennas, chunk=100_000
+        )
+    except ValueError as exc:
+        raise InfeasibleSchemeError(str(exc)) from exc
     if count > APS_MAX_COMBINATIONS:
-        raise ValueError(
+        raise InfeasibleSchemeError(
             f"{count} candidate subsets exceed the cap {APS_MAX_COMBINATIONS}; "
             "use a coarser grid_step"
         )
@@ -270,9 +286,9 @@ def fpa_scheme(cfg: SystemConfig) -> SchemeResult:
     """Fixed array at half-wavelength spacing with the optimal beamformer."""
     n = cfg.n_antennas
     if (n - 1) * REFERENCE_SPACING > cfg.span_l + FEASIBILITY_TOL:
-        raise ValueError("fixed half-wavelength array does not fit the aperture")
+        raise InfeasibleSchemeError("fixed half-wavelength array does not fit the aperture")
     if cfg.d_min > REFERENCE_SPACING + FEASIBILITY_TOL:
-        raise ValueError("fixed half-wavelength spacing violates d_min")
+        raise InfeasibleSchemeError("fixed half-wavelength spacing violates d_min")
     x = REFERENCE_SPACING * np.arange(n, dtype=float)
     bf = closed_form_beamformer(x, cfg)
     return SchemeResult(Scheme.FPA, x, bf, snr_pair(bf.w, x, cfg))

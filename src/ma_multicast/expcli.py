@@ -9,11 +9,12 @@ import json
 import logging
 import math
 import sys
+import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import REFERENCE_SPACING, Scheme, SchemeResult, run_scheme
+from .baselines import REFERENCE_SPACING, InfeasibleSchemeError, Scheme, SchemeResult, run_scheme
 from .beamformer import (
     min_snr_from_correlation,
     min_snr_from_projections,
@@ -245,6 +246,14 @@ def _system_dict(cfg: SystemConfig) -> dict:
     }
 
 
+def _configured_scheme(exp: ExperimentConfig, scheme: Scheme) -> SchemeResult:
+    """run_scheme on the configured system; a scheme that cannot fit it is a config error."""
+    try:
+        return run_scheme(scheme, exp.system, exp.n_starts, exp.seed, exp.aps_grid_step)
+    except InfeasibleSchemeError as exc:
+        raise ConfigError(f"schemes: {scheme.value}: {exc}") from exc
+
+
 def run_single(exp: ExperimentConfig) -> dict:
     report = {
         "config": {
@@ -257,18 +266,18 @@ def run_single(exp: ExperimentConfig) -> dict:
         "schemes": {},
     }
     for scheme in exp.schemes:
-        res = run_scheme(scheme, exp.system, exp.n_starts, exp.seed, exp.aps_grid_step)
+        res = _configured_scheme(exp, scheme)
         report["schemes"][scheme.value] = _result_dict(res, exp.system)
     return report
 
 
 def run_beampattern(exp: ExperimentConfig, angle_count: int = 361):
     if angle_count < 2:
-        raise ValueError("angle_count must be >= 2")
+        raise ConfigError("angle_count must be >= 2")
     thetas = np.linspace(0.0, math.pi, angle_count)
     rows = []
     for scheme in exp.schemes:
-        res = run_scheme(scheme, exp.system, exp.n_starts, exp.seed, exp.aps_grid_step)
+        res = _configured_scheme(exp, scheme)
         gains = beam_pattern(res.w.w, res.x, thetas, exp.system.wavelength)
         rows.extend(
             (float(th), scheme.value, float(g)) for th, g in zip(thetas, gains)
@@ -292,7 +301,7 @@ def _sweep_point(exp: ExperimentConfig, cfg: SystemConfig, label: str):
 
 def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
     if n_min < 2 or n_max < n_min:
-        raise ValueError("need 2 <= n_min <= n_max")
+        raise ConfigError("need 2 <= n_min <= n_max")
     rows = []
     skips = []
     for n in range(n_min, n_max + 1):
@@ -310,7 +319,7 @@ def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
 
 def run_sweep_l(exp: ExperimentConfig, l_min: float, l_max: float, l_step: float):
     if not (l_min > 0.0 and l_step > 0.0 and l_max >= l_min):
-        raise ValueError("need 0 < l_min <= l_max and l_step > 0")
+        raise ConfigError("need 0 < l_min <= l_max and l_step > 0")
     count = int(math.floor((l_max - l_min) / l_step + FEASIBILITY_TOL)) + 1
     rows = []
     skips = []
@@ -558,9 +567,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     return 0
 
 

@@ -42,6 +42,7 @@ from ma_multicast import (
     uniform_positions,
     validate_positions,
 )
+from ma_multicast import posopt
 
 
 def report(num, ok, detail):
@@ -261,7 +262,7 @@ def test_criterion_04_sca_monotone_ascent():
         init = uniform_positions(cfg) if k % 3 == 0 else random_positions(cfg, rng)
         f1_init = correlation_excess(init, obj)
         _x, trace = sca_optimize(cfg, init)
-        values = [f1 for _xi, f1 in trace.iterates]
+        values = list(trace.f1_history)
         drops = [a - b for a, b in zip(values, values[1:])]
         worst_drop = max(worst_drop, max(drops, default=0.0))
         worst_net = min(worst_net, values[-1] - f1_init)
@@ -428,6 +429,7 @@ def test_criterion_09_cli_determinism(tmp_path, capsys):
         payloads = []
         for run in ("a", "b"):
             out = tmp_path / f"{name}_{run}.{ext}"
+            posopt._solve_positions.cache_clear()  # each run solves afresh
             code = main(argv + ["--out", str(out)])
             if code != 0:
                 problems.append(f"{name} exited {code}")

@@ -11,6 +11,7 @@ Oracles used here:
 """
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from ma_multicast import (
     run_scheme,
     snr_pair,
 )
+from ma_multicast import baselines, posopt
 from ma_multicast.baselines import _user_kappas
 
 
@@ -81,6 +83,7 @@ def test_scheme_results_are_consistent(scheme):
 def test_schemes_deterministic(scheme):
     cfg = SystemConfig()
     ra = run_scheme(scheme, cfg, n_starts=4, seed=11)
+    posopt._solve_positions.cache_clear()  # recompute, not a cache hit
     rb = run_scheme(scheme, cfg, n_starts=4, seed=11)
     assert np.array_equal(ra.x, rb.x)
     assert np.array_equal(ra.w.w, rb.w.w)
@@ -130,6 +133,24 @@ def test_ao_trace_monotone():
         init_bf = closed_form_beamformer(init, cfg)
         init_rate = snr_pair(init_bf.w, init, cfg).min_rate
         assert res.snr.min_rate >= init_rate - 1e-9
+
+
+def test_ao_scheme_warns_once_when_best_run_is_unconverged(monkeypatch, caplog):
+    cfg = SystemConfig(n_antennas=3, span_l=2.0)
+    with caplog.at_level(logging.WARNING, logger="ma_multicast.baselines"):
+        assert ao_scheme(cfg, n_starts=3, seed=0).trace.converged
+    assert caplog.records == []
+    real = baselines.ao_optimize
+
+    def one_round(cfg, init_x, outer_tol=1e-8, max_outer=100):
+        return real(cfg, init_x, outer_tol=outer_tol, max_outer=1)
+
+    monkeypatch.setattr(baselines, "ao_optimize", one_round)
+    with caplog.at_level(logging.WARNING, logger="ma_multicast.baselines"):
+        res = ao_scheme(cfg, n_starts=3, seed=0)
+    assert not res.trace.converged
+    assert len(caplog.records) == 1
+    assert "max_outer" in caplog.records[0].getMessage()
 
 
 def test_ao_never_beats_joint_grid_on_lattice_aligned_setup():

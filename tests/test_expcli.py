@@ -17,6 +17,7 @@ from ma_multicast import (
     run_single,
     run_validate,
 )
+from ma_multicast import posopt
 from ma_multicast.expcli import (
     _db,
     config_from_dict,
@@ -187,7 +188,7 @@ def test_run_beampattern_rows():
     assert thetas[-1] == pytest.approx(math.pi)
     assert all(row[1] == "fpa" for row in rows)
     assert all(0.0 <= row[2] <= 3.0 + 1e-9 for row in rows)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_beampattern(exp, angle_count=1)
 
 
@@ -198,9 +199,9 @@ def test_run_sweep_n_skips_infeasible_points():
     assert [row[0] for row in rows] == [2, 3, 4, 5]
     assert all(row[1] == "fpa" for row in rows)
     assert len(skips) == 1 and "n=6" in skips[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_sweep_n(exp, 1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_sweep_n(exp, 4, 3)
 
 
@@ -215,9 +216,9 @@ def test_run_sweep_l_skips_infeasible_schemes():
         (1.8, "fpa"),
     ]
     assert len(skips) == 1 and "scheme=fpa" in skips[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_sweep_l(exp, 0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_sweep_l(exp, 2.0, 1.0, 0.5)
 
 
@@ -286,6 +287,7 @@ def test_main_optimize_deterministic(tmp_path, capsys):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     assert main(["optimize", "--config", cfg, "--out", str(out_a)]) == 0
+    posopt._solve_positions.cache_clear()  # recompute, not a cache hit
     assert main(["optimize", "--config", cfg, "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     doc = json.loads(out_a.read_text(encoding="utf-8"))
@@ -306,6 +308,32 @@ def test_main_sweep_requires_range(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_DOC)
     assert main(["sweep-n", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 1
     assert "--n-min is required" in capsys.readouterr().err
+
+
+def test_main_bad_sweep_range_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_DOC)
+    argv = ["sweep-n", "--config", cfg, "--n-min", "1", "--n-max", "3"]
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 1
+    assert "config error: need 2 <= n_min <= n_max" in capsys.readouterr().err
+
+
+def test_main_scheme_that_does_not_fit_is_config_error(tmp_path, capsys):
+    doc = dict(SMALL_DOC, system={"n_antennas": 3, "span_l": 2.0, "d_min": 0.6})
+    cfg = write_config(tmp_path, doc)
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+    assert "config error: schemes: fpa:" in capsys.readouterr().err
+
+
+def test_main_solver_fault_is_internal_error(tmp_path, monkeypatch, capsys):
+    def broken_solve(*args, **kwargs):
+        raise ValueError("solver fault")
+
+    monkeypatch.setattr("ma_multicast.baselines.multi_start_sca", broken_solve)
+    cfg = write_config(tmp_path, SMALL_DOC)
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err and "config error" not in err
+    assert "Traceback" in err and "solver fault" in err
 
 
 def test_main_sweep_n_uses_config_sweep(tmp_path, capsys):

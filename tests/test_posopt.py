@@ -8,17 +8,24 @@ Oracles used here:
     excess to the correlation through an independent route;
   * difference-space grid searches give the global optimum for n = 2, 3;
   * an exhaustive non-decreasing-tuple enumeration checks the surrogate
-    maximizer on a deliberately small box.
+    maximizer on a deliberately small box;
+  * a per-start scalar SCA loop (pool-adjacent violators, O(n^2)
+    pairwise excess and gradient) checks the batched kernel.
 """
 
 import itertools
+import logging
 import math
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ma_multicast import (
     SystemConfig,
+    load_config,
+    run_single,
     correlation,
     correlation_excess,
     correlation_excess_grad,
@@ -29,13 +36,32 @@ from ma_multicast import (
     sca_optimize,
     uniform_positions,
 )
+from ma_multicast import posopt
 from ma_multicast.baselines import aps_search
 from ma_multicast.posopt import (
     DegenerateObjectiveError,
+    _isotonic_rows,
+    _sca_rows,
     random_positions,
     solve_surrogate,
     surrogate_value,
 )
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Records the config of every batched SCA kernel run."""
+    calls = []
+    original = posopt._sca_rows
+
+    def counting(cfg, *args, **kwargs):
+        calls.append(cfg)
+        return original(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(posopt, "_sca_rows", counting)
+    return calls
 
 
 def naive_pav(y):
@@ -113,6 +139,33 @@ def test_projection_fixed_point_and_nonexpansive():
         pa = project_polytope(za, span_l, 0.5)
         pb = project_polytope(zb, span_l, 0.5)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(za - zb) + 1e-12
+
+
+def test_batched_isotonic_matches_naive_pav():
+    rng = np.random.default_rng(52)
+    for n in range(1, 65):
+        rows = [
+            rng.normal(size=n),
+            np.sort(rng.normal(size=n)),  # already monotone: a fixed point
+            np.round(rng.normal(size=n) * 2.0) / 2.0,  # many ties
+            np.full(n, 0.25),
+            -np.sort(rng.uniform(size=n)),  # fully decreasing: one block
+        ]
+        y = np.vstack(rows + [rng.uniform(-3.0, 3.0, n) for _ in range(3)])
+        got = _isotonic_rows(y)
+        want = np.vstack([naive_pav(row) for row in y])
+        assert np.max(np.abs(got - want)) < 1e-12, n
+        assert np.max(np.abs(got[1] - y[1])) < 1e-12
+
+
+def test_projection_rows_match_one_vector_projection():
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 5, 16, 33):
+        span_l = (n - 1) * 0.5 + 2.0
+        z = rng.uniform(-2.0, span_l + 2.0, (6, n))
+        got = project_polytope(z, span_l, 0.5)
+        want = np.vstack([project_polytope(row, span_l, 0.5) for row in z])
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_projection_rejects_empty_polytope():
@@ -269,7 +322,9 @@ def test_sca_trace_monotone_and_improving():
         obj = correlation_objective(cfg)
         init = feasible_probe(rng, n, cfg.span_l, 0.5)
         x, trace = sca_optimize(cfg, init)
-        vals = np.array([f1 for _xi, f1 in trace.iterates])
+        vals = trace.f1_history
+        assert vals.size == trace.iterations + 1
+        assert np.array_equal(trace.x, x)
         assert np.all(np.diff(vals) >= -1e-9)
         assert correlation_excess(x, obj) >= correlation_excess(init, obj) - 1e-9
 
@@ -323,6 +378,7 @@ def test_sca_five_antennas_matches_fine_grid_selection():
 def test_multi_start_deterministic_and_single_start():
     cfg = SystemConfig(n_antennas=3, span_l=3.0)
     xa, _ = multi_start_sca(cfg, n_starts=5, seed=7)
+    posopt._solve_positions.cache_clear()  # recompute, not a cache hit
     xb, _ = multi_start_sca(cfg, n_starts=5, seed=7)
     assert np.array_equal(xa, xb)
     x1, _ = multi_start_sca(cfg, n_starts=1, seed=7)
@@ -338,3 +394,106 @@ def test_random_positions_feasible():
         assert x[0] >= 0.0
         assert x[-1] <= cfg.span_l + 1e-12
         assert np.all(np.diff(x) >= cfg.d_min - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batched kernel against a per-start scalar loop
+
+
+def scalar_sca(cfg, init, tol=1e-8, max_iter=500):
+    """One start at a time: PAV projection and the O(n^2) pairwise sums."""
+    obj = correlation_objective(cfg)
+    delta = curvature_bound(obj)
+    x = np.array(init, dtype=float)
+    f1 = correlation_excess(x, obj)
+    for k in range(1, max_iter + 1):
+        g = correlation_excess_grad(x, obj)
+        if np.any(g):
+            x_new = project_polytope(x + g / delta, cfg.span_l, cfg.d_min)
+        else:
+            x_new = x.copy()
+        f1_new = correlation_excess(x_new, obj)
+        improvement = f1_new - f1
+        x, f1 = x_new, f1_new
+        if improvement < tol:
+            return x, k, True
+    return x, max_iter, False
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 28, 32])
+def test_batched_kernel_matches_scalar_loop(n):
+    rng = np.random.default_rng(1000 + n)
+    starts_per_seed = 4 if n < 28 else 2
+    for span_extra in (1.5, 4.0):
+        cfg = SystemConfig(
+            n_antennas=n,
+            span_l=(n - 1) * 0.5 + span_extra,
+            theta_su=tuple(float(t) for t in np.sort(rng.uniform(0.1, math.pi - 0.1, 2))),
+        )
+        obj = correlation_objective(cfg)
+        starts = [uniform_positions(cfg)]
+        starts += [random_positions(cfg, rng) for _ in range(starts_per_seed - 1)]
+        traces = _sca_rows(cfg, np.array(starts))
+        for init, trace in zip(starts, traces):
+            x_ref, iters_ref, conv_ref = scalar_sca(cfg, init)
+            assert trace.iterations == iters_ref
+            assert trace.converged == conv_ref
+            assert np.max(np.abs(trace.x - x_ref)) < 1e-11
+            f_ref = correlation(x_ref, obj)
+            assert correlation(trace.x, obj) == pytest.approx(f_ref, rel=1e-12)
+
+
+def test_kernel_rejects_infeasible_start():
+    cfg = SystemConfig(n_antennas=3, span_l=2.0)
+    with pytest.raises(ValueError, match="feasible"):
+        _sca_rows(cfg, np.array([[0.0, 0.5, 1.0], [0.0, 0.2, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# Shared position solve
+
+
+def test_run_single_runs_the_kernel_once(kernel_calls):
+    exp = load_config(REPO_ROOT / "configs" / "default.json")
+    report = run_single(exp)
+    assert {"proposed", "ao", "ma_mrt"} <= set(report["schemes"])
+    assert kernel_calls == [exp.system]
+
+
+def test_shared_solve_hands_out_copies(kernel_calls):
+    cfg = SystemConfig(n_antennas=4, span_l=3.0)
+    x1, trace1 = multi_start_sca(cfg, n_starts=4, seed=3)
+    want = x1.copy()
+    x1[:] = -1.0
+    x2, trace2 = multi_start_sca(cfg, n_starts=4, seed=3)
+    assert np.array_equal(x2, want)
+    assert trace2 is trace1 and len(kernel_calls) == 1
+    for frozen in (trace1.x, trace1.f1_history):
+        with pytest.raises(ValueError):
+            frozen[0] = 0.0
+    with pytest.raises(AttributeError):
+        trace1.converged = False
+
+
+def test_shared_solve_misses_on_new_seed_config_or_starts(kernel_calls):
+    cfg = SystemConfig(n_antennas=4, span_l=3.0)
+    multi_start_sca(cfg, n_starts=4, seed=3)
+    multi_start_sca(cfg, n_starts=4, seed=3)
+    assert len(kernel_calls) == 1
+    multi_start_sca(cfg, n_starts=4, seed=4)
+    multi_start_sca(replace(cfg, span_l=3.5), n_starts=4, seed=3)
+    multi_start_sca(cfg, n_starts=5, seed=3)
+    assert len(kernel_calls) == 4
+
+
+def test_unconverged_solve_warns_once_per_distinct_solve(caplog):
+    cfg = SystemConfig(n_antennas=28, span_l=20.0, theta_su=(0.3, 2.0))
+    with caplog.at_level(logging.WARNING, logger="ma_multicast.posopt"):
+        _x, trace = multi_start_sca(cfg, n_starts=2, seed=1)
+        multi_start_sca(cfg, n_starts=2, seed=1)  # cache hit: no second warning
+        _x, converged = multi_start_sca(SystemConfig(), n_starts=2, seed=1)
+    assert not trace.converged and trace.iterations == 500
+    assert converged.converged
+    warnings = [r for r in caplog.records if r.name == "ma_multicast.posopt"]
+    assert len(warnings) == 1
+    assert "n=28" in warnings[0].getMessage() and "max_iter" in warnings[0].getMessage()
