@@ -351,16 +351,24 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _open_output(path):
+    """Open an artifact for writing; an unwritable path is a user input error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path, header, rows):
     """CSV with 12-significant-digit numbers, '.' decimal separator, LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
 
 
 def write_json(path, document):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path) as fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

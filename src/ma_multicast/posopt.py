@@ -167,16 +167,36 @@ def surrogate_value(x, x_k, f1_k: float, g, delta: float) -> float:
     return f1_k + float(g @ step) - 0.5 * delta * float(step @ step)
 
 
+def _check_rows_feasible(x: np.ndarray, cfg: SystemConfig) -> None:
+    """validate_positions for every row of a (B, n) array of positions."""
+    tol = FEASIBILITY_TOL
+    if (
+        not np.all(np.isfinite(x))
+        or np.min(x[:, 0]) < -tol
+        or np.max(x[:, -1]) > cfg.span_l + tol
+        or (x.shape[1] > 1 and np.min(np.diff(x, axis=1)) < cfg.d_min - tol)
+    ):
+        raise ValueError("positions lie outside the feasible set")
+
+
 def solve_surrogate(x_k, g, delta: float, cfg: SystemConfig) -> np.ndarray:
-    """Exact maximizer of the quadratic minorant over the spacing polytope."""
-    x_k = validate_positions(x_k, cfg.span_l, cfg.d_min)
+    """Exact maximizer of the quadratic minorant over the spacing polytope.
+
+    x_k is one feasible position vector with its slope g, or a (B, n) array
+    of them solved row by row.  A row with zero slope keeps x_k exactly,
+    since x_k itself maximizes its minorant.
+    """
+    x_k = np.asarray(x_k, dtype=float)
     g = np.asarray(g, dtype=float)
+    if x_k.ndim not in (1, 2) or x_k.size < 1 or g.shape != x_k.shape:
+        raise ValueError("x_k must be a non-empty 1-D or 2-D array and g must match its shape")
+    _check_rows_feasible(np.atleast_2d(x_k), cfg)
     if delta <= 0.0:
         raise DegenerateObjectiveError("surrogate curvature must be positive")
-    if not np.any(g):
-        # zero slope: x_k itself maximizes the minorant
-        return x_k.copy()
-    return project_polytope(x_k + g / delta, cfg.span_l, cfg.d_min)
+    x_new = project_polytope(x_k + g / delta, cfg.span_l, cfg.d_min)
+    flat = ~g.any(axis=-1)  # a 0-d mask when x_k is one vector
+    x_new[flat] = x_k[flat]
+    return x_new
 
 
 def uniform_positions(cfg: SystemConfig) -> np.ndarray:
@@ -214,18 +234,6 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
     return math.comb(reduced, n), chunks()
 
 
-def _check_rows_feasible(x: np.ndarray, cfg: SystemConfig) -> None:
-    """validate_positions for every row of a (B, n) array of positions."""
-    tol = FEASIBILITY_TOL
-    if (
-        not np.all(np.isfinite(x))
-        or np.min(x[:, 0]) < -tol
-        or np.max(x[:, -1]) > cfg.span_l + tol
-        or (x.shape[1] > 1 and np.min(np.diff(x, axis=1)) < cfg.d_min - tol)
-    ):
-        raise ValueError("SCA iterate left the feasible set")
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -239,12 +247,10 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
     f1 never decreases.  With s = sum_n exp(j kappa x_n), f1 = |s|^2 - n and
     its gradient 2 kappa Im(s conj(exp(j kappa x))) cost O(n) per row.  A row
     stops on its own once its improvement falls below tol or after max_iter
-    rounds; a row with zero slope keeps its positions exactly.  Returns one
-    ScaTrace per row.
+    rounds.  Returns one ScaTrace per row.
     """
     obj = correlation_objective(cfg)
     x = np.array(starts, dtype=float)
-    _check_rows_feasible(x, cfg)
     rows, n = x.shape
     e = np.exp(1j * obj.kappa * x)
     s = e.sum(axis=1)
@@ -260,13 +266,8 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
         delta = curvature_bound(obj)
         active = np.arange(rows)
         for k in range(1, max_iter + 1):
-            x_k = x[active]
             g = 2.0 * obj.kappa * np.imag(s[active, None] * np.conj(e[active]))
-            x_new = project_polytope(x_k + g / delta, cfg.span_l, cfg.d_min)
-            # zero slope: x_k itself maximizes the minorant
-            flat = ~g.any(axis=1)
-            x_new[flat] = x_k[flat]
-            _check_rows_feasible(x_new, cfg)
+            x_new = solve_surrogate(x[active], g, delta, cfg)
             e_new = np.exp(1j * obj.kappa * x_new)
             s_new = e_new.sum(axis=1)
             f1_new = np.abs(s_new) ** 2 - n
@@ -278,6 +279,8 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
             active = active[~done]
             if active.size == 0:
                 break
+    # solve_surrogate checked every anchor; this covers each row's last iterate
+    _check_rows_feasible(x, cfg)
     return [
         ScaTrace(
             f1_history=_frozen(history[r, : iterations[r] + 1]),

@@ -324,6 +324,14 @@ def test_main_scheme_that_does_not_fit_is_config_error(tmp_path, capsys):
     assert "config error: schemes: fpa:" in capsys.readouterr().err
 
 
+def test_main_unwritable_out_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_DOC)
+    out = tmp_path / "no_such_dir" / "r.json"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {out}" in err and "Traceback" not in err
+
+
 def test_main_solver_fault_is_internal_error(tmp_path, monkeypatch, capsys):
     def broken_solve(*args, **kwargs):
         raise ValueError("solver fault")

@@ -310,6 +310,24 @@ def test_solve_surrogate_zero_gradient_returns_anchor():
         solve_surrogate(x_k, np.ones(4), 0.0, cfg)
 
 
+def test_solve_surrogate_rows_match_one_vector_solves():
+    rng = np.random.default_rng(51)
+    for n in (2, 3, 5, 8, 16):
+        cfg = SystemConfig(n_antennas=n, span_l=(n - 1) * 0.5 + 2.0)
+        obj = correlation_objective(cfg)
+        delta = curvature_bound(obj)
+        x_k = np.array([feasible_probe(rng, n, cfg.span_l, 0.5) for _ in range(6)])
+        g = np.array([correlation_excess_grad(row, obj) for row in x_k])
+        g[2] = 0.0  # a zero-slope row keeps its anchor
+        got = solve_surrogate(x_k, g, delta, cfg)
+        want = np.vstack([solve_surrogate(a, b, delta, cfg) for a, b in zip(x_k, g)])
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert np.array_equal(got[2], x_k[2])
+    with pytest.raises(ValueError, match="feasible"):
+        solve_surrogate(np.array([[0.0, 0.5, 1.0], [0.0, 0.2, 1.0]]), np.ones((2, 3)), 1.0,
+                        SystemConfig(n_antennas=3, span_l=2.0))
+
+
 # ---------------------------------------------------------------------------
 # SCA runs
 
@@ -408,10 +426,7 @@ def scalar_sca(cfg, init, tol=1e-8, max_iter=500):
     f1 = correlation_excess(x, obj)
     for k in range(1, max_iter + 1):
         g = correlation_excess_grad(x, obj)
-        if np.any(g):
-            x_new = project_polytope(x + g / delta, cfg.span_l, cfg.d_min)
-        else:
-            x_new = x.copy()
+        x_new = solve_surrogate(x, g, delta, cfg)
         f1_new = correlation_excess(x_new, obj)
         improvement = f1_new - f1
         x, f1 = x_new, f1_new
