@@ -241,8 +241,11 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     """Exhaustive correlation maximization over a quantized aperture.
 
     Candidate positions live on {0, grid_step, 2 grid_step, ...}; subsets keep
-    the minimum spacing.  Exact ties go to the lexicographically smallest
-    subset.  Refuses blow-ups beyond APS_MAX_COMBINATIONS candidates.
+    the minimum spacing.  The correlation depends only on the spacings, so
+    only subsets with x_1 = 0 are scored; every other subset is a translate
+    of one of them.  Exact ties go to the lexicographically smallest subset,
+    the same one a search over every translate would pick.  Refuses blow-ups
+    beyond APS_MAX_COMBINATIONS anchored candidates.
     """
     if not (grid_step > 0.0):
         raise ValueError("grid_step must be positive")
@@ -260,9 +263,11 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     obj = correlation_objective(cfg)
     best_f = -math.inf
     best_x = None
-    # Subsets with identical inter-element difference multisets give the same
-    # objective up to summation rounding, so ties are resolved within a small
-    # absolute window; enumeration order is lexicographic and the first hit wins.
+    # Only x_1 = 0 subsets are enumerated, but those with identical
+    # inter-element difference multisets (a mirrored spacing, for one) still
+    # give the same objective up to summation rounding, so ties are resolved
+    # within a small absolute window; enumeration order is lexicographic and
+    # the first hit wins.
     for pos in chunks:
         f = np.abs(np.exp(1j * obj.kappa * pos).sum(axis=1))
         j = int(np.flatnonzero(f >= f.max() - APS_TIE_TOL)[0])

@@ -292,7 +292,7 @@ def _sweep_point(exp: ExperimentConfig, cfg: SystemConfig, label: str):
     for scheme in exp.schemes:
         try:
             res = run_scheme(scheme, cfg, exp.n_starts, exp.seed, exp.aps_grid_step)
-        except ValueError as exc:
+        except InfeasibleSchemeError as exc:
             skips.append(f"{label} scheme={scheme.value}: {exc}")
             continue
         rates.append((scheme.value, res.snr.min_rate))

@@ -52,10 +52,13 @@ def _mixing_grid(t_step: float) -> np.ndarray:
 def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOptimum:
     """Joint grid search over positions and mixing, via the projection route.
 
-    Intended for tiny arrays only.  Translation invariance makes every shifted
-    copy of an optimal spacing an exact tie up to summation rounding, so
-    candidates within a small relative window count as equal and the
-    lexicographically first position tuple (then the smallest t) wins.
+    Intended for tiny arrays only.  The gains depend only on the spacings, so
+    only tuples with x_1 = 0 are scored: every other feasible tuple is a
+    translate of one of them with the same objective, up to summation
+    rounding.  Candidates within a small relative window count as equal and
+    the lexicographically first position tuple (then the smallest t) wins,
+    which is the tuple a search over every translate would pick too.  The
+    MAX_EVALUATIONS cap counts anchored tuples times mixing values.
     """
     n = cfg.n_antennas
     if n > grid.n_max:

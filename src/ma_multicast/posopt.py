@@ -212,11 +212,17 @@ def random_positions(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, chunk: int):
-    """Feasible n-subsets of the grid {0, step, 2 step, ...} within the aperture.
+    """Feasible n-subsets of the grid {0, step, 2 step, ...} that start at x_1 = 0.
 
-    Returns (count, chunks): the number of subsets whose consecutive spacings
-    are at least d_min, and an iterator over them in lexicographic order as
-    float position arrays of at most chunk rows.
+    Correlation and both projection gains depend only on the spacings, and
+    every feasible subset has a translate with x_1 = 0 that keeps its
+    spacings, so these subsets cover every spacing pattern exactly once.
+    They are also the lexicographic prefix of all feasible subsets, so a
+    first-wins tie rule picks the same tuple as over the full grid.
+
+    Returns (count, chunks): the number of anchored subsets whose consecutive
+    spacings are at least d_min, and an iterator over them in lexicographic
+    order as float position arrays of at most chunk rows.
     """
     m = int(math.floor(span_l / step + FEASIBILITY_TOL)) + 1
     gap = max(1, math.ceil((d_min - FEASIBILITY_TOL) / step))
@@ -227,11 +233,11 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
     shift = (gap - 1) * np.arange(n)
 
     def chunks():
-        combos = itertools.combinations(range(reduced), n)
+        combos = ((0,) + c for c in itertools.combinations(range(1, reduced), n - 1))
         while block := list(itertools.islice(combos, chunk)):
             yield values[np.asarray(block, dtype=int) + shift]
 
-    return math.comb(reduced, n), chunks()
+    return math.comb(reduced - 1, n - 1), chunks()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

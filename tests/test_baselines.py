@@ -240,8 +240,14 @@ def test_ao_curvature_bound_covers_gain_hessian(n):
 # Grid position selection
 
 
-def test_aps_matches_independent_enumeration():
-    cfg = SystemConfig(n_antennas=3, span_l=3.0)
+APS_ANGLE_PAIRS = [SystemConfig().theta_su, (0.3, 1.2), (2.0, 0.5), (1.0, 2.8)]
+
+
+@pytest.mark.parametrize("angles", APS_ANGLE_PAIRS)
+@pytest.mark.parametrize("n", [3, 4])
+def test_aps_matches_independent_enumeration(n, angles):
+    # the reference walks the full grid, every translate included
+    cfg = SystemConfig(n_antennas=n, span_l=3.0, theta_su=angles)
     res = aps_search(cfg, grid_step=0.5)
     want_x, want_f = enumerate_grid_search(cfg, 0.5)
     assert np.allclose(res.x, want_x, atol=1e-12)
@@ -264,6 +270,7 @@ def test_aps_lexicographic_tie_break():
 
 
 def test_aps_guard_refuses_blow_up():
+    # C(2004, 4) ~ 6.7e11 anchored subsets, far beyond the cap
     cfg = SystemConfig(n_antennas=5, span_l=4.0)
     with pytest.raises(ValueError, match="coarser"):
         aps_search(cfg, grid_step=0.001)

@@ -10,6 +10,7 @@ import pytest
 from ma_multicast import (
     ConfigError,
     ExperimentConfig,
+    InfeasibleSchemeError,
     Scheme,
     SystemConfig,
     load_config,
@@ -342,6 +343,31 @@ def test_main_solver_fault_is_internal_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal error" in err and "config error" not in err
     assert "Traceback" in err and "solver fault" in err
+
+
+def test_main_sweep_solver_fault_is_internal_error_but_infeasible_scheme_skips(
+    tmp_path, monkeypatch, capsys, caplog
+):
+    def broken_solve(*args, **kwargs):
+        raise ValueError("solver fault")
+
+    def infeasible_solve(*args, **kwargs):
+        raise InfeasibleSchemeError("does not fit")
+
+    cfg = write_config(tmp_path, SMALL_DOC)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-n", "--config", cfg, "--n-min", "2", "--n-max", "3", "--out", str(out)]
+    monkeypatch.setattr("ma_multicast.baselines.multi_start_sca", broken_solve)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err and "Traceback" in err and "solver fault" in err
+    monkeypatch.setattr("ma_multicast.baselines.multi_start_sca", infeasible_solve)
+    assert main(argv) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    # only the proposed scheme needs the solve, so fpa keeps its rows
+    assert [line.split(",")[:2] for line in lines[1:]] == [["2", "fpa"], ["3", "fpa"]]
+    assert "Traceback" not in capsys.readouterr().err
+    assert "n=2 scheme=proposed: does not fit" in caplog.text
 
 
 def test_main_sweep_n_uses_config_sweep(tmp_path, capsys):

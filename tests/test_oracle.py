@@ -47,6 +47,33 @@ def enumerate_pairs(cfg, step, t_step):
     return best_theta, best_x, best_t
 
 
+def enumerate_joint(cfg, step, t_step):
+    """Full-grid joint search through the correlation formula, in numpy only.
+
+    Scores every feasible tuple of the grid, every translate included, with
+    b = |h1^H h2| / sqrt(n) and c = sqrt(n - b^2) in place of explicit
+    projections.  Keeps the lexicographically first tuple, then the smallest
+    t, within the same relative tie window as the vectorized search.
+    """
+    n = cfg.n_antennas
+    values = step * np.arange(int(math.floor(cfg.span_l / step + 1e-9)) + 1)
+    x = np.array(
+        [c for c in itertools.combinations(values, n) if np.all(np.diff(c) >= cfg.d_min - 1e-9)]
+    )
+    k1, k2 = (2.0 * math.pi / cfg.wavelength * math.sin(th) for th in cfg.theta_su)
+    b = np.abs(np.exp(1j * (k2 - k1) * x).sum(axis=1)) / math.sqrt(n)
+    c = np.sqrt(np.maximum(n - b * b, 0.0))
+    t = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
+    y1 = cfg.snr_scale(0) * n * t * t
+    y2 = cfg.snr_scale(1) * (b[:, None] * t + c[:, None] * np.sqrt(1.0 - t * t)) ** 2
+    theta = np.minimum(y1, y2)
+    rows = theta.max(axis=1)
+    tol = 1e-12 * max(rows.max(), 1.0)
+    i = int(np.flatnonzero(rows >= rows.max() - tol)[0])
+    j = int(np.flatnonzero(theta[i] >= rows[i] - tol)[0])
+    return x[i], float(t[j]), math.log2(1.0 + rows[i])
+
+
 # ---------------------------------------------------------------------------
 # GridSpec and guard rails
 
@@ -72,6 +99,7 @@ def test_brute_force_rejects_large_arrays():
 
 
 def test_brute_force_evaluation_cap():
+    # C(182, 2) = 16471 anchored tuples times 10001 mixing values exceed the cap
     cfg = SystemConfig(n_antennas=3, span_l=10.0)
     with pytest.raises(ValueError, match="cap"):
         brute_force_joint(cfg, GridSpec())
@@ -101,11 +129,29 @@ def test_brute_force_finds_full_correlation_spacing():
     # sin separation 0.4 puts the fully aligned spacing 2.5 on the 0.05 grid
     cfg = SystemConfig(n_antennas=2, span_l=3.0, theta_su=(0.0, math.asin(0.4)))
     got = brute_force_joint(cfg, GridSpec(position_step=0.05, t_step=1e-3, n_max=2))
-    # every translate of the optimal spacing ties; the first tuple wins
+    # only the x_1 = 0 translate of the optimal spacing is scored, and it is
+    # the first of its tied translates, so a full-grid search keeps it too
     assert np.allclose(got.x, [0.0, 2.5], atol=1e-9)
     assert got.t == pytest.approx(1.0, abs=1e-12)
     expect = math.log2(1.0 + 2.0 * cfg.snr_scale(0))
     assert got.min_rate == pytest.approx(expect, rel=1e-9)
+
+
+# four random angle pairs, then matching sines: there every tuple is fully
+# correlated, all of them tie, and the first full-grid tuple must win
+JOINT_ANGLE_PAIRS = [tuple(p) for p in np.random.default_rng(5).uniform(0.0, math.pi, (4, 2))]
+JOINT_ANGLE_PAIRS.append((0.8, math.pi - 0.8))
+
+
+@pytest.mark.parametrize("angles", JOINT_ANGLE_PAIRS)
+@pytest.mark.parametrize("n, step", [(2, 0.25), (2, 0.1), (3, 0.25), (3, 0.1)])
+def test_brute_force_matches_full_grid_reference(n, step, angles):
+    cfg = SystemConfig(n_antennas=n, span_l=2.0, theta_su=angles)
+    got = brute_force_joint(cfg, GridSpec(position_step=step, t_step=0.01, n_max=3))
+    x, t, rate = enumerate_joint(cfg, step, 0.01)
+    assert np.allclose(got.x, x, atol=1e-12)
+    assert abs(got.t - t) <= 1e-12
+    assert got.min_rate == pytest.approx(rate, rel=1e-10)
 
 
 def test_brute_force_result_is_feasible():
@@ -223,12 +269,12 @@ def reference_tuples(span_l, d_min, step, n):
 def test_feasible_tuple_count_matches_binomial():
     count, chunks = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=128)
     tuples = [tuple(row) for block in chunks for row in block]
-    # a two-slot gap per adjacent pair leaves C(5, 3) choices
-    assert count == len(tuples) == math.comb(5, 3)
+    # x_1 = 0 and a two-slot gap per adjacent pair leave C(4, 2) choices
+    assert count == len(tuples) == math.comb(4, 2)
     assert tuples == sorted(tuples)
-    assert all(b - a >= 1.0 - 1e-9 and c - b >= 1.0 - 1e-9 for a, b, c in tuples)
+    assert all(a == 0.0 and b - a >= 1.0 - 1e-9 and c - b >= 1.0 - 1e-9 for a, b, c in tuples)
     loose_count, loose = _grid_combination_chunks(3.0, 0.5, 0.5, 3, chunk=128)
-    assert loose_count == sum(len(block) for block in loose) == math.comb(7, 3)
+    assert loose_count == sum(len(block) for block in loose) == math.comb(6, 2)
     with pytest.raises(ValueError, match="no feasible"):
         _grid_combination_chunks(1.0, 0.5, 0.5, 4, chunk=128)
 
@@ -237,18 +283,37 @@ def test_grid_chunks_preserve_order():
     _, whole = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=128)
     _, parts = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=4)
     parts = list(parts)
-    assert max(len(p) for p in parts) <= 4
+    assert [len(p) for p in parts] == [4, 2]
     assert np.array_equal(np.vstack(parts), np.vstack(list(whole)))
 
 
-@pytest.mark.parametrize(
-    "n, step, expected",
-    [(2, 0.05, 496), (2, 0.1, 136), (3, 0.05, 1771), (3, 0.1, 286)],
-)
-def test_grid_enumerator_matches_itertools_on_validation_grids(n, step, expected):
-    # span 2 and d_min 0.5 are the grids `validate` hands the joint oracle
+# span 2 and d_min 0.5 are the grids `validate` hands the joint oracle; each id
+# names the grid by its full tuple count
+VALIDATION_GRIDS = [
+    pytest.param(n, step, full, anchored, id=f"{n}-{step}-{full}")
+    for n, step, full, anchored in [
+        (2, 0.05, 496, 31), (2, 0.1, 136, 16), (3, 0.05, 1771, 231), (3, 0.1, 286, 66)
+    ]
+]
+
+
+@pytest.mark.parametrize("n, step, full, anchored", VALIDATION_GRIDS)
+def test_grid_enumerator_matches_itertools_on_validation_grids(n, step, full, anchored):
     want = reference_tuples(2.0, 0.5, step, n)
     count, chunks = _grid_combination_chunks(2.0, 0.5, step, n, chunk=128)
     got = np.vstack(list(chunks))
-    assert count == len(want) == expected
-    assert np.array_equal(got, np.asarray(want))
+    assert len(want) == full
+    assert count == len(got) == anchored
+    assert np.array_equal(got, np.asarray([c for c in want if c[0] == 0.0]))
+
+
+@pytest.mark.parametrize("n, step, full, anchored", VALIDATION_GRIDS)
+def test_anchored_tuples_cover_each_spacing_once(n, step, full, anchored):
+    full_idx = np.rint(np.asarray(reference_tuples(2.0, 0.5, step, n)) / step).astype(int)
+    _, chunks = _grid_combination_chunks(2.0, 0.5, step, n, chunk=128)
+    anchored_idx = np.rint(np.vstack(list(chunks)) / step).astype(int)
+    # every tuple shifted to x_1 = 0 is an anchored tuple, and no two anchored
+    # tuples share a spacing pattern
+    assert {tuple(r - r[0]) for r in full_idx} == {tuple(r) for r in anchored_idx}
+    spacings = {tuple(np.diff(r)) for r in anchored_idx}
+    assert len(spacings) == len(anchored_idx) == anchored
