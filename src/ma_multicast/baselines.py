@@ -78,9 +78,9 @@ def closed_form_beamformer(x, cfg: SystemConfig) -> Beamformer:
     return build_beamformer(x, t, cfg, label)
 
 
-def proposed_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeResult:
+def proposed_scheme(cfg: SystemConfig) -> SchemeResult:
     """Correlation-first decoupled design: optimize positions, then the beamformer."""
-    x, trace = multi_start_sca(cfg, n_starts=n_starts, seed=seed)
+    x, trace = multi_start_sca(cfg)
     bf = closed_form_beamformer(x, cfg)
     return SchemeResult(Scheme.PROPOSED, x, bf, snr_pair(bf.w, x, cfg), trace)
 
@@ -205,19 +205,19 @@ def ao_optimize(
 
 
 def ao_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeResult:
-    """AO restarted from the same initial positions the proposed scheme uses.
+    """AO restarted from the uniform spread and n_starts - 1 random starts.
 
     The alternation stops at whatever block fixed point the first beamformer
     balance pins it to, so a single run can settle well below the best known
-    operating point.  The benchmark therefore takes the best over the shared
-    starts plus a warm start at the correlation-ascent positions; from that
-    last start AO either certifies the decoupled solution as a fixed point or
-    improves on it.
+    operating point.  The benchmark therefore takes the best over those
+    starts, drawn from seed, plus a warm start at the shared correlation-ascent
+    positions; from that last start AO either certifies the decoupled
+    solution as a fixed point or improves on it.
     """
     rng = np.random.default_rng(seed)
     starts = [uniform_positions(cfg)]
     starts += [random_positions(cfg, rng) for _ in range(max(n_starts, 1) - 1)]
-    warm, _trace = multi_start_sca(cfg, n_starts=n_starts, seed=seed)
+    warm, _trace = multi_start_sca(cfg)
     starts.append(warm)
     best = None
     for init in starts:
@@ -278,9 +278,9 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     return SchemeResult(Scheme.APS, best_x, bf, snr_pair(bf.w, best_x, cfg))
 
 
-def ma_mrt(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeResult:
+def ma_mrt(cfg: SystemConfig) -> SchemeResult:
     """Optimized positions but a matched filter pointed at user 1 only."""
-    x, trace = multi_start_sca(cfg, n_starts=n_starts, seed=seed)
+    x, trace = multi_start_sca(cfg)
     h1 = steering_vector(x, cfg.theta_su[0], cfg.wavelength)
     w = np.conj(h1) / math.sqrt(cfg.n_antennas)
     bf = Beamformer(w=w, t=1.0, case_label=None)
@@ -306,14 +306,18 @@ def run_scheme(
     seed: int = 0,
     aps_grid_step: float = REFERENCE_SPACING,
 ) -> SchemeResult:
-    """Dispatch a scheme by name with shared defaults."""
+    """Dispatch a scheme by name with shared defaults.
+
+    n_starts and seed steer only AO's restarts; the position solve shared by
+    proposed, ma_mrt and AO's warm start is deterministic.
+    """
     scheme = Scheme(scheme)
     if scheme is Scheme.PROPOSED:
-        return proposed_scheme(cfg, n_starts=n_starts, seed=seed)
+        return proposed_scheme(cfg)
     if scheme is Scheme.AO:
         return ao_scheme(cfg, n_starts=n_starts, seed=seed)
     if scheme is Scheme.APS:
         return aps_search(cfg, grid_step=aps_grid_step)
     if scheme is Scheme.MA_MRT:
-        return ma_mrt(cfg, n_starts=n_starts, seed=seed)
+        return ma_mrt(cfg)
     return fpa_scheme(cfg)

@@ -456,7 +456,7 @@ def _check_separation(rng, pairs_per_n: int, grid: GridSpec) -> dict:
     for n in (2, 3):
         for _ in range(pairs_per_n):
             cfg = _random_validation_config(rng, n=n, span=2.0)
-            outcome = joint_vs_decoupled(cfg, grid, n_starts=10, seed=0)
+            outcome = joint_vs_decoupled(cfg, grid)
             outcome["n_antennas"] = n
             outcome["theta_su"] = list(cfg.theta_su)
             details.append(outcome)

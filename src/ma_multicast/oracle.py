@@ -196,8 +196,6 @@ def resolution_bound(cfg: SystemConfig, grid: GridSpec, theta_ref: float) -> flo
 def joint_vs_decoupled(
     cfg: SystemConfig,
     grid: GridSpec = GridSpec(),
-    n_starts: int = 10,
-    seed: int = 0,
 ) -> dict:
     """Compare the decoupled pipeline against the joint grid optimum.
 
@@ -206,7 +204,7 @@ def joint_vs_decoupled(
     maximization alone is enough to pick the positions.
     """
     joint = brute_force_joint(cfg, grid)
-    x_dec, _ = multi_start_sca(cfg, n_starts=n_starts, seed=seed)
+    x_dec, _ = multi_start_sca(cfg)
     obj = correlation_objective(cfg)
     f = correlation(x_dec, obj)
     t_dec, _label = optimize_mixing(theta_coefficients(f, cfg), cfg.n_antennas)

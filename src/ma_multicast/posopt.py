@@ -3,11 +3,16 @@
 The channel correlation of the two users depends on the positions only
 through the phase differences kappa * (x_i - x_j).  Each round maximizes a
 concave quadratic lower bound of the correlation objective exactly, via a
-Euclidean projection onto the spacing polytope.
+Euclidean projection onto the spacing polytope.  The curvature of that bound
+adapts to the current point: 2 kappa^2 |s|, with s the phasor sum there, is
+a valid minorant curvature everywhere and never exceeds the global bound
+2 kappa^2 n (majorization-minimization, Sun, Babu & Palomar 2017).
 
-All starts of a multi-start run ascend together as the rows of one array, and
-the winning solve is memoised per (config, n_starts, seed), so every scheme
-that needs the correlation-optimal positions shares one solve.
+The position solve ascends from two starts as the rows of one array: the
+uniform spread and a chain dynamic program that maximizes
+sum_i cos(kappa x_i - psi) exactly on a grid, for the best of a few phases
+psi.  The winning solve is memoised per config, so every scheme that needs
+the correlation-optimal positions shares one solve.
 """
 
 import functools
@@ -27,8 +32,13 @@ log = logging.getLogger(__name__)
 KAPPA_TOL = 1e-12
 # f1 ties closer than this are broken lexicographically on x.
 TIE_TOL = 1e-12
-# Distinct (config, n_starts, seed) position solves kept for reuse.
+# Distinct configs whose position solve is kept for reuse.
 SOLVE_CACHE_SIZE = 8
+# Phases psi = 2 pi p / DP_PHASES tried by the chain-DP start.
+DP_PHASES = 64
+# Most grid steps across the aperture in the chain-DP start (more only when
+# n_antennas - 1 exceeds it); bounds its (m, DP_PHASES) tables at a few MB.
+DP_MAX_STEPS = 4096
 
 
 class DegenerateObjectiveError(ValueError):
@@ -85,10 +95,23 @@ def correlation_excess_grad(x, obj: CorrelationObjective) -> np.ndarray:
 
 
 def curvature_bound(obj: CorrelationObjective) -> float:
-    """Frobenius-type bound on the spectral norm of the objective's Hessian."""
-    k4 = obj.kappa ** 4
-    n = obj.n
-    return math.sqrt(4.0 * k4 * n * (n - 1) ** 2 + 4.0 * n * (n - 1) * k4)
+    """Global curvature 2 kappa^2 n of the correlation excess; it is tight.
+
+    The SCA kernel does not use it: each row takes the smaller curvature
+    2 kappa^2 max(|s|, 1) of its current point (_sca_rows), and this is the
+    upper bound on that per-row curvature that the tests check against.
+
+    With e = exp(j kappa x) and s = sum(e), the Hessian of f1 = |s|^2 - n is
+    -2 kappa^2 L, where L = diag(Re(e_i conj(s))) - Re(e e^H) is the Laplacian
+    of the complete graph on the antennas with edge weights
+    w_ik = cos(kappa (x_i - x_k)).  For any v,
+    v^T L v = sum_{i<k} w_ik (v_i - v_k)^2, and |w_ik| <= 1 while
+    sum_{i<k} (v_i - v_k)^2 = n |v|^2 - (sum v)^2 <= n |v|^2, so
+    -n I <= L <= n I and ||H|| <= 2 kappa^2 n.  The quadratic with this
+    curvature therefore minorizes f1 around any point.  The bound is attained
+    in the limit of aligned phasors, where L tends to n I - 1 1^T.
+    """
+    return 2.0 * obj.kappa ** 2 * obj.n
 
 
 def _pav_nondecreasing(y: np.ndarray) -> np.ndarray:
@@ -179,21 +202,23 @@ def _check_rows_feasible(x: np.ndarray, cfg: SystemConfig) -> None:
         raise ValueError("positions lie outside the feasible set")
 
 
-def solve_surrogate(x_k, g, delta: float, cfg: SystemConfig) -> np.ndarray:
+def solve_surrogate(x_k, g, delta, cfg: SystemConfig) -> np.ndarray:
     """Exact maximizer of the quadratic minorant over the spacing polytope.
 
     x_k is one feasible position vector with its slope g, or a (B, n) array
-    of them solved row by row.  A row with zero slope keeps x_k exactly,
-    since x_k itself maximizes its minorant.
+    of them solved row by row; delta is one curvature or one per row.  A row
+    with zero slope keeps x_k exactly, since x_k itself maximizes its
+    minorant.
     """
     x_k = np.asarray(x_k, dtype=float)
     g = np.asarray(g, dtype=float)
     if x_k.ndim not in (1, 2) or x_k.size < 1 or g.shape != x_k.shape:
         raise ValueError("x_k must be a non-empty 1-D or 2-D array and g must match its shape")
     _check_rows_feasible(np.atleast_2d(x_k), cfg)
-    if delta <= 0.0:
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), x_k.shape[:-1])
+    if not np.all(delta > 0.0):
         raise DegenerateObjectiveError("surrogate curvature must be positive")
-    x_new = project_polytope(x_k + g / delta, cfg.span_l, cfg.d_min)
+    x_new = project_polytope(x_k + g / delta[..., None], cfg.span_l, cfg.d_min)
     flat = ~g.any(axis=-1)  # a 0-d mask when x_k is one vector
     x_new[flat] = x_k[flat]
     return x_new
@@ -240,6 +265,84 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
     return math.comb(reduced - 1, n - 1), chunks()
 
 
+def _dp_grid(cfg: SystemConfig, kappa: float) -> np.ndarray:
+    """Sorted candidate positions of the chain DP.
+
+    The step divides d_min and moves the phase kappa x by at most pi / 32 (and
+    x by at most 0.05).  Where that needs more than
+    max(DP_MAX_STEPS, n - 1) steps across span_l (a tiny d_min or
+    wavelength), the step grows to the smallest one at least
+    span_l / max(DP_MAX_STEPS, n - 1) that still divides d_min, or to that
+    bound itself when it exceeds d_min; the DP start is then coarser but the
+    grid still holds a feasible chain.  The points k h and span_l - k h are
+    merged, so both aperture ends lie on the grid even when h does not divide
+    span_l.
+    """
+    h_max = min(0.05, (math.pi / 32.0) / abs(kappa))
+    h = cfg.d_min / math.ceil(cfg.d_min / h_max)
+    h_min = cfg.span_l / max(DP_MAX_STEPS, cfg.n_antennas - 1)
+    if h < h_min:
+        h = cfg.d_min / math.floor(cfg.d_min / h_min) if cfg.d_min >= h_min else h_min
+    steps = h * np.arange(int(math.floor(cfg.span_l / h + FEASIBILITY_TOL)) + 1)
+    points = np.concatenate([steps, cfg.span_l - steps])
+    points.sort()
+    # sort + diff rather than np.unique, whose lazy numpy.ma import costs a CLI
+    # call about 25 ms
+    keep = np.empty(points.size, dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(points), FEASIBILITY_TOL, out=keep[1:])
+    return np.clip(points[keep], 0.0, cfg.span_l)
+
+
+def chain_dp_start(cfg: SystemConfig) -> np.ndarray:
+    """Grid positions that maximize sum_i cos(kappa x_i - psi), best over phases psi.
+
+    For a fixed phase psi the sum separates along the chain
+    x_{i+1} - x_i >= d_min, so a prefix-max dynamic program over the grid of
+    _dp_grid maximizes it exactly in O(n m).  Each such sum is a lower bound
+    of the correlation |sum_i exp(j kappa x_i)| at the same positions.  A
+    first pass runs every phase psi = 2 pi p / DP_PHASES at once and keeps
+    only the current antenna's (m, DP_PHASES) table; a second pass reruns the
+    winning phase alone and keeps its (n - 1, m) back-pointers.  Ties go to
+    the first phase and the leftmost grid point.  Needs kappa != 0.
+    """
+    kappa = correlation_objective(cfg).kappa
+    grid = _dp_grid(cfg, kappa)
+    m = grid.size
+    # antenna i + 1 at grid[j] may follow antenna i at any of grid[:pred[j]];
+    # pred never decreases, so the reachable points are grid[start:]
+    pred = np.searchsorted(grid, grid - cfg.d_min + FEASIBILITY_TOL, side="right")
+    start = int(np.argmax(pred > 0))
+    tail = pred[start:] - 1
+    psi = (2.0 * math.pi / DP_PHASES) * np.arange(DP_PHASES)
+    gain = np.cos(kappa * grid[:, None] - psi[None, :])
+    best = gain.copy()
+    run = np.empty_like(best)
+    for _ in range(cfg.n_antennas - 1):
+        np.maximum.accumulate(best, axis=0, out=run)
+        best[:start] = -np.inf
+        np.add(gain[start:], run[tail], out=best[start:])
+    gain = gain[:, int(np.argmax(best.max(axis=0)))]
+    best = gain.copy()
+    index = np.arange(m)
+    rises = np.empty(m, dtype=bool)
+    back = np.zeros((cfg.n_antennas - 1, m), dtype=int)
+    for i in range(cfg.n_antennas - 1):
+        run = np.maximum.accumulate(best)
+        # back[i, j]: leftmost argmax of best[:pred[j]]
+        rises[0] = True
+        np.greater(best[1:], run[:-1], out=rises[1:])
+        back[i, start:] = np.maximum.accumulate(np.where(rises, index, 0))[tail]
+        best[:start] = -np.inf
+        np.add(gain[start:], run[tail], out=best[start:])
+    j = int(np.argmax(best))
+    chosen = [j]
+    for i in range(cfg.n_antennas - 2, -1, -1):
+        j = int(back[i, j])
+        chosen.append(j)
+    return grid[chosen[::-1]]
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -249,9 +352,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> list:
     """Ascend the correlation excess from every row of starts at once.
 
-    Each round solves every row's quadratic minorant exactly, so each row's
-    f1 never decreases.  With s = sum_n exp(j kappa x_n), f1 = |s|^2 - n and
-    its gradient 2 kappa Im(s conj(exp(j kappa x))) cost O(n) per row.  A row
+    With s = sum_n exp(j kappa x_n), f1 = |s|^2 - n and its gradient
+    2 kappa Im(s conj(exp(j kappa x))) cost O(n) per row.  Each round solves
+    every row's quadratic minorant exactly with that row's own curvature
+    delta_k = 2 kappa^2 max(|s_k|, 1), so each row's f1 never decreases.
+    delta_k is a valid curvature everywhere, not only near x_k: with
+    phi = arg s_k, |s(y)|^2 >= 2 Re(conj(s_k) s(y)) - |s_k|^2
+    = 2 |s_k| sum_i cos(kappa y_i - phi) - |s_k|^2, with equality and equal
+    slope at y = x_k, and each cosine has curvature at most kappa^2.  Since
+    |s_k| <= n, delta_k never exceeds curvature_bound = 2 kappa^2 n; the
+    floor only keeps it positive at s_k = 0, where the slope is zero.  A row
     stops on its own once its improvement falls below tol or after max_iter
     rounds.  Returns one ScaTrace per row.
     """
@@ -269,10 +379,11 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
         # users at matching sine angles: f is constant, nothing to move
         converged[:] = True
     else:
-        delta = curvature_bound(obj)
         active = np.arange(rows)
         for k in range(1, max_iter + 1):
-            g = 2.0 * obj.kappa * np.imag(s[active, None] * np.conj(e[active]))
+            s_k = s[active]
+            g = 2.0 * obj.kappa * np.imag(s_k[:, None] * np.conj(e[active]))
+            delta = 2.0 * obj.kappa ** 2 * np.maximum(np.abs(s_k), 1.0)
             x_new = solve_surrogate(x[active], g, delta, cfg)
             e_new = np.exp(1j * obj.kappa * x_new)
             s_new = e_new.sum(axis=1)
@@ -320,12 +431,13 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @functools.lru_cache(maxsize=SOLVE_CACHE_SIZE)
-def _solve_positions(cfg: SystemConfig, n_starts: int, seed: int) -> ScaTrace:
-    """Winning trace of the multi-start solve; memoised, so logged once per key."""
-    rng = np.random.default_rng(seed)
+def _solve_positions(cfg: SystemConfig) -> ScaTrace:
+    """Winning trace of the two-start solve; memoised, so logged once per config."""
     obj = correlation_objective(cfg)
     starts = [uniform_positions(cfg)]
-    starts += [random_positions(cfg, rng) for _ in range(n_starts - 1)]
+    if abs(obj.kappa) >= KAPPA_TOL:
+        # with kappa = 0 every x is optimal and the uniform start stays
+        starts.append(chain_dp_start(cfg))
     best, best_f1 = None, -math.inf
     for trace in _sca_rows(cfg, np.array(starts)):
         f1 = correlation_excess(trace.x, obj)
@@ -339,22 +451,20 @@ def _solve_positions(cfg: SystemConfig, n_starts: int, seed: int) -> ScaTrace:
             best, best_f1 = trace, f1
     if not best.converged:
         log.warning(
-            "position solve n=%d span_l=%g n_starts=%d seed=%d: the best SCA start "
-            "stopped at max_iter (%d rounds) without converging",
-            cfg.n_antennas, cfg.span_l, n_starts, seed, best.iterations,
+            "position solve n=%d span_l=%g: the winning SCA start stopped at "
+            "max_iter (%d rounds) without converging",
+            cfg.n_antennas, cfg.span_l, best.iterations,
         )
     return best
 
 
-def multi_start_sca(cfg: SystemConfig, n_starts: int = 10, seed: int = 0):
-    """Best of one uniform-spacing start plus n_starts - 1 random feasible starts.
+def multi_start_sca(cfg: SystemConfig):
+    """Best SCA run from the uniform start and the chain-DP start.
 
-    Deterministic for a fixed seed; exact f1 ties go to the lexicographically
-    smaller position vector.  Returns (x, ScaTrace) of the winning run.  The
-    solve is memoised on (cfg, n_starts, seed), so the schemes that share
-    these positions share one solve; each call gets its own copy of x.
+    Deterministic; exact f1 ties go to the lexicographically smaller
+    position vector.  Returns (x, ScaTrace) of the winning run.  The solve is
+    memoised on cfg, so the schemes that share these positions share one
+    solve; each call gets its own copy of x.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    trace = _solve_positions(cfg, n_starts, seed)
+    trace = _solve_positions(cfg)
     return trace.x.copy(), trace

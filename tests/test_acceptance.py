@@ -30,6 +30,7 @@ from ma_multicast import (
     main,
     min_snr_from_correlation,
     min_snr_from_projections,
+    multi_start_sca,
     optimize_mixing,
     projection_coefficients,
     proposed_scheme,
@@ -179,9 +180,9 @@ def antenna_sweep():
     rates = {"proposed": {}, "ao": {}, "ma_mrt": {}}
     for n in range(4, 9):
         cfg = SystemConfig(n_antennas=n, span_l=5.0)
-        rates["proposed"][n] = proposed_scheme(cfg, n_starts=10, seed=1).snr.min_rate
+        rates["proposed"][n] = proposed_scheme(cfg).snr.min_rate
         rates["ao"][n] = ao_scheme(cfg, n_starts=10, seed=1).snr.min_rate
-        rates["ma_mrt"][n] = ma_mrt(cfg, n_starts=10, seed=1).snr.min_rate
+        rates["ma_mrt"][n] = ma_mrt(cfg).snr.min_rate
     return rates
 
 
@@ -313,7 +314,7 @@ def test_criterion_06_separation_certificate():
     for n in (2, 3):
         for _ in range(10):
             cfg = random_config(rng, n=n, span=2.0)
-            outcome = joint_vs_decoupled(cfg, grid, n_starts=10, seed=0)
+            outcome = joint_vs_decoupled(cfg, grid)
             all_passed = all_passed and outcome["passed"]
             all_passed = all_passed and (
                 outcome["rate_decoupled"]
@@ -358,22 +359,22 @@ def test_criterion_08_trend_suite(antenna_sweep):
     legs.append(("fixed array constant in span", max(fpa) - min(fpa) == 0.0,
                  f"variation {max(fpa) - min(fpa):.1e}"))
 
-    r9 = proposed_scheme(SystemConfig(span_l=9.0), n_starts=10, seed=1).snr.min_rate
-    r10 = proposed_scheme(SystemConfig(span_l=10.0), n_starts=10, seed=1).snr.min_rate
+    r9 = proposed_scheme(SystemConfig(span_l=9.0)).snr.min_rate
+    r10 = proposed_scheme(SystemConfig(span_l=10.0)).snr.min_rate
     legs.append(
         ("span 9 to 10 change <= 0.5%", abs(r10 - r9) / r9 <= 0.005,
          f"change {abs(r10 - r9) / r9:.2%}")
     )
 
     cfg = SystemConfig()
-    r_prop = proposed_scheme(cfg, n_starts=10, seed=1).snr.min_rate
+    r_prop = proposed_scheme(cfg).snr.min_rate
     r_aps = aps_search(cfg, 0.5).snr.min_rate
     legs.append(
         ("grid selection within 5% of proposed", rel_diff(r_prop, r_aps) <= 0.05,
          f"gap {rel_diff(r_prop, r_aps):.3%}")
     )
 
-    r_mrt = ma_mrt(cfg, n_starts=10, seed=1).snr.min_rate
+    r_mrt = ma_mrt(cfg).snr.min_rate
     r_fpa = fpa_scheme(cfg).snr.min_rate
     dominated = (
         r_prop >= r_aps - 1e-9
@@ -392,6 +393,25 @@ def test_criterion_08_trend_suite(antenna_sweep):
     ok = not failures
     detail = "; ".join(failures) if failures else f"all {len(legs)} trend legs hold"
     assert report(8, ok, detail), "criterion 8 trend legs violated: " + "; ".join(failures)
+
+
+@pytest.mark.parametrize("span_l, ns", [(10.0, (16,)), (20.0, (28, 32)), (40.0, (64,))])
+def test_large_array_solve_reaches_the_oracle_lower_bound(span_l, ns):
+    """At 16-64 antennas the shared solve is no worse than the oracle's best grid point.
+
+    A 0.005 grid with 128 phases gives f_lo = 17.41259 at n = 64 on span 40,
+    fine enough to reject a solve that stops at 17.41239, short of the
+    optimum near 17.41272.
+    """
+    bounds = correlation_bounds(
+        SystemConfig(n_antennas=max(ns), span_l=span_l), max(ns), step=0.005, phases=128
+    )
+    for n in ns:
+        cfg = SystemConfig(n_antennas=n, span_l=span_l)
+        x, trace = multi_start_sca(cfg)
+        f = correlation(x, correlation_objective(cfg))
+        assert f >= bounds[n][0] - 1e-9, (n, f, bounds[n][0])
+        assert trace.converged, n
 
 
 def test_criterion_09_cli_determinism(tmp_path, capsys):

@@ -101,8 +101,8 @@ def test_run_scheme_rejects_unknown():
 
 def test_proposed_uses_correlation_positions():
     cfg = SystemConfig()
-    res = proposed_scheme(cfg, n_starts=6, seed=2)
-    x_ref, _ = multi_start_sca(cfg, n_starts=6, seed=2)
+    res = proposed_scheme(cfg)
+    x_ref, _ = multi_start_sca(cfg)
     assert np.array_equal(res.x, x_ref)
     bf = closed_form_beamformer(res.x, cfg)
     assert np.array_equal(res.w.w, bf.w)
@@ -114,7 +114,7 @@ def test_proposed_uses_correlation_positions():
 
 def test_ao_fixed_point_at_proposed_solution():
     cfg = SystemConfig()
-    prop = proposed_scheme(cfg, n_starts=10, seed=1)
+    prop = proposed_scheme(cfg)
     res = ao_optimize(cfg, prop.x)
     assert res.trace.outer_iterations == 1
     assert res.snr.min_rate == pytest.approx(prop.snr.min_rate, abs=1e-9, rel=1e-9)
@@ -289,7 +289,7 @@ def test_aps_uses_optimal_beamformer():
 
 def test_mrt_first_user_snr_is_matched_filter_bound():
     cfg = SystemConfig(d_su=(70.0, 180.0))
-    res = ma_mrt(cfg, n_starts=5, seed=4)
+    res = ma_mrt(cfg)
     assert res.snr.gamma_u1 == pytest.approx(cfg.snr_scale(0) * cfg.n_antennas, rel=1e-12)
     # second user sees the correlation squared over n
     f = correlation(res.x, correlation_objective(cfg))
@@ -301,13 +301,13 @@ def test_mrt_first_user_snr_is_matched_filter_bound():
 def test_mrt_parallel_channels_serve_both():
     th = 0.9
     cfg = SystemConfig(theta_su=(th, math.pi - th))
-    res = ma_mrt(cfg, n_starts=3, seed=0)
+    res = ma_mrt(cfg)
     assert res.snr.gamma_u2 == pytest.approx(cfg.snr_scale(1) * cfg.n_antennas, rel=1e-9)
 
 
 def test_mrt_equals_full_mixing_objective():
     cfg = SystemConfig()
-    res = ma_mrt(cfg, n_starts=5, seed=9)
+    res = ma_mrt(cfg)
     f = correlation(res.x, correlation_objective(cfg))
     want = math.log2(1.0 + min_snr_from_correlation(1.0, f, cfg))
     assert res.snr.min_rate == pytest.approx(want, rel=1e-9)
@@ -339,7 +339,7 @@ def test_fpa_independent_of_span():
 
 def test_proposed_dominates_simpler_schemes():
     cfg = SystemConfig()
-    prop = proposed_scheme(cfg, n_starts=10, seed=1).snr.min_rate
+    prop = proposed_scheme(cfg).snr.min_rate
     for scheme in (Scheme.APS, Scheme.MA_MRT, Scheme.FPA):
         other = run_scheme(scheme, cfg, n_starts=10, seed=1).snr.min_rate
         assert prop >= other - 1e-9

@@ -242,7 +242,7 @@ def test_resolution_bound_monotone():
 
 def test_joint_vs_decoupled_certificate():
     cfg = SystemConfig(n_antennas=2, span_l=2.0)
-    report = joint_vs_decoupled(cfg, GridSpec(), n_starts=6, seed=3)
+    report = joint_vs_decoupled(cfg, GridSpec())
     assert report["passed"]
     assert -1e-9 <= report["gap_rate"] <= report["epsilon_rate"] + 1e-12
     assert report["rate_joint"] == pytest.approx(

@@ -9,14 +9,19 @@ Oracles used here:
   * difference-space grid searches give the global optimum for n = 2, 3;
   * an exhaustive non-decreasing-tuple enumeration checks the surrogate
     maximizer on a deliberately small box;
+  * an exact analytic Hessian checks the curvature bound 2 kappa^2 n;
   * a per-start scalar SCA loop (pool-adjacent violators, O(n^2)
-    pairwise excess and gradient) checks the batched kernel.
+    pairwise excess and gradient, the same per-round curvature) checks the
+    batched kernel;
+  * an itertools enumeration of grid tuples checks the chain-DP start.
 """
 
+import functools
 import itertools
 import logging
 import math
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,15 +42,19 @@ from ma_multicast import (
     uniform_positions,
 )
 from ma_multicast import posopt
-from ma_multicast.baselines import aps_search
+from ma_multicast.baselines import Scheme, aps_search, run_scheme
 from ma_multicast.posopt import (
+    DP_MAX_STEPS,
     DegenerateObjectiveError,
+    _dp_grid,
     _isotonic_rows,
     _sca_rows,
+    chain_dp_start,
     random_positions,
     solve_surrogate,
     surrogate_value,
 )
+from ma_multicast.sysmodel import validate_positions
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -226,12 +235,50 @@ def test_curvature_bound_formula_and_reference_value():
     cfg = SystemConfig()
     obj = correlation_objective(cfg)
     k, n = abs(obj.kappa), cfg.n_antennas
-    want = math.sqrt(4.0 * k**4 * n * (n - 1) ** 2 + 4.0 * n * (n - 1) * k**4)
     delta = curvature_bound(obj)
-    assert delta == pytest.approx(want, rel=1e-12)
-    # closed form 2 k^2 n sqrt(n - 1) equals the root expression
-    assert delta == pytest.approx(2.0 * k * k * n * math.sqrt(n - 1.0), rel=1e-12)
-    assert delta == pytest.approx(20.0 * k * k, rel=1e-12)  # n = 5
+    assert delta == pytest.approx(2.0 * k * k * n, rel=1e-12)
+    assert delta == pytest.approx(10.0 * k * k, rel=1e-12)  # n = 5
+    assert delta == pytest.approx(62.563611, rel=1e-7)
+
+
+def exact_excess_hessian(x, kappa):
+    """Hessian of sum_{i != k} cos(kappa (x_i - x_k)), entry by entry."""
+    c = np.cos(kappa * (x[:, None] - x[None, :]))
+    hess = 2.0 * kappa**2 * c
+    np.fill_diagonal(hess, 0.0)
+    hess[np.diag_indices(x.size)] = -hess.sum(axis=1)
+    return hess
+
+
+def test_curvature_bound_covers_exact_hessian_and_is_tight():
+    rng = np.random.default_rng(54)
+    worst = 0.0
+    for n in (2, 3, 4, 5, 8, 12, 16, 24, 32):
+        for _ in range(40):
+            kappa = float(rng.uniform(-6.0, 6.0))
+            obj = posopt.CorrelationObjective(kappa=kappa, n=n)
+            period = 2.0 * math.pi / abs(kappa)
+            if rng.uniform() < 0.5:
+                x = np.sort(rng.uniform(0.0, 3.0 * n, n))
+            else:
+                # phasors nearly aligned: spacings close to whole periods
+                x = period * np.cumsum(rng.integers(1, 3, n)) + rng.normal(0.0, 1e-3, n)
+            hess = exact_excess_hessian(x, kappa)
+            if n <= 5:
+                h = 1e-5
+                fd = np.array([
+                    (correlation_excess_grad(x + h * e, obj) - correlation_excess_grad(x - h * e, obj))
+                    / (2.0 * h)
+                    for e in np.eye(n)
+                ])
+                assert np.max(np.abs(fd - hess)) <= 1e-5 * (1.0 + np.max(np.abs(hess)))
+            eig = np.linalg.eigvalsh(-hess)
+            delta = curvature_bound(obj)
+            # the bound covers both ends of the spectrum
+            assert eig[-1] <= delta * (1.0 + 1e-12)
+            assert eig[0] >= -delta * (1.0 + 1e-12)
+            worst = max(worst, eig[-1] / delta)
+    assert worst > 0.999
 
 
 def test_excess_hessian_norm_within_bound():
@@ -367,7 +414,7 @@ def test_sca_two_antennas_reaches_grid_optimum():
     assert correlation_excess(x_single, obj) >= correlation_excess(init, obj) - 1e-9
     deltas = np.arange(0.5, 4.0 + 1e-12, 1e-3)
     grid_best = np.max(np.abs(1.0 + np.exp(1j * obj.kappa * deltas)))
-    x_multi, _ = multi_start_sca(cfg, n_starts=10, seed=0)
+    x_multi, _ = multi_start_sca(cfg)
     assert correlation(x_multi, obj) >= grid_best - 1e-3
 
 
@@ -380,28 +427,42 @@ def test_sca_three_antennas_multi_start_near_grid():
         d2 = np.arange(0.5, 4.0 - a + 1e-12, 0.02)
         vals = np.abs(1.0 + np.exp(1j * obj.kappa * a) + np.exp(1j * obj.kappa * (a + d2)))
         best = max(best, float(vals.max()))
-    x, _ = multi_start_sca(cfg, n_starts=10, seed=0)
+    x, _ = multi_start_sca(cfg)
     assert correlation(x, obj) >= best * (1.0 - 0.01)
 
 
 def test_sca_five_antennas_matches_fine_grid_selection():
     cfg = SystemConfig()  # n = 5, span 4
     obj = correlation_objective(cfg)
-    x, _ = multi_start_sca(cfg, n_starts=10, seed=0)
+    x, _ = multi_start_sca(cfg)
     ref = aps_search(cfg, grid_step=0.05)
     f_ref = correlation(ref.x, obj)
     assert correlation(x, obj) >= f_ref * (1.0 - 0.01)
 
 
-def test_multi_start_deterministic_and_single_start():
-    cfg = SystemConfig(n_antennas=3, span_l=3.0)
-    xa, _ = multi_start_sca(cfg, n_starts=5, seed=7)
-    posopt._solve_positions.cache_clear()  # recompute, not a cache hit
-    xb, _ = multi_start_sca(cfg, n_starts=5, seed=7)
-    assert np.array_equal(xa, xb)
-    x1, _ = multi_start_sca(cfg, n_starts=1, seed=7)
-    xu, _ = sca_optimize(cfg, uniform_positions(cfg))
-    assert np.array_equal(x1, xu)
+def test_position_solve_deterministic_and_best_of_two_starts():
+    for n, span_l in ((3, 3.0), (5, 4.0), (8, 6.0), (16, 10.0)):
+        cfg = SystemConfig(n_antennas=n, span_l=span_l)
+        obj = correlation_objective(cfg)
+        xa, trace = multi_start_sca(cfg)
+        posopt._solve_positions.cache_clear()  # recompute, not a cache hit
+        xb, _ = multi_start_sca(cfg)
+        assert np.array_equal(xa, xb)
+        # the winner is the better of the two one-row runs
+        starts = (uniform_positions(cfg), chain_dp_start(cfg))
+        runs = [sca_optimize(cfg, start)[0] for start in starts]
+        f_runs = [correlation_excess(x, obj) for x in runs]
+        assert correlation_excess(xa, obj) == pytest.approx(max(f_runs), rel=1e-12)
+        assert min(np.max(np.abs(xa - x)) for x in runs) < 1e-11
+        assert trace.converged
+
+
+def test_position_solve_keeps_the_uniform_start_when_kappa_is_zero():
+    th = 0.7
+    cfg = SystemConfig(theta_su=(th, math.pi - th))  # equal sines
+    x, trace = multi_start_sca(cfg)
+    assert np.array_equal(x, uniform_positions(cfg))
+    assert trace.converged and trace.iterations == 0
 
 
 def test_random_positions_feasible():
@@ -419,13 +480,18 @@ def test_random_positions_feasible():
 
 
 def scalar_sca(cfg, init, tol=1e-8, max_iter=500):
-    """One start at a time: PAV projection and the O(n^2) pairwise sums."""
+    """One start at a time: PAV projection and the O(n^2) pairwise sums.
+
+    Each round's curvature is 2 kappa^2 max(|s|, 1) at the current point,
+    with |s| = sqrt(f1 + n) from the pairwise excess.
+    """
     obj = correlation_objective(cfg)
-    delta = curvature_bound(obj)
+    n = cfg.n_antennas
     x = np.array(init, dtype=float)
     f1 = correlation_excess(x, obj)
     for k in range(1, max_iter + 1):
         g = correlation_excess_grad(x, obj)
+        delta = 2.0 * obj.kappa**2 * max(math.sqrt(max(f1 + n, 0.0)), 1.0)
         x_new = solve_surrogate(x, g, delta, cfg)
         f1_new = correlation_excess(x_new, obj)
         improvement = f1_new - f1
@@ -458,10 +524,170 @@ def test_batched_kernel_matches_scalar_loop(n):
             assert correlation(trace.x, obj) == pytest.approx(f_ref, rel=1e-12)
 
 
+def test_local_curvature_minorizes_everywhere():
+    """2 kappa^2 |s_k| gives a minorant of f1 at any y, however far from x_k."""
+    rng = np.random.default_rng(56)
+    worst = -math.inf
+    for _ in range(3000):
+        n = int(rng.integers(2, 33))
+        obj = posopt.CorrelationObjective(kappa=float(rng.uniform(-8.0, 8.0)), n=n)
+        x_k = rng.uniform(-5.0, 5.0, n)
+        y = x_k + rng.normal(0.0, float(rng.choice([1e-3, 0.1, 1.0, 5.0])), n)
+        f1_k = correlation_excess(x_k, obj)
+        delta = 2.0 * obj.kappa**2 * abs(np.exp(1j * obj.kappa * x_k).sum())
+        lower = surrogate_value(y, x_k, f1_k, correlation_excess_grad(x_k, obj), delta)
+        worst = max(worst, (lower - correlation_excess(y, obj)) / max(1.0, abs(f1_k)))
+    assert worst <= 1e-12
+
+
+def test_every_sca_step_stays_on_or_above_its_minorant(monkeypatch):
+    """Each round's delta is at most 2 kappa^2 n and its step ends on or above the minorant."""
+    calls = []
+    original = posopt.solve_surrogate
+
+    def recording(x_k, g, delta, cfg):
+        x_new = original(x_k, g, delta, cfg)
+        calls.append((np.atleast_2d(x_k), np.atleast_2d(g), np.ravel(delta), np.atleast_2d(x_new)))
+        return x_new
+
+    monkeypatch.setattr(posopt, "solve_surrogate", recording)
+    rng = np.random.default_rng(55)
+    steps = 0
+    for n in (2, 3, 4, 5, 8, 16):
+        for _ in range(8):
+            cfg = SystemConfig(
+                n_antennas=n,
+                span_l=(n - 1) * 0.5 + float(rng.uniform(0.1, 8.0)),
+                theta_su=tuple(float(t) for t in np.sort(rng.uniform(0.0, math.pi, 2))),
+            )
+            obj = correlation_objective(cfg)
+            delta_max = curvature_bound(obj)
+            calls.clear()
+            starts = np.array([feasible_probe(rng, n, cfg.span_l, cfg.d_min) for _ in range(3)])
+            traces = _sca_rows(cfg, starts)
+            assert len(calls) == max(t.iterations for t in traces)
+            for x_k, g, delta, x_new in calls:
+                assert np.all(delta > 0.0) and np.all(delta <= delta_max * (1.0 + 1e-15))
+                for row in range(x_k.shape[0]):
+                    f1_k = correlation_excess(x_k[row], obj)
+                    f1_new = correlation_excess(x_new[row], obj)
+                    lower = surrogate_value(x_new[row], x_k[row], f1_k, g[row], delta[row])
+                    scale = max(1.0, abs(f1_k))
+                    assert f1_new >= lower - 1e-12 * scale
+                    assert f1_new >= f1_k - 1e-12 * scale
+                    steps += 1
+    assert steps > 500
+
+
 def test_kernel_rejects_infeasible_start():
     cfg = SystemConfig(n_antennas=3, span_l=2.0)
     with pytest.raises(ValueError, match="feasible"):
         _sca_rows(cfg, np.array([[0.0, 0.5, 1.0], [0.0, 0.2, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# Chain-DP start
+
+
+def dp_reference_grid(cfg):
+    """The points k h and span_l - k h, h the largest divisor step of d_min at most
+    min(0.05, (pi / 32) / |kappa|)."""
+    kappa = correlation_objective(cfg).kappa
+    h = cfg.d_min / math.ceil(cfg.d_min / min(0.05, (math.pi / 32.0) / abs(kappa)))
+    k = np.arange(int(cfg.span_l / h + 1e-9) + 1)
+    points = np.concatenate([k * h, cfg.span_l - k * h])
+    return np.unique(np.round(np.clip(points, 0.0, cfg.span_l), 12))
+
+
+def brute_force_dp_argmax(cfg, phases=64):
+    """Argmax of sum_i cos(kappa x_i - psi) over every feasible grid tuple and phase."""
+    kappa = correlation_objective(cfg).kappa
+    n, d = cfg.n_antennas, cfg.d_min
+    grid = dp_reference_grid(cfg)
+    # antenna i can only sit in [i d, span_l - (n - 1 - i) d]
+    windows = [
+        grid[(grid >= i * d - 1e-9) & (grid <= cfg.span_l - (n - 1 - i) * d + 1e-9)]
+        for i in range(n)
+    ]
+    tuples = np.array(list(itertools.product(*windows)))
+    tuples = tuples[np.all(np.diff(tuples, axis=1) >= d - 1e-9, axis=1)]
+    psi = 2.0 * math.pi * np.arange(phases) / phases
+    values = np.cos(kappa * tuples[:, :, None] - psi).sum(axis=1)
+    row, _phase = np.unravel_index(np.argmax(values), values.shape)
+    return tuples[row], float(values.max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chain_dp_start_matches_brute_force(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(5):
+        cfg = SystemConfig(
+            n_antennas=n,
+            span_l=(n - 1) * 0.5 + float(rng.uniform(0.1, {2: 1.5, 3: 0.6, 4: 0.25}[n])),
+            theta_su=tuple(float(t) for t in np.sort(rng.uniform(0.0, math.pi, 2))),
+        )
+        kappa = correlation_objective(cfg).kappa
+        want_x, want_value = brute_force_dp_argmax(cfg)
+        got = chain_dp_start(cfg)
+        phase_sums = np.cos(kappa * got[:, None] - 2.0 * math.pi * np.arange(64) / 64).sum(axis=0)
+        assert phase_sums.max() == pytest.approx(want_value, abs=1e-9)
+        assert np.max(np.abs(got - want_x)) < 1e-9
+
+
+def test_chain_dp_start_is_feasible_and_on_the_grid():
+    rng = np.random.default_rng(62)
+    for n in (2, 3, 5, 8, 16, 32, 64):
+        for _ in range(3):
+            cfg = SystemConfig(
+                n_antennas=n,
+                span_l=(n - 1) * 0.5 + float(rng.uniform(0.0, 10.0)),
+                theta_su=tuple(float(t) for t in np.sort(rng.uniform(0.0, math.pi, 2))),
+            )
+            x = chain_dp_start(cfg)
+            assert x.shape == (n,)
+            validate_positions(x, cfg.span_l, cfg.d_min)
+            grid = dp_reference_grid(cfg)
+            assert np.max(np.min(np.abs(x[:, None] - grid[None, :]), axis=1)) < 1e-9
+
+
+def test_chain_dp_start_keeps_the_span_endpoint():
+    # default angles: h = 0.5 / 13, which does not divide 2.3; |1 + exp(j kappa d)|
+    # rises over d in [1.26, 2.3], so the best pair spans the whole aperture
+    cfg = SystemConfig(n_antennas=2, span_l=2.3)
+    x = chain_dp_start(cfg)
+    assert x[0] == 0.0 and x[1] == pytest.approx(2.3, abs=1e-12)
+    assert correlation(x, correlation_objective(cfg)) > correlation(
+        np.array([0.0, 59 * 0.5 / 13]), correlation_objective(cfg)
+    )
+
+
+@pytest.mark.parametrize("d_min, wavelength", [(1e-6, 1.0), (0.5, 1e-4)])
+def test_chain_dp_grid_stays_bounded_for_a_tiny_step(d_min, wavelength):
+    # uncapped, d_min = 1e-6 would need about 8e6 points and 2 GB per table
+    cfg = SystemConfig(n_antennas=5, d_min=d_min, wavelength=wavelength)
+    grid = _dp_grid(cfg, correlation_objective(cfg).kappa)
+    assert grid.size <= 2 * (DP_MAX_STEPS + 1)
+    assert grid[0] == 0.0 and grid[-1] == cfg.span_l
+    tracemalloc.start()
+    try:
+        x, trace = multi_start_sca(cfg)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    validate_positions(chain_dp_start(cfg), cfg.span_l, cfg.d_min)
+    validate_positions(x, cfg.span_l, cfg.d_min)
+    assert correlation(x, correlation_objective(cfg)) >= correlation(
+        uniform_positions(cfg), correlation_objective(cfg)
+    ) - 1e-9
+
+
+def test_chain_dp_grid_holds_a_chain_when_n_exceeds_the_step_cap():
+    n = DP_MAX_STEPS + 2
+    cfg = SystemConfig(n_antennas=n, span_l=1.0, d_min=1.0 / (2 * n))
+    grid = _dp_grid(cfg, correlation_objective(cfg).kappa)
+    assert n <= grid.size <= 2 * n
+    assert np.min(np.diff(grid)) >= cfg.d_min
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +703,10 @@ def test_run_single_runs_the_kernel_once(kernel_calls):
 
 def test_shared_solve_hands_out_copies(kernel_calls):
     cfg = SystemConfig(n_antennas=4, span_l=3.0)
-    x1, trace1 = multi_start_sca(cfg, n_starts=4, seed=3)
+    x1, trace1 = multi_start_sca(cfg)
     want = x1.copy()
     x1[:] = -1.0
-    x2, trace2 = multi_start_sca(cfg, n_starts=4, seed=3)
+    x2, trace2 = multi_start_sca(cfg)
     assert np.array_equal(x2, want)
     assert trace2 is trace1 and len(kernel_calls) == 1
     for frozen in (trace1.x, trace1.f1_history):
@@ -490,24 +716,29 @@ def test_shared_solve_hands_out_copies(kernel_calls):
         trace1.converged = False
 
 
-def test_shared_solve_misses_on_new_seed_config_or_starts(kernel_calls):
+def test_shared_solve_is_keyed_on_the_config_alone(kernel_calls):
     cfg = SystemConfig(n_antennas=4, span_l=3.0)
-    multi_start_sca(cfg, n_starts=4, seed=3)
-    multi_start_sca(cfg, n_starts=4, seed=3)
+    multi_start_sca(cfg)
+    multi_start_sca(SystemConfig(n_antennas=4, span_l=3.0))  # equal config: a hit
     assert len(kernel_calls) == 1
-    multi_start_sca(cfg, n_starts=4, seed=4)
-    multi_start_sca(replace(cfg, span_l=3.5), n_starts=4, seed=3)
-    multi_start_sca(cfg, n_starts=5, seed=3)
-    assert len(kernel_calls) == 4
+    multi_start_sca(replace(cfg, span_l=3.5))
+    multi_start_sca(replace(cfg, theta_su=(0.3, 2.0)))
+    assert len(kernel_calls) == 3
+    # AO's restarts follow n_starts and seed; the shared solve does not
+    for n_starts, seed in ((2, 0), (4, 3), (4, 4)):
+        run_scheme(Scheme.AO, cfg, n_starts=n_starts, seed=seed)
+    assert len(kernel_calls) == 3
 
 
-def test_unconverged_solve_warns_once_per_distinct_solve(caplog):
+def test_unconverged_solve_warns_once_per_distinct_solve(caplog, monkeypatch):
+    # a 20-round cap: both starts at n = 28 need more, the default n = 5 fewer
+    monkeypatch.setattr(posopt, "_sca_rows", functools.partial(posopt._sca_rows, max_iter=20))
     cfg = SystemConfig(n_antennas=28, span_l=20.0, theta_su=(0.3, 2.0))
     with caplog.at_level(logging.WARNING, logger="ma_multicast.posopt"):
-        _x, trace = multi_start_sca(cfg, n_starts=2, seed=1)
-        multi_start_sca(cfg, n_starts=2, seed=1)  # cache hit: no second warning
-        _x, converged = multi_start_sca(SystemConfig(), n_starts=2, seed=1)
-    assert not trace.converged and trace.iterations == 500
+        _x, trace = multi_start_sca(cfg)
+        multi_start_sca(cfg)  # cache hit: no second warning
+        _x, converged = multi_start_sca(SystemConfig())
+    assert not trace.converged and trace.iterations == 20
     assert converged.converged
     warnings = [r for r in caplog.records if r.name == "ma_multicast.posopt"]
     assert len(warnings) == 1
