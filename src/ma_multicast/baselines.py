@@ -29,7 +29,15 @@ from .posopt import (
     uniform_positions,
     random_positions,
 )
-from .sysmodel import FEASIBILITY_TOL, SnrPair, SystemConfig, snr_pair, steering_vector, validate_positions
+from .sysmodel import (
+    FEASIBILITY_TOL,
+    SnrPair,
+    SystemConfig,
+    snr_pair,
+    steering_vector,
+    user_kappas,
+    validate_positions,
+)
 
 log = logging.getLogger(__name__)
 
@@ -89,12 +97,6 @@ def proposed_scheme(cfg: SystemConfig) -> SchemeResult:
 # Alternating optimization
 
 
-def _user_kappas(cfg: SystemConfig) -> tuple:
-    return tuple(
-        (2.0 * math.pi / cfg.wavelength) * math.sin(cfg.theta_su[i]) for i in (0, 1)
-    )
-
-
 def _gain_and_grad(x: np.ndarray, w: np.ndarray, kappa: float):
     """|h(x)^T w|^2 and its position gradient for one user."""
     v = w * np.exp(1j * kappa * x)
@@ -124,7 +126,7 @@ def _ao_position_step(
     it is -2 kappa^2 times the Laplacian with edge weights Re(conj(u_i) u_k), and
     Gershgorin gives ||H|| <= 2 kappa^2 sqrt(n - 1) <= 2 kappa^2 n for unit w.
     """
-    kappas = _user_kappas(cfg)
+    kappas = user_kappas(cfg)
     c = np.array([cfg.snr_scale(0), cfg.snr_scale(1)])
     s = c / c.max()
     n = cfg.n_antennas

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sysmodel import SystemConfig, steering_vector, validate_positions
+from .sysmodel import SystemConfig, user_kappas, validate_positions
 
 # Below this norm the component of user 2's steering vector orthogonal to
 # user 1's is considered numerically absent (channels parallel).
@@ -46,14 +46,41 @@ class ThetaCoefficients:
     f_max: float
 
 
-def project_onto(v, u) -> np.ndarray:
-    """Orthogonal projection of u onto the line spanned by v."""
-    v = np.asarray(v, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    nv2 = float(np.vdot(v, v).real)
-    if nv2 <= 0.0:
-        raise ValueError("cannot project onto a zero vector")
-    return v * (np.vdot(v, u) / nv2)
+def _split(x, cfg: SystemConfig) -> tuple:
+    """h1, user 2's channel projected onto h1 (p), and the remainder h2 - p.
+
+    x is one position vector or a (B, n) array of them, one per row.
+    """
+    x = np.asarray(x, dtype=float)
+    kappa1, kappa2 = user_kappas(cfg)
+    h1 = np.exp(1j * kappa1 * x)
+    h2 = np.exp(1j * kappa2 * x)
+    # h1 has unit-modulus entries, so ||h1||^2 = n
+    ip = (np.conj(h1) * h2).sum(axis=-1)
+    p = h1 * np.expand_dims(ip / x.shape[-1], -1)
+    return h1, p, h2 - p
+
+
+def _projection_gains(x, cfg: SystemConfig) -> tuple:
+    """Gains (a, b, c) of _split, one per position vector in x."""
+    h1, p, perp = _split(x, cfg)
+    b = np.linalg.norm(p, axis=-1)
+    c = np.linalg.norm(perp, axis=-1)
+    along = (h1 * np.conj(p)).sum(axis=-1)
+    # orthogonal channels: the in-span direction degenerates to h1 itself
+    a = np.where(
+        b < PARALLEL_TOL, math.sqrt(x.shape[-1]), np.abs(along) / np.maximum(b, 1e-300)
+    )
+    return a, b, c
+
+
+def _theta_from_gains(a, b, c, t, cfg: SystemConfig):
+    """Worst-user SNR at mixing t from the gains; broadcasts over arrays."""
+    # parallel channels: the complement direction carries nothing
+    c_eff = np.where(c < PARALLEL_TOL, 0.0, c)
+    y1 = cfg.snr_scale(0) * (a * t) ** 2
+    y2 = cfg.snr_scale(1) * (b * t + c_eff * np.sqrt(np.maximum(1.0 - t * t, 0.0))) ** 2
+    return np.minimum(y1, y2)
 
 
 def projection_coefficients(x, cfg: SystemConfig) -> tuple:
@@ -64,18 +91,7 @@ def projection_coefficients(x, cfg: SystemConfig) -> tuple:
     actual vector projections, not from any simplified expression.
     """
     x = validate_positions(x, cfg.span_l, cfg.d_min)
-    h1 = steering_vector(x, cfg.theta_su[0], cfg.wavelength)
-    h2 = steering_vector(x, cfg.theta_su[1], cfg.wavelength)
-    p = project_onto(h1, h2)
-    b = float(np.linalg.norm(p))
-    c = float(np.linalg.norm(h2 - p))
-    n = x.size
-    if b < PARALLEL_TOL:
-        # orthogonal channels: the in-span direction degenerates to h1 itself
-        a = math.sqrt(n)
-    else:
-        a = float(abs(h1 @ np.conj(p)) / b)
-    return a, b, c
+    return tuple(float(g) for g in _projection_gains(x, cfg))
 
 
 def min_snr_from_correlation(t: float, f: float, cfg: SystemConfig) -> float:
@@ -100,14 +116,7 @@ def min_snr_from_projections(t: float, x, cfg: SystemConfig) -> float:
     if not (-CASE_SLACK <= t <= 1.0 + CASE_SLACK):
         raise ValueError("mixing parameter t must lie in [0, 1]")
     t = min(max(t, 0.0), 1.0)
-    a, b, c = projection_coefficients(x, cfg)
-    y1 = cfg.snr_scale(0) * (a * t) ** 2
-    if c < PARALLEL_TOL:
-        # parallel channels: the complement direction carries nothing
-        y2 = cfg.snr_scale(1) * (b * t) ** 2
-    else:
-        y2 = cfg.snr_scale(1) * (b * t + c * math.sqrt(max(1.0 - t * t, 0.0))) ** 2
-    return min(y1, y2)
+    return float(_theta_from_gains(*projection_coefficients(x, cfg), t, cfg))
 
 
 def theta_coefficients(f_max: float, cfg: SystemConfig) -> ThetaCoefficients:
@@ -173,11 +182,8 @@ def build_beamformer(
         raise ValueError("mixing parameter t must lie in [0, 1]")
     t = min(max(t, 0.0), 1.0)
     n = cfg.n_antennas
-    h1 = steering_vector(x, cfg.theta_su[0], cfg.wavelength)
-    h2 = steering_vector(x, cfg.theta_su[1], cfg.wavelength)
-    p = project_onto(h1, h2)
+    h1, p, perp = _split(x, cfg)
     b = float(np.linalg.norm(p))
-    perp = h2 - p
     c = float(np.linalg.norm(perp))
     if b < PARALLEL_TOL:
         p_hat = np.conj(h1) / math.sqrt(n)

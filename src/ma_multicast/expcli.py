@@ -299,42 +299,42 @@ def _sweep_point(exp: ExperimentConfig, cfg: SystemConfig, label: str):
     return rates, skips
 
 
+def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: str):
+    """Rows (value, scheme, rate) over values of one config field, and the skips.
+
+    A value whose geometry cannot hold n antennas d_min apart is skipped whole.
+    """
+    rows = []
+    skips = []
+    for value in values:
+        label = f"{key}={value:g}"
+        geometry = {"n_antennas": exp.system.n_antennas, "span_l": exp.system.span_l, field: value}
+        if (geometry["n_antennas"] - 1) * exp.system.d_min > geometry["span_l"] + FEASIBILITY_TOL:
+            rates, point_skips = [], [f"{label}: {infeasible}"]
+        else:
+            cfg = replace(exp.system, **{field: value})
+            rates, point_skips = _sweep_point(exp, cfg, label)
+        for message in point_skips:
+            log.warning("sweep-%s skip: %s", key, message)
+            skips.append(message)
+        rows.extend((value, scheme, rate) for scheme, rate in rates)
+    return rows, skips
+
+
 def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
     if n_min < 2 or n_max < n_min:
         raise ConfigError("need 2 <= n_min <= n_max")
-    rows = []
-    skips = []
-    for n in range(n_min, n_max + 1):
-        if (n - 1) * exp.system.d_min > exp.system.span_l + FEASIBILITY_TOL:
-            rates, point_skips = [], [f"n={n}: (n - 1) * d_min exceeds span_l"]
-        else:
-            cfg = replace(exp.system, n_antennas=n)
-            rates, point_skips = _sweep_point(exp, cfg, f"n={n}")
-        for message in point_skips:
-            log.warning("sweep-n skip: %s", message)
-            skips.append(message)
-        rows.extend((n, scheme, rate) for scheme, rate in rates)
-    return rows, skips
+    return _run_sweep(
+        exp, "n", "n_antennas", range(n_min, n_max + 1), "(n - 1) * d_min exceeds span_l"
+    )
 
 
 def run_sweep_l(exp: ExperimentConfig, l_min: float, l_max: float, l_step: float):
     if not (l_min > 0.0 and l_step > 0.0 and l_max >= l_min):
         raise ConfigError("need 0 < l_min <= l_max and l_step > 0")
     count = int(math.floor((l_max - l_min) / l_step + FEASIBILITY_TOL)) + 1
-    rows = []
-    skips = []
-    for k in range(count):
-        l_value = l_min + k * l_step
-        if (exp.system.n_antennas - 1) * exp.system.d_min > l_value + FEASIBILITY_TOL:
-            rates, point_skips = [], [f"l={l_value:g}: smaller than (n - 1) * d_min"]
-        else:
-            cfg = replace(exp.system, span_l=l_value)
-            rates, point_skips = _sweep_point(exp, cfg, f"l={l_value:g}")
-        for message in point_skips:
-            log.warning("sweep-l skip: %s", message)
-            skips.append(message)
-        rows.extend((l_value, scheme, rate) for scheme, rate in rates)
-    return rows, skips
+    values = (l_min + k * l_step for k in range(count))
+    return _run_sweep(exp, "l", "span_l", values, "smaller than (n - 1) * d_min")
 
 
 # ---------------------------------------------------------------------------

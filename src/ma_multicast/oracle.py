@@ -7,7 +7,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .beamformer import (
-    PARALLEL_TOL,
+    _projection_gains,
+    _theta_from_gains,
     optimize_mixing,
     min_snr_from_projections,
     projection_coefficients,
@@ -72,27 +73,12 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
         raise ValueError(
             "grid search would exceed the evaluation cap; coarsen the grid"
         )
-    kappa1 = (2.0 * math.pi / cfg.wavelength) * math.sin(cfg.theta_su[0])
-    kappa2 = (2.0 * math.pi / cfg.wavelength) * math.sin(cfg.theta_su[1])
-    c1, c2 = cfg.snr_scale(0), cfg.snr_scale(1)
-    root = np.sqrt(np.maximum(1.0 - t_grid * t_grid, 0.0))
     best_theta = -math.inf
     best_x = None
     best_t = None
     for pos in chunks:
-        e1 = np.exp(1j * kappa1 * pos)
-        e2 = np.exp(1j * kappa2 * pos)
-        ip = (np.conj(e1) * e2).sum(axis=1)
-        proj = e1 * (ip / n)[:, None]
-        b = np.linalg.norm(proj, axis=1)
-        residual = e2 - proj
-        c_perp = np.linalg.norm(residual, axis=1)
-        along = (e1 * np.conj(proj)).sum(axis=1)
-        a = np.where(b > PARALLEL_TOL, np.abs(along) / np.maximum(b, 1e-300), math.sqrt(n))
-        c_eff = np.where(c_perp < PARALLEL_TOL, 0.0, c_perp)
-        y1 = c1 * (a[:, None] * t_grid[None, :]) ** 2
-        y2 = c2 * (b[:, None] * t_grid[None, :] + c_eff[:, None] * root[None, :]) ** 2
-        theta = np.minimum(y1, y2)
+        a, b, c = _projection_gains(pos, cfg)
+        theta = _theta_from_gains(a[:, None], b[:, None], c[:, None], t_grid, cfg)
         row_best = theta.max(axis=1)
         tol = JOINT_TIE_RTOL * max(float(row_best.max()), 1.0)
         j = int(np.flatnonzero(row_best >= row_best.max() - tol)[0])
@@ -102,13 +88,6 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
             row = theta[j]
             best_t = float(t_grid[int(np.flatnonzero(row >= row.max() - tol)[0])])
     return JointOptimum(x=best_x, t=best_t, min_rate=math.log2(1.0 + best_theta))
-
-
-def _theta_from_gains(a: float, b: float, c: float, cfg: SystemConfig, t: float) -> float:
-    y1 = cfg.snr_scale(0) * (a * t) ** 2
-    c_eff = 0.0 if c < PARALLEL_TOL else c
-    amp = b * t + c_eff * math.sqrt(max(1.0 - t * t, 0.0))
-    return min(y1, cfg.snr_scale(1) * amp * amp)
 
 
 def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4, refine: bool = True) -> tuple:
@@ -121,12 +100,12 @@ def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4, refine: bool = True)
     if not (0.0 < t_step <= 0.01):
         raise ValueError("t_step must lie in (0, 0.01]")
     a, b, c = projection_coefficients(x, cfg)
+
+    def theta_of(t):
+        return float(_theta_from_gains(a, b, c, t, cfg))
+
     t_grid = _mixing_grid(t_step)
-    root = np.sqrt(np.maximum(1.0 - t_grid * t_grid, 0.0))
-    c_eff = 0.0 if c < PARALLEL_TOL else c
-    y1 = cfg.snr_scale(0) * (a * t_grid) ** 2
-    y2 = cfg.snr_scale(1) * (b * t_grid + c_eff * root) ** 2
-    theta = np.minimum(y1, y2)
+    theta = _theta_from_gains(a, b, c, t_grid, cfg)
     j = int(np.argmax(theta))
     t_best, theta_best = float(t_grid[j]), float(theta[j])
     if not refine:
@@ -136,19 +115,19 @@ def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4, refine: bool = True)
     t_lo, t_hi = lo, hi
     t_c = t_hi - _INVPHI * (t_hi - t_lo)
     t_d = t_lo + _INVPHI * (t_hi - t_lo)
-    f_c = _theta_from_gains(a, b, c, cfg, t_c)
-    f_d = _theta_from_gains(a, b, c, cfg, t_d)
+    f_c = theta_of(t_c)
+    f_d = theta_of(t_d)
     for _ in range(200):
         if t_hi - t_lo <= 1e-15:
             break
         if f_c > f_d:
             t_hi, t_d, f_d = t_d, t_c, f_c
             t_c = t_hi - _INVPHI * (t_hi - t_lo)
-            f_c = _theta_from_gains(a, b, c, cfg, t_c)
+            f_c = theta_of(t_c)
         else:
             t_lo, t_c, f_c = t_c, t_d, f_d
             t_d = t_lo + _INVPHI * (t_hi - t_lo)
-            f_d = _theta_from_gains(a, b, c, cfg, t_d)
+            f_d = theta_of(t_d)
         cand_t, cand_f = (t_c, f_c) if f_c >= f_d else (t_d, f_d)
         if cand_f > theta_best:
             t_best, theta_best = cand_t, cand_f

@@ -87,6 +87,13 @@ def default_config(**overrides) -> SystemConfig:
     return SystemConfig(**overrides)
 
 
+def user_kappas(cfg: SystemConfig) -> tuple:
+    """Phase rate (2 pi / wavelength) sin(theta_i) of each user's steering vector."""
+    return tuple(
+        (2.0 * math.pi / cfg.wavelength) * math.sin(cfg.theta_su[i]) for i in (0, 1)
+    )
+
+
 @dataclass(frozen=True)
 class SnrPair:
     """Receive SNRs of both users and the resulting common rate."""

@@ -38,7 +38,7 @@ from ma_multicast import (
     snr_pair,
 )
 from ma_multicast import baselines, posopt
-from ma_multicast.baselines import _user_kappas
+from ma_multicast.sysmodel import user_kappas
 
 
 ALL_SCHEMES = list(Scheme)
@@ -218,7 +218,7 @@ def test_ao_curvature_bound_covers_gain_hessian(n):
         else:
             w = rng.normal(size=n) + 1j * rng.normal(size=n)
             w /= np.linalg.norm(w)
-        kappas = _user_kappas(cfg)
+        kappas = user_kappas(cfg)
         delta_w = 2.0 * max(abs(k) for k in kappas) ** 2 * n
         for kappa in kappas:
             hess = gain_hessian(x, w, kappa)

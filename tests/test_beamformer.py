@@ -1,8 +1,10 @@
 """Beamformer tests.
 
 Oracles used here:
-  * an in-test Gram-Schmidt split of user 2's steering vector checks the
-    projection coefficients against basic linear algebra;
+  * steering_vector and basic linear algebra (reassembly, orthogonality,
+    Cauchy-Schwarz equality) check the projection split and its gains;
+  * the batched projection kernel is checked row by row against the scalar
+    projection route;
   * a dense two-stage grid over the mixing parameter certifies the
     closed-form optimizer case by case;
   * snr_pair ties the assembled vector back to the scalar objective.
@@ -28,7 +30,12 @@ from ma_multicast import (
     theta_at,
     theta_coefficients,
 )
-from ma_multicast.beamformer import project_onto
+from ma_multicast.beamformer import (
+    PARALLEL_TOL,
+    _projection_gains,
+    _split,
+    _theta_from_gains,
+)
 
 
 def random_feasible(rng, n, span_l, d_min=0.5):
@@ -67,24 +74,67 @@ def grid_theta_max(coeffs, coarse=100_001, fine=8_001, width=2e-5):
 # Projections
 
 
-def test_project_split_reassembles():
+def kernel_cases(name):
+    """(cfg, rows) pairs, one feasible position vector per row of rows."""
     rng = np.random.default_rng(21)
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        along = project_onto(v, u)
-        across = u - project_onto(v, u)
-        assert np.max(np.abs(along + across - u)) < 1e-12
-        # along is parallel to v, across orthogonal to it
-        assert abs(np.vdot(v, across)) < 1e-10
-        gram = np.vdot(v, along) * np.vdot(along, v)
-        assert gram.real >= -1e-12
+    if name == "random":
+        cases = []
+        for _ in range(40):
+            cfg = random_config(rng)
+            rows = [random_feasible(rng, cfg.n_antennas, cfg.span_l) for _ in range(5)]
+            cases.append((cfg, np.array(rows)))
+        return cases
+    if name == "parallel":
+        # sin(pi - th) = sin(th): the remainder h2 - p vanishes
+        cfg = SystemConfig(theta_su=(0.8, math.pi - 0.8))
+        rows = [random_feasible(rng, cfg.n_antennas, cfg.span_l) for _ in range(5)]
+        return [(cfg, np.array(rows))]
+    # half the beat period between two antennas makes the channels orthogonal
+    cfg = SystemConfig(n_antennas=2, span_l=4.0)
+    gap = math.pi / abs(correlation_objective(cfg).kappa)
+    return [(cfg, np.array([[s, s + gap] for s in (0.0, 0.5, cfg.span_l - gap)]))]
 
 
-def test_project_onto_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        project_onto(np.zeros(3, dtype=complex), np.ones(3, dtype=complex))
+KERNEL_CASES = ["random", "parallel", "orthogonal"]
+
+
+def test_project_split_reassembles():
+    for name in KERNEL_CASES:
+        for cfg, rows in kernel_cases(name):
+            h1_ref = np.array([steering_vector(x, cfg.theta_su[0], cfg.wavelength) for x in rows])
+            h2_ref = np.array([steering_vector(x, cfg.theta_su[1], cfg.wavelength) for x in rows])
+            for x, h1_want, h2_want in ((rows[0], h1_ref[0], h2_ref[0]), (rows, h1_ref, h2_ref)):
+                h1, p, perp = _split(x, cfg)
+                assert h1.shape == p.shape == perp.shape == np.shape(x)
+                assert np.max(np.abs(h1 - h1_want)) < 1e-12
+                assert np.max(np.abs(p + perp - h2_want)) < 1e-12
+                # the remainder is orthogonal to h1, and p is parallel to it
+                # (Cauchy-Schwarz holds with equality, ||h1||^2 = n)
+                assert np.max(np.abs((np.conj(h1) * perp).sum(axis=-1))) < 1e-10
+                along = np.abs((np.conj(h1) * p).sum(axis=-1)) ** 2
+                norms = cfg.n_antennas * np.linalg.norm(p, axis=-1) ** 2
+                assert np.allclose(along, norms, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_batched_kernel_matches_scalar_route(name):
+    t = np.linspace(0.0, 1.0, 21)
+    for cfg, rows in kernel_cases(name):
+        a, b, c = _projection_gains(rows, cfg)
+        assert a.shape == b.shape == c.shape == (rows.shape[0],)
+        if name == "parallel":
+            assert np.all(c < PARALLEL_TOL)
+        if name == "orthogonal":
+            assert np.all(b < PARALLEL_TOL)
+        theta = _theta_from_gains(a[:, None], b[:, None], c[:, None], t, cfg)
+        assert theta.shape == (rows.shape[0], t.size)
+        for i, x in enumerate(rows):
+            gains = np.array([a[i], b[i], c[i]])
+            assert np.max(np.abs(gains - projection_coefficients(x, cfg))) <= 1e-12
+            for j, tj in enumerate(t):
+                assert theta[i, j] == pytest.approx(
+                    min_snr_from_projections(float(tj), x, cfg), rel=1e-12
+                )
 
 
 def test_projection_coefficients_identities():
