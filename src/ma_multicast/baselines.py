@@ -97,16 +97,25 @@ def proposed_scheme(cfg: SystemConfig) -> SchemeResult:
 # Alternating optimization
 
 
-def _gain_and_grad(x: np.ndarray, w: np.ndarray, kappa: float):
-    """|h(x)^T w|^2 and its position gradient for one user."""
-    v = w * np.exp(1j * kappa * x)
-    s = v.sum()
-    gain = float(abs(s) ** 2)
-    grad = -2.0 * kappa * np.imag(np.conj(s) * v)
-    return gain, grad
+def _gains_and_grads(x: np.ndarray, w: np.ndarray, kappas: np.ndarray):
+    """|h_i(x)^T w|^2 and its position gradient for both users, row by row.
+
+    x and w are (B, n); returns gains of shape (2, B) and gradients of
+    shape (2, B, n), user first.
+    """
+    v = w * np.exp(1j * kappas[:, None, None] * x)
+    s = v.sum(axis=-1)
+    gains = np.abs(s) ** 2
+    grads = -2.0 * kappas[:, None, None] * np.imag(np.conj(s)[..., None] * v)
+    return gains, grads
 
 
-def _ao_position_step(
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows along the last axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _ao_position_rows(
     x_k: np.ndarray,
     w: np.ndarray,
     cfg: SystemConfig,
@@ -114,96 +123,131 @@ def _ao_position_step(
     inner_iters: int = 200,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Improve min_i c_i |h_i(x)^T w|^2 from x_k while staying feasible.
+    """Improve min_i c_i |h_i(x)^T w|^2 from every row of x_k while staying feasible.
 
-    Each round freezes a concave quadratic minorant per user (shared curvature
-    delta_w, branch slopes scaled to a common unit) and ascends their pointwise
-    minimum by projected supergradient steps with the diminishing schedule
-    2 / (delta_w (k + 2)) suited to its delta_w-strong concavity, keeping the
-    best iterate so the true objective never decreases.
+    Row r starts at x_k[r] under its own beamformer w[r]; the rows share
+    every step and each stops on its own.  Each round freezes a concave
+    quadratic minorant per user (shared curvature delta_w, branch slopes
+    scaled to a common unit) and ascends their pointwise minimum by projected
+    supergradient steps with the diminishing schedule 2 / (delta_w (k + 2))
+    suited to its delta_w-strong concavity, keeping the best iterate so the
+    true objective never decreases.
 
     delta_w = 2 kappa^2 n bounds each gain's Hessian: with u = w * exp(j kappa x)
     it is -2 kappa^2 times the Laplacian with edge weights Re(conj(u_i) u_k), and
     Gershgorin gives ||H|| <= 2 kappa^2 sqrt(n - 1) <= 2 kappa^2 n for unit w.
     """
-    kappas = user_kappas(cfg)
+    kappas = np.array(user_kappas(cfg))
     c = np.array([cfg.snr_scale(0), cfg.snr_scale(1)])
-    s = c / c.max()
+    s = (c / c.max())[:, None]
     n = cfg.n_antennas
-    delta_w = 2.0 * max(abs(k) for k in kappas) ** 2 * n
+    delta_w = 2.0 * float(np.max(np.abs(kappas))) ** 2 * n
 
-    def objective(y):
-        return min(
-            s[i] * _gain_and_grad(y, w, kappas[i])[0] for i in (0, 1)
-        )
+    def objective(y, w_rows):
+        return (s * _gains_and_grads(y, w_rows, kappas)[0]).min(axis=0)
 
-    x = np.asarray(x_k, dtype=float)
-    val = objective(x)
+    x = np.array(x_k, dtype=float)
+    val = objective(x, w)
+    active = np.arange(x.shape[0])  # rows still in the rounds loop
     for _ in range(max_rounds):
-        base = [_gain_and_grad(x, w, kappas[i]) for i in (0, 1)]
-        gains = np.array([b[0] for b in base])
-        grads = [b[1] for b in base]
+        xa = x[active]
+        gains, grads = _gains_and_grads(xa, w[active], kappas)
 
-        def phi(y):
-            d = y - x
-            q = 0.5 * delta_w * float(d @ d)
-            return min(s[i] * (gains[i] + float(grads[i] @ d)) - q for i in (0, 1))
+        def phi(y, rows):
+            # rows index the round's active rows
+            d = y - xa[rows]
+            q = 0.5 * delta_w * _row_dot(d, d)
+            return (s * (gains[:, rows] + _row_dot(grads[:, rows], d)) - q).min(axis=0)
 
-        best_y, best_phi = x, phi(x)
+        everyone = np.arange(active.size)
+        best_y, best_phi = xa.copy(), phi(xa, everyone)
         # each branch's own maximizer is a natural candidate before iterating
-        for i in (0, 1):
-            cand = project_polytope(x + s[i] * grads[i] / delta_w, cfg.span_l, cfg.d_min)
-            phi_cand = phi(cand)
-            if phi_cand > best_phi:
-                best_y, best_phi = cand, phi_cand
-        y = best_y
+        cands = project_polytope(
+            (xa + s[:, :, None] * grads / delta_w).reshape(-1, n), cfg.span_l, cfg.d_min
+        ).reshape(2, active.size, n)
+        for cand in cands:
+            phi_cand = phi(cand, everyone)
+            better = phi_cand > best_phi
+            best_y[better], best_phi[better] = cand[better], phi_cand[better]
+        y = best_y.copy()
+        inner = everyone  # rows still in the step loop
         for k in range(inner_iters):
-            d = y - x
-            branch = [s[i] * (gains[i] + float(grads[i] @ d)) for i in (0, 1)]
-            i_star = int(np.argmin(branch))
-            step = s[i_star] * grads[i_star] - delta_w * d
+            y_in = y[inner]
+            d = y_in - xa[inner]
+            branch = s * (gains[:, inner] + _row_dot(grads[:, inner], d))
+            i_star = np.argmin(branch, axis=0)
+            step = s[i_star] * grads[i_star, inner] - delta_w * d
             alpha = 2.0 / (delta_w * (k + 2.0))
-            y_new = project_polytope(y + alpha * step, cfg.span_l, cfg.d_min)
-            move = float(np.linalg.norm(y_new - y))
-            y = y_new
-            phi_y = phi(y)
-            if phi_y > best_phi:
-                best_y, best_phi = y, phi_y
-            if move <= 1e-13 * (1.0 + float(np.linalg.norm(y))):
+            y_new = project_polytope(y_in + alpha * step, cfg.span_l, cfg.d_min)
+            move = np.linalg.norm(y_new - y_in, axis=1)
+            y[inner] = y_new
+            phi_y = phi(y_new, inner)
+            better = phi_y > best_phi[inner]
+            best_y[inner[better]], best_phi[inner[better]] = y_new[better], phi_y[better]
+            inner = inner[move > 1e-13 * (1.0 + np.linalg.norm(y_new, axis=1))]
+            if inner.size == 0:
                 break
-        val_new = objective(best_y)
-        improvement = val_new - val
-        if val_new >= val:
-            x, val = best_y, val_new
-        if improvement < tol:
+        val_new = objective(best_y, w[active])
+        improvement = val_new - val[active]
+        take = val_new >= val[active]
+        x[active[take]], val[active[take]] = best_y[take], val_new[take]
+        active = active[improvement >= tol]
+        if active.size == 0:
             break
     return x
+
+
+def _ao_rows(
+    cfg: SystemConfig, starts: np.ndarray, outer_tol: float = 1e-8, max_outer: int = 100
+) -> list:
+    """Alternate closed-form beamforming and position ascent from every row of starts.
+
+    The rows run side by side: each outer iteration takes one batched
+    position step for the rows still alternating, and a row stops on its own
+    once its rate gain falls below outer_tol.  Returns one SchemeResult per
+    row.
+    """
+    x = np.array(starts, dtype=float)
+    bfs = [closed_form_beamformer(row, cfg) for row in x]
+    rates = [[] for _ in bfs]
+    converged = np.zeros(len(bfs), dtype=bool)
+    active = np.arange(len(bfs))
+    for _ in range(max_outer):
+        for r in active:
+            rates[r].append(snr_pair(bfs[r].w, x[r], cfg).min_rate)
+            converged[r] = len(rates[r]) > 1 and rates[r][-1] - rates[r][-2] < outer_tol
+        active = active[~converged[active]]
+        if active.size == 0:
+            break
+        w = np.array([bfs[r].w for r in active])
+        x[active] = _ao_position_rows(x[active], w, cfg)
+        for r in active:
+            bfs[r] = closed_form_beamformer(x[r], cfg)
+    results = []
+    for r, bf in enumerate(bfs):
+        snr = snr_pair(bf.w, x[r], cfg)
+        if not converged[r]:
+            # ran out of outer iterations: report the final synchronized pair
+            rates[r].append(snr.min_rate)
+        trace = AoTrace(
+            min_rates=rates[r], outer_iterations=len(rates[r]) - 1, converged=bool(converged[r])
+        )
+        results.append(SchemeResult(Scheme.AO, x[r].copy(), bf, snr, trace))
+    return results
 
 
 def ao_optimize(
     cfg: SystemConfig, init_x, outer_tol: float = 1e-8, max_outer: int = 100
 ) -> SchemeResult:
-    """Alternate closed-form beamforming and position ascent from init_x."""
+    """Alternate closed-form beamforming and position ascent from init_x.
+
+    The one-row case of the batched kernel that ao_scheme runs.
+    """
     x = validate_positions(init_x, cfg.span_l, cfg.d_min)
     if x.size != cfg.n_antennas:
         raise ValueError("init_x does not match n_antennas")
-    rates = []
-    converged = False
-    bf = closed_form_beamformer(x, cfg)
-    for _ in range(max_outer):
-        snr = snr_pair(bf.w, x, cfg)
-        rates.append(snr.min_rate)
-        if len(rates) > 1 and rates[-1] - rates[-2] < outer_tol:
-            converged = True
-            break
-        x = _ao_position_step(x, bf.w, cfg)
-        bf = closed_form_beamformer(x, cfg)
-    snr = snr_pair(bf.w, x, cfg)
-    if not converged:
-        # ran out of outer iterations: report the final synchronized pair
-        rates.append(snr.min_rate)
-    trace = AoTrace(min_rates=rates, outer_iterations=len(rates) - 1, converged=converged)
-    return SchemeResult(Scheme.AO, x, bf, snr, trace)
+    (result,) = _ao_rows(cfg, x[None, :], outer_tol, max_outer)
+    return result
 
 
 def ao_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeResult:
@@ -214,7 +258,8 @@ def ao_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeRes
     operating point.  The benchmark therefore takes the best over those
     starts, drawn from seed, plus a warm start at the shared correlation-ascent
     positions; from that last start AO either certifies the decoupled
-    solution as a fixed point or improves on it.
+    solution as a fixed point or improves on it.  All starts run as the rows
+    of one kernel call; rate ties go to the earliest start.
     """
     rng = np.random.default_rng(seed)
     starts = [uniform_positions(cfg)]
@@ -222,8 +267,7 @@ def ao_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeRes
     warm, _trace = multi_start_sca(cfg)
     starts.append(warm)
     best = None
-    for init in starts:
-        result = ao_optimize(cfg, init)
+    for result in _ao_rows(cfg, np.array(starts)):
         if best is None or result.snr.min_rate > best.snr.min_rate:
             best = result
     if not best.trace.converged:

@@ -46,6 +46,14 @@ class ThetaCoefficients:
     f_max: float
 
 
+def _check_positions(x, cfg: SystemConfig) -> np.ndarray:
+    """validate_positions, plus one position per configured antenna."""
+    x = validate_positions(x, cfg.span_l, cfg.d_min)
+    if x.size != cfg.n_antennas:
+        raise ValueError("positions do not match n_antennas")
+    return x
+
+
 def _split(x, cfg: SystemConfig) -> tuple:
     """h1, user 2's channel projected onto h1 (p), and the remainder h2 - p.
 
@@ -90,7 +98,7 @@ def projection_coefficients(x, cfg: SystemConfig) -> tuple:
     gains along that direction and its orthogonal complement.  Computed from
     actual vector projections, not from any simplified expression.
     """
-    x = validate_positions(x, cfg.span_l, cfg.d_min)
+    x = _check_positions(x, cfg)
     return tuple(float(g) for g in _projection_gains(x, cfg))
 
 
@@ -175,9 +183,7 @@ def build_beamformer(
     times the unit complement direction (both conjugated), then rotated so
     its first significant entry is real nonnegative.
     """
-    x = validate_positions(x, cfg.span_l, cfg.d_min)
-    if x.size != cfg.n_antennas:
-        raise ValueError("positions do not match n_antennas")
+    x = _check_positions(x, cfg)
     if not (-CASE_SLACK <= t <= 1.0 + CASE_SLACK):
         raise ValueError("mixing parameter t must lie in [0, 1]")
     t = min(max(t, 0.0), 1.0)

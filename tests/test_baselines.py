@@ -7,6 +7,7 @@ Oracles used here:
   * matched-filter identities pin the MRT scheme's SNRs;
   * the closed-form Laplacian Hessian of each AO gain, cross-checked by
     central differences, bounds the AO position-step curvature;
+  * a one-start-at-a-time AO loop replays every row of the batched AO kernel;
   * every scheme's stored SNR pair is recomputed from (w, x) from scratch.
 """
 
@@ -32,10 +33,12 @@ from ma_multicast import (
     ma_mrt,
     min_snr_from_correlation,
     multi_start_sca,
+    project_polytope,
     proposed_scheme,
     random_positions,
     run_scheme,
     snr_pair,
+    uniform_positions,
 )
 from ma_multicast import baselines, posopt
 from ma_multicast.sysmodel import user_kappas
@@ -140,12 +143,12 @@ def test_ao_scheme_warns_once_when_best_run_is_unconverged(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="ma_multicast.baselines"):
         assert ao_scheme(cfg, n_starts=3, seed=0).trace.converged
     assert caplog.records == []
-    real = baselines.ao_optimize
+    real = baselines._ao_rows
 
-    def one_round(cfg, init_x, outer_tol=1e-8, max_outer=100):
-        return real(cfg, init_x, outer_tol=outer_tol, max_outer=1)
+    def one_round(cfg, starts, outer_tol=1e-8, max_outer=100):
+        return real(cfg, starts, outer_tol=outer_tol, max_outer=1)
 
-    monkeypatch.setattr(baselines, "ao_optimize", one_round)
+    monkeypatch.setattr(baselines, "_ao_rows", one_round)
     with caplog.at_level(logging.WARNING, logger="ma_multicast.baselines"):
         res = ao_scheme(cfg, n_starts=3, seed=0)
     assert not res.trace.converged
@@ -170,6 +173,148 @@ def test_ao_validates_init():
     cfg = SystemConfig()
     with pytest.raises(ValueError):
         ao_optimize(cfg, np.array([0.0, 0.5, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# Batched AO kernel against a one-start-at-a-time loop
+
+
+def scalar_gain_and_grad(x, w, kappa):
+    """|h(x)^T w|^2 and its position gradient for one user."""
+    v = w * np.exp(1j * kappa * x)
+    s = v.sum()
+    gain = float(abs(s) ** 2)
+    grad = -2.0 * kappa * np.imag(np.conj(s) * v)
+    return gain, grad
+
+
+def scalar_ao_position_step(x_k, w, cfg, max_rounds=30, inner_iters=200, tol=1e-10):
+    """One start's position step, one vector at a time.
+
+    Returns the new positions and the number of inner steps of each round.
+    """
+    kappas = user_kappas(cfg)
+    c = np.array([cfg.snr_scale(0), cfg.snr_scale(1)])
+    s = c / c.max()
+    n = cfg.n_antennas
+    delta_w = 2.0 * max(abs(k) for k in kappas) ** 2 * n
+
+    def objective(y):
+        return min(s[i] * scalar_gain_and_grad(y, w, kappas[i])[0] for i in (0, 1))
+
+    x = np.asarray(x_k, dtype=float)
+    val = objective(x)
+    inner_steps = []
+    for _ in range(max_rounds):
+        base = [scalar_gain_and_grad(x, w, kappas[i]) for i in (0, 1)]
+        gains = np.array([b[0] for b in base])
+        grads = [b[1] for b in base]
+
+        def phi(y):
+            d = y - x
+            q = 0.5 * delta_w * float(d @ d)
+            return min(s[i] * (gains[i] + float(grads[i] @ d)) - q for i in (0, 1))
+
+        best_y, best_phi = x, phi(x)
+        for i in (0, 1):
+            cand = project_polytope(x + s[i] * grads[i] / delta_w, cfg.span_l, cfg.d_min)
+            phi_cand = phi(cand)
+            if phi_cand > best_phi:
+                best_y, best_phi = cand, phi_cand
+        y = best_y
+        for k in range(inner_iters):
+            d = y - x
+            branch = [s[i] * (gains[i] + float(grads[i] @ d)) for i in (0, 1)]
+            i_star = int(np.argmin(branch))
+            step = s[i_star] * grads[i_star] - delta_w * d
+            alpha = 2.0 / (delta_w * (k + 2.0))
+            y_new = project_polytope(y + alpha * step, cfg.span_l, cfg.d_min)
+            move = float(np.linalg.norm(y_new - y))
+            y = y_new
+            phi_y = phi(y)
+            if phi_y > best_phi:
+                best_y, best_phi = y, phi_y
+            if move <= 1e-13 * (1.0 + float(np.linalg.norm(y))):
+                break
+        inner_steps.append(k + 1)
+        val_new = objective(best_y)
+        improvement = val_new - val
+        if val_new >= val:
+            x, val = best_y, val_new
+        if improvement < tol:
+            break
+    return x, inner_steps
+
+
+def scalar_ao(cfg, init_x, outer_tol=1e-8, max_outer=100):
+    """One start's alternation; returns (x, beamformer, min_rates, converged)."""
+    x = np.asarray(init_x, dtype=float)
+    rates = []
+    converged = False
+    bf = closed_form_beamformer(x, cfg)
+    for _ in range(max_outer):
+        rates.append(snr_pair(bf.w, x, cfg).min_rate)
+        if len(rates) > 1 and rates[-1] - rates[-2] < outer_tol:
+            converged = True
+            break
+        x, _steps = scalar_ao_position_step(x, bf.w, cfg)
+        bf = closed_form_beamformer(x, cfg)
+    if not converged:
+        rates.append(snr_pair(bf.w, x, cfg).min_rate)
+    return x, bf, rates, converged
+
+
+def ao_test_config(n, rng):
+    if n == SystemConfig().n_antennas:
+        return SystemConfig()
+    return SystemConfig(
+        n_antennas=n,
+        span_l=(n - 1) * 0.5 + 2.0,
+        theta_su=tuple(float(t) for t in np.sort(rng.uniform(0.1, math.pi - 0.1, 2))),
+        d_su=(80.0, 120.0),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_ao_kernel_matches_scalar_loop(n):
+    rng = np.random.default_rng(1200 + n)
+    cfg = ao_test_config(n, rng)
+    starts = [uniform_positions(cfg)]
+    starts += [random_positions(cfg, rng) for _ in range(3)]
+    starts.append(multi_start_sca(cfg)[0])  # the warm start
+    starts.append(cfg.d_min * np.arange(n))  # packed against the left end
+    results = baselines._ao_rows(cfg, np.array(starts))
+    assert len(results) == len(starts)
+    for init, res in zip(starts, results):
+        x_ref, bf_ref, rates_ref, converged_ref = scalar_ao(cfg, init)
+        assert np.max(np.abs(res.x - x_ref)) <= 1e-12 * (1.0 + np.max(np.abs(x_ref)))
+        assert res.w.t == pytest.approx(bf_ref.t, rel=1e-12, abs=1e-15)
+        assert res.w.case_label == bf_ref.case_label
+        assert len(res.trace.min_rates) == len(rates_ref)
+        assert res.trace.min_rates == pytest.approx(rates_ref, rel=1e-12)
+        assert res.trace.outer_iterations == len(rates_ref) - 1
+        assert res.trace.converged == converged_ref
+        assert res.snr.min_rate == pytest.approx(rates_ref[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_ao_position_rows_match_scalar_step(n):
+    # random unit beamformers, unlike the closed-form one, let the step move
+    # the positions, so the kernel's round and inner masks both come into play
+    rng = np.random.default_rng(1300 + n)
+    cfg = ao_test_config(n, rng)
+    starts = [uniform_positions(cfg), cfg.d_min * np.arange(n)]
+    starts += [random_positions(cfg, rng) for _ in range(4)]
+    w = rng.normal(size=(len(starts), n)) + 1j * rng.normal(size=(len(starts), n))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    got = baselines._ao_position_rows(np.array(starts), w, cfg)
+    schedules = []
+    for row, init in enumerate(starts):
+        x_ref, inner_steps = scalar_ao_position_step(init, w[row], cfg)
+        assert np.max(np.abs(got[row] - x_ref)) <= 1e-12 * (1.0 + np.max(np.abs(x_ref)))
+        schedules.append(inner_steps)
+    assert np.max(np.abs(got - np.array(starts))) > 1e-6
+    assert len({tuple(steps) for steps in schedules}) > 1
 
 
 def gain_hessian(x, w, kappa):

@@ -190,6 +190,21 @@ def test_min_snr_input_validation():
         min_snr_from_projections(-0.2, x, cfg)
 
 
+def test_position_entry_points_reject_a_wrong_antenna_count():
+    cfg = SystemConfig()  # five antennas
+    x = np.array([0.0, 0.5, 1.7])  # feasible positions, but only three
+    w = np.ones(3) / math.sqrt(3.0)
+    calls = (
+        lambda: projection_coefficients(x, cfg),
+        lambda: min_snr_from_projections(0.5, x, cfg),
+        lambda: build_beamformer(x, 0.5, cfg),
+        lambda: snr_pair(w, x, cfg),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="positions do not match n_antennas"):
+            call()
+
+
 def test_theta_at_matches_branch_formula():
     rng = np.random.default_rng(24)
     cfg = random_config(rng)
