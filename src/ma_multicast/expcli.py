@@ -8,6 +8,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 import traceback
 from dataclasses import dataclass, replace
@@ -490,6 +491,9 @@ def run_validate(quick: bool = False) -> tuple:
 # CLI
 
 
+OUT_HELP = "output {} path; a relative path goes under the config's output_dir"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ma-multicast",
@@ -499,25 +503,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="run every configured scheme once")
     p_opt.add_argument("--config", help="JSON experiment configuration")
-    p_opt.add_argument("--out", default="result.json", help="output JSON path")
+    p_opt.add_argument("--out", default="result.json", help=OUT_HELP.format("JSON"))
 
     p_beam = sub.add_parser("beampattern", help="array gain over angles for each scheme")
     p_beam.add_argument("--config", help="JSON experiment configuration")
     p_beam.add_argument("--points", type=int, default=None, help="number of angle samples")
-    p_beam.add_argument("--out", default="beampattern.csv", help="output CSV path")
+    p_beam.add_argument("--out", default="beampattern.csv", help=OUT_HELP.format("CSV"))
 
     p_n = sub.add_parser("sweep-n", help="rates versus the number of antennas")
     p_n.add_argument("--config", help="JSON experiment configuration")
     p_n.add_argument("--n-min", type=int, default=None)
     p_n.add_argument("--n-max", type=int, default=None)
-    p_n.add_argument("--out", default="sweep_n.csv", help="output CSV path")
+    p_n.add_argument("--out", default="sweep_n.csv", help=OUT_HELP.format("CSV"))
 
     p_l = sub.add_parser("sweep-l", help="rates versus the aperture span")
     p_l.add_argument("--config", help="JSON experiment configuration")
     p_l.add_argument("--l-min", type=float, default=None)
     p_l.add_argument("--l-max", type=float, default=None)
     p_l.add_argument("--l-step", type=float, default=None)
-    p_l.add_argument("--out", default="sweep_l.csv", help="output CSV path")
+    p_l.add_argument("--out", default="sweep_l.csv", help=OUT_HELP.format("CSV"))
 
     p_val = sub.add_parser("validate", help="run the oracle-backed self checks")
     p_val.add_argument("--quick", action="store_true", help="reduced sample counts")
@@ -533,43 +537,52 @@ def _sweep_param(args_value, sweep, kind, key, label):
     raise ConfigError(f"{label} is required (flag or sweep section of the config)")
 
 
+def _artifact_path(exp: ExperimentConfig, out):
+    """--out resolved against the config's output_dir; "." leaves it as given.
+
+    validate reads no config, so its optional --out always stays as given.
+    """
+    return out if exp.output_dir == "." else os.path.join(exp.output_dir, out)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         exp = load_config(args.config) if getattr(args, "config", None) else default_experiment()
+        out = _artifact_path(exp, args.out)
         if args.command == "optimize":
-            write_json(args.out, run_single(exp))
-            print(f"wrote {args.out}")
+            write_json(out, run_single(exp))
+            print(f"wrote {out}")
         elif args.command == "beampattern":
             points = args.points
             if points is None:
                 sweep = exp.sweep or {}
                 points = sweep.get("angle_count", 361) if sweep.get("kind") == "beam_pattern" else 361
             rows = run_beampattern(exp, points)
-            write_csv(args.out, ["theta_rad", "scheme", "gain"], rows)
-            print(f"wrote {args.out} ({len(rows)} rows)")
+            write_csv(out, ["theta_rad", "scheme", "gain"], rows)
+            print(f"wrote {out} ({len(rows)} rows)")
         elif args.command == "sweep-n":
             n_min = _sweep_param(args.n_min, exp.sweep, "over_n", "n_min", "--n-min")
             n_max = _sweep_param(args.n_max, exp.sweep, "over_n", "n_max", "--n-max")
             rows, skips = run_sweep_n(exp, n_min, n_max)
-            write_csv(args.out, ["n", "scheme", "min_rate_bps_hz"], rows)
-            print(f"wrote {args.out} ({len(rows)} rows, {len(skips)} skips)")
+            write_csv(out, ["n", "scheme", "min_rate_bps_hz"], rows)
+            print(f"wrote {out} ({len(rows)} rows, {len(skips)} skips)")
         elif args.command == "sweep-l":
             l_min = _sweep_param(args.l_min, exp.sweep, "over_l", "l_min", "--l-min")
             l_max = _sweep_param(args.l_max, exp.sweep, "over_l", "l_max", "--l-max")
             l_step = _sweep_param(args.l_step, exp.sweep, "over_l", "l_step", "--l-step")
             rows, skips = run_sweep_l(exp, l_min, l_max, l_step)
-            write_csv(args.out, ["l", "scheme", "min_rate_bps_hz"], rows)
-            print(f"wrote {args.out} ({len(rows)} rows, {len(skips)} skips)")
+            write_csv(out, ["l", "scheme", "min_rate_bps_hz"], rows)
+            print(f"wrote {out} ({len(rows)} rows, {len(skips)} skips)")
         elif args.command == "validate":
             report, passed = run_validate(quick=args.quick)
             for check in report["checks"]:
                 status = "PASS" if check["passed"] else "FAIL"
                 print(f"[{status}] {check['name']}")
-            if args.out:
-                write_json(args.out, report)
-                print(f"wrote {args.out}")
+            if out:
+                write_json(out, report)
+                print(f"wrote {out}")
             if not passed:
                 return 2
     except ConfigError as exc:

@@ -6,13 +6,16 @@ Oracles used here:
     setup whose continuous optimum lies exactly on the grid;
   * matched-filter identities pin the MRT scheme's SNRs;
   * the closed-form Laplacian Hessian of each AO gain, cross-checked by
-    central differences, bounds the AO position-step curvature;
-  * a one-start-at-a-time AO loop replays every row of the batched AO kernel;
+    central differences, bounds the curvature of the reference position step;
+  * a scalar AO loop that still runs the majorization-minimization position
+    step replays every start of the closed-form AO kernel;
+  * the first-order certificate of the closed-form beamformer (a vanishing
+    convex combination of the users' position gradients, or a binding user
+    at its peak gain) shows why that position step never moves a start;
   * every scheme's stored SNR pair is recomputed from (w, x) from scratch.
 """
 
 import itertools
-import logging
 import math
 
 import numpy as np
@@ -41,6 +44,7 @@ from ma_multicast import (
     uniform_positions,
 )
 from ma_multicast import baselines, posopt
+from ma_multicast.beamformer import CaseLabel
 from ma_multicast.sysmodel import user_kappas
 
 
@@ -138,24 +142,6 @@ def test_ao_trace_monotone():
         assert res.snr.min_rate >= init_rate - 1e-9
 
 
-def test_ao_scheme_warns_once_when_best_run_is_unconverged(monkeypatch, caplog):
-    cfg = SystemConfig(n_antennas=3, span_l=2.0)
-    with caplog.at_level(logging.WARNING, logger="ma_multicast.baselines"):
-        assert ao_scheme(cfg, n_starts=3, seed=0).trace.converged
-    assert caplog.records == []
-    real = baselines._ao_rows
-
-    def one_round(cfg, starts, outer_tol=1e-8, max_outer=100):
-        return real(cfg, starts, outer_tol=outer_tol, max_outer=1)
-
-    monkeypatch.setattr(baselines, "_ao_rows", one_round)
-    with caplog.at_level(logging.WARNING, logger="ma_multicast.baselines"):
-        res = ao_scheme(cfg, n_starts=3, seed=0)
-    assert not res.trace.converged
-    assert len(caplog.records) == 1
-    assert "max_outer" in caplog.records[0].getMessage()
-
-
 def test_ao_never_beats_joint_grid_on_lattice_aligned_setup():
     # beat period 2 pi / kappa = 2.5 sits exactly on the 0.05 grid and the
     # aligned optimum has t = 1, so the grid value is the true joint optimum
@@ -169,6 +155,15 @@ def test_ao_never_beats_joint_grid_on_lattice_aligned_setup():
     assert res.snr.min_rate == pytest.approx(joint.min_rate, rel=1e-9)
 
 
+def test_ao_serves_identical_flat_channels():
+    # both users broadside: kappa = 0 for both, identical all-ones channels,
+    # so the matched filter gives each user its peak gain n
+    cfg = SystemConfig(theta_su=(0.0, 0.0), d_su=(80.0, 120.0))
+    res = ao_scheme(cfg, n_starts=3, seed=0)
+    gamma = min(cfg.snr_scale(0), cfg.snr_scale(1)) * cfg.n_antennas
+    assert res.snr.min_rate == pytest.approx(math.log2(1.0 + gamma), rel=1e-12)
+
+
 def test_ao_validates_init():
     cfg = SystemConfig()
     with pytest.raises(ValueError):
@@ -176,7 +171,7 @@ def test_ao_validates_init():
 
 
 # ---------------------------------------------------------------------------
-# Batched AO kernel against a one-start-at-a-time loop
+# AO kernel against the majorization-minimization reference
 
 
 def scalar_gain_and_grad(x, w, kappa):
@@ -189,9 +184,12 @@ def scalar_gain_and_grad(x, w, kappa):
 
 
 def scalar_ao_position_step(x_k, w, cfg, max_rounds=30, inner_iters=200, tol=1e-10):
-    """One start's position step, one vector at a time.
+    """One start's majorization-minimization position step for a fixed w.
 
-    Returns the new positions and the number of inner steps of each round.
+    Each round freezes a concave quadratic minorant per user (curvature
+    delta_w, branch slopes scaled to a common unit) and ascends their
+    pointwise minimum by projected supergradient steps, keeping the best
+    iterate so the true objective never decreases.  Returns the new positions.
     """
     kappas = user_kappas(cfg)
     c = np.array([cfg.snr_scale(0), cfg.snr_scale(1)])
@@ -204,7 +202,6 @@ def scalar_ao_position_step(x_k, w, cfg, max_rounds=30, inner_iters=200, tol=1e-
 
     x = np.asarray(x_k, dtype=float)
     val = objective(x)
-    inner_steps = []
     for _ in range(max_rounds):
         base = [scalar_gain_and_grad(x, w, kappas[i]) for i in (0, 1)]
         gains = np.array([b[0] for b in base])
@@ -236,14 +233,13 @@ def scalar_ao_position_step(x_k, w, cfg, max_rounds=30, inner_iters=200, tol=1e-
                 best_y, best_phi = y, phi_y
             if move <= 1e-13 * (1.0 + float(np.linalg.norm(y))):
                 break
-        inner_steps.append(k + 1)
         val_new = objective(best_y)
         improvement = val_new - val
         if val_new >= val:
             x, val = best_y, val_new
         if improvement < tol:
             break
-    return x, inner_steps
+    return x
 
 
 def scalar_ao(cfg, init_x, outer_tol=1e-8, max_outer=100):
@@ -257,7 +253,7 @@ def scalar_ao(cfg, init_x, outer_tol=1e-8, max_outer=100):
         if len(rates) > 1 and rates[-1] - rates[-2] < outer_tol:
             converged = True
             break
-        x, _steps = scalar_ao_position_step(x, bf.w, cfg)
+        x = scalar_ao_position_step(x, bf.w, cfg)
         bf = closed_form_beamformer(x, cfg)
     if not converged:
         rates.append(snr_pair(bf.w, x, cfg).min_rate)
@@ -297,24 +293,95 @@ def test_ao_kernel_matches_scalar_loop(n):
         assert res.snr.min_rate == pytest.approx(rates_ref[-1], rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
-def test_ao_position_rows_match_scalar_step(n):
-    # random unit beamformers, unlike the closed-form one, let the step move
-    # the positions, so the kernel's round and inner masks both come into play
-    rng = np.random.default_rng(1300 + n)
-    cfg = ao_test_config(n, rng)
-    starts = [uniform_positions(cfg), cfg.d_min * np.arange(n)]
-    starts += [random_positions(cfg, rng) for _ in range(4)]
-    w = rng.normal(size=(len(starts), n)) + 1j * rng.normal(size=(len(starts), n))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    got = baselines._ao_position_rows(np.array(starts), w, cfg)
-    schedules = []
-    for row, init in enumerate(starts):
-        x_ref, inner_steps = scalar_ao_position_step(init, w[row], cfg)
-        assert np.max(np.abs(got[row] - x_ref)) <= 1e-12 * (1.0 + np.max(np.abs(x_ref)))
-        schedules.append(inner_steps)
-    assert np.max(np.abs(got - np.array(starts))) > 1e-6
-    assert len({tuple(steps) for steps in schedules}) > 1
+EXACT_ANGLES = (0.0, math.pi / 2.0, math.pi)
+
+
+def theorem_config(trial, rng):
+    """Random config: n = 2..16, one angle exact on every third trial."""
+    n = 2 + trial % 15
+    theta = rng.uniform(0.0, math.pi, 2)
+    if trial % 3 == 0:
+        # alternate the user and cycle through the exact angles
+        theta[(trial // 3) % 2] = EXACT_ANGLES[(trial // 6) % 3]
+    return SystemConfig(
+        n_antennas=n,
+        span_l=(n - 1) * 0.5 + float(rng.uniform(0.0, 4.0)),
+        theta_su=tuple(float(t) for t in theta),
+        d_su=tuple(float(d) for d in np.exp(rng.uniform(math.log(20.0), math.log(500.0), 2))),
+    )
+
+
+def scaled_gains_and_gradients(x, w, cfg):
+    """c_i g_i and c_i grad g_i of user i's gain g_i, for both users."""
+    pairs = [scalar_gain_and_grad(x, w, kappa) for kappa in user_kappas(cfg)]
+    values = [cfg.snr_scale(i) * gain for i, (gain, _grad) in enumerate(pairs)]
+    grads = [cfg.snr_scale(i) * grad for i, (_gain, grad) in enumerate(pairs)]
+    return values, grads
+
+
+def min_norm_convex_combination(a, b):
+    """Smallest ||lam a + (1 - lam) b|| over lam in [0, 1] (least squares)."""
+    diff = a - b
+    denom = float(diff @ diff)
+    lam = 0.0 if denom == 0.0 else min(max(-float(b @ diff) / denom, 0.0), 1.0)
+    return float(np.linalg.norm(b + lam * diff))
+
+
+def test_closed_form_beamformer_is_a_first_order_fixed_point_of_the_position_step():
+    # the certificate behind baselines._ao_rows: at the closed-form w either
+    # both users bind and a convex combination of their scaled position
+    # gradients vanishes (crossing), or the binding user's gain sits at its
+    # peak n with a zero gradient (endpoints, parallel channels), so no
+    # concave minorant of the worst-user gain can rise away from x
+    rng = np.random.default_rng(1400)
+    binding = {
+        CaseLabel.LEFT_ENDPOINT: (1,),
+        CaseLabel.RIGHT_ENDPOINT: (0,),
+        CaseLabel.DEGENERATE_PARALLEL: (0, 1),
+    }
+    seen = set()
+    for trial in range(240):
+        cfg = theorem_config(trial, rng)
+        x = random_positions(cfg, rng)
+        bf = closed_form_beamformer(x, cfg)
+        values, grads = scaled_gains_and_gradients(x, bf.w, cfg)
+        seen.add(bf.case_label)
+        if bf.case_label is CaseLabel.CROSSING:
+            assert values[0] == pytest.approx(values[1], rel=1e-10)
+            scale = max(float(np.linalg.norm(g)) for g in grads)
+            assert min_norm_convex_combination(*grads) <= 1e-10 * scale
+        else:
+            kappas = user_kappas(cfg)
+            for i in binding[bf.case_label]:
+                assert values[i] <= min(values) * (1.0 + 1e-10)
+                peak = cfg.snr_scale(i) * cfg.n_antennas
+                assert values[i] == pytest.approx(peak, rel=1e-10)
+                peak_slope = 2.0 * cfg.snr_scale(i) * kappas[i] * cfg.n_antennas
+                assert np.linalg.norm(grads[i]) <= 1e-10 * peak_slope
+    assert {CaseLabel.CROSSING, CaseLabel.LEFT_ENDPOINT, CaseLabel.RIGHT_ENDPOINT} <= seen
+
+
+def test_ao_matches_the_reference_from_every_kind_of_start():
+    # trials 0..23 cover n = 2..16 and put each exact angle on each user
+    rng = np.random.default_rng(1500)
+    for trial in range(24):
+        cfg = theorem_config(trial, rng)
+        n = cfg.n_antennas
+        # a user at angle 0 or pi has kappa = 0 up to rounding, and there the
+        # reference's minorant can drift x by about 1e-9 through rounding
+        flat = any(t in (0.0, math.pi) for t in cfg.theta_su)
+        x_tol = 1e-8 if flat else 1e-12
+        starts = [
+            uniform_positions(cfg),
+            random_positions(cfg, rng),
+            cfg.d_min * np.arange(n),  # packed against the left end
+            multi_start_sca(cfg)[0],  # the warm start
+        ]
+        for init in starts:
+            res = ao_optimize(cfg, init)
+            x_ref, _bf, rates_ref, _converged = scalar_ao(cfg, init)
+            assert res.snr.min_rate == pytest.approx(rates_ref[-1], rel=1e-12)
+            assert np.max(np.abs(res.x - x_ref)) <= x_tol * (1.0 + np.max(np.abs(x_ref)))
 
 
 def gain_hessian(x, w, kappa):
@@ -346,8 +413,9 @@ def fd_gain_hessian(x, w, kappa, h=1e-4):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
 def test_ao_curvature_bound_covers_gain_hessian(n):
-    # the AO position step uses delta_w = 2 max|kappa_i|^2 n as its curvature;
-    # Gershgorin on the Laplacian gives the sharper 2 kappa^2 sqrt(n - 1)
+    # the reference's minorant (scalar_ao_position_step) uses
+    # delta_w = 2 max|kappa_i|^2 n as its curvature; Gershgorin on the
+    # Laplacian gives the sharper 2 kappa^2 sqrt(n - 1)
     rng = np.random.default_rng(900 + n)
     worst_ratio = 0.0
     for trial in range(60):

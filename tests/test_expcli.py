@@ -296,6 +296,31 @@ def test_main_optimize_deterministic(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize"],
+        ["beampattern", "--points", "5"],
+        ["sweep-n", "--n-min", "2", "--n-max", "3"],
+        ["sweep-l", "--l-min", "2", "--l-max", "2.5", "--l-step", "0.5"],
+    ],
+)
+def test_main_writes_a_relative_out_into_output_dir(tmp_path, monkeypatch, capsys, argv):
+    results = tmp_path / "results"
+    results.mkdir()
+    cfg = write_config(tmp_path, dict(SMALL_DOC, output_dir=str(results)))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--config", cfg, "--out", "artifact.out"]) == 0
+    assert (results / "artifact.out").is_file()
+    assert not (tmp_path / "artifact.out").exists()
+    # an absolute --out ignores output_dir
+    absolute = tmp_path / "absolute.out"
+    assert main(argv + ["--config", cfg, "--out", str(absolute)]) == 0
+    assert absolute.is_file()
+    assert not (results / "absolute.out").exists()
+    assert str(results / "artifact.out") in capsys.readouterr().out
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     assert main(["optimize", "--config", missing]) == 1
