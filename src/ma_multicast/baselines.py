@@ -3,7 +3,7 @@
 Alternating optimization (AO) runs as the closed-form beamformer at each
 start: its position step, a concave minorization of the worst-user array gain
 for the current beamformer, is a proven fixed point of that beamformer (proof
-in _ao_rows), so the alternation never moves a start.  The remaining schemes
+in ao_scheme), so the alternation never moves a start.  The remaining schemes
 quantize the aperture (APS), keep the optimized positions but point at user 1
 only (MA-MRT), or fix a half-wavelength grid (FPA).
 """
@@ -21,6 +21,7 @@ from .beamformer import (
     theta_coefficients,
 )
 from .posopt import (
+    ScaTrace,
     _grid_combination_chunks,
     correlation,
     correlation_objective,
@@ -34,7 +35,6 @@ from .sysmodel import (
     SystemConfig,
     snr_pair,
     steering_vector,
-    validate_positions,
 )
 
 APS_MAX_COMBINATIONS = 10_000_000
@@ -62,16 +62,7 @@ class SchemeResult:
     x: np.ndarray
     w: Beamformer
     snr: SnrPair
-    trace: object = None
-
-
-@dataclass(frozen=True, eq=False)
-class AoTrace:
-    """Worst-user rates recorded after each beamformer update."""
-
-    min_rates: list
-    outer_iterations: int
-    converged: bool
+    trace: ScaTrace | None = None
 
 
 def closed_form_beamformer(x, cfg: SystemConfig) -> Beamformer:
@@ -82,24 +73,29 @@ def closed_form_beamformer(x, cfg: SystemConfig) -> Beamformer:
     return build_beamformer(x, t, cfg, label)
 
 
+def _closed_form_result(
+    scheme: Scheme, x, cfg: SystemConfig, trace: ScaTrace | None = None
+) -> SchemeResult:
+    """The closed-form beamformer at x and the SNRs it gives, as scheme's result."""
+    bf = closed_form_beamformer(x, cfg)
+    return SchemeResult(scheme, x, bf, snr_pair(bf.w, x, cfg), trace)
+
+
 def proposed_scheme(cfg: SystemConfig) -> SchemeResult:
     """Correlation-first decoupled design: optimize positions, then the beamformer."""
     x, trace = multi_start_sca(cfg)
-    bf = closed_form_beamformer(x, cfg)
-    return SchemeResult(Scheme.PROPOSED, x, bf, snr_pair(bf.w, x, cfg), trace)
+    return _closed_form_result(Scheme.PROPOSED, x, cfg, trace)
 
 
-# ---------------------------------------------------------------------------
-# Alternating optimization
+def ao_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeResult:
+    """AO restarted from the uniform spread and n_starts - 1 random starts.
 
-
-def _ao_rows(cfg: SystemConfig, starts: np.ndarray) -> list:
-    """AO from every row of starts: the closed-form beamformer at each start.
-
-    Returns one SchemeResult per row.  Its trace holds the two rates the
-    alternation records, the first beamformer update and then the update at
-    the unmoved positions, because the position step is a fixed point of the
-    closed-form beamformer and never moves a start.
+    AO runs as the closed-form beamformer at each start: its position step is
+    a fixed point of the closed-form beamformer (proof below), so a single run
+    stays at its start and can sit well below the best known operating point.
+    The benchmark therefore takes the best over those starts, drawn from seed,
+    plus a warm start at the shared correlation-ascent positions, where AO
+    reproduces the decoupled solution.  Rate ties go to the earliest start.
 
     Proof.  Write g_i = |h_i(x)^T w|^2 and c_i for user i's SNR scale.  For
     fixed x the closed-form w maximizes min(c_1 g_1, c_2 g_2) over unit w.
@@ -116,49 +112,17 @@ def _ao_rows(cfg: SystemConfig, starts: np.ndarray) -> list:
     around x peaks at d = 0, for any curvature delta > 0, so no step of
     majorization-minimization on the positions can move x.
     tests/test_baselines.py keeps that step as a scalar reference, checks
-    the certificate above on random configs, and checks that this kernel
-    matches the reference start by start.
-    """
-    results = []
-    for x in np.array(starts, dtype=float):
-        bf = closed_form_beamformer(x, cfg)
-        snr = snr_pair(bf.w, x, cfg)
-        trace = AoTrace(
-            min_rates=[snr.min_rate, snr.min_rate], outer_iterations=1, converged=True
-        )
-        results.append(SchemeResult(Scheme.AO, x, bf, snr, trace))
-    return results
-
-
-def ao_optimize(cfg: SystemConfig, init_x) -> SchemeResult:
-    """Alternating optimization from init_x; the one-row case of _ao_rows."""
-    x = validate_positions(init_x, cfg.span_l, cfg.d_min)
-    if x.size != cfg.n_antennas:
-        raise ValueError("init_x does not match n_antennas")
-    (result,) = _ao_rows(cfg, x[None, :])
-    return result
-
-
-def ao_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeResult:
-    """AO restarted from the uniform spread and n_starts - 1 random starts.
-
-    AO runs as the closed-form beamformer at each start; its position step is
-    a proven fixed point (see _ao_rows), so a single run stays at its start
-    and can sit well below the best known operating point.  The benchmark
-    therefore takes the best over those starts, drawn from seed, plus a warm
-    start at the shared correlation-ascent positions, where AO reproduces the
-    decoupled solution.  Rate ties go to the earliest start.
+    the certificate above on random configs, and checks that the closed-form
+    beamformer matches the reference start by start.
     """
     rng = np.random.default_rng(seed)
     starts = [uniform_positions(cfg)]
     starts += [random_positions(cfg, rng) for _ in range(max(n_starts, 1) - 1)]
     warm, _trace = multi_start_sca(cfg)
     starts.append(warm)
-    best = None
-    for result in _ao_rows(cfg, np.array(starts)):
-        if best is None or result.snr.min_rate > best.snr.min_rate:
-            best = result
-    return best
+    # max keeps the first of equal rates
+    results = [_closed_form_result(Scheme.AO, x, cfg) for x in starts]
+    return max(results, key=lambda res: res.snr.min_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +166,7 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
         if f[j] > best_f + APS_TIE_TOL:
             best_f = float(f[j])
             best_x = pos[j].copy()
-    bf = closed_form_beamformer(best_x, cfg)
-    return SchemeResult(Scheme.APS, best_x, bf, snr_pair(bf.w, best_x, cfg))
+    return _closed_form_result(Scheme.APS, best_x, cfg)
 
 
 def ma_mrt(cfg: SystemConfig) -> SchemeResult:
@@ -223,8 +186,7 @@ def fpa_scheme(cfg: SystemConfig) -> SchemeResult:
     if cfg.d_min > REFERENCE_SPACING + FEASIBILITY_TOL:
         raise InfeasibleSchemeError("fixed half-wavelength spacing violates d_min")
     x = REFERENCE_SPACING * np.arange(n, dtype=float)
-    bf = closed_form_beamformer(x, cfg)
-    return SchemeResult(Scheme.FPA, x, bf, snr_pair(bf.w, x, cfg))
+    return _closed_form_result(Scheme.FPA, x, cfg)
 
 
 def run_scheme(

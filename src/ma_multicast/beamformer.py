@@ -104,19 +104,9 @@ def projection_coefficients(x, cfg: SystemConfig) -> tuple:
 
 def min_snr_from_correlation(t: float, f: float, cfg: SystemConfig) -> float:
     """Worst-user SNR as a function of the mixing t and the correlation f."""
-    n = cfg.n_antennas
     if not (-CASE_SLACK <= t <= 1.0 + CASE_SLACK):
         raise ValueError("mixing parameter t must lie in [0, 1]")
-    if not (-1e-9 <= f <= n + 1e-9):
-        raise ValueError(f"correlation f = {f!r} outside [0, n_antennas]")
-    t = min(max(t, 0.0), 1.0)
-    f = min(max(f, 0.0), float(n))
-    y1 = cfg.snr_scale(0) * n * t * t
-    inner = (f / math.sqrt(n)) * t + math.sqrt(max(n - f * f / n, 0.0)) * math.sqrt(
-        max(1.0 - t * t, 0.0)
-    )
-    y2 = cfg.snr_scale(1) * inner * inner
-    return min(y1, y2)
+    return theta_at(theta_coefficients(f, cfg), min(max(t, 0.0), 1.0))
 
 
 def min_snr_from_projections(t: float, x, cfg: SystemConfig) -> float:

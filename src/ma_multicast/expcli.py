@@ -211,12 +211,6 @@ def _db(value: float):
 
 def _result_dict(res: SchemeResult, cfg: SystemConfig) -> dict:
     obj = correlation_objective(cfg)
-    iterations = None
-    trace = res.trace
-    if trace is not None:
-        iterations = getattr(trace, "iterations", None)
-        if iterations is None:
-            iterations = getattr(trace, "outer_iterations", None)
     return {
         "x": [float(v) for v in res.x],
         "w_re": [float(v) for v in res.w.w.real],
@@ -229,7 +223,7 @@ def _result_dict(res: SchemeResult, cfg: SystemConfig) -> dict:
         "gamma_u2_db": _db(res.snr.gamma_u2),
         "min_rate_bps_hz": float(res.snr.min_rate),
         "correlation": correlation(res.x, obj),
-        "iterations": iterations,
+        "iterations": res.trace.iterations if res.trace is not None else None,
     }
 
 

@@ -47,23 +47,23 @@ class SystemConfig:
         if not isinstance(self.n_antennas, (int, np.integer)) or self.n_antennas < 2:
             raise ValueError("n_antennas must be an integer >= 2")
         object.__setattr__(self, "n_antennas", int(self.n_antennas))
-        if not (self.span_l > 0.0):
-            raise ValueError("span_l must be positive")
-        if not (self.d_min > 0.0):
-            raise ValueError("d_min must be positive")
+        if not (0.0 < self.span_l < math.inf):
+            raise ValueError("span_l must be positive and finite")
+        if not (0.0 < self.d_min < math.inf):
+            raise ValueError("d_min must be positive and finite")
         if (self.n_antennas - 1) * self.d_min > self.span_l + FEASIBILITY_TOL:
             raise ValueError(
                 "infeasible geometry: (n_antennas - 1) * d_min = "
                 f"{(self.n_antennas - 1) * self.d_min:g} exceeds span_l = {self.span_l:g}"
             )
-        if not (self.wavelength > 0.0):
-            raise ValueError("wavelength must be positive")
-        if not (self.tau > 0.0):
-            raise ValueError("tau must be positive")
+        if not (0.0 < self.wavelength < math.inf):
+            raise ValueError("wavelength must be positive and finite")
+        if not (0.0 < self.tau < math.inf):
+            raise ValueError("tau must be positive and finite")
         if not (math.isfinite(self.ps_dbm) and math.isfinite(self.sigma2_dbm)):
             raise ValueError("ps_dbm and sigma2_dbm must be finite")
-        if len(self.d_su) != 2 or any(not (d > 0.0) for d in self.d_su):
-            raise ValueError("d_su must be a pair of positive distances")
+        if len(self.d_su) != 2 or any(not (0.0 < d < math.inf) for d in self.d_su):
+            raise ValueError("d_su must be a pair of positive finite distances")
         if len(self.theta_su) != 2 or any(
             not (0.0 <= t <= math.pi) for t in self.theta_su
         ):

@@ -8,7 +8,7 @@ Oracles used here:
   * the closed-form Laplacian Hessian of each AO gain, cross-checked by
     central differences, bounds the curvature of the reference position step;
   * a scalar AO loop that still runs the majorization-minimization position
-    step replays every start of the closed-form AO kernel;
+    step replays the closed-form beamformer at every start of AO;
   * the first-order certificate of the closed-form beamformer (a vanishing
     convex combination of the users' position gradients, or a binding user
     at its peak gain) shows why that position step never moves a start;
@@ -25,7 +25,6 @@ from ma_multicast import (
     GridSpec,
     Scheme,
     SystemConfig,
-    ao_optimize,
     ao_scheme,
     aps_search,
     brute_force_joint,
@@ -43,7 +42,7 @@ from ma_multicast import (
     snr_pair,
     uniform_positions,
 )
-from ma_multicast import baselines, posopt
+from ma_multicast import posopt
 from ma_multicast.beamformer import CaseLabel
 from ma_multicast.sysmodel import user_kappas
 
@@ -122,24 +121,11 @@ def test_proposed_uses_correlation_positions():
 def test_ao_fixed_point_at_proposed_solution():
     cfg = SystemConfig()
     prop = proposed_scheme(cfg)
-    res = ao_optimize(cfg, prop.x)
-    assert res.trace.outer_iterations == 1
-    assert res.snr.min_rate == pytest.approx(prop.snr.min_rate, abs=1e-9, rel=1e-9)
-
-
-def test_ao_trace_monotone():
-    cfg = SystemConfig()
-    rng = np.random.default_rng(60)
-    for _ in range(5):
-        hi = cfg.span_l - (cfg.n_antennas - 1) * cfg.d_min
-        u = np.sort(rng.uniform(0.0, hi, cfg.n_antennas))
-        init = u + cfg.d_min * np.arange(cfg.n_antennas)
-        res = ao_optimize(cfg, init)
-        rates = np.array(res.trace.min_rates)
-        assert np.all(np.diff(rates) >= -1e-9)
-        init_bf = closed_form_beamformer(init, cfg)
-        init_rate = snr_pair(init_bf.w, init, cfg).min_rate
-        assert res.snr.min_rate >= init_rate - 1e-9
+    x_ref, _bf, rates_ref, converged_ref = scalar_ao(cfg, prop.x)
+    assert np.max(np.abs(x_ref - prop.x)) <= 1e-12 * (1.0 + np.max(np.abs(prop.x)))
+    assert converged_ref
+    assert rates_ref == pytest.approx([prop.snr.min_rate] * 2, abs=1e-9, rel=1e-9)
+    assert ao_scheme(cfg).snr.min_rate >= prop.snr.min_rate
 
 
 def test_ao_never_beats_joint_grid_on_lattice_aligned_setup():
@@ -165,13 +151,16 @@ def test_ao_serves_identical_flat_channels():
 
 
 def test_ao_validates_init():
+    # each AO start goes straight to the closed-form beamformer, which checks it
     cfg = SystemConfig()
     with pytest.raises(ValueError):
-        ao_optimize(cfg, np.array([0.0, 0.5, 1.0]))
+        closed_form_beamformer(np.array([0.0, 0.5, 1.0]), cfg)
+    with pytest.raises(ValueError):
+        closed_form_beamformer(np.array([0.0, 0.4, 1.0, 1.5, 2.0]), cfg)
 
 
 # ---------------------------------------------------------------------------
-# AO kernel against the majorization-minimization reference
+# AO against the majorization-minimization reference
 
 
 def scalar_gain_and_grad(x, w, kappa):
@@ -271,26 +260,30 @@ def ao_test_config(n, rng):
     )
 
 
+def closed_form_rate(x, cfg):
+    """AO from start x: the closed-form beamformer there and its worst-user rate."""
+    bf = closed_form_beamformer(x, cfg)
+    return bf, snr_pair(bf.w, x, cfg).min_rate
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
-def test_ao_kernel_matches_scalar_loop(n):
+def test_ao_matches_scalar_loop(n):
     rng = np.random.default_rng(1200 + n)
     cfg = ao_test_config(n, rng)
     starts = [uniform_positions(cfg)]
     starts += [random_positions(cfg, rng) for _ in range(3)]
     starts.append(multi_start_sca(cfg)[0])  # the warm start
     starts.append(cfg.d_min * np.arange(n))  # packed against the left end
-    results = baselines._ao_rows(cfg, np.array(starts))
-    assert len(results) == len(starts)
-    for init, res in zip(starts, results):
+    for init in starts:
+        bf, rate = closed_form_rate(init, cfg)
         x_ref, bf_ref, rates_ref, converged_ref = scalar_ao(cfg, init)
-        assert np.max(np.abs(res.x - x_ref)) <= 1e-12 * (1.0 + np.max(np.abs(x_ref)))
-        assert res.w.t == pytest.approx(bf_ref.t, rel=1e-12, abs=1e-15)
-        assert res.w.case_label == bf_ref.case_label
-        assert len(res.trace.min_rates) == len(rates_ref)
-        assert res.trace.min_rates == pytest.approx(rates_ref, rel=1e-12)
-        assert res.trace.outer_iterations == len(rates_ref) - 1
-        assert res.trace.converged == converged_ref
-        assert res.snr.min_rate == pytest.approx(rates_ref[-1], rel=1e-12)
+        assert np.max(np.abs(init - x_ref)) <= 1e-12 * (1.0 + np.max(np.abs(x_ref)))
+        assert bf.t == pytest.approx(bf_ref.t, rel=1e-12, abs=1e-15)
+        assert bf.case_label == bf_ref.case_label
+        # the alternation stops after one outer iteration, at the start's rate
+        assert len(rates_ref) == 2
+        assert rates_ref == pytest.approx([rate, rate], rel=1e-12)
+        assert converged_ref
 
 
 EXACT_ANGLES = (0.0, math.pi / 2.0, math.pi)
@@ -328,7 +321,7 @@ def min_norm_convex_combination(a, b):
 
 
 def test_closed_form_beamformer_is_a_first_order_fixed_point_of_the_position_step():
-    # the certificate behind baselines._ao_rows: at the closed-form w either
+    # the certificate behind baselines.ao_scheme: at the closed-form w either
     # both users bind and a convex combination of their scaled position
     # gradients vanishes (crossing), or the binding user's gain sits at its
     # peak n with a zero gradient (endpoints, parallel channels), so no
@@ -378,10 +371,12 @@ def test_ao_matches_the_reference_from_every_kind_of_start():
             multi_start_sca(cfg)[0],  # the warm start
         ]
         for init in starts:
-            res = ao_optimize(cfg, init)
-            x_ref, _bf, rates_ref, _converged = scalar_ao(cfg, init)
-            assert res.snr.min_rate == pytest.approx(rates_ref[-1], rel=1e-12)
-            assert np.max(np.abs(res.x - x_ref)) <= x_tol * (1.0 + np.max(np.abs(x_ref)))
+            _bf, rate = closed_form_rate(init, cfg)
+            x_ref, _bf_ref, rates_ref, converged_ref = scalar_ao(cfg, init)
+            assert len(rates_ref) == 2
+            assert rates_ref == pytest.approx([rate, rate], rel=1e-12)
+            assert converged_ref
+            assert np.max(np.abs(init - x_ref)) <= x_tol * (1.0 + np.max(np.abs(x_ref)))
 
 
 def gain_hessian(x, w, kappa):

@@ -156,9 +156,9 @@ def test_shipped_default_config_loads():
 
 
 def test_run_single_report_shape():
-    exp = small_experiment()
+    exp = small_experiment(schemes=(Scheme.PROPOSED, Scheme.AO, Scheme.FPA))
     report = run_single(exp)
-    assert set(report["schemes"]) == {"proposed", "fpa"}
+    assert set(report["schemes"]) == {"proposed", "ao", "fpa"}
     assert report["config"]["system"]["n_antennas"] == 3
     for name, entry in report["schemes"].items():
         assert len(entry["x"]) == 3
@@ -171,6 +171,7 @@ def test_run_single_report_shape():
         assert entry["gamma_u1_db"] == pytest.approx(10.0 * math.log10(entry["gamma_u1"]))
         assert 0.0 <= entry["correlation"] <= 3.0 + 1e-9
     assert isinstance(report["schemes"]["proposed"]["iterations"], int)
+    assert report["schemes"]["ao"]["iterations"] is None
     assert report["schemes"]["fpa"]["iterations"] is None
     assert report["schemes"]["proposed"]["case"] is not None
 

@@ -110,6 +110,10 @@ def test_default_config_overrides():
         {"tau": 0.0},
         {"wavelength": 0.0},
         {"ps_dbm": math.nan},
+        {"span_l": math.inf},
+        {"tau": math.inf},
+        {"d_su": (math.inf, 100.0)},
+        {"wavelength": math.inf},
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
