@@ -1,11 +1,12 @@
 """The proposed correlation-first scheme and the comparison schemes.
 
-Alternating optimization (AO) runs as the closed-form beamformer at each
+Alternating optimization (AO) runs as the closed-form beamformer at its
 start: its position step, a concave minorization of the worst-user array gain
 for the current beamformer, is a proven fixed point of that beamformer (proof
-in ao_scheme), so the alternation never moves a start.  The remaining schemes
-quantize the aperture (APS), keep the optimized positions but point at user 1
-only (MA-MRT), or fix a half-wavelength grid (FPA).
+in ao_scheme), so the alternation never moves a start, and its best start is
+the shared position solve.  The remaining schemes quantize the aperture
+(APS), keep the optimized positions but point at user 1 only (MA-MRT), or fix
+a half-wavelength grid (FPA).
 """
 
 import math
@@ -26,8 +27,6 @@ from .posopt import (
     correlation,
     correlation_objective,
     multi_start_sca,
-    uniform_positions,
-    random_positions,
 )
 from .sysmodel import (
     FEASIBILITY_TOL,
@@ -87,15 +86,16 @@ def proposed_scheme(cfg: SystemConfig) -> SchemeResult:
     return _closed_form_result(Scheme.PROPOSED, x, cfg, trace)
 
 
-def ao_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeResult:
-    """AO restarted from the uniform spread and n_starts - 1 random starts.
+def ao_scheme(cfg: SystemConfig) -> SchemeResult:
+    """AO warm-started at the shared correlation-ascent positions.
 
-    AO runs as the closed-form beamformer at each start: its position step is
-    a fixed point of the closed-form beamformer (proof below), so a single run
-    stays at its start and can sit well below the best known operating point.
-    The benchmark therefore takes the best over those starts, drawn from seed,
-    plus a warm start at the shared correlation-ascent positions, where AO
-    reproduces the decoupled solution.  Rate ties go to the earliest start.
+    AO runs as the closed-form beamformer at its start: its position step is
+    a fixed point of the closed-form beamformer (proof below), so the
+    alternation stays at the start.  The best start is the shared solve's x:
+    with f/n = cos(phi), the closed-form optimum is
+    theta*(f) = n max_psi min(c_1 cos^2 psi, c_2 cos^2(phi - psi)), which never
+    decreases as f grows (proof in optimize_mixing).  AO therefore returns the
+    decoupled solution, with no iteration count of its own.
 
     Proof.  Write g_i = |h_i(x)^T w|^2 and c_i for user i's SNR scale.  For
     fixed x the closed-form w maximizes min(c_1 g_1, c_2 g_2) over unit w.
@@ -115,14 +115,8 @@ def ao_scheme(cfg: SystemConfig, n_starts: int = 10, seed: int = 0) -> SchemeRes
     the certificate above on random configs, and checks that the closed-form
     beamformer matches the reference start by start.
     """
-    rng = np.random.default_rng(seed)
-    starts = [uniform_positions(cfg)]
-    starts += [random_positions(cfg, rng) for _ in range(max(n_starts, 1) - 1)]
-    warm, _trace = multi_start_sca(cfg)
-    starts.append(warm)
-    # max keeps the first of equal rates
-    results = [_closed_form_result(Scheme.AO, x, cfg) for x in starts]
-    return max(results, key=lambda res: res.snr.min_rate)
+    x, _trace = multi_start_sca(cfg)
+    return _closed_form_result(Scheme.AO, x, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +184,14 @@ def fpa_scheme(cfg: SystemConfig) -> SchemeResult:
 
 
 def run_scheme(
-    scheme: Scheme,
-    cfg: SystemConfig,
-    n_starts: int = 10,
-    seed: int = 0,
-    aps_grid_step: float = REFERENCE_SPACING,
+    scheme: Scheme, cfg: SystemConfig, aps_grid_step: float = REFERENCE_SPACING
 ) -> SchemeResult:
-    """Dispatch a scheme by name with shared defaults.
-
-    n_starts and seed steer only AO's restarts; the position solve shared by
-    proposed, ma_mrt and AO's warm start is deterministic.
-    """
+    """Dispatch a scheme by name; every scheme is deterministic."""
     scheme = Scheme(scheme)
     if scheme is Scheme.PROPOSED:
         return proposed_scheme(cfg)
     if scheme is Scheme.AO:
-        return ao_scheme(cfg, n_starts=n_starts, seed=seed)
+        return ao_scheme(cfg)
     if scheme is Scheme.APS:
         return aps_search(cfg, grid_step=aps_grid_step)
     if scheme is Scheme.MA_MRT:

@@ -145,6 +145,14 @@ def optimize_mixing(coeffs: ThetaCoefficients, n: int) -> tuple:
     The first branch grows with t, the second peaks at t = f/n and falls
     afterwards, so the maximizer is either an endpoint of [f/n, 1] or the
     crossing of the branches inside it.
+
+    The optimum never decreases as the correlation f grows.  With
+    t = cos(psi) and f/n = cos(phi), phi in [0, pi/2], the branches are
+    n c_1 cos^2(psi) and n c_2 cos^2(phi - psi), c_i being user i's SNR scale,
+    and some maximizer psi lies in [0, phi]: above phi both branches fall.  A
+    larger f' gives phi' < phi, and psi' = min(psi, phi') does at least as
+    well as psi on both branches, since cos^2(psi') >= cos^2(psi) and
+    0 <= phi' - psi' <= phi - psi.
     """
     a1, a2, a3 = coeffs.a1, coeffs.a2, coeffs.a3
     scale = math.sqrt(a2 * a2 + a3 * a3)

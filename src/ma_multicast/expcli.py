@@ -1,7 +1,8 @@
 """Experiment harness: JSON config in, JSON/CSV artifacts out, CLI front end.
 
-All runs are deterministic for a fixed (config, seed) pair.  Sweep points are
-evaluated one after another, in sweep order.
+Every run is deterministic for a fixed config; only validate draws random
+numbers, from its fixed seed.  Sweep points are evaluated one after another,
+in sweep order.
 """
 
 import argparse
@@ -41,8 +42,6 @@ class ConfigError(Exception):
 class ExperimentConfig:
     system: SystemConfig
     schemes: tuple
-    seed: int = 1
-    n_starts: int = 10
     aps_grid_step: float = REFERENCE_SPACING
     sweep: dict | None = None
     output_dir: str = "."
@@ -170,8 +169,9 @@ def config_from_dict(doc) -> ExperimentConfig:
         except ValueError:
             valid = ", ".join(s.value for s in Scheme)
             raise ConfigError(f"schemes[{i}]: unknown scheme {name!r} (valid: {valid})")
-    seed = _expect_int(doc.get("seed", 1), "seed", minimum=0)
-    n_starts = _expect_int(doc.get("n_starts", 10), "n_starts", minimum=1)
+    # retired keys that steered AO's random restarts: still checked, then unused
+    _expect_int(doc.get("seed", 1), "seed", minimum=0)
+    _expect_int(doc.get("n_starts", 10), "n_starts", minimum=1)
     aps_grid_step = _expect_number(doc.get("aps_grid_step", REFERENCE_SPACING), "aps_grid_step", positive=True)
     sweep = _sweep_from_dict(doc.get("sweep"))
     output_dir = doc.get("output_dir", ".")
@@ -180,8 +180,6 @@ def config_from_dict(doc) -> ExperimentConfig:
     return ExperimentConfig(
         system=system,
         schemes=tuple(schemes),
-        seed=seed,
-        n_starts=n_starts,
         aps_grid_step=aps_grid_step,
         sweep=sweep,
         output_dir=output_dir,
@@ -244,7 +242,7 @@ def _system_dict(cfg: SystemConfig) -> dict:
 def _configured_scheme(exp: ExperimentConfig, scheme: Scheme) -> SchemeResult:
     """run_scheme on the configured system; a scheme that cannot fit it is a config error."""
     try:
-        return run_scheme(scheme, exp.system, exp.n_starts, exp.seed, exp.aps_grid_step)
+        return run_scheme(scheme, exp.system, exp.aps_grid_step)
     except InfeasibleSchemeError as exc:
         raise ConfigError(f"schemes: {scheme.value}: {exc}") from exc
 
@@ -254,8 +252,6 @@ def run_single(exp: ExperimentConfig) -> dict:
         "config": {
             "system": _system_dict(exp.system),
             "schemes": [s.value for s in exp.schemes],
-            "seed": exp.seed,
-            "n_starts": exp.n_starts,
             "aps_grid_step": exp.aps_grid_step,
         },
         "schemes": {},
@@ -286,7 +282,7 @@ def _sweep_point(exp: ExperimentConfig, cfg: SystemConfig, label: str):
     skips = []
     for scheme in exp.schemes:
         try:
-            res = run_scheme(scheme, cfg, exp.n_starts, exp.seed, exp.aps_grid_step)
+            res = run_scheme(scheme, cfg, exp.aps_grid_step)
         except InfeasibleSchemeError as exc:
             skips.append(f"{label} scheme={scheme.value}: {exc}")
             continue

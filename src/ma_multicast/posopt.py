@@ -203,7 +203,8 @@ def uniform_positions(cfg: SystemConfig) -> np.ndarray:
     return (cfg.span_l / (cfg.n_antennas - 1)) * np.arange(cfg.n_antennas)
 
 
-def random_positions(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+# the quoted annotation keeps numpy.random, which only validate needs, unimported
+def random_positions(cfg: SystemConfig, rng: "np.random.Generator") -> np.ndarray:
     """Random feasible positions: sorted slack values plus the spacing offsets."""
     hi = cfg.span_l - (cfg.n_antennas - 1) * cfg.d_min
     u = np.sort(rng.uniform(0.0, max(hi, 0.0), cfg.n_antennas))
@@ -406,7 +407,10 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
 
 @functools.lru_cache(maxsize=SOLVE_CACHE_SIZE)
 def _solve_positions(cfg: SystemConfig) -> ScaTrace:
-    """Winning trace of the two-start solve; memoised, so logged once per config."""
+    """Winning trace of the two-start solve; memoised, so logged once per config.
+
+    Rows are ranked by the last f1 = |s|^2 - n their ascent computed.
+    """
     obj = correlation_objective(cfg)
     starts = [uniform_positions(cfg)]
     if abs(obj.kappa) >= KAPPA_TOL:
@@ -414,7 +418,7 @@ def _solve_positions(cfg: SystemConfig) -> ScaTrace:
         starts.append(chain_dp_start(cfg))
     best, best_f1 = None, -math.inf
     for trace in _sca_rows(cfg, np.array(starts)):
-        f1 = correlation_excess(trace.x, obj)
+        f1 = trace.f1_history[-1]
         if best is None or f1 > best_f1 + TIE_TOL:
             take = True
         elif f1 >= best_f1 - TIE_TOL:

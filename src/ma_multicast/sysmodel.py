@@ -68,6 +68,15 @@ class SystemConfig:
             not (0.0 <= t <= math.pi) for t in self.theta_su
         ):
             raise ValueError("theta_su must be a pair of angles in [0, pi]")
+        try:
+            scales = [self.snr_scale(i) for i in (0, 1)]
+        except (OverflowError, ZeroDivisionError):
+            scales = [math.nan]
+        if not all(0.0 < c < math.inf for c in scales):
+            raise ValueError(
+                "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive "
+                "finite SNR scale ps / (d^tau * sigma^2)"
+            )
 
     @property
     def ps_w(self) -> float:
@@ -80,11 +89,6 @@ class SystemConfig:
     def snr_scale(self, user: int) -> float:
         """Per-user SNR prefactor ps / (d^tau * sigma^2) for user index 0 or 1."""
         return self.ps_w / (self.d_su[user] ** self.tau * self.sigma2_w)
-
-
-def default_config(**overrides) -> SystemConfig:
-    """Benchmark configuration, optionally with individual fields replaced."""
-    return SystemConfig(**overrides)
 
 
 def user_kappas(cfg: SystemConfig) -> tuple:

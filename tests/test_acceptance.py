@@ -181,7 +181,7 @@ def antenna_sweep():
     for n in range(4, 9):
         cfg = SystemConfig(n_antennas=n, span_l=5.0)
         rates["proposed"][n] = proposed_scheme(cfg).snr.min_rate
-        rates["ao"][n] = ao_scheme(cfg, n_starts=10, seed=1).snr.min_rate
+        rates["ao"][n] = ao_scheme(cfg).snr.min_rate
         rates["ma_mrt"][n] = ma_mrt(cfg).snr.min_rate
     return rates
 

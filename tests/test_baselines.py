@@ -8,7 +8,7 @@ Oracles used here:
   * the closed-form Laplacian Hessian of each AO gain, cross-checked by
     central differences, bounds the curvature of the reference position step;
   * a scalar AO loop that still runs the majorization-minimization position
-    step replays the closed-form beamformer at every start of AO;
+    step replays the closed-form beamformer from any start;
   * the first-order certificate of the closed-form beamformer (a vanishing
     convex combination of the users' position gradients, or a binding user
     at its peak gain) shows why that position step never moves a start;
@@ -73,7 +73,7 @@ def enumerate_grid_search(cfg, grid_step):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_scheme_results_are_consistent(scheme):
     cfg = SystemConfig()
-    res = run_scheme(scheme, cfg, n_starts=5, seed=3)
+    res = run_scheme(scheme, cfg)
     assert res.scheme is scheme
     assert res.x[0] >= -1e-12
     assert res.x[-1] <= cfg.span_l + 1e-12
@@ -88,9 +88,9 @@ def test_scheme_results_are_consistent(scheme):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_schemes_deterministic(scheme):
     cfg = SystemConfig()
-    ra = run_scheme(scheme, cfg, n_starts=4, seed=11)
+    ra = run_scheme(scheme, cfg)
     posopt._solve_positions.cache_clear()  # recompute, not a cache hit
-    rb = run_scheme(scheme, cfg, n_starts=4, seed=11)
+    rb = run_scheme(scheme, cfg)
     assert np.array_equal(ra.x, rb.x)
     assert np.array_equal(ra.w.w, rb.w.w)
     assert ra.snr.min_rate == rb.snr.min_rate
@@ -98,7 +98,7 @@ def test_schemes_deterministic(scheme):
 
 def test_run_scheme_rejects_unknown():
     with pytest.raises(ValueError):
-        run_scheme("nonsense", SystemConfig(), 1, 0, 0.5)
+        run_scheme("nonsense", SystemConfig(), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,21 @@ def test_ao_fixed_point_at_proposed_solution():
     assert ao_scheme(cfg).snr.min_rate >= prop.snr.min_rate
 
 
+def test_ao_is_the_proposed_scheme():
+    # AO never moves its start, and by the monotone-optimum lemma in
+    # optimize_mixing no start beats the shared solve, so AO returns it
+    rng = np.random.default_rng(1100)
+    configs = [SystemConfig(), SystemConfig(theta_su=(0.0, 0.0), d_su=(80.0, 120.0))]
+    configs += [theorem_config(trial, rng) for trial in range(30)]
+    for cfg in configs:
+        ao, prop = ao_scheme(cfg), proposed_scheme(cfg)
+        assert ao.scheme is Scheme.AO and ao.trace is None
+        assert np.array_equal(ao.x, prop.x)
+        assert np.array_equal(ao.w.w, prop.w.w)
+        assert ao.w.t == prop.w.t and ao.w.case_label == prop.w.case_label
+        assert ao.snr == prop.snr
+
+
 def test_ao_never_beats_joint_grid_on_lattice_aligned_setup():
     # beat period 2 pi / kappa = 2.5 sits exactly on the 0.05 grid and the
     # aligned optimum has t = 1, so the grid value is the true joint optimum
@@ -135,9 +150,9 @@ def test_ao_never_beats_joint_grid_on_lattice_aligned_setup():
         n_antennas=2, span_l=3.0, theta_su=(0.0, math.asin(0.4)), d_su=(100.0, 100.0)
     )
     joint = brute_force_joint(cfg, GridSpec(position_step=0.05, t_step=1e-4))
-    res = ao_scheme(cfg, n_starts=6, seed=0)
+    res = ao_scheme(cfg)
     assert res.snr.min_rate <= joint.min_rate + 1e-6
-    # and the warm start reaches that optimum
+    # and the shared solve reaches that optimum
     assert res.snr.min_rate == pytest.approx(joint.min_rate, rel=1e-9)
 
 
@@ -145,7 +160,7 @@ def test_ao_serves_identical_flat_channels():
     # both users broadside: kappa = 0 for both, identical all-ones channels,
     # so the matched filter gives each user its peak gain n
     cfg = SystemConfig(theta_su=(0.0, 0.0), d_su=(80.0, 120.0))
-    res = ao_scheme(cfg, n_starts=3, seed=0)
+    res = ao_scheme(cfg)
     gamma = min(cfg.snr_scale(0), cfg.snr_scale(1)) * cfg.n_antennas
     assert res.snr.min_rate == pytest.approx(math.log2(1.0 + gamma), rel=1e-12)
 
@@ -549,5 +564,5 @@ def test_proposed_dominates_simpler_schemes():
     cfg = SystemConfig()
     prop = proposed_scheme(cfg).snr.min_rate
     for scheme in (Scheme.APS, Scheme.MA_MRT, Scheme.FPA):
-        other = run_scheme(scheme, cfg, n_starts=10, seed=1).snr.min_rate
+        other = run_scheme(scheme, cfg).snr.min_rate
         assert prop >= other - 1e-9

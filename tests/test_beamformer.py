@@ -307,6 +307,28 @@ def test_mixing_certified_on_random_configs():
         assert v_star >= v_grid - 1e-9 * max(v_grid, 1.0)
 
 
+def test_mixing_optimum_never_decreases_with_correlation():
+    # the lemma in optimize_mixing, and the reason AO's best start is the
+    # shared position solve: with f/n = cos(phi) the optimum is
+    # n max_psi min(c_1 cos^2 psi, c_2 cos^2(phi - psi)), nonincreasing in phi
+    rng = np.random.default_rng(31)
+    labels = set()
+    for _ in range(200):
+        cfg = random_config(rng)
+        n = cfg.n_antennas
+        values = []
+        for f in np.linspace(0.0, n, 401):
+            coeffs = theta_coefficients(float(f), cfg)
+            t, label = optimize_mixing(coeffs, n)
+            labels.add(label)
+            values.append(theta_at(coeffs, t))
+        # where the optimum is flat in f (left endpoint: n c_2) it may wobble
+        # by rounding, about 1e-15 of its value
+        assert np.all(np.diff(values) >= -1e-12 * max(values))
+        assert values[-1] > values[0]
+    assert labels == set(CaseLabel)
+
+
 # ---------------------------------------------------------------------------
 # Vector assembly
 

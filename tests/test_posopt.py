@@ -724,9 +724,9 @@ def test_shared_solve_is_keyed_on_the_config_alone(kernel_calls):
     multi_start_sca(replace(cfg, span_l=3.5))
     multi_start_sca(replace(cfg, theta_su=(0.3, 2.0)))
     assert len(kernel_calls) == 3
-    # AO's restarts follow n_starts and seed; the shared solve does not
-    for n_starts, seed in ((2, 0), (4, 3), (4, 4)):
-        run_scheme(Scheme.AO, cfg, n_starts=n_starts, seed=seed)
+    # every scheme that needs the positions reuses the solve
+    for scheme in (Scheme.PROPOSED, Scheme.AO, Scheme.MA_MRT):
+        run_scheme(scheme, cfg)
     assert len(kernel_calls) == 3
 
 

@@ -18,7 +18,6 @@ from ma_multicast import (
     beam_gain,
     beam_pattern,
     dbm_to_watt,
-    default_config,
     snr_pair,
     steering_vector,
     validate_positions,
@@ -78,7 +77,7 @@ def test_snr_scale_tracks_distance():
 
 
 def test_default_config_matches_reference_setup():
-    cfg = default_config()
+    cfg = SystemConfig()
     assert cfg.n_antennas == 5
     assert cfg.span_l == 4.0
     assert cfg.d_min == 0.5
@@ -90,7 +89,7 @@ def test_default_config_matches_reference_setup():
 
 
 def test_default_config_overrides():
-    cfg = default_config(n_antennas=3, span_l=2.0)
+    cfg = SystemConfig(n_antennas=3, span_l=2.0)
     assert cfg.n_antennas == 3
     assert cfg.span_l == 2.0
 
@@ -114,6 +113,12 @@ def test_default_config_overrides():
         {"tau": math.inf},
         {"d_su": (math.inf, 100.0)},
         {"wavelength": math.inf},
+        # finite fields whose SNR scale ps / (d^tau sigma^2) is not a
+        # positive finite float
+        {"ps_dbm": 4000.0},
+        {"sigma2_dbm": -4000.0},
+        {"d_su": (1e300, 100.0)},
+        {"tau": 400.0},
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
