@@ -127,11 +127,13 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     """Exhaustive correlation maximization over a quantized aperture.
 
     Candidate positions live on {0, grid_step, 2 grid_step, ...}; subsets keep
-    the minimum spacing.  The correlation depends only on the spacings, so
-    only subsets with x_1 = 0 are scored; every other subset is a translate
-    of one of them.  Exact ties go to the lexicographically smallest subset,
-    the same one a search over every translate would pick.  Refuses blow-ups
-    beyond APS_MAX_COMBINATIONS anchored candidates.
+    the minimum spacing.  The correlation depends only on the spacings and is
+    unchanged by reversing them, so only subsets with x_1 = 0 and spacings no
+    greater than their reverse are scored; every other subset is a translate
+    or a mirror of one of them.  Exact ties go to the lexicographically
+    smallest subset, the same one a search over every subset would pick.
+    Refuses blow-ups beyond APS_MAX_COMBINATIONS anchored candidates, mirrors
+    included.
     """
     if not (grid_step > 0.0):
         raise ValueError("grid_step must be positive")
@@ -149,11 +151,10 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     obj = correlation_objective(cfg)
     best_f = -math.inf
     best_x = None
-    # Only x_1 = 0 subsets are enumerated, but those with identical
-    # inter-element difference multisets (a mirrored spacing, for one) still
-    # give the same objective up to summation rounding, so ties are resolved
-    # within a small absolute window; enumeration order is lexicographic and
-    # the first hit wins.
+    # Translates and mirrors are not enumerated, but other subsets can still
+    # tie up to summation rounding (any two with the same inter-element
+    # difference multiset do), so ties are resolved within a small absolute
+    # window; enumeration order is lexicographic and the first hit wins.
     for pos in chunks:
         f = np.abs(np.exp(1j * obj.kappa * pos).sum(axis=1))
         j = int(np.flatnonzero(f >= f.max() - APS_TIE_TOL)[0])

@@ -293,7 +293,9 @@ def _sweep_point(exp: ExperimentConfig, cfg: SystemConfig, label: str):
 def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: str):
     """Rows (value, scheme, rate) over values of one config field, and the skips.
 
-    A value whose geometry cannot hold n antennas d_min apart is skipped whole.
+    A value whose geometry cannot hold n antennas d_min apart is skipped whole;
+    a value that makes the config invalid otherwise (an SNR that overflows at
+    a larger n) is a config error.
     """
     rows = []
     skips = []
@@ -303,7 +305,10 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
         if (geometry["n_antennas"] - 1) * exp.system.d_min > geometry["span_l"] + FEASIBILITY_TOL:
             rates, point_skips = [], [f"{label}: {infeasible}"]
         else:
-            cfg = replace(exp.system, **{field: value})
+            try:
+                cfg = replace(exp.system, **{field: value})
+            except ValueError as exc:
+                raise ConfigError(f"{label}: {exc}") from exc
             rates, point_skips = _sweep_point(exp, cfg, label)
         for message in point_skips:
             log.warning("sweep-%s skip: %s", key, message)

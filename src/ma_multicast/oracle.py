@@ -20,6 +20,11 @@ from .sysmodel import FEASIBILITY_TOL, SystemConfig
 MAX_EVALUATIONS = 100_000_000
 # relative window for treating grid candidates as tied on the objective
 JOINT_TIE_RTOL = 1e-12
+# Rows of tuples brute_force_joint scores at once, and mixing values
+# grid_best_t scores at once: each array of a block stays within a few
+# hundred kB, in cache, and per-element arithmetic does not depend on either.
+_JOINT_CHUNK = 8
+_T_BLOCK = 16_384
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -53,20 +58,22 @@ def _mixing_grid(t_step: float) -> np.ndarray:
 def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOptimum:
     """Joint grid search over positions and mixing, via the projection route.
 
-    Intended for tiny arrays only.  The gains depend only on the spacings, so
-    only tuples with x_1 = 0 are scored: every other feasible tuple is a
-    translate of one of them with the same objective, up to summation
-    rounding.  Candidates within a small relative window count as equal and
-    the lexicographically first position tuple (then the smallest t) wins,
-    which is the tuple a search over every translate would pick too.  The
-    MAX_EVALUATIONS cap counts anchored tuples times mixing values.
+    Intended for tiny arrays only.  The gains depend only on the spacings and
+    are unchanged by mirroring, so only tuples with x_1 = 0 whose spacings
+    are no greater than their reverse are scored: every other feasible tuple
+    is a translate or a mirror of one of them with the same objective, up to
+    summation rounding.  Candidates within a small relative window count as
+    equal and the lexicographically first position tuple (then the smallest
+    t) wins, which is the tuple a search over every tuple would pick too.
+    Tuples are scored a few rows at a time against the whole mixing grid.
+    The MAX_EVALUATIONS cap counts anchored tuples, mirrors included, times
+    mixing values.
     """
     n = cfg.n_antennas
     if n > grid.n_max:
         raise ValueError(f"brute force is capped at n_max = {grid.n_max} antennas")
-    # each chunk costs chunk x t_grid.size floats per array, so keep it small
     count, chunks = _grid_combination_chunks(
-        cfg.span_l, cfg.d_min, grid.position_step, n, chunk=128
+        cfg.span_l, cfg.d_min, grid.position_step, n, chunk=_JOINT_CHUNK
     )
     t_grid = _mixing_grid(grid.t_step)
     if count * t_grid.size > MAX_EVALUATIONS:
@@ -93,9 +100,11 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
 def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4, refine: bool = True) -> tuple:
     """Best mixing parameter for fixed positions by dense search over [0, 1].
 
-    The min of a rising and a falling branch is unimodal, so after the grid
-    pass a golden-section polish inside the winning bracket pins the kink down
-    to machine precision; pass refine=False for the raw grid argmax.
+    The grid pass scores the grid in blocks and keeps the first grid point
+    of the highest value, as one argmax over the whole grid would.  The min
+    of a rising and a falling branch is unimodal, so after the grid pass a
+    golden-section polish inside the winning bracket pins the kink down to
+    machine precision; pass refine=False for the raw grid argmax.
     """
     if not (0.0 < t_step <= 0.01):
         raise ValueError("t_step must lie in (0, 0.01]")
@@ -105,9 +114,13 @@ def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4, refine: bool = True)
         return float(_theta_from_gains(a, b, c, t, cfg))
 
     t_grid = _mixing_grid(t_step)
-    theta = _theta_from_gains(a, b, c, t_grid, cfg)
-    j = int(np.argmax(theta))
-    t_best, theta_best = float(t_grid[j]), float(theta[j])
+    t_best, theta_best = None, -math.inf
+    for start in range(0, t_grid.size, _T_BLOCK):
+        block = t_grid[start:start + _T_BLOCK]
+        theta = _theta_from_gains(a, b, c, block, cfg)
+        j = int(np.argmax(theta))
+        if theta[j] > theta_best:
+            t_best, theta_best = float(block[j]), float(theta[j])
     if not refine:
         return t_best, theta_best
     lo = max(t_best - t_step, 0.0)

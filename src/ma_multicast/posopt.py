@@ -212,17 +212,24 @@ def random_positions(cfg: SystemConfig, rng: "np.random.Generator") -> np.ndarra
 
 
 def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, chunk: int):
-    """Feasible n-subsets of the grid {0, step, 2 step, ...} that start at x_1 = 0.
+    """Feasible x_1 = 0 subsets of the grid {0, step, ...}, one per mirror pair.
 
     Correlation and both projection gains depend only on the spacings, and
     every feasible subset has a translate with x_1 = 0 that keeps its
-    spacings, so these subsets cover every spacing pattern exactly once.
-    They are also the lexicographic prefix of all feasible subsets, so a
-    first-wins tie rule picks the same tuple as over the full grid.
+    spacings.  Reversing the spacings mirrors the array, which conjugates
+    both channels up to a phase and so keeps the correlation and the gains
+    too.  Of an anchored subset and its mirror, only the one whose spacing
+    sequence is lexicographically no greater than its reverse is yielded
+    (every subset is yielded at n = 2, where each is its own mirror).  For
+    anchored subsets, comparing spacings lexicographically is comparing
+    positions, so the kept subset is the first of its tied translates and
+    mirrors, and a first-wins tie rule picks the same tuple as over the full
+    grid.
 
     Returns (count, chunks): the number of anchored subsets whose consecutive
-    spacings are at least d_min, and an iterator over them in lexicographic
-    order as float position arrays of at most chunk rows.
+    spacings are at least d_min, mirrors included, which is what the callers'
+    caps count; and an iterator over the kept subsets in lexicographic order
+    as float position arrays of at most chunk rows (never empty).
     """
     m = int(math.floor(span_l / step + FEASIBILITY_TOL)) + 1
     gap = max(1, math.ceil((d_min - FEASIBILITY_TOL) / step))
@@ -235,7 +242,14 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
     def chunks():
         combos = ((0,) + c for c in itertools.combinations(range(1, reduced), n - 1))
         while block := list(itertools.islice(combos, chunk)):
-            yield values[np.asarray(block, dtype=int) + shift]
+            idx = np.asarray(block, dtype=int)
+            # the spacings of idx + shift differ from these by a constant
+            d = np.diff(idx, axis=1)
+            delta = d - d[:, ::-1]
+            first = np.argmax(delta != 0, axis=1)
+            kept = idx[delta[np.arange(len(idx)), first] <= 0]
+            if len(kept):
+                yield values[kept + shift]
 
     return math.comb(reduced - 1, n - 1), chunks()
 

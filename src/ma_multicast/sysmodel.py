@@ -72,10 +72,12 @@ class SystemConfig:
             scales = [self.snr_scale(i) for i in (0, 1)]
         except (OverflowError, ZeroDivisionError):
             scales = [math.nan]
-        if not all(0.0 < c < math.inf for c in scales):
+        # the largest beam gain is n_antennas, so scale * n is the largest SNR
+        if not all(0.0 < c and c * self.n_antennas < math.inf for c in scales):
             raise ValueError(
                 "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive "
-                "finite SNR scale ps / (d^tau * sigma^2)"
+                "SNR scale ps / (d^tau * sigma^2) whose product with n_antennas "
+                "is finite"
             )
 
     @property

@@ -43,6 +43,7 @@ from ma_multicast import (
     uniform_positions,
 )
 from ma_multicast import posopt
+from ma_multicast.baselines import APS_TIE_TOL
 from ma_multicast.beamformer import CaseLabel
 from ma_multicast.sysmodel import user_kappas
 
@@ -64,6 +65,22 @@ def enumerate_grid_search(cfg, grid_step):
         if f > best_f + 1e-12:
             best_f, best_x = f, x
     return np.array(best_x), best_f
+
+
+def unfiltered_aps_x(cfg, grid_step):
+    """APS positions when every anchored subset is scored, mirrors included.
+
+    Same arithmetic and tie rule as aps_search over all x_1 = 0 subsets, as
+    the search ran before mirrors were dropped.
+    """
+    obj = correlation_objective(cfg)
+    values = grid_step * np.arange(int(math.floor(cfg.span_l / grid_step + 1e-9)) + 1)
+    pos = np.asarray([
+        c for c in itertools.combinations(values, cfg.n_antennas)
+        if c[0] == 0.0 and all(b - a >= cfg.d_min - 1e-9 for a, b in zip(c, c[1:]))
+    ])
+    f = np.abs(np.exp(1j * obj.kappa * pos).sum(axis=1))
+    return pos[int(np.flatnonzero(f >= f.max() - APS_TIE_TOL)[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +492,22 @@ def test_aps_matches_independent_enumeration(n, angles):
     want_x, want_f = enumerate_grid_search(cfg, 0.5)
     assert np.allclose(res.x, want_x, atol=1e-12)
     assert correlation(res.x, correlation_objective(cfg)) == pytest.approx(want_f, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cfg, step",
+    [
+        (SystemConfig(), 0.5),
+        (SystemConfig(n_antennas=3, span_l=2.0, theta_su=(0.3, 1.2)), 0.05),
+        (SystemConfig(n_antennas=4, span_l=3.0, theta_su=(2.0, 0.5)), 0.1),
+        (SystemConfig(n_antennas=4, span_l=3.0, theta_su=(0.8, math.pi - 0.8)), 0.25),
+        (SystemConfig(n_antennas=5, span_l=3.0, theta_su=(1.0, 2.8)), 0.25),
+    ],
+)
+def test_aps_matches_unfiltered_anchored_search(cfg, step):
+    # dropping mirrored subsets keeps the winner, ties (the matching-sine
+    # case) included
+    assert np.array_equal(aps_search(cfg, grid_step=step).x, unfiltered_aps_x(cfg, step))
 
 
 def test_aps_single_candidate():

@@ -327,11 +327,25 @@ def test_main_reports_config_errors(tmp_path, capsys):
 
 
 def test_main_snr_scale_overflow_is_config_error(tmp_path, capsys):
-    doc = dict(SMALL_DOC, system={"n_antennas": 3, "span_l": 2.0, "ps_dbm": 4000.0})
+    for system in (
+        {"n_antennas": 3, "span_l": 2.0, "ps_dbm": 4000.0},
+        # a finite scale of about 4e307 times 5 antennas would write Infinity
+        {"n_antennas": 5, "span_l": 4.0, "ps_dbm": 3036.0},
+    ):
+        cfg = write_config(tmp_path, dict(SMALL_DOC, system=system))
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: system: " in err and "SNR scale" in err and "Traceback" not in err
+
+
+def test_main_sweep_point_whose_snr_overflows_is_config_error(tmp_path, capsys):
+    # scale * 5 antennas is finite, scale * 6 is not
+    doc = dict(SMALL_DOC, system={"n_antennas": 5, "span_l": 4.0, "ps_dbm": 3035.5})
     cfg = write_config(tmp_path, doc)
-    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+    argv = ["sweep-n", "--config", cfg, "--n-min", "5", "--n-max", "6"]
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err
-    assert "config error: system: " in err and "SNR scale" in err and "Traceback" not in err
+    assert "config error: n=6: " in err and "SNR scale" in err and "Traceback" not in err
 
 
 def test_main_retired_keys_leave_the_artifact_unchanged(tmp_path, capsys):

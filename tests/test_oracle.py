@@ -14,12 +14,17 @@ from ma_multicast import (
     grid_best_t,
     joint_vs_decoupled,
     min_snr_from_projections,
+    projection_coefficients,
     random_positions,
     resolution_bound,
+    run_validate,
     snap_mixing_to_grid,
     snap_positions_to_grid,
     validate_positions,
 )
+from ma_multicast import oracle
+from ma_multicast.beamformer import _projection_gains, _theta_from_gains
+from ma_multicast.oracle import JOINT_TIE_RTOL, JointOptimum
 from ma_multicast.posopt import _grid_combination_chunks
 from ma_multicast.sysmodel import FEASIBILITY_TOL
 
@@ -72,6 +77,59 @@ def enumerate_joint(cfg, step, t_step):
     i = int(np.flatnonzero(rows >= rows.max() - tol)[0])
     j = int(np.flatnonzero(theta[i] >= rows[i] - tol)[0])
     return x[i], float(t[j]), math.log2(1.0 + rows[i])
+
+
+def reference_tuples(span_l, d_min, step, n):
+    """Plain itertools enumeration filtered by the float spacing check."""
+    values = step * np.arange(int(math.floor(span_l / step + 1e-9)) + 1)
+    return [
+        combo
+        for combo in itertools.combinations(values, n)
+        if all(b - a >= d_min - FEASIBILITY_TOL for a, b in zip(combo, combo[1:]))
+    ]
+
+
+def spacing_indices(combo, step):
+    """Spacings of a grid tuple in grid steps, exact integers."""
+    return tuple(int(d) for d in np.diff(np.rint(np.asarray(combo) / step).astype(int)))
+
+
+def mirror_kept(tuples, step):
+    """The x_1 = 0 tuples whose spacings are lexicographically <= their reverse."""
+    return [c for c in tuples if c[0] == 0.0 and (d := spacing_indices(c, step)) <= d[::-1]]
+
+
+def unfiltered_joint(cfg, grid):
+    """The joint search scoring every anchored tuple, mirrors included.
+
+    Same arithmetic and tie rule as brute_force_joint, in 128-row chunks of
+    all x_1 = 0 tuples, as the search ran before mirrors were dropped.
+    """
+    pos_all = np.asarray(
+        [c for c in reference_tuples(cfg.span_l, cfg.d_min, grid.position_step, cfg.n_antennas)
+         if c[0] == 0.0]
+    )
+    t_grid = np.linspace(0.0, 1.0, int(round(1.0 / grid.t_step)) + 1)
+    best_theta, best_x, best_t = -math.inf, None, None
+    for start in range(0, len(pos_all), 128):
+        pos = pos_all[start:start + 128]
+        a, b, c = _projection_gains(pos, cfg)
+        theta = _theta_from_gains(a[:, None], b[:, None], c[:, None], t_grid, cfg)
+        row_best = theta.max(axis=1)
+        tol = JOINT_TIE_RTOL * max(float(row_best.max()), 1.0)
+        j = int(np.flatnonzero(row_best >= row_best.max() - tol)[0])
+        if row_best[j] > best_theta + JOINT_TIE_RTOL * max(best_theta, 1.0):
+            best_theta = float(row_best[j])
+            best_x = pos[j].copy()
+            row = theta[j]
+            best_t = float(t_grid[int(np.flatnonzero(row >= row.max() - tol)[0])])
+    return JointOptimum(x=best_x, t=best_t, min_rate=math.log2(1.0 + best_theta))
+
+
+def assert_same_optimum(got, want):
+    assert np.array_equal(got.x, want.x)
+    assert got.t == want.t
+    assert got.min_rate == want.min_rate
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +210,25 @@ def test_brute_force_matches_full_grid_reference(n, step, angles):
     assert np.allclose(got.x, x, atol=1e-12)
     assert abs(got.t - t) <= 1e-12
     assert got.min_rate == pytest.approx(rate, rel=1e-10)
+    # dropping mirrors and scoring fewer rows at once changes nothing
+    assert_same_optimum(got, unfiltered_joint(cfg, GridSpec(position_step=step, t_step=0.01)))
+
+
+def test_brute_force_matches_unfiltered_reference_on_validate_configs(monkeypatch):
+    # record the separation certificate's oracle calls in the full validate
+    seen = []
+    real = oracle.brute_force_joint
+
+    def recording(cfg, grid):
+        got = real(cfg, grid)
+        seen.append((cfg, grid, got))
+        return got
+
+    monkeypatch.setattr(oracle, "brute_force_joint", recording)
+    run_validate(quick=False)
+    assert len(seen) == 12
+    for cfg, grid, got in seen:
+        assert_same_optimum(got, unfiltered_joint(cfg, grid))
 
 
 def test_brute_force_result_is_feasible():
@@ -186,6 +263,33 @@ def test_grid_best_t_refinement_matches_closed_form():
     assert theta_ref == pytest.approx(theta_closed, rel=1e-9)
     assert t_ref == pytest.approx(bf.t, abs=1e-6)
     assert abs(t_raw - bf.t) <= 1e-3 + 1e-12
+
+
+# configs and positions: random, parallel channels (matching sines),
+# orthogonal channels (kappa x_2 = pi), a far user 1 whose branch binds up to
+# the t = 1 endpoint, and SNR scales so small that theta is quantized to
+# subnormal steps, which makes its peak a plateau of equal grid values
+GRID_T_CASES = [
+    (SystemConfig(), np.linspace(0.0, 4.0, 5)),
+    (SystemConfig(n_antennas=3, span_l=2.0, theta_su=(0.3, 2.0)), np.array([0.0, 0.7, 2.0])),
+    (SystemConfig(n_antennas=3, span_l=3.0, theta_su=(0.8, math.pi - 0.8)), np.array([0.0, 1.0, 3.0])),
+    (SystemConfig(n_antennas=2, span_l=1.0, theta_su=(0.0, math.pi / 6.0)), np.array([0.0, 1.0])),
+    (SystemConfig(n_antennas=4, d_su=(800.0, 50.0)), np.array([0.0, 0.5, 1.5, 4.0])),
+    (SystemConfig(ps_dbm=-3200.0, d_su=(20.0, 500.0)), np.array([0.0, 0.5, 1.5, 2.5, 4.0])),
+]
+
+
+@pytest.mark.parametrize("case", range(len(GRID_T_CASES)))
+@pytest.mark.parametrize("t_step, block", [(1e-5, None), (1e-4, None), (1e-3, None), (1e-4, 7)])
+def test_grid_best_t_blocks_match_one_array_argmax(monkeypatch, case, t_step, block):
+    cfg, x = GRID_T_CASES[case]
+    if block is not None:
+        # many block boundaries: the plateau case's ties straddle one
+        monkeypatch.setattr(oracle, "_T_BLOCK", block)
+    t_grid = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
+    theta = _theta_from_gains(*projection_coefficients(x, cfg), t_grid, cfg)
+    j = int(np.argmax(theta))
+    assert grid_best_t(x, cfg, t_step=t_step, refine=False) == (float(t_grid[j]), float(theta[j]))
 
 
 def test_grid_best_t_rejects_bad_steps():
@@ -256,64 +360,65 @@ def test_joint_vs_decoupled_certificate():
 # Tuple enumeration plumbing
 
 
-def reference_tuples(span_l, d_min, step, n):
-    """Plain itertools enumeration filtered by the float spacing check."""
-    values = step * np.arange(int(math.floor(span_l / step + 1e-9)) + 1)
-    return [
-        combo
-        for combo in itertools.combinations(values, n)
-        if all(b - a >= d_min - FEASIBILITY_TOL for a, b in zip(combo, combo[1:]))
-    ]
-
-
 def test_feasible_tuple_count_matches_binomial():
     count, chunks = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=128)
     tuples = [tuple(row) for block in chunks for row in block]
-    # x_1 = 0 and a two-slot gap per adjacent pair leave C(4, 2) choices
-    assert count == len(tuples) == math.comb(4, 2)
-    assert tuples == sorted(tuples)
-    assert all(a == 0.0 and b - a >= 1.0 - 1e-9 and c - b >= 1.0 - 1e-9 for a, b, c in tuples)
+    # x_1 = 0 and a two-slot gap per adjacent pair leave C(4, 2) anchored
+    # choices; spacings (1, 1.5) and (1, 2) are kept and their mirrors dropped
+    assert count == math.comb(4, 2)
+    assert tuples == [(0.0, 1.0, 2.0), (0.0, 1.0, 2.5), (0.0, 1.0, 3.0), (0.0, 1.5, 3.0)]
+    assert tuples == mirror_kept(reference_tuples(3.0, 1.0, 0.5, 3), 0.5)
     loose_count, loose = _grid_combination_chunks(3.0, 0.5, 0.5, 3, chunk=128)
-    assert loose_count == sum(len(block) for block in loose) == math.comb(6, 2)
+    loose = [tuple(row) for block in loose for row in block]
+    assert loose_count == math.comb(6, 2)
+    assert loose == mirror_kept(reference_tuples(3.0, 0.5, 0.5, 3), 0.5)
+    assert len(loose) == 9
     with pytest.raises(ValueError, match="no feasible"):
         _grid_combination_chunks(1.0, 0.5, 0.5, 4, chunk=128)
 
 
 def test_grid_chunks_preserve_order():
     _, whole = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=128)
-    _, parts = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=4)
-    parts = list(parts)
-    assert [len(p) for p in parts] == [4, 2]
-    assert np.array_equal(np.vstack(parts), np.vstack(list(whole)))
+    whole = np.vstack(list(whole))
+    # mirrors are dropped within each block of chunk anchored tuples, and a
+    # block left empty is not yielded
+    for chunk, sizes in [(4, [3, 1]), (1, [1, 1, 1, 1])]:
+        _, parts = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=chunk)
+        parts = list(parts)
+        assert [len(p) for p in parts] == sizes
+        assert np.array_equal(np.vstack(parts), whole)
 
 
 # span 2 and d_min 0.5 are the grids `validate` hands the joint oracle; each id
 # names the grid by its full tuple count
 VALIDATION_GRIDS = [
-    pytest.param(n, step, full, anchored, id=f"{n}-{step}-{full}")
-    for n, step, full, anchored in [
-        (2, 0.05, 496, 31), (2, 0.1, 136, 16), (3, 0.05, 1771, 231), (3, 0.1, 286, 66)
+    pytest.param(n, step, full, anchored, kept, id=f"{n}-{step}-{full}")
+    for n, step, full, anchored, kept in [
+        (2, 0.05, 496, 31, 31), (2, 0.1, 136, 16, 16),
+        (3, 0.05, 1771, 231, 121), (3, 0.1, 286, 66, 36),
     ]
 ]
 
 
-@pytest.mark.parametrize("n, step, full, anchored", VALIDATION_GRIDS)
-def test_grid_enumerator_matches_itertools_on_validation_grids(n, step, full, anchored):
+@pytest.mark.parametrize("n, step, full, anchored, kept", VALIDATION_GRIDS)
+def test_grid_enumerator_matches_itertools_on_validation_grids(n, step, full, anchored, kept):
     want = reference_tuples(2.0, 0.5, step, n)
     count, chunks = _grid_combination_chunks(2.0, 0.5, step, n, chunk=128)
     got = np.vstack(list(chunks))
     assert len(want) == full
-    assert count == len(got) == anchored
-    assert np.array_equal(got, np.asarray([c for c in want if c[0] == 0.0]))
+    assert count == sum(c[0] == 0.0 for c in want) == anchored
+    assert len(got) == kept
+    assert np.array_equal(got, np.asarray(mirror_kept(want, step)))
 
 
-@pytest.mark.parametrize("n, step, full, anchored", VALIDATION_GRIDS)
-def test_anchored_tuples_cover_each_spacing_once(n, step, full, anchored):
-    full_idx = np.rint(np.asarray(reference_tuples(2.0, 0.5, step, n)) / step).astype(int)
+@pytest.mark.parametrize("n, step, full, anchored, kept", VALIDATION_GRIDS)
+def test_anchored_tuples_cover_each_spacing_once(n, step, full, anchored, kept):
     _, chunks = _grid_combination_chunks(2.0, 0.5, step, n, chunk=128)
-    anchored_idx = np.rint(np.vstack(list(chunks)) / step).astype(int)
-    # every tuple shifted to x_1 = 0 is an anchored tuple, and no two anchored
-    # tuples share a spacing pattern
-    assert {tuple(r - r[0]) for r in full_idx} == {tuple(r) for r in anchored_idx}
-    spacings = {tuple(np.diff(r)) for r in anchored_idx}
-    assert len(spacings) == len(anchored_idx) == anchored
+    yielded = [spacing_indices(row, step) for row in np.vstack(list(chunks))]
+    spacings = set(yielded)
+    assert len(spacings) == len(yielded) == kept
+    # every feasible tuple's spacing pattern, or else its mirror, is yielded
+    # exactly once
+    for combo in reference_tuples(2.0, 0.5, step, n):
+        d = spacing_indices(combo, step)
+        assert len({d, d[::-1]} & spacings) == 1

@@ -119,6 +119,9 @@ def test_default_config_overrides():
         {"sigma2_dbm": -4000.0},
         {"d_su": (1e300, 100.0)},
         {"tau": 400.0},
+        # a finite scale whose product with n_antennas, the largest SNR, is not
+        {"ps_dbm": 3036.0},
+        {"ps_dbm": 3040.0},
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
