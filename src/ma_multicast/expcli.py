@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -83,17 +83,7 @@ def _expect_pair(value, path):
 def _system_from_dict(doc, path="system") -> SystemConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
-    known = {
-        "n_antennas",
-        "span_l",
-        "d_min",
-        "wavelength",
-        "tau",
-        "ps_dbm",
-        "sigma2_dbm",
-        "d_su",
-        "theta_su",
-    }
+    known = {f.name for f in fields(SystemConfig)}
     for key in doc:
         if key not in known:
             raise ConfigError(f"{path}.{key}: unknown field")
@@ -225,20 +215,6 @@ def _result_dict(res: SchemeResult, cfg: SystemConfig) -> dict:
     }
 
 
-def _system_dict(cfg: SystemConfig) -> dict:
-    return {
-        "n_antennas": cfg.n_antennas,
-        "span_l": cfg.span_l,
-        "d_min": cfg.d_min,
-        "wavelength": cfg.wavelength,
-        "tau": cfg.tau,
-        "ps_dbm": cfg.ps_dbm,
-        "sigma2_dbm": cfg.sigma2_dbm,
-        "d_su": list(cfg.d_su),
-        "theta_su": list(cfg.theta_su),
-    }
-
-
 def _configured_scheme(exp: ExperimentConfig, scheme: Scheme) -> SchemeResult:
     """run_scheme on the configured system; a scheme that cannot fit it is a config error."""
     try:
@@ -250,7 +226,7 @@ def _configured_scheme(exp: ExperimentConfig, scheme: Scheme) -> SchemeResult:
 def run_single(exp: ExperimentConfig) -> dict:
     report = {
         "config": {
-            "system": _system_dict(exp.system),
+            "system": asdict(exp.system),
             "schemes": [s.value for s in exp.schemes],
             "aps_grid_step": exp.aps_grid_step,
         },
@@ -326,8 +302,8 @@ def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
 
 
 def run_sweep_l(exp: ExperimentConfig, l_min: float, l_max: float, l_step: float):
-    if not (l_min > 0.0 and l_step > 0.0 and l_max >= l_min):
-        raise ConfigError("need 0 < l_min <= l_max and l_step > 0")
+    if not (0.0 < l_min <= l_max < math.inf and 0.0 < l_step < math.inf):
+        raise ConfigError("need finite 0 < l_min <= l_max and l_step > 0")
     count = int(math.floor((l_max - l_min) / l_step + FEASIBILITY_TOL)) + 1
     values = (l_min + k * l_step for k in range(count))
     return _run_sweep(exp, "l", "span_l", values, "smaller than (n - 1) * d_min")
@@ -389,61 +365,42 @@ def _random_validation_config(rng, n=None, span=None) -> SystemConfig:
     )
 
 
-def _check_path_equivalence(rng, samples: int) -> dict:
+def _sampled_check(rng, samples: int, name: str, tol: float, rel_diff) -> dict:
+    """Worst rel_diff(cfg, x, rng) over samples random configs, each at random positions."""
     worst = 0.0
     for _ in range(samples):
         cfg = _random_validation_config(rng)
         x = random_positions(cfg, rng)
-        t = float(rng.uniform())
-        f = correlation(x, correlation_objective(cfg))
-        va = min_snr_from_correlation(t, f, cfg)
-        vb = min_snr_from_projections(t, x, cfg)
-        worst = max(worst, abs(va - vb) / max(abs(va), abs(vb), 1e-300))
+        worst = max(worst, rel_diff(cfg, x, rng))
     return {
-        "name": "min_snr_path_equivalence",
+        "name": name,
         "samples": samples,
         "worst_rel_diff": worst,
-        "passed": bool(worst <= 1e-9),
+        "passed": bool(worst <= tol),
     }
 
 
-def _check_projection_identities(rng, samples: int) -> dict:
-    worst = 0.0
-    for _ in range(samples):
-        cfg = _random_validation_config(rng)
-        x = random_positions(cfg, rng)
-        a, b, c = projection_coefficients(x, cfg)
-        n = cfg.n_antennas
-        worst = max(
-            worst,
-            abs(a - math.sqrt(n)) / math.sqrt(n),
-            abs(b * b + c * c - n) / n,
-        )
-    return {
-        "name": "projection_identities",
-        "samples": samples,
-        "worst_rel_diff": worst,
-        "passed": bool(worst <= 1e-9),
-    }
+def _path_equivalence_diff(cfg, x, rng) -> float:
+    t = float(rng.uniform())
+    f = correlation(x, correlation_objective(cfg))
+    va = min_snr_from_correlation(t, f, cfg)
+    vb = min_snr_from_projections(t, x, cfg)
+    return abs(va - vb) / max(abs(va), abs(vb), 1e-300)
 
 
-def _check_mixing_rule(rng, samples: int) -> dict:
-    worst = 0.0
-    for _ in range(samples):
-        cfg = _random_validation_config(rng)
-        x = random_positions(cfg, rng)
-        f = correlation(x, correlation_objective(cfg))
-        coeffs = theta_coefficients(f, cfg)
-        t_star, _label = optimize_mixing(coeffs, cfg.n_antennas)
-        theta_closed = float(theta_at(coeffs, t_star))
-        _t_ref, theta_ref = grid_best_t(x, cfg, t_step=1e-5)
-        worst = max(worst, abs(theta_closed - theta_ref) / max(theta_closed, theta_ref, 1e-300))
-    return {
-        "name": "closed_form_mixing_vs_grid",
-        "samples": samples,
-        "worst_rel_diff": worst,
-        "passed": bool(worst <= 1e-6),
-    }
+def _projection_identity_diff(cfg, x, rng) -> float:
+    a, b, c = projection_coefficients(x, cfg)
+    n = cfg.n_antennas
+    return max(abs(a - math.sqrt(n)) / math.sqrt(n), abs(b * b + c * c - n) / n)
+
+
+def _mixing_rule_diff(cfg, x, rng) -> float:
+    f = correlation(x, correlation_objective(cfg))
+    coeffs = theta_coefficients(f, cfg)
+    t_star, _label = optimize_mixing(coeffs, cfg.n_antennas)
+    theta_closed = float(theta_at(coeffs, t_star))
+    _t_ref, theta_ref = grid_best_t(x, cfg, t_step=1e-5)
+    return abs(theta_closed - theta_ref) / max(theta_closed, theta_ref, 1e-300)
 
 
 def _check_separation(rng, pairs_per_n: int, grid: GridSpec) -> dict:
@@ -469,9 +426,9 @@ def run_validate(quick: bool = False) -> tuple:
     """Deterministic self-check suite; returns (report, all_passed)."""
     rng = np.random.default_rng(VALIDATION_SEED)
     checks = [
-        _check_path_equivalence(rng, 40 if quick else 200),
-        _check_projection_identities(rng, 40 if quick else 200),
-        _check_mixing_rule(rng, 10 if quick else 40),
+        _sampled_check(rng, 40 if quick else 200, "min_snr_path_equivalence", 1e-9, _path_equivalence_diff),
+        _sampled_check(rng, 40 if quick else 200, "projection_identities", 1e-9, _projection_identity_diff),
+        _sampled_check(rng, 10 if quick else 40, "closed_form_mixing_vs_grid", 1e-6, _mixing_rule_diff),
         _check_separation(
             rng,
             pairs_per_n=2 if quick else 6,

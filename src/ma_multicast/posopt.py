@@ -80,40 +80,6 @@ def correlation(x, obj: CorrelationObjective) -> float:
     return float(abs(np.exp(1j * obj.kappa * x).sum()))
 
 
-def correlation_excess(x, obj: CorrelationObjective) -> float:
-    """Pairwise part f(x)^2 - n of the squared correlation."""
-    x = np.asarray(x, dtype=float)
-    d = x[:, None] - x[None, :]
-    return float(np.cos(obj.kappa * d).sum()) - obj.n
-
-
-def correlation_excess_grad(x, obj: CorrelationObjective) -> np.ndarray:
-    """Gradient of the pairwise correlation term."""
-    x = np.asarray(x, dtype=float)
-    d = x[:, None] - x[None, :]
-    return 2.0 * obj.kappa * np.sin(obj.kappa * d).sum(axis=0)
-
-
-def curvature_bound(obj: CorrelationObjective) -> float:
-    """Global curvature 2 kappa^2 n of the correlation excess; it is tight.
-
-    The SCA kernel does not use it: each row takes the smaller curvature
-    2 kappa^2 max(|s|, 1) of its current point (_sca_rows), and this is the
-    upper bound on that per-row curvature that the tests check against.
-
-    With e = exp(j kappa x) and s = sum(e), the Hessian of f1 = |s|^2 - n is
-    -2 kappa^2 L, where L = diag(Re(e_i conj(s))) - Re(e e^H) is the Laplacian
-    of the complete graph on the antennas with edge weights
-    w_ik = cos(kappa (x_i - x_k)).  For any v,
-    v^T L v = sum_{i<k} w_ik (v_i - v_k)^2, and |w_ik| <= 1 while
-    sum_{i<k} (v_i - v_k)^2 = n |v|^2 - (sum v)^2 <= n |v|^2, so
-    -n I <= L <= n I and ||H|| <= 2 kappa^2 n.  The quadratic with this
-    curvature therefore minorizes f1 around any point.  The bound is attained
-    in the limit of aligned phasors, where L tends to n I - 1 1^T.
-    """
-    return 2.0 * obj.kappa ** 2 * obj.n
-
-
 def _isotonic_rows(y: np.ndarray) -> np.ndarray:
     """Projection of every row of y onto the nondecreasing cone, at once.
 
@@ -154,14 +120,6 @@ def project_polytope(z, span_l: float, d_min: float) -> np.ndarray:
     u = _isotonic_rows((z - offsets).reshape(-1, n)).reshape(z.shape)
     np.clip(u, 0.0, hi, out=u)
     return u + offsets
-
-
-def surrogate_value(x, x_k, f1_k: float, g, delta: float) -> float:
-    """Concave quadratic minorant of the correlation excess around x_k."""
-    x = np.asarray(x, dtype=float)
-    x_k = np.asarray(x_k, dtype=float)
-    step = x - x_k
-    return f1_k + float(g @ step) - 0.5 * delta * float(step @ step)
 
 
 def _check_rows_feasible(x: np.ndarray, cfg: SystemConfig) -> None:
@@ -349,7 +307,7 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
     phi = arg s_k, |s(y)|^2 >= 2 Re(conj(s_k) s(y)) - |s_k|^2
     = 2 |s_k| sum_i cos(kappa y_i - phi) - |s_k|^2, with equality and equal
     slope at y = x_k, and each cosine has curvature at most kappa^2.  Since
-    |s_k| <= n, delta_k never exceeds curvature_bound = 2 kappa^2 n; the
+    |s_k| <= n, delta_k never exceeds the global curvature 2 kappa^2 n; the
     floor only keeps it positive at s_k = 0, where the slope is zero.  A row
     stops on its own once its improvement falls below tol or after max_iter
     rounds.  Returns one ScaTrace per row.
@@ -410,15 +368,6 @@ def sca_optimize(cfg: SystemConfig, init, tol: float = 1e-8, max_iter: int = 500
     return trace.x.copy(), trace
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for ai, bi in zip(a, b):
-        if ai < bi:
-            return True
-        if ai > bi:
-            return False
-    return False
-
-
 @functools.lru_cache(maxsize=SOLVE_CACHE_SIZE)
 def _solve_positions(cfg: SystemConfig) -> ScaTrace:
     """Winning trace of the two-start solve; memoised, so logged once per config.
@@ -433,13 +382,11 @@ def _solve_positions(cfg: SystemConfig) -> ScaTrace:
     best, best_f1 = None, -math.inf
     for trace in _sca_rows(cfg, np.array(starts)):
         f1 = trace.f1_history[-1]
-        if best is None or f1 > best_f1 + TIE_TOL:
-            take = True
-        elif f1 >= best_f1 - TIE_TOL:
-            take = _lex_less(trace.x, best.x)
-        else:
-            take = False
-        if take:
+        if (
+            best is None
+            or f1 > best_f1 + TIE_TOL
+            or (f1 >= best_f1 - TIE_TOL and tuple(trace.x) < tuple(best.x))
+        ):
             best, best_f1 = trace, f1
     if not best.converged:
         log.warning(

@@ -1,0 +1,60 @@
+"""Reference correlation math that the tests compare the SCA kernel against.
+
+The kernel (posopt._sca_rows) works from the phasor sum s = sum exp(j kappa x)
+in O(n) per row, with its own curvature 2 kappa^2 max(|s|, 1) per row.  These
+are the independent routes: the O(n^2) pairwise excess and its gradient, the
+global curvature bound 2 kappa^2 n with its Hessian proof, and the quadratic
+minorant evaluated directly.  Not a test module; the tests import it.
+"""
+
+import numpy as np
+
+from ma_multicast.posopt import CorrelationObjective
+
+
+def correlation_excess(x, obj: CorrelationObjective) -> float:
+    """Pairwise part f(x)^2 - n of the squared correlation."""
+    x = np.asarray(x, dtype=float)
+    d = x[:, None] - x[None, :]
+    return float(np.cos(obj.kappa * d).sum()) - obj.n
+
+
+def correlation_excess_grad(x, obj: CorrelationObjective) -> np.ndarray:
+    """Gradient of the pairwise correlation term."""
+    x = np.asarray(x, dtype=float)
+    d = x[:, None] - x[None, :]
+    return 2.0 * obj.kappa * np.sin(obj.kappa * d).sum(axis=0)
+
+
+def curvature_bound(obj: CorrelationObjective) -> float:
+    """Global curvature 2 kappa^2 n of the correlation excess; it is tight.
+
+    The SCA kernel does not use it: each row takes the smaller curvature
+    2 kappa^2 max(|s|, 1) of its current point (posopt._sca_rows), and this is
+    the upper bound on that per-row curvature that the tests check against.
+
+    With e = exp(j kappa x) and s = sum(e), the Hessian of f1 = |s|^2 - n is
+    -2 kappa^2 L, where L = diag(Re(e_i conj(s))) - Re(e e^H) is the Laplacian
+    of the complete graph on the antennas with edge weights
+    w_ik = cos(kappa (x_i - x_k)).  For any v,
+    v^T L v = sum_{i<k} w_ik (v_i - v_k)^2, and |w_ik| <= 1 while
+    sum_{i<k} (v_i - v_k)^2 = n |v|^2 - (sum v)^2 <= n |v|^2, so
+    -n I <= L <= n I and ||H|| <= 2 kappa^2 n.  The quadratic with this
+    curvature therefore minorizes f1 around any point.  The bound is attained
+    in the limit of aligned phasors, where L tends to n I - 1 1^T.
+    """
+    return 2.0 * obj.kappa ** 2 * obj.n
+
+
+def surrogate_value(x, x_k, f1_k: float, g, delta: float) -> float:
+    """Concave quadratic minorant of the correlation excess around x_k."""
+    x = np.asarray(x, dtype=float)
+    x_k = np.asarray(x_k, dtype=float)
+    step = x - x_k
+    return f1_k + float(g @ step) - 0.5 * delta * float(step @ step)
+
+
+def kernel_curvature(x_k, obj: CorrelationObjective) -> float:
+    """The SCA kernel's curvature 2 kappa^2 max(|s_k|, 1) at x_k."""
+    s_k = np.exp(1j * obj.kappa * np.asarray(x_k, dtype=float)).sum()
+    return 2.0 * obj.kappa ** 2 * max(abs(s_k), 1.0)

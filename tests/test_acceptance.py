@@ -19,10 +19,7 @@ from ma_multicast import (
     ao_scheme,
     aps_search,
     correlation,
-    correlation_excess,
-    correlation_excess_grad,
     correlation_objective,
-    curvature_bound,
     fpa_scheme,
     grid_best_t,
     joint_vs_decoupled,
@@ -37,13 +34,20 @@ from ma_multicast import (
     random_positions,
     sca_optimize,
     solve_surrogate,
-    surrogate_value,
     theta_at,
     theta_coefficients,
     uniform_positions,
     validate_positions,
 )
 from ma_multicast import posopt
+
+from correlation_reference import (
+    correlation_excess,
+    correlation_excess_grad,
+    curvature_bound,
+    kernel_curvature,
+    surrogate_value,
+)
 
 
 def report(num, ok, detail):
@@ -226,10 +230,11 @@ def test_criterion_03_minorization_and_curvature():
     for _ in range(500):
         cfg = random_config(rng)
         obj = correlation_objective(cfg)
-        delta = curvature_bound(obj)
         for _ in range(20):
             x_k = random_positions(cfg, rng)
             x = random_positions(cfg, rng)
+            # the kernel's curvature at x_k, at most the bound 2 kappa^2 n checked below
+            delta = kernel_curvature(x_k, obj)
             f1_k = correlation_excess(x_k, obj)
             g = correlation_excess_grad(x_k, obj)
             lower = surrogate_value(x, x_k, f1_k, g, delta)
@@ -470,8 +475,8 @@ def test_criterion_10_surrogate_projection_correctness():
         hi = float(rng.uniform(0.02, 0.05))
         cfg = random_config(rng, n=4, span=1.5 + hi)
         obj = correlation_objective(cfg)
-        delta = curvature_bound(obj)
         x_k = random_positions(cfg, rng)
+        delta = kernel_curvature(x_k, obj)
         g = correlation_excess_grad(x_k, obj)
         solved = solve_surrogate(x_k, g, delta, cfg)
         validate_positions(solved, cfg.span_l, cfg.d_min)
@@ -486,7 +491,7 @@ def test_criterion_10_surrogate_projection_correctness():
         worst_gap = max(worst_gap, dist_oracle - dist_solved)
     cfg0 = SystemConfig(n_antennas=4, span_l=2.0)
     x_k0 = uniform_positions(cfg0)
-    delta0 = curvature_bound(correlation_objective(cfg0))
+    delta0 = kernel_curvature(x_k0, correlation_objective(cfg0))
     fixed = np.array_equal(solve_surrogate(x_k0, np.zeros(4), delta0, cfg0), x_k0)
     ok = worst_gap <= 2e-3 and fixed
     assert report(

@@ -1,5 +1,6 @@
 """Tests for config ingestion, experiment runs, artifacts, and the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -366,6 +367,21 @@ def test_main_retired_keys_leave_the_artifact_unchanged(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_optimize_report_system_block_parses_back_to_its_config(tmp_path, capsys):
+    system = SystemConfig(n_antennas=7, d_su=(80, 120), theta_su=(0.0, math.pi))
+    doc = {"system": {"n_antennas": 7, "d_su": [80, 120], "theta_su": [0.0, math.pi]},
+           "schemes": ["proposed", "fpa"]}
+    out = tmp_path / "r.json"
+    assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(report["config"]["system"]) == {f.name for f in dataclasses.fields(SystemConfig)}
+    # the config block is itself a valid config document
+    exp = config_from_dict(report["config"])
+    assert exp.system == system and exp.system != SystemConfig()
+    assert exp.schemes == (Scheme.PROPOSED, Scheme.FPA)
+    capsys.readouterr()
+
+
 def test_optimize_never_imports_numpy_random(tmp_path):
     # only validate draws random numbers; a fresh interpreter shows what the
     # package and an optimize run pull in
@@ -393,9 +409,24 @@ def test_main_sweep_requires_range(tmp_path, capsys):
 
 def test_main_bad_sweep_range_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_DOC)
-    argv = ["sweep-n", "--config", cfg, "--n-min", "1", "--n-max", "3"]
-    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 1
-    assert "config error: need 2 <= n_min <= n_max" in capsys.readouterr().err
+    l_range = "config error: need finite 0 < l_min <= l_max and l_step > 0"
+    cases = [
+        (["sweep-n", "--n-min", "1", "--n-max", "3"], "config error: need 2 <= n_min <= n_max"),
+        (["sweep-l", "--l-min", "0", "--l-max", "3", "--l-step", "0.5"], l_range),
+        # argparse reads inf and nan as floats; none of them is a sweep range
+        (["sweep-l", "--l-min", "3", "--l-max", "inf", "--l-step", "0.5"], l_range),
+        (["sweep-l", "--l-min", "inf", "--l-max", "inf", "--l-step", "0.5"], l_range),
+        (["sweep-l", "--l-min", "3", "--l-max", "4", "--l-step", "inf"], l_range),
+        (["sweep-l", "--l-min", "nan", "--l-max", "4", "--l-step", "0.5"], l_range),
+        (["sweep-l", "--l-min", "3", "--l-max", "nan", "--l-step", "0.5"], l_range),
+        (["sweep-l", "--l-min", "3", "--l-max", "4", "--l-step", "nan"], l_range),
+    ]
+    out = tmp_path / "s.csv"
+    for argv, message in cases:
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, argv
+        assert not out.exists()
 
 
 def test_main_scheme_that_does_not_fit_is_config_error(tmp_path, capsys):

@@ -32,10 +32,7 @@ from ma_multicast import (
     load_config,
     run_single,
     correlation,
-    correlation_excess,
-    correlation_excess_grad,
     correlation_objective,
-    curvature_bound,
     multi_start_sca,
     project_polytope,
     sca_optimize,
@@ -52,9 +49,15 @@ from ma_multicast.posopt import (
     chain_dp_start,
     random_positions,
     solve_surrogate,
-    surrogate_value,
 )
 from ma_multicast.sysmodel import validate_positions
+
+from correlation_reference import (
+    correlation_excess,
+    correlation_excess_grad,
+    curvature_bound,
+    surrogate_value,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -463,6 +466,24 @@ def test_position_solve_keeps_the_uniform_start_when_kappa_is_zero():
     x, trace = multi_start_sca(cfg)
     assert np.array_equal(x, uniform_positions(cfg))
     assert trace.converged and trace.iterations == 0
+
+
+def test_position_solve_breaks_f1_ties_on_the_smaller_x(monkeypatch):
+    cfg = SystemConfig()
+
+    def trace(f1, x):
+        return posopt.ScaTrace(f1_history=np.array([f1]), x=np.array(x), converged=True, iterations=0)
+
+    low = trace(3.0, [0.0, 1.0, 2.0, 3.0, 4.0])
+    tied = trace(3.0 + 0.5 * posopt.TIE_TOL, [0.0, 1.0, 2.0, 3.5, 4.0])
+    better = trace(3.0 + 2.0 * posopt.TIE_TOL, [0.0, 1.0, 2.5, 3.0, 4.0])
+    for rows, winner in (
+        ([low, tied], low), ([tied, low], low),
+        ([better, low], better), ([low, better], better),
+    ):
+        monkeypatch.setattr(posopt, "_sca_rows", lambda cfg, starts, rows=rows: rows)
+        posopt._solve_positions.cache_clear()
+        assert multi_start_sca(cfg)[1] is winner
 
 
 def test_random_positions_feasible():
