@@ -1,5 +1,6 @@
 """Brute-force references used to certify the optimizers on small instances."""
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,10 +21,12 @@ from .sysmodel import FEASIBILITY_TOL, SystemConfig
 MAX_EVALUATIONS = 100_000_000
 # relative window for treating grid candidates as tied on the objective
 JOINT_TIE_RTOL = 1e-12
-# Rows of tuples brute_force_joint scores at once, and mixing values
-# grid_best_t scores at once: each array of a block stays within a few
-# hundred kB, in cache, and per-element arithmetic does not depend on either.
-_JOINT_CHUNK = 8
+# Tuples per enumerator chunk and rows of them brute_force_joint scores at
+# once, and mixing values grid_best_t scores at once: each scratch array of a
+# block stays within a few hundred kB, in cache, and neither the per-element
+# arithmetic nor the winner depends on any of the three.
+_JOINT_CHUNK = 128
+_JOINT_ROWS = 4
 _T_BLOCK = 16_384
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -51,8 +54,14 @@ class JointOptimum(NamedTuple):
     min_rate: float
 
 
-def _mixing_grid(t_step: float) -> np.ndarray:
-    return np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
+@functools.lru_cache(maxsize=4)
+def _mixing_grid(t_step: float) -> tuple:
+    """Read-only mixing grid of spacing t_step on [0, 1] and its sqrt(max(1 - t^2, 0))."""
+    t = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
+    root = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+    t.flags.writeable = False
+    root.flags.writeable = False
+    return t, root
 
 
 def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOptimum:
@@ -62,12 +71,13 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     are unchanged by mirroring, so only tuples with x_1 = 0 whose spacings
     are no greater than their reverse are scored: every other feasible tuple
     is a translate or a mirror of one of them with the same objective, up to
-    summation rounding.  Candidates within a small relative window count as
-    equal and the lexicographically first position tuple (then the smallest
-    t) wins, which is the tuple a search over every tuple would pick too.
-    Tuples are scored a few rows at a time against the whole mixing grid.
-    The MAX_EVALUATIONS cap counts anchored tuples, mirrors included, times
-    mixing values.
+    summation rounding.  Every tuple is scored against the whole mixing
+    grid, a few rows at a time, and keeps its peak.  The winner is then the
+    first tuple, in lexicographic order, whose peak lies within JOINT_TIE_RTOL
+    of the overall maximum, and its t the first grid value within the same
+    window of that tuple's peak; the anchored tuple kept of each mirror pair
+    is the one a search over every tuple would pick too.  The MAX_EVALUATIONS
+    cap counts anchored tuples, mirrors included, times mixing values.
     """
     n = cfg.n_antennas
     if n > grid.n_max:
@@ -75,26 +85,34 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     count, chunks = _grid_combination_chunks(
         cfg.span_l, cfg.d_min, grid.position_step, n, chunk=_JOINT_CHUNK
     )
-    t_grid = _mixing_grid(grid.t_step)
+    t_grid, root = _mixing_grid(grid.t_step)
     if count * t_grid.size > MAX_EVALUATIONS:
         raise ValueError(
             "grid search would exceed the evaluation cap; coarsen the grid"
         )
-    best_theta = -math.inf
-    best_x = None
-    best_t = None
+    out = np.empty((_JOINT_ROWS, t_grid.size))
+    tmp = np.empty_like(out)
+    positions, gains, peaks = [], [], []
     for pos in chunks:
-        a, b, c = _projection_gains(pos, cfg)
-        theta = _theta_from_gains(a[:, None], b[:, None], c[:, None], t_grid, cfg)
-        row_best = theta.max(axis=1)
-        tol = JOINT_TIE_RTOL * max(float(row_best.max()), 1.0)
-        j = int(np.flatnonzero(row_best >= row_best.max() - tol)[0])
-        if row_best[j] > best_theta + JOINT_TIE_RTOL * max(best_theta, 1.0):
-            best_theta = float(row_best[j])
-            best_x = pos[j].copy()
-            row = theta[j]
-            best_t = float(t_grid[int(np.flatnonzero(row >= row.max() - tol)[0])])
-    return JointOptimum(x=best_x, t=best_t, min_rate=math.log2(1.0 + best_theta))
+        a, b, c = (g[:, None] for g in _projection_gains(pos, cfg))
+        for i in range(0, len(pos), _JOINT_ROWS):
+            k = min(_JOINT_ROWS, len(pos) - i)
+            rows = slice(i, i + k)
+            theta = _theta_from_gains(
+                a[rows], b[rows], c[rows], t_grid, cfg, root, out[:k], tmp[:k]
+            )
+            peaks.append(theta.max(axis=1))
+        positions.append(pos)
+        gains.append(np.hstack([a, b, c]))
+    peaks = np.concatenate(peaks)
+    best = float(peaks.max())
+    tol = JOINT_TIE_RTOL * max(best, 1.0)
+    j = int(np.flatnonzero(peaks >= best - tol)[0])
+    a, b, c = np.concatenate(gains)[j]
+    theta = _theta_from_gains(a, b, c, t_grid, cfg, root, out[0], tmp[0])
+    t = float(t_grid[int(np.flatnonzero(theta >= peaks[j] - tol)[0])])
+    x = np.concatenate(positions)[j]
+    return JointOptimum(x=x, t=t, min_rate=math.log2(1.0 + float(peaks[j])))
 
 
 def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4, refine: bool = True) -> tuple:
@@ -113,14 +131,17 @@ def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4, refine: bool = True)
     def theta_of(t):
         return float(_theta_from_gains(a, b, c, t, cfg))
 
-    t_grid = _mixing_grid(t_step)
+    t_grid, root = _mixing_grid(t_step)
+    out = np.empty(min(_T_BLOCK, t_grid.size))
+    tmp = np.empty_like(out)
     t_best, theta_best = None, -math.inf
     for start in range(0, t_grid.size, _T_BLOCK):
-        block = t_grid[start:start + _T_BLOCK]
-        theta = _theta_from_gains(a, b, c, block, cfg)
+        block = slice(start, start + _T_BLOCK)
+        k = t_grid[block].size
+        theta = _theta_from_gains(a, b, c, t_grid[block], cfg, root[block], out[:k], tmp[:k])
         j = int(np.argmax(theta))
         if theta[j] > theta_best:
-            t_best, theta_best = float(block[j]), float(theta[j])
+            t_best, theta_best = float(t_grid[start + j]), float(theta[j])
     if not refine:
         return t_best, theta_best
     lo = max(t_best - t_step, 0.0)

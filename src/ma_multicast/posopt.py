@@ -112,10 +112,10 @@ def project_polytope(z, span_l: float, d_min: float) -> np.ndarray:
     if z.ndim not in (1, 2) or z.size < 1:
         raise ValueError("z must be a non-empty 1-D array or a 2-D array of rows")
     n = z.shape[-1]
-    hi = span_l - (n - 1) * d_min
-    if hi < -FEASIBILITY_TOL:
+    # SystemConfig's own feasibility test, so every config it accepts projects
+    if (n - 1) * d_min > span_l + FEASIBILITY_TOL:
         raise ValueError("polytope is empty: span_l < (n - 1) * d_min")
-    hi = max(hi, 0.0)
+    hi = max(span_l - (n - 1) * d_min, 0.0)
     offsets = d_min * np.arange(n)
     u = _isotonic_rows((z - offsets).reshape(-1, n)).reshape(z.shape)
     np.clip(u, 0.0, hi, out=u)
@@ -251,14 +251,23 @@ def chain_dp_start(cfg: SystemConfig) -> np.ndarray:
     first pass runs every phase psi = 2 pi p / DP_PHASES at once and keeps
     only the current antenna's (m, DP_PHASES) table; a second pass reruns the
     winning phase alone and keeps its (n - 1, m) back-pointers.  Ties go to
-    the first phase and the leftmost grid point.  Needs kappa != 0.
+    the first phase and the leftmost grid point.  Every spacing passes
+    validate_positions; when span_l lies within FEASIBILITY_TOL of
+    (n - 1) d_min and the grid holds no such chain, the uniform spread is
+    returned instead.  Needs kappa != 0.
     """
     kappa = correlation_objective(cfg).kappa
     grid = _dp_grid(cfg, kappa)
     m = grid.size
     # antenna i + 1 at grid[j] may follow antenna i at any of grid[:pred[j]];
-    # pred never decreases, so the reachable points are grid[start:]
+    # pred never decreases, so the reachable points are grid[start:].  The
+    # search rounds grid - d_min + FEASIBILITY_TOL, not the spacing itself,
+    # so a last predecessor whose spacing validate_positions would reject
+    # (merged points k h and span_l - k h can sit just over FEASIBILITY_TOL
+    # apart) is dropped by that check's own comparison.
     pred = np.searchsorted(grid, grid - cfg.d_min + FEASIBILITY_TOL, side="right")
+    last = grid[np.maximum(pred - 1, 0)]
+    pred -= (pred > 0) & (grid - last < cfg.d_min - FEASIBILITY_TOL)
     start = int(np.argmax(pred > 0))
     tail = pred[start:] - 1
     psi = (2.0 * math.pi / DP_PHASES) * np.arange(DP_PHASES)
@@ -283,6 +292,8 @@ def chain_dp_start(cfg: SystemConfig) -> np.ndarray:
         best[:start] = -np.inf
         np.add(gain[start:], run[tail], out=best[start:])
     j = int(np.argmax(best))
+    if best[j] == -np.inf:
+        return uniform_positions(cfg)
     chosen = [j]
     for i in range(cfg.n_antennas - 2, -1, -1):
         j = int(back[i, j])

@@ -69,9 +69,13 @@ class SystemConfig:
         ):
             raise ValueError("theta_su must be a pair of angles in [0, pi]")
         try:
-            scales = [self.snr_scale(i) for i in (0, 1)]
+            scales = tuple(
+                self.ps_w / (d ** self.tau * self.sigma2_w) for d in self.d_su
+            )
         except (OverflowError, ZeroDivisionError):
-            scales = [math.nan]
+            scales = (math.nan,)
+        # not a field: equality, hashing and asdict see only the inputs
+        object.__setattr__(self, "_snr_scales", scales)
         # the largest beam gain is n_antennas, so scale * n is the largest SNR
         if not all(0.0 < c and c * self.n_antennas < math.inf for c in scales):
             raise ValueError(
@@ -89,8 +93,11 @@ class SystemConfig:
         return dbm_to_watt(self.sigma2_dbm)
 
     def snr_scale(self, user: int) -> float:
-        """Per-user SNR prefactor ps / (d^tau * sigma^2) for user index 0 or 1."""
-        return self.ps_w / (self.d_su[user] ** self.tau * self.sigma2_w)
+        """Per-user SNR prefactor ps / (d^tau * sigma^2) for user index 0 or 1.
+
+        Computed once, when the config is built or replaced.
+        """
+        return self._snr_scales[user]
 
 
 def user_kappas(cfg: SystemConfig) -> tuple:

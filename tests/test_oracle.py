@@ -214,21 +214,38 @@ def test_brute_force_matches_full_grid_reference(n, step, angles):
     assert_same_optimum(got, unfiltered_joint(cfg, GridSpec(position_step=step, t_step=0.01)))
 
 
-def test_brute_force_matches_unfiltered_reference_on_validate_configs(monkeypatch):
-    # record the separation certificate's oracle calls in the full validate
+@pytest.fixture(scope="module")
+def validate_oracle_cases():
+    """The full validate's 12 separation-certificate oracle calls, plus one where every tuple ties.
+
+    Each comes with the unfiltered reference's optimum.  In the added case
+    the sines match, every tuple is fully correlated, and the first one must
+    win across every row block.
+    """
     seen = []
     real = oracle.brute_force_joint
 
     def recording(cfg, grid):
-        got = real(cfg, grid)
-        seen.append((cfg, grid, got))
-        return got
+        seen.append((cfg, grid))
+        return real(cfg, grid)
 
-    monkeypatch.setattr(oracle, "brute_force_joint", recording)
-    run_validate(quick=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "brute_force_joint", recording)
+        run_validate(quick=False)
     assert len(seen) == 12
-    for cfg, grid, got in seen:
-        assert_same_optimum(got, unfiltered_joint(cfg, grid))
+    seen.append((SystemConfig(n_antennas=3, span_l=2.0, theta_su=(0.8, math.pi - 0.8)), GridSpec()))
+    return [(cfg, grid, unfiltered_joint(cfg, grid)) for cfg, grid in seen]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4, 8, 128])
+def test_brute_force_matches_unfiltered_reference_on_validate_configs(
+    monkeypatch, validate_oracle_cases, rows
+):
+    # the winner is picked once over every tuple's peak, so the rows scored at
+    # once, and whether a tie straddles two blocks, change nothing
+    monkeypatch.setattr(oracle, "_JOINT_ROWS", rows)
+    for cfg, grid, want in validate_oracle_cases:
+        assert_same_optimum(brute_force_joint(cfg, grid), want)
 
 
 def test_brute_force_result_is_feasible():
@@ -290,6 +307,44 @@ def test_grid_best_t_blocks_match_one_array_argmax(monkeypatch, case, t_step, bl
     theta = _theta_from_gains(*projection_coefficients(x, cfg), t_grid, cfg)
     j = int(np.argmax(theta))
     assert grid_best_t(x, cfg, t_step=t_step, refine=False) == (float(t_grid[j]), float(theta[j]))
+
+
+@pytest.mark.parametrize("case", range(len(GRID_T_CASES)))
+def test_buffered_theta_matches_the_allocating_expression_bitwise(case):
+    cfg, x = GRID_T_CASES[case]
+    t_grid, root = oracle._mixing_grid(1e-4)
+    # (B, T) rows as brute_force_joint scores them: x, its mirror and two
+    # random spreads
+    rng = np.random.default_rng(40 + case)
+    rows = np.vstack([x, cfg.span_l - x[::-1]] + [random_positions(cfg, rng) for _ in range(2)])
+    a, b, c = (g[:, None] for g in _projection_gains(rows, cfg))
+    want = _theta_from_gains(a, b, c, t_grid, cfg)
+    out, tmp = np.empty_like(want), np.empty_like(want)
+    got = _theta_from_gains(a, b, c, t_grid, cfg, root, out, tmp)
+    assert got is out
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # 1-D blocks with scalar gains as grid_best_t scores them, the t = 1 end included
+    gains = projection_coefficients(x, cfg)
+    for block in (slice(0, 7), slice(4_999, 10_001), slice(0, 10_001)):
+        want = _theta_from_gains(*gains, t_grid[block], cfg)
+        got = _theta_from_gains(
+            *gains, t_grid[block], cfg, root[block], np.empty(want.size), np.empty(want.size)
+        )
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_mixing_grid_is_cached_and_read_only():
+    t, root = oracle._mixing_grid(1e-4)
+    assert oracle._mixing_grid(1e-4)[0] is t
+    assert np.array_equal(t, np.linspace(0.0, 1.0, 10_001))
+    assert np.array_equal(root, np.sqrt(np.maximum(1.0 - t * t, 0.0)))
+    for arr in (t, root):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(arr, 2.0, out=arr)
+    assert t[0] == 0.0 and root[0] == 1.0
 
 
 def test_grid_best_t_rejects_bad_steps():

@@ -682,6 +682,28 @@ def test_chain_dp_start_keeps_the_span_endpoint():
     )
 
 
+@pytest.mark.parametrize("n, span", [(3, 2.0), (5, 3.0), (5, 4.0), (8, 4.5), (8, 10.0)])
+def test_chain_dp_start_stays_feasible_when_span_l_sits_off_a_grid_point(n, span):
+    # span_l within 2e-9 of a grid point puts span_l - k h just over
+    # FEASIBILITY_TOL from k h; at span_l = 3.000000001 a chain once fell
+    # 1.00000008e-9 short of d_min and the solve raised on its own start
+    for k in range(-2, 3):
+        cfg = SystemConfig(n_antennas=n, span_l=span + k * 1e-9)
+        validate_positions(chain_dp_start(cfg), cfg.span_l, cfg.d_min)
+        x, _trace = multi_start_sca(cfg)
+        validate_positions(x, cfg.span_l, cfg.d_min)
+
+
+def test_chain_dp_start_without_a_grid_chain_is_the_uniform_spread():
+    # span_l 1e-9 under (n - 1) d_min passes the config check, but every chain
+    # of grid points falls short of d_min - FEASIBILITY_TOL somewhere
+    cfg = SystemConfig(n_antennas=5, span_l=2.0 - 1e-9)
+    x = chain_dp_start(cfg)
+    assert np.array_equal(x, uniform_positions(cfg))
+    validate_positions(x, cfg.span_l, cfg.d_min)
+    validate_positions(multi_start_sca(cfg)[0], cfg.span_l, cfg.d_min)
+
+
 @pytest.mark.parametrize("d_min, wavelength", [(1e-6, 1.0), (0.5, 1e-4)])
 def test_chain_dp_grid_stays_bounded_for_a_tiny_step(d_min, wavelength):
     # uncapped, d_min = 1e-6 would need about 8e6 points and 2 GB per table

@@ -8,6 +8,7 @@ Oracles used here:
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -70,6 +71,26 @@ def test_snr_scale_tracks_distance():
     assert cfg.snr_scale(1) == pytest.approx(dbm_to_watt(25.0) / (200.0**2 * 1e-11), rel=1e-12)
     cfg4 = SystemConfig(tau=4.0)
     assert cfg4.snr_scale(0) == pytest.approx(dbm_to_watt(25.0) / (100.0**4 * 1e-11), rel=1e-12)
+    # the scales are computed once per config, by the defining expression
+    for c in (cfg, cfg4, SystemConfig(ps_dbm=13.7, sigma2_dbm=-91.3, tau=2.7)):
+        for i in (0, 1):
+            assert c.snr_scale(i) == c.ps_w / (c.d_su[i] ** c.tau * c.sigma2_w)
+    # replace builds a new config and recomputes them from its own fields
+    moved = dataclasses.replace(cfg, d_su=(200.0, 50.0), tau=3.0)
+    assert moved.snr_scale(0) == dbm_to_watt(25.0) / (200.0**3.0 * dbm_to_watt(-80.0))
+    assert moved.snr_scale(1) == dbm_to_watt(25.0) / (50.0**3.0 * dbm_to_watt(-80.0))
+    assert dataclasses.replace(moved, d_su=(50.0, 200.0), tau=2.0).snr_scale(1) == cfg.snr_scale(1)
+    # the cached scales are not fields: asdict, equality and hashing see the inputs only
+    assert [f.name for f in dataclasses.fields(SystemConfig)] == list(dataclasses.asdict(cfg))
+    assert dataclasses.asdict(cfg) == {
+        "n_antennas": 5, "span_l": 4.0, "d_min": 0.5, "wavelength": 1.0, "tau": 2.0,
+        "ps_dbm": 25.0, "sigma2_dbm": -80.0, "d_su": (50.0, 200.0),
+        "theta_su": (math.pi / 4.0, 9.0 * math.pi / 10.0),
+    }
+    twin = SystemConfig(d_su=(50.0, 200.0))
+    assert twin == cfg and hash(twin) == hash(cfg)
+    assert hash(cfg) == hash(tuple(getattr(cfg, f.name) for f in dataclasses.fields(cfg)))
+    assert moved != cfg
 
 
 # ---------------------------------------------------------------------------
