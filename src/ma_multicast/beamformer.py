@@ -86,16 +86,15 @@ def _theta_from_gains(a, b, c, t, cfg: SystemConfig, root=None, out=None, tmp=No
     """Worst-user SNR at mixing t from the gains; broadcasts over arrays.
 
     Grid callers pass root = sqrt(max(1 - t^2, 0)) of their t and two scratch
-    arrays out and tmp of the broadcast shape: the same IEEE products, sums,
-    squares and min then run in place, commuted only, and the result is out.
-    Scalar callers pass t alone and get a fresh value.
+    arrays out and tmp of the broadcast shape, and the result is out.  Other
+    callers pass t alone, and the three are allocated here.
     """
+    if out is None:
+        root = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+        out = np.empty(np.broadcast(a, b, c, t).shape)
+        tmp = np.empty_like(out)
     # parallel channels: the complement direction carries nothing
     c_eff = np.where(c < PARALLEL_TOL, 0.0, c)
-    if out is None:
-        y1 = cfg.snr_scale(0) * (a * t) ** 2
-        y2 = cfg.snr_scale(1) * (b * t + c_eff * np.sqrt(np.maximum(1.0 - t * t, 0.0))) ** 2
-        return np.minimum(y1, y2)
     np.multiply(b, t, out=out)
     np.multiply(c_eff, root, out=tmp)
     out += tmp

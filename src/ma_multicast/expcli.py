@@ -432,7 +432,7 @@ def run_validate(quick: bool = False) -> tuple:
         _check_separation(
             rng,
             pairs_per_n=2 if quick else 6,
-            grid=GridSpec(0.1, 1e-3, 3) if quick else GridSpec(0.05, 1e-4, 3),
+            grid=GridSpec(0.1, 1e-3) if quick else GridSpec(0.05, 1e-4),
         ),
     ]
     passed = all(c["passed"] for c in checks)

@@ -19,6 +19,7 @@ from .posopt import _grid_combination_chunks, correlation, correlation_objective
 from .sysmodel import FEASIBILITY_TOL, SystemConfig
 
 MAX_EVALUATIONS = 100_000_000
+JOINT_MAX_ANTENNAS = 3
 # relative window for treating grid candidates as tied on the objective
 JOINT_TIE_RTOL = 1e-12
 # Tuples per enumerator chunk and rows of them brute_force_joint scores at
@@ -28,7 +29,8 @@ JOINT_TIE_RTOL = 1e-12
 _JOINT_CHUNK = 128
 _JOINT_ROWS = 4
 _T_BLOCK = 16_384
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# points per round of grid_best_t's zoom, which shrinks the bracket 16-fold
+_ZOOM_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -37,15 +39,15 @@ class GridSpec:
 
     position_step: float = 0.05
     t_step: float = 1e-4
-    n_max: int = 3
 
     def __post_init__(self):
         if not (self.position_step > 0.0):
             raise ValueError("position_step must be positive")
         if not (0.0 < self.t_step <= 0.01):
             raise ValueError("t_step must lie in (0, 0.01]")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        # snapping to multiples of t_step must land on the mixing grid
+        if abs(1.0 / self.t_step - round(1.0 / self.t_step)) > 1e-9 / self.t_step:
+            raise ValueError("1 / t_step must be an integer")
 
 
 class JointOptimum(NamedTuple):
@@ -80,8 +82,8 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     cap counts anchored tuples, mirrors included, times mixing values.
     """
     n = cfg.n_antennas
-    if n > grid.n_max:
-        raise ValueError(f"brute force is capped at n_max = {grid.n_max} antennas")
+    if n > JOINT_MAX_ANTENNAS:
+        raise ValueError(f"brute force is capped at {JOINT_MAX_ANTENNAS} antennas")
     count, chunks = _grid_combination_chunks(
         cfg.span_l, cfg.d_min, grid.position_step, n, chunk=_JOINT_CHUNK
     )
@@ -115,56 +117,49 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     return JointOptimum(x=x, t=t, min_rate=math.log2(1.0 + float(peaks[j])))
 
 
-def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4, refine: bool = True) -> tuple:
-    """Best mixing parameter for fixed positions by dense search over [0, 1].
+def _grid_argmax(a, b, c, cfg: SystemConfig, t_step: float) -> tuple:
+    """Index into _mixing_grid(t_step) of the first highest theta, and that theta.
 
-    The grid pass scores the grid in blocks and keeps the first grid point
-    of the highest value, as one argmax over the whole grid would.  The min
-    of a rising and a falling branch is unimodal, so after the grid pass a
-    golden-section polish inside the winning bracket pins the kink down to
-    machine precision; pass refine=False for the raw grid argmax.
+    Scores the grid in blocks and keeps the first point of the highest value,
+    as one argmax over the whole grid would.
     """
-    if not (0.0 < t_step <= 0.01):
-        raise ValueError("t_step must lie in (0, 0.01]")
-    a, b, c = projection_coefficients(x, cfg)
-
-    def theta_of(t):
-        return float(_theta_from_gains(a, b, c, t, cfg))
-
     t_grid, root = _mixing_grid(t_step)
     out = np.empty(min(_T_BLOCK, t_grid.size))
     tmp = np.empty_like(out)
-    t_best, theta_best = None, -math.inf
+    j_best, theta_best = None, -math.inf
     for start in range(0, t_grid.size, _T_BLOCK):
         block = slice(start, start + _T_BLOCK)
         k = t_grid[block].size
         theta = _theta_from_gains(a, b, c, t_grid[block], cfg, root[block], out[:k], tmp[:k])
         j = int(np.argmax(theta))
         if theta[j] > theta_best:
-            t_best, theta_best = float(t_grid[start + j]), float(theta[j])
-    if not refine:
-        return t_best, theta_best
-    lo = max(t_best - t_step, 0.0)
-    hi = min(t_best + t_step, 1.0)
-    t_lo, t_hi = lo, hi
-    t_c = t_hi - _INVPHI * (t_hi - t_lo)
-    t_d = t_lo + _INVPHI * (t_hi - t_lo)
-    f_c = theta_of(t_c)
-    f_d = theta_of(t_d)
-    for _ in range(200):
-        if t_hi - t_lo <= 1e-15:
-            break
-        if f_c > f_d:
-            t_hi, t_d, f_d = t_d, t_c, f_c
-            t_c = t_hi - _INVPHI * (t_hi - t_lo)
-            f_c = theta_of(t_c)
-        else:
-            t_lo, t_c, f_c = t_c, t_d, f_d
-            t_d = t_lo + _INVPHI * (t_hi - t_lo)
-            f_d = theta_of(t_d)
-        cand_t, cand_f = (t_c, f_c) if f_c >= f_d else (t_d, f_d)
-        if cand_f > theta_best:
-            t_best, theta_best = cand_t, cand_f
+            j_best, theta_best = start + j, float(theta[j])
+    return j_best, theta_best
+
+
+def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4) -> tuple:
+    """Best mixing parameter for fixed positions by dense search over [0, 1].
+
+    After the grid pass, the bracket between the winning grid point's two
+    neighbours is re-gridded with _ZOOM_POINTS points, and again around each
+    round's first maximum, until it is at most 1e-15 wide.  Theta is the min
+    of a rising and a unimodal branch, so it is quasi-concave and each
+    bracket holds a maximizer.  Returns the best (t, theta) seen.
+    """
+    if not (0.0 < t_step <= 0.01):
+        raise ValueError("t_step must lie in (0, 0.01]")
+    a, b, c = projection_coefficients(x, cfg)
+    t_grid = _mixing_grid(t_step)[0]
+    j, theta_best = _grid_argmax(a, b, c, cfg, t_step)
+    t_best = float(t_grid[j])
+    lo, hi = t_grid[max(j - 1, 0)], t_grid[min(j + 1, t_grid.size - 1)]
+    while hi - lo > 1e-15:
+        t = np.linspace(lo, hi, _ZOOM_POINTS)
+        theta = _theta_from_gains(a, b, c, t, cfg)
+        k = int(np.argmax(theta))
+        if theta[k] > theta_best:
+            t_best, theta_best = float(t[k]), float(theta[k])
+        lo, hi = t[max(k - 1, 0)], t[min(k + 1, _ZOOM_POINTS - 1)]
     return t_best, theta_best
 
 

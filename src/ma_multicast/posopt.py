@@ -194,10 +194,11 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
     reduced = m - (n - 1) * (gap - 1)
     if reduced < n:
         raise ValueError("no feasible antenna subset on this grid")
-    values = step * np.arange(m)
     shift = (gap - 1) * np.arange(n)
 
     def chunks():
+        # built on the first chunk, so a caller refusing the count allocates nothing
+        values = step * np.arange(m)
         combos = ((0,) + c for c in itertools.combinations(range(1, reduced), n - 1))
         while block := list(itertools.islice(combos, chunk)):
             idx = np.asarray(block, dtype=int)

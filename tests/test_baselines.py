@@ -17,6 +17,7 @@ Oracles used here:
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -530,6 +531,19 @@ def test_aps_guard_refuses_blow_up():
     cfg = SystemConfig(n_antennas=5, span_l=4.0)
     with pytest.raises(ValueError, match="coarser"):
         aps_search(cfg, grid_step=0.001)
+
+
+def test_aps_guard_refuses_before_building_the_grid():
+    # 4e7 grid points would take 640 MB if the enumerator built them before
+    # the count check
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceed the cap"):
+            aps_search(SystemConfig(), grid_step=1e-7)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_aps_uses_optimal_beamformer():

@@ -23,7 +23,7 @@ from ma_multicast import (
     validate_positions,
 )
 from ma_multicast import oracle
-from ma_multicast.beamformer import _projection_gains, _theta_from_gains
+from ma_multicast.beamformer import PARALLEL_TOL, _projection_gains, _theta_from_gains
 from ma_multicast.oracle import JOINT_TIE_RTOL, JointOptimum
 from ma_multicast.posopt import _grid_combination_chunks
 from ma_multicast.sysmodel import FEASIBILITY_TOL
@@ -126,6 +126,20 @@ def unfiltered_joint(cfg, grid):
     return JointOptimum(x=best_x, t=best_t, min_rate=math.log2(1.0 + best_theta))
 
 
+def theta_reference(a, b, c, t, cfg):
+    """The allocating theta expression that the buffered kernel must match bit for bit."""
+    c_eff = np.where(c < PARALLEL_TOL, 0.0, c)
+    y1 = cfg.snr_scale(0) * (a * t) ** 2
+    y2 = cfg.snr_scale(1) * (b * t + c_eff * np.sqrt(np.maximum(1.0 - t * t, 0.0))) ** 2
+    return np.minimum(y1, y2)
+
+
+def raw_grid_best_t(x, cfg, t_step):
+    """grid_best_t's grid pass alone: the first grid point of the highest theta."""
+    j, theta = oracle._grid_argmax(*projection_coefficients(x, cfg), cfg, t_step)
+    return float(oracle._mixing_grid(t_step)[0][j]), theta
+
+
 def assert_same_optimum(got, want):
     assert np.array_equal(got.x, want.x)
     assert got.t == want.t
@@ -140,19 +154,21 @@ def test_grid_spec_defaults_and_validation():
     grid = GridSpec()
     assert grid.position_step == 0.05
     assert grid.t_step == 1e-4
-    assert grid.n_max == 3
+    assert GridSpec(t_step=1e-3).t_step == 1e-3
     with pytest.raises(ValueError):
         GridSpec(position_step=0.0)
     with pytest.raises(ValueError):
         GridSpec(t_step=0.0)
     with pytest.raises(ValueError):
         GridSpec(t_step=0.02)
-    with pytest.raises(ValueError):
-        GridSpec(n_max=0)
+    # the mixing grid's spacing is 1 / round(1 / t_step) = 1 / 333 here, so
+    # snapping to multiples of 0.003 would land off it
+    with pytest.raises(ValueError, match="integer"):
+        GridSpec(t_step=0.003)
 
 
 def test_brute_force_rejects_large_arrays():
-    with pytest.raises(ValueError, match="n_max"):
+    with pytest.raises(ValueError, match="capped at 3 antennas"):
         brute_force_joint(SystemConfig(), GridSpec())
 
 
@@ -176,7 +192,7 @@ def test_brute_force_infeasible_grid():
 
 def test_brute_force_matches_scalar_enumeration():
     cfg = SystemConfig(n_antennas=2, span_l=2.0)
-    got = brute_force_joint(cfg, GridSpec(position_step=0.25, t_step=0.01, n_max=2))
+    got = brute_force_joint(cfg, GridSpec(position_step=0.25, t_step=0.01))
     theta, x, t = enumerate_pairs(cfg, 0.25, 0.01)
     assert np.allclose(got.x, x, atol=1e-12)
     assert abs(got.t - t) <= 1e-12
@@ -186,7 +202,7 @@ def test_brute_force_matches_scalar_enumeration():
 def test_brute_force_finds_full_correlation_spacing():
     # sin separation 0.4 puts the fully aligned spacing 2.5 on the 0.05 grid
     cfg = SystemConfig(n_antennas=2, span_l=3.0, theta_su=(0.0, math.asin(0.4)))
-    got = brute_force_joint(cfg, GridSpec(position_step=0.05, t_step=1e-3, n_max=2))
+    got = brute_force_joint(cfg, GridSpec(position_step=0.05, t_step=1e-3))
     # only the x_1 = 0 translate of the optimal spacing is scored, and it is
     # the first of its tied translates, so a full-grid search keeps it too
     assert np.allclose(got.x, [0.0, 2.5], atol=1e-9)
@@ -205,7 +221,7 @@ JOINT_ANGLE_PAIRS.append((0.8, math.pi - 0.8))
 @pytest.mark.parametrize("n, step", [(2, 0.25), (2, 0.1), (3, 0.25), (3, 0.1)])
 def test_brute_force_matches_full_grid_reference(n, step, angles):
     cfg = SystemConfig(n_antennas=n, span_l=2.0, theta_su=angles)
-    got = brute_force_joint(cfg, GridSpec(position_step=step, t_step=0.01, n_max=3))
+    got = brute_force_joint(cfg, GridSpec(position_step=step, t_step=0.01))
     x, t, rate = enumerate_joint(cfg, step, 0.01)
     assert np.allclose(got.x, x, atol=1e-12)
     assert abs(got.t - t) <= 1e-12
@@ -250,7 +266,7 @@ def test_brute_force_matches_unfiltered_reference_on_validate_configs(
 
 def test_brute_force_result_is_feasible():
     cfg = SystemConfig(n_antennas=2, span_l=2.0)
-    got = brute_force_joint(cfg, GridSpec(position_step=0.25, t_step=0.01, n_max=2))
+    got = brute_force_joint(cfg, GridSpec(position_step=0.25, t_step=0.01))
     validate_positions(got.x, cfg.span_l, cfg.d_min)
     assert 0.0 <= got.t <= 1.0
 
@@ -258,8 +274,8 @@ def test_brute_force_result_is_feasible():
 def test_oracle_self_consistency_at_optimum():
     # rerunning the mixing search at the winning positions reproduces the rate
     cfg = SystemConfig(n_antennas=2, span_l=2.0)
-    got = brute_force_joint(cfg, GridSpec(position_step=0.25, t_step=0.01, n_max=2))
-    t_best, theta_best = grid_best_t(got.x, cfg, t_step=0.01, refine=False)
+    got = brute_force_joint(cfg, GridSpec(position_step=0.25, t_step=0.01))
+    t_best, theta_best = raw_grid_best_t(got.x, cfg, 0.01)
     assert math.log2(1.0 + theta_best) == pytest.approx(got.min_rate, rel=1e-12)
     assert t_best == pytest.approx(got.t, abs=1e-12)
 
@@ -273,7 +289,7 @@ def test_grid_best_t_refinement_matches_closed_form():
     x = np.linspace(0.0, cfg.span_l, cfg.n_antennas)
     bf = closed_form_beamformer(x, cfg)
     theta_closed = min_snr_from_projections(bf.t, x, cfg)
-    t_raw, theta_raw = grid_best_t(x, cfg, t_step=1e-3, refine=False)
+    t_raw, theta_raw = raw_grid_best_t(x, cfg, 1e-3)
     t_ref, theta_ref = grid_best_t(x, cfg, t_step=1e-3)
     assert theta_ref >= theta_raw - 1e-12
     assert theta_ref <= theta_closed * (1.0 + 1e-12) + 1e-12
@@ -304,9 +320,38 @@ def test_grid_best_t_blocks_match_one_array_argmax(monkeypatch, case, t_step, bl
         # many block boundaries: the plateau case's ties straddle one
         monkeypatch.setattr(oracle, "_T_BLOCK", block)
     t_grid = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
-    theta = _theta_from_gains(*projection_coefficients(x, cfg), t_grid, cfg)
+    theta = theta_reference(*projection_coefficients(x, cfg), t_grid, cfg)
     j = int(np.argmax(theta))
-    assert grid_best_t(x, cfg, t_step=t_step, refine=False) == (float(t_grid[j]), float(theta[j]))
+    assert raw_grid_best_t(x, cfg, t_step) == (float(t_grid[j]), float(theta[j]))
+
+
+@pytest.mark.parametrize("case", range(len(GRID_T_CASES)))
+@pytest.mark.parametrize("t_step", [1e-5, 1e-4, 1e-3, 0.003])
+def test_grid_best_t_zoom_lies_between_the_grid_and_the_closed_form(case, t_step):
+    cfg, x = GRID_T_CASES[case]
+    theta_closed = min_snr_from_projections(closed_form_beamformer(x, cfg).t, x, cfg)
+    _t_raw, theta_raw = raw_grid_best_t(x, cfg, t_step)
+    t, theta = grid_best_t(x, cfg, t_step=t_step)
+    assert 0.0 <= t <= 1.0
+    # the absolute slack covers the subnormal case, where the closed form's
+    # square roots lose the digits that the grid keeps
+    assert theta_raw <= theta <= theta_closed * (1.0 + 1e-12) + 1e-12
+
+
+def test_grid_best_t_zoom_brackets_the_kink_when_the_grid_is_wider_than_t_step():
+    # at t_step 0.003 the grid spacing is 1 / 333: a bracket of t_step around
+    # the best grid point misses the kink at t* = 0.99999981, its grid
+    # neighbours do not
+    cfg = SystemConfig(
+        n_antennas=4,
+        span_l=2.141087752666097,
+        d_su=(148.41958012121455, 23.772716066082186),
+        theta_su=(2.660819489358944, 2.0529466111978456),
+    )
+    x = np.array([0.03432520107771439, 0.6083938553969768, 1.276111800162686, 2.038324446897454])
+    theta_closed = min_snr_from_projections(closed_form_beamformer(x, cfg).t, x, cfg)
+    _t, theta = grid_best_t(x, cfg, t_step=0.003)
+    assert theta == pytest.approx(theta_closed, rel=1e-9)
 
 
 @pytest.mark.parametrize("case", range(len(GRID_T_CASES)))
@@ -318,7 +363,7 @@ def test_buffered_theta_matches_the_allocating_expression_bitwise(case):
     rng = np.random.default_rng(40 + case)
     rows = np.vstack([x, cfg.span_l - x[::-1]] + [random_positions(cfg, rng) for _ in range(2)])
     a, b, c = (g[:, None] for g in _projection_gains(rows, cfg))
-    want = _theta_from_gains(a, b, c, t_grid, cfg)
+    want = theta_reference(a, b, c, t_grid, cfg)
     out, tmp = np.empty_like(want), np.empty_like(want)
     got = _theta_from_gains(a, b, c, t_grid, cfg, root, out, tmp)
     assert got is out
@@ -326,7 +371,7 @@ def test_buffered_theta_matches_the_allocating_expression_bitwise(case):
     # 1-D blocks with scalar gains as grid_best_t scores them, the t = 1 end included
     gains = projection_coefficients(x, cfg)
     for block in (slice(0, 7), slice(4_999, 10_001), slice(0, 10_001)):
-        want = _theta_from_gains(*gains, t_grid[block], cfg)
+        want = theta_reference(*gains, t_grid[block], cfg)
         got = _theta_from_gains(
             *gains, t_grid[block], cfg, root[block], np.empty(want.size), np.empty(want.size)
         )
