@@ -54,13 +54,14 @@ def _check_positions(x, cfg: SystemConfig) -> np.ndarray:
     return x
 
 
-def _split(x, cfg: SystemConfig) -> tuple:
+def _split(x, kappas) -> tuple:
     """h1, user 2's channel projected onto h1 (p), and the remainder h2 - p.
 
-    x is one position vector or a (B, n) array of them, one per row.
+    x is one position vector or a (B, n) array of them, one per row; kappas
+    holds the users' phase rates (user_kappas), each one value or a (B, 1) column.
     """
     x = np.asarray(x, dtype=float)
-    kappa1, kappa2 = user_kappas(cfg)
+    kappa1, kappa2 = kappas
     h1 = np.exp(1j * kappa1 * x)
     h2 = np.exp(1j * kappa2 * x)
     # h1 has unit-modulus entries, so ||h1||^2 = n
@@ -69,9 +70,9 @@ def _split(x, cfg: SystemConfig) -> tuple:
     return h1, p, h2 - p
 
 
-def _projection_gains(x, cfg: SystemConfig) -> tuple:
+def _projection_gains(x, kappas) -> tuple:
     """Gains (a, b, c) of _split, one per position vector in x."""
-    h1, p, perp = _split(x, cfg)
+    h1, p, perp = _split(x, kappas)
     b = np.linalg.norm(p, axis=-1)
     c = np.linalg.norm(perp, axis=-1)
     along = (h1 * np.conj(p)).sum(axis=-1)
@@ -82,8 +83,8 @@ def _projection_gains(x, cfg: SystemConfig) -> tuple:
     return a, b, c
 
 
-def _theta_from_gains(a, b, c, t, cfg: SystemConfig, root=None, out=None, tmp=None):
-    """Worst-user SNR at mixing t from the gains; broadcasts over arrays.
+def _theta_from_gains(a, b, c, t, scale1, scale2, root=None, out=None, tmp=None):
+    """Worst-user SNR at mixing t from the gains and the SNR scales; broadcasts over arrays.
 
     Grid callers pass root = sqrt(max(1 - t^2, 0)) of their t and two scratch
     arrays out and tmp of the broadcast shape, and the result is out.  Other
@@ -91,7 +92,7 @@ def _theta_from_gains(a, b, c, t, cfg: SystemConfig, root=None, out=None, tmp=No
     """
     if out is None:
         root = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-        out = np.empty(np.broadcast(a, b, c, t).shape)
+        out = np.empty(np.broadcast(a, b, c, t, scale1, scale2).shape)
         tmp = np.empty_like(out)
     # parallel channels: the complement direction carries nothing
     c_eff = np.where(c < PARALLEL_TOL, 0.0, c)
@@ -99,10 +100,10 @@ def _theta_from_gains(a, b, c, t, cfg: SystemConfig, root=None, out=None, tmp=No
     np.multiply(c_eff, root, out=tmp)
     out += tmp
     np.square(out, out=out)
-    out *= cfg.snr_scale(1)
+    out *= scale2
     np.multiply(a, t, out=tmp)
     np.square(tmp, out=tmp)
-    tmp *= cfg.snr_scale(0)
+    tmp *= scale1
     return np.minimum(out, tmp, out=out)
 
 
@@ -114,35 +115,41 @@ def projection_coefficients(x, cfg: SystemConfig) -> tuple:
     actual vector projections, not from any simplified expression.
     """
     x = _check_positions(x, cfg)
-    return tuple(float(g) for g in _projection_gains(x, cfg))
+    return tuple(float(g) for g in _projection_gains(x, user_kappas(cfg)))
+
+
+def _clamp_mixing(t):
+    """Mixing t, or an array of them, checked against [0, 1] and clamped onto it."""
+    if not np.all((-CASE_SLACK <= t) & (t <= 1.0 + CASE_SLACK)):
+        raise ValueError("mixing parameter t must lie in [0, 1]")
+    return np.clip(t, 0.0, 1.0)
 
 
 def min_snr_from_correlation(t: float, f: float, cfg: SystemConfig) -> float:
     """Worst-user SNR as a function of the mixing t and the correlation f."""
-    if not (-CASE_SLACK <= t <= 1.0 + CASE_SLACK):
-        raise ValueError("mixing parameter t must lie in [0, 1]")
-    return theta_at(theta_coefficients(f, cfg), min(max(t, 0.0), 1.0))
+    return theta_at(theta_coefficients(f, cfg), _clamp_mixing(t))
 
 
 def min_snr_from_projections(t: float, x, cfg: SystemConfig) -> float:
     """Worst-user SNR computed through explicit projections of the channels."""
-    if not (-CASE_SLACK <= t <= 1.0 + CASE_SLACK):
-        raise ValueError("mixing parameter t must lie in [0, 1]")
-    t = min(max(t, 0.0), 1.0)
-    return float(_theta_from_gains(*projection_coefficients(x, cfg), t, cfg))
+    a, b, c = projection_coefficients(x, cfg)
+    return float(_theta_from_gains(a, b, c, _clamp_mixing(t), cfg.snr_scale(0), cfg.snr_scale(1)))
+
+
+def _theta_coefficients(f_max, n: int, scale1, scale2) -> ThetaCoefficients:
+    """theta_coefficients for n antennas; f_max and the SNR scales may be arrays, one per row."""
+    if not np.all((-1e-9 <= f_max) & (f_max <= n + 1e-9)):
+        raise ValueError(f"correlation f_max = {f_max!r} outside [0, n_antennas]")
+    f_max = np.clip(f_max, 0.0, float(n))
+    a2 = np.sqrt(scale2) * f_max / math.sqrt(n)
+    a3 = np.sqrt(scale2 * np.maximum(n - f_max * f_max / n, 0.0))
+    return ThetaCoefficients(a1=scale1 * n, a2=a2, a3=a3, f_max=f_max)
 
 
 def theta_coefficients(f_max: float, cfg: SystemConfig) -> ThetaCoefficients:
-    """Bundle the mixing objective's constants for a given correlation value."""
-    n = cfg.n_antennas
-    if not (-1e-9 <= f_max <= n + 1e-9):
-        raise ValueError(f"correlation f_max = {f_max!r} outside [0, n_antennas]")
-    f_max = min(max(f_max, 0.0), float(n))
-    c2 = cfg.snr_scale(1)
-    a1 = cfg.snr_scale(0) * n
-    a2 = math.sqrt(c2) * f_max / math.sqrt(n)
-    a3 = math.sqrt(c2 * max(n - f_max * f_max / n, 0.0))
-    return ThetaCoefficients(a1=a1, a2=a2, a3=a3, f_max=f_max)
+    """The mixing objective's constants for one correlation value, as Python floats."""
+    c = _theta_coefficients(f_max, cfg.n_antennas, cfg.snr_scale(0), cfg.snr_scale(1))
+    return ThetaCoefficients(float(c.a1), float(c.a2), float(c.a3), float(c.f_max))
 
 
 def theta_at(coeffs: ThetaCoefficients, t) -> np.ndarray | float:
@@ -171,14 +178,14 @@ def optimize_mixing(coeffs: ThetaCoefficients, n: int) -> tuple:
     """
     a1, a2, a3 = coeffs.a1, coeffs.a2, coeffs.a3
     scale = math.sqrt(a2 * a2 + a3 * a3)
-    if a3 <= CASE_SLACK * max(scale, 1.0):
+    if a3 <= CASE_SLACK * scale:
         return 1.0, CaseLabel.DEGENERATE_PARALLEL
     t_left = min(max(coeffs.f_max / n, 0.0), 1.0)
     y1_left = a1 * t_left * t_left
     y2_left = (a2 * t_left + a3 * math.sqrt(max(1.0 - t_left * t_left, 0.0))) ** 2
     y1_right = a1
     y2_right = a2 * a2
-    slack = CASE_SLACK * max(y1_left, y2_left, y1_right, y2_right, 1.0)
+    slack = CASE_SLACK * max(y1_left, y2_left, y1_right, y2_right)
     if y2_left < y1_left - slack:
         return t_left, CaseLabel.LEFT_ENDPOINT
     if y2_right > y1_right + slack:
@@ -197,11 +204,9 @@ def build_beamformer(
     its first significant entry is real nonnegative.
     """
     x = _check_positions(x, cfg)
-    if not (-CASE_SLACK <= t <= 1.0 + CASE_SLACK):
-        raise ValueError("mixing parameter t must lie in [0, 1]")
-    t = min(max(t, 0.0), 1.0)
+    t = float(_clamp_mixing(t))
     n = cfg.n_antennas
-    h1, p, perp = _split(x, cfg)
+    h1, p, perp = _split(x, user_kappas(cfg))
     b = float(np.linalg.norm(p))
     c = float(np.linalg.norm(perp))
     if b < PARALLEL_TOL:

@@ -18,16 +18,19 @@ import numpy as np
 
 from .baselines import REFERENCE_SPACING, InfeasibleSchemeError, Scheme, SchemeResult, run_scheme
 from .beamformer import (
-    min_snr_from_correlation,
-    min_snr_from_projections,
+    _clamp_mixing,
+    _projection_gains,
+    _theta_coefficients,
+    _theta_from_gains,
     optimize_mixing,
-    projection_coefficients,
     theta_at,
     theta_coefficients,
 )
 from .oracle import GridSpec, grid_best_t, joint_vs_decoupled
-from .posopt import correlation, correlation_objective, random_positions
-from .sysmodel import FEASIBILITY_TOL, SystemConfig, beam_pattern
+from .posopt import (
+    _check_rows_feasible, _correlation_rows, correlation, correlation_objective, random_positions
+)
+from .sysmodel import FEASIBILITY_TOL, SystemConfig, beam_pattern, user_kappas
 
 log = logging.getLogger(__name__)
 
@@ -365,13 +368,29 @@ def _random_validation_config(rng, n=None, span=None) -> SystemConfig:
     )
 
 
-def _sampled_check(rng, samples: int, name: str, tol: float, rel_diff) -> dict:
-    """Worst rel_diff(cfg, x, rng) over samples random configs, each at random positions."""
-    worst = 0.0
+def _sampled_check(rng, samples: int, name: str, tol: float, rel_diffs, draw_t=False) -> dict:
+    """Worst of rel_diffs over samples random configs, each at random positions.
+
+    Each sample draws its config, positions and, with draw_t, a mixing t, in
+    that order.  rel_diffs(cfgs, x, t) then scores each group of equal n: its
+    configs, positions as one checked (B, n) array and t (or None), one value
+    per row.
+    """
+    groups = {}
     for _ in range(samples):
         cfg = _random_validation_config(rng)
         x = random_positions(cfg, rng)
-        worst = max(worst, rel_diff(cfg, x, rng))
+        t = rng.uniform() if draw_t else None
+        groups.setdefault(cfg.n_antennas, []).append((cfg, x, t))
+    peaks = [0.0]
+    for draws in groups.values():
+        cfgs, x, t = zip(*draws)
+        x = np.array(x)
+        spans, d_mins = np.array([[c.span_l, c.d_min] for c in cfgs]).T[:, :, None]
+        _check_rows_feasible(x, spans, d_mins)
+        peaks.append(np.max(rel_diffs(cfgs, x, np.array(t) if draw_t else None)))
+    # np.max, unlike Python's max, lets a NaN through, so the check fails on it
+    worst = float(np.max(peaks))
     return {
         "name": name,
         "samples": samples,
@@ -380,27 +399,37 @@ def _sampled_check(rng, samples: int, name: str, tol: float, rel_diff) -> dict:
     }
 
 
-def _path_equivalence_diff(cfg, x, rng) -> float:
-    t = float(rng.uniform())
-    f = correlation(x, correlation_objective(cfg))
-    va = min_snr_from_correlation(t, f, cfg)
-    vb = min_snr_from_projections(t, x, cfg)
-    return abs(va - vb) / max(abs(va), abs(vb), 1e-300)
+def _path_equivalence_diffs(cfgs, x, t) -> np.ndarray:
+    # the correlation route (va) and the projection route (vb), kept apart
+    t = _clamp_mixing(t)
+    scales = np.array([(c.snr_scale(0), c.snr_scale(1)) for c in cfgs]).T
+    f = _correlation_rows(x, np.array([[correlation_objective(c).kappa] for c in cfgs]))
+    va = theta_at(_theta_coefficients(f, x.shape[1], *scales), t)
+    vb = _theta_from_gains(*_projection_gains(x, _row_kappas(cfgs)), t, *scales)
+    return np.abs(va - vb) / np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
 
 
-def _projection_identity_diff(cfg, x, rng) -> float:
-    a, b, c = projection_coefficients(x, cfg)
-    n = cfg.n_antennas
-    return max(abs(a - math.sqrt(n)) / math.sqrt(n), abs(b * b + c * c - n) / n)
+def _projection_identity_diffs(cfgs, x, t) -> np.ndarray:
+    a, b, c = _projection_gains(x, _row_kappas(cfgs))
+    n = x.shape[1]
+    return np.maximum(np.abs(a - math.sqrt(n)) / math.sqrt(n), np.abs(b * b + c * c - n) / n)
 
 
-def _mixing_rule_diff(cfg, x, rng) -> float:
-    f = correlation(x, correlation_objective(cfg))
-    coeffs = theta_coefficients(f, cfg)
-    t_star, _label = optimize_mixing(coeffs, cfg.n_antennas)
-    theta_closed = float(theta_at(coeffs, t_star))
-    _t_ref, theta_ref = grid_best_t(x, cfg, t_step=1e-5)
-    return abs(theta_closed - theta_ref) / max(theta_closed, theta_ref, 1e-300)
+def _row_kappas(cfgs) -> np.ndarray:
+    """Both users' phase rates per config as a (2, B, 1) array: one column per user."""
+    return np.array([user_kappas(c) for c in cfgs]).T[:, :, None]
+
+
+def _mixing_rule_diffs(cfgs, x, t) -> list:
+    diffs = []
+    for cfg, row in zip(cfgs, x):
+        f = correlation(row, correlation_objective(cfg))
+        coeffs = theta_coefficients(f, cfg)
+        t_star, _label = optimize_mixing(coeffs, cfg.n_antennas)
+        theta_closed = float(theta_at(coeffs, t_star))
+        _t_ref, theta_ref = grid_best_t(row, cfg, t_step=1e-5)
+        diffs.append(abs(theta_closed - theta_ref) / max(theta_closed, theta_ref, 1e-300))
+    return diffs
 
 
 def _check_separation(rng, pairs_per_n: int, grid: GridSpec) -> dict:
@@ -425,10 +454,11 @@ def _check_separation(rng, pairs_per_n: int, grid: GridSpec) -> dict:
 def run_validate(quick: bool = False) -> tuple:
     """Deterministic self-check suite; returns (report, all_passed)."""
     rng = np.random.default_rng(VALIDATION_SEED)
+    samples = 40 if quick else 200
     checks = [
-        _sampled_check(rng, 40 if quick else 200, "min_snr_path_equivalence", 1e-9, _path_equivalence_diff),
-        _sampled_check(rng, 40 if quick else 200, "projection_identities", 1e-9, _projection_identity_diff),
-        _sampled_check(rng, 10 if quick else 40, "closed_form_mixing_vs_grid", 1e-6, _mixing_rule_diff),
+        _sampled_check(rng, samples, "min_snr_path_equivalence", 1e-9, _path_equivalence_diffs, True),
+        _sampled_check(rng, samples, "projection_identities", 1e-9, _projection_identity_diffs),
+        _sampled_check(rng, 10 if quick else 40, "closed_form_mixing_vs_grid", 1e-6, _mixing_rule_diffs),
         _check_separation(
             rng,
             pairs_per_n=2 if quick else 6,

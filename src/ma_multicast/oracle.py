@@ -16,7 +16,7 @@ from .beamformer import (
     theta_coefficients,
 )
 from .posopt import _grid_combination_chunks, correlation, correlation_objective, multi_start_sca
-from .sysmodel import FEASIBILITY_TOL, SystemConfig
+from .sysmodel import FEASIBILITY_TOL, SystemConfig, user_kappas
 
 MAX_EVALUATIONS = 100_000_000
 JOINT_MAX_ANTENNAS = 3
@@ -94,24 +94,25 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
         )
     out = np.empty((_JOINT_ROWS, t_grid.size))
     tmp = np.empty_like(out)
+    kappas, scales = user_kappas(cfg), (cfg.snr_scale(0), cfg.snr_scale(1))
     positions, gains, peaks = [], [], []
     for pos in chunks:
-        a, b, c = (g[:, None] for g in _projection_gains(pos, cfg))
+        a, b, c = (g[:, None] for g in _projection_gains(pos, kappas))
         for i in range(0, len(pos), _JOINT_ROWS):
             k = min(_JOINT_ROWS, len(pos) - i)
             rows = slice(i, i + k)
             theta = _theta_from_gains(
-                a[rows], b[rows], c[rows], t_grid, cfg, root, out[:k], tmp[:k]
+                a[rows], b[rows], c[rows], t_grid, *scales, root, out[:k], tmp[:k]
             )
             peaks.append(theta.max(axis=1))
         positions.append(pos)
         gains.append(np.hstack([a, b, c]))
     peaks = np.concatenate(peaks)
     best = float(peaks.max())
-    tol = JOINT_TIE_RTOL * max(best, 1.0)
+    tol = JOINT_TIE_RTOL * best
     j = int(np.flatnonzero(peaks >= best - tol)[0])
     a, b, c = np.concatenate(gains)[j]
-    theta = _theta_from_gains(a, b, c, t_grid, cfg, root, out[0], tmp[0])
+    theta = _theta_from_gains(a, b, c, t_grid, *scales, root, out[0], tmp[0])
     t = float(t_grid[int(np.flatnonzero(theta >= peaks[j] - tol)[0])])
     x = np.concatenate(positions)[j]
     return JointOptimum(x=x, t=t, min_rate=math.log2(1.0 + float(peaks[j])))
@@ -124,13 +125,14 @@ def _grid_argmax(a, b, c, cfg: SystemConfig, t_step: float) -> tuple:
     as one argmax over the whole grid would.
     """
     t_grid, root = _mixing_grid(t_step)
+    scales = cfg.snr_scale(0), cfg.snr_scale(1)
     out = np.empty(min(_T_BLOCK, t_grid.size))
     tmp = np.empty_like(out)
     j_best, theta_best = None, -math.inf
     for start in range(0, t_grid.size, _T_BLOCK):
         block = slice(start, start + _T_BLOCK)
         k = t_grid[block].size
-        theta = _theta_from_gains(a, b, c, t_grid[block], cfg, root[block], out[:k], tmp[:k])
+        theta = _theta_from_gains(a, b, c, t_grid[block], *scales, root[block], out[:k], tmp[:k])
         j = int(np.argmax(theta))
         if theta[j] > theta_best:
             j_best, theta_best = start + j, float(theta[j])
@@ -155,7 +157,7 @@ def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4) -> tuple:
     lo, hi = t_grid[max(j - 1, 0)], t_grid[min(j + 1, t_grid.size - 1)]
     while hi - lo > 1e-15:
         t = np.linspace(lo, hi, _ZOOM_POINTS)
-        theta = _theta_from_gains(a, b, c, t, cfg)
+        theta = _theta_from_gains(a, b, c, t, cfg.snr_scale(0), cfg.snr_scale(1))
         k = int(np.argmax(theta))
         if theta[k] > theta_best:
             t_best, theta_best = float(t[k]), float(theta[k])
@@ -171,7 +173,8 @@ def snap_positions_to_grid(x, cfg: SystemConfig, step: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = x.size
     offsets = cfg.d_min * np.arange(n)
-    u = np.round((x - offsets) / step) * step
+    # rounding each slack half to even can make it decrease: the running max keeps d_min
+    u = np.maximum.accumulate(np.round((x - offsets) / step)) * step
     hi = cfg.span_l - (n - 1) * cfg.d_min
     hi_grid = math.floor(hi / step + FEASIBILITY_TOL) * step
     np.clip(u, 0.0, max(hi_grid, 0.0), out=u)

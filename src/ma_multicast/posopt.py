@@ -74,10 +74,19 @@ def correlation_objective(cfg: SystemConfig) -> CorrelationObjective:
     return CorrelationObjective(kappa=kappa, n=cfg.n_antennas)
 
 
+def _correlation_rows(x, kappa) -> np.ndarray:
+    """|sum_n exp(j kappa x_n)| of x or of each row of it; kappa is one value or a (B, 1) column.
+
+    np.hypot rounds as Python's abs of one complex does; np.abs of a complex
+    array can differ from it by an ulp.
+    """
+    s = np.exp(1j * kappa * np.asarray(x, dtype=float)).sum(axis=-1)
+    return np.hypot(s.real, s.imag)
+
+
 def correlation(x, obj: CorrelationObjective) -> float:
     """Channel correlation f(x) = |sum_n exp(j kappa x_n)|, in [0, n]."""
-    x = np.asarray(x, dtype=float)
-    return float(abs(np.exp(1j * obj.kappa * x).sum()))
+    return float(_correlation_rows(x, obj.kappa))
 
 
 def _isotonic_rows(y: np.ndarray) -> np.ndarray:
@@ -122,14 +131,17 @@ def project_polytope(z, span_l: float, d_min: float) -> np.ndarray:
     return u + offsets
 
 
-def _check_rows_feasible(x: np.ndarray, cfg: SystemConfig) -> None:
-    """validate_positions for every row of a (B, n) array of positions."""
+def _check_rows_feasible(x: np.ndarray, span_l, d_min) -> None:
+    """validate_positions for every row of a (B, n) array of positions.
+
+    span_l and d_min are one value each, or (B, 1) columns of one per row.
+    """
     tol = FEASIBILITY_TOL
     if (
-        not np.all(np.isfinite(x))
-        or np.min(x[:, 0]) < -tol
-        or np.max(x[:, -1]) > cfg.span_l + tol
-        or (x.shape[1] > 1 and np.min(np.diff(x, axis=1)) < cfg.d_min - tol)
+        not np.isfinite(x).all()
+        or x[:, 0].min() < -tol
+        or (x[:, -1:] > span_l + tol).any()
+        or (x[:, 1:] - x[:, :-1] < d_min - tol).any()
     ):
         raise ValueError("positions lie outside the feasible set")
 
@@ -146,7 +158,7 @@ def solve_surrogate(x_k, g, delta, cfg: SystemConfig) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if x_k.ndim not in (1, 2) or x_k.size < 1 or g.shape != x_k.shape:
         raise ValueError("x_k must be a non-empty 1-D or 2-D array and g must match its shape")
-    _check_rows_feasible(np.atleast_2d(x_k), cfg)
+    _check_rows_feasible(np.atleast_2d(x_k), cfg.span_l, cfg.d_min)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), x_k.shape[:-1])
     if not np.all(delta > 0.0):
         raise DegenerateObjectiveError("surrogate curvature must be positive")
@@ -356,7 +368,7 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
             if active.size == 0:
                 break
     # solve_surrogate checked every anchor; this covers each row's last iterate
-    _check_rows_feasible(x, cfg)
+    _check_rows_feasible(x, cfg.span_l, cfg.d_min)
     return [
         ScaTrace(
             f1_history=_frozen(history[r, : iterations[r] + 1]),

@@ -32,10 +32,13 @@ from ma_multicast import (
 )
 from ma_multicast.beamformer import (
     PARALLEL_TOL,
+    _clamp_mixing,
     _projection_gains,
     _split,
+    _theta_coefficients,
     _theta_from_gains,
 )
+from ma_multicast.sysmodel import user_kappas
 
 
 def random_feasible(rng, n, span_l, d_min=0.5):
@@ -104,7 +107,7 @@ def test_project_split_reassembles():
             h1_ref = np.array([steering_vector(x, cfg.theta_su[0], cfg.wavelength) for x in rows])
             h2_ref = np.array([steering_vector(x, cfg.theta_su[1], cfg.wavelength) for x in rows])
             for x, h1_want, h2_want in ((rows[0], h1_ref[0], h2_ref[0]), (rows, h1_ref, h2_ref)):
-                h1, p, perp = _split(x, cfg)
+                h1, p, perp = _split(x, user_kappas(cfg))
                 assert h1.shape == p.shape == perp.shape == np.shape(x)
                 assert np.max(np.abs(h1 - h1_want)) < 1e-12
                 assert np.max(np.abs(p + perp - h2_want)) < 1e-12
@@ -120,13 +123,15 @@ def test_project_split_reassembles():
 def test_batched_kernel_matches_scalar_route(name):
     t = np.linspace(0.0, 1.0, 21)
     for cfg, rows in kernel_cases(name):
-        a, b, c = _projection_gains(rows, cfg)
+        a, b, c = _projection_gains(rows, user_kappas(cfg))
         assert a.shape == b.shape == c.shape == (rows.shape[0],)
         if name == "parallel":
             assert np.all(c < PARALLEL_TOL)
         if name == "orthogonal":
             assert np.all(b < PARALLEL_TOL)
-        theta = _theta_from_gains(a[:, None], b[:, None], c[:, None], t, cfg)
+        theta = _theta_from_gains(
+            a[:, None], b[:, None], c[:, None], t, cfg.snr_scale(0), cfg.snr_scale(1)
+        )
         assert theta.shape == (rows.shape[0], t.size)
         for i, x in enumerate(rows):
             gains = np.array([a[i], b[i], c[i]])
@@ -188,6 +193,16 @@ def test_min_snr_input_validation():
         min_snr_from_correlation(0.5, 7.0, cfg)  # f > n
     with pytest.raises(ValueError):
         min_snr_from_projections(-0.2, x, cfg)
+    # the array forms keep the same range checks, row by row, NaN included
+    scales = np.array([cfg.snr_scale(0)] * 2), np.array([cfg.snr_scale(1)] * 2)
+    for f in ([1.0, 5.0 + 2e-9], [1.0, math.nan], [-2e-9, 1.0]):
+        with pytest.raises(ValueError, match="outside"):
+            _theta_coefficients(np.array(f), 5, *scales)
+    assert np.array_equal(_theta_coefficients(np.array([-1e-10, 5.0 + 1e-10]), 5, *scales).f_max, [0.0, 5.0])
+    for t in ([0.5, 1.0 + 1e-9], [math.nan, 0.5], [-1e-9, 0.5]):
+        with pytest.raises(ValueError, match="must lie in"):
+            _clamp_mixing(np.array(t))
+    assert np.array_equal(_clamp_mixing(np.array([-1e-13, 1.0 + 1e-13])), [0.0, 1.0])
 
 
 def test_position_entry_points_reject_a_wrong_antenna_count():

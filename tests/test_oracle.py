@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ma_multicast import (
+    CaseLabel,
     GridSpec,
     SystemConfig,
     brute_force_joint,
@@ -26,7 +27,7 @@ from ma_multicast import oracle
 from ma_multicast.beamformer import PARALLEL_TOL, _projection_gains, _theta_from_gains
 from ma_multicast.oracle import JOINT_TIE_RTOL, JointOptimum
 from ma_multicast.posopt import _grid_combination_chunks
-from ma_multicast.sysmodel import FEASIBILITY_TOL
+from ma_multicast.sysmodel import FEASIBILITY_TOL, user_kappas
 
 
 def enumerate_pairs(cfg, step, t_step):
@@ -47,7 +48,7 @@ def enumerate_pairs(cfg, step, t_step):
             x = np.array([xi, xj])
             for t in t_grid:
                 theta = min_snr_from_projections(float(t), x, cfg)
-                if theta > best_theta + 1e-12 * max(best_theta, 1.0):
+                if theta > best_theta + 1e-12 * best_theta:
                     best_theta, best_x, best_t = theta, x, float(t)
     return best_theta, best_x, best_t
 
@@ -73,7 +74,7 @@ def enumerate_joint(cfg, step, t_step):
     y2 = cfg.snr_scale(1) * (b[:, None] * t + c[:, None] * np.sqrt(1.0 - t * t)) ** 2
     theta = np.minimum(y1, y2)
     rows = theta.max(axis=1)
-    tol = 1e-12 * max(rows.max(), 1.0)
+    tol = 1e-12 * rows.max()
     i = int(np.flatnonzero(rows >= rows.max() - tol)[0])
     j = int(np.flatnonzero(theta[i] >= rows[i] - tol)[0])
     return x[i], float(t[j]), math.log2(1.0 + rows[i])
@@ -113,12 +114,14 @@ def unfiltered_joint(cfg, grid):
     best_theta, best_x, best_t = -math.inf, None, None
     for start in range(0, len(pos_all), 128):
         pos = pos_all[start:start + 128]
-        a, b, c = _projection_gains(pos, cfg)
-        theta = _theta_from_gains(a[:, None], b[:, None], c[:, None], t_grid, cfg)
+        a, b, c = _projection_gains(pos, user_kappas(cfg))
+        theta = _theta_from_gains(
+            a[:, None], b[:, None], c[:, None], t_grid, cfg.snr_scale(0), cfg.snr_scale(1)
+        )
         row_best = theta.max(axis=1)
-        tol = JOINT_TIE_RTOL * max(float(row_best.max()), 1.0)
+        tol = JOINT_TIE_RTOL * float(row_best.max())
         j = int(np.flatnonzero(row_best >= row_best.max() - tol)[0])
-        if row_best[j] > best_theta + JOINT_TIE_RTOL * max(best_theta, 1.0):
+        if row_best[j] > best_theta + JOINT_TIE_RTOL * best_theta:
             best_theta = float(row_best[j])
             best_x = pos[j].copy()
             row = theta[j]
@@ -264,6 +267,20 @@ def test_brute_force_matches_unfiltered_reference_on_validate_configs(
         assert_same_optimum(brute_force_joint(cfg, grid), want)
 
 
+def test_brute_force_tie_window_is_relative_far_below_unit_snr():
+    # an absolute floor of 1 on the tie window tied every tuple at this SNR,
+    # and the first one, x = [0, 0.5, 1], won at t = 0 with theta = 0
+    cfg = SystemConfig(n_antennas=3, span_l=2.0, theta_su=(0.3, 2.0), ps_dbm=-170.0)
+    grid = GridSpec(position_step=0.05, t_step=1e-3)
+    got = brute_force_joint(cfg, grid)
+    x, t, rate = enumerate_joint(cfg, 0.05, 1e-3)
+    assert np.allclose(got.x, x, atol=1e-12)
+    assert abs(got.t - t) <= 1e-12
+    assert got.min_rate == pytest.approx(rate, rel=1e-10)
+    assert_same_optimum(got, unfiltered_joint(cfg, grid))
+    assert min_snr_from_projections(got.t, got.x, cfg) > 0.0
+
+
 def test_brute_force_result_is_feasible():
     cfg = SystemConfig(n_antennas=2, span_l=2.0)
     got = brute_force_joint(cfg, GridSpec(position_step=0.25, t_step=0.01))
@@ -333,9 +350,21 @@ def test_grid_best_t_zoom_lies_between_the_grid_and_the_closed_form(case, t_step
     _t_raw, theta_raw = raw_grid_best_t(x, cfg, t_step)
     t, theta = grid_best_t(x, cfg, t_step=t_step)
     assert 0.0 <= t <= 1.0
-    # the absolute slack covers the subnormal case, where the closed form's
-    # square roots lose the digits that the grid keeps
-    assert theta_raw <= theta <= theta_closed * (1.0 + 1e-12) + 1e-12
+    assert theta_raw <= theta <= theta_closed * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("ps_dbm", [-170.0, -190.0, -250.0, -3200.0])
+def test_closed_form_mixing_keeps_the_optimum_far_below_unit_snr(ps_dbm):
+    # SNR scales from 2.5e-12 down to subnormal: an absolute floor of 1 in the
+    # case analysis's slack called these "crossing" 0.965% below the grid,
+    # and "degenerate_parallel" 98% below at the subnormal scale
+    cfg = SystemConfig(ps_dbm=ps_dbm, d_su=(20.0, 500.0))
+    x = np.array([0.0, 0.5, 1.5, 2.5, 4.0])
+    bf = closed_form_beamformer(x, cfg)
+    theta_closed = min_snr_from_projections(bf.t, x, cfg)
+    _t, theta_grid = grid_best_t(x, cfg, t_step=1e-4)
+    assert bf.case_label == CaseLabel.LEFT_ENDPOINT
+    assert abs(theta_closed - theta_grid) <= 1e-12 * theta_grid
 
 
 def test_grid_best_t_zoom_brackets_the_kink_when_the_grid_is_wider_than_t_step():
@@ -362,10 +391,11 @@ def test_buffered_theta_matches_the_allocating_expression_bitwise(case):
     # random spreads
     rng = np.random.default_rng(40 + case)
     rows = np.vstack([x, cfg.span_l - x[::-1]] + [random_positions(cfg, rng) for _ in range(2)])
-    a, b, c = (g[:, None] for g in _projection_gains(rows, cfg))
+    a, b, c = (g[:, None] for g in _projection_gains(rows, user_kappas(cfg)))
     want = theta_reference(a, b, c, t_grid, cfg)
     out, tmp = np.empty_like(want), np.empty_like(want)
-    got = _theta_from_gains(a, b, c, t_grid, cfg, root, out, tmp)
+    scales = cfg.snr_scale(0), cfg.snr_scale(1)
+    got = _theta_from_gains(a, b, c, t_grid, *scales, root, out, tmp)
     assert got is out
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # 1-D blocks with scalar gains as grid_best_t scores them, the t = 1 end included
@@ -373,7 +403,7 @@ def test_buffered_theta_matches_the_allocating_expression_bitwise(case):
     for block in (slice(0, 7), slice(4_999, 10_001), slice(0, 10_001)):
         want = theta_reference(*gains, t_grid[block], cfg)
         got = _theta_from_gains(
-            *gains, t_grid[block], cfg, root[block], np.empty(want.size), np.empty(want.size)
+            *gains, t_grid[block], *scales, root[block], np.empty(want.size), np.empty(want.size)
         )
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -415,6 +445,23 @@ def test_snap_positions_round_trip():
         assert np.max(np.abs(snapped - x)) <= step + 1e-9
         u = (snapped - cfg.d_min * np.arange(cfg.n_antennas)) / step
         assert np.allclose(u, np.round(u), atol=1e-6)
+
+
+def test_snap_positions_keep_d_min_when_rounding_breaks_a_spacing():
+    # the solve returns x = [0.25000000000000006, 0.75, 1.25], its first
+    # spacing 1 ulp under d_min; rounding each slack over the step,
+    # [2.5000000000000004, 2.5, 2.5], half to even gave [3, 2, 2] and a 0.4
+    # spacing, which made joint_vs_decoupled raise
+    cfg = SystemConfig(
+        n_antennas=3,
+        span_l=2.0,
+        d_su=(44.231105517536704, 71.11684615504359),
+        theta_su=(2.7919312132052405, 2.878716542420934),
+    )
+    snapped = snap_positions_to_grid([0.25000000000000006, 0.75, 1.25], cfg, 0.1)
+    assert np.allclose(snapped, [0.3, 0.8, 1.3], rtol=0.0, atol=1e-12)
+    validate_positions(snapped, cfg.span_l, cfg.d_min)
+    assert joint_vs_decoupled(cfg, GridSpec(position_step=0.1, t_step=1e-3))["passed"]
 
 
 def test_snap_positions_requires_commensurate_grid():
