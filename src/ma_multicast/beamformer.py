@@ -190,8 +190,15 @@ def optimize_mixing(coeffs: ThetaCoefficients, n: int) -> tuple:
         return t_left, CaseLabel.LEFT_ENDPOINT
     if y2_right > y1_right + slack:
         return 1.0, CaseLabel.RIGHT_ENDPOINT
-    t = a3 / math.sqrt((a2 - math.sqrt(a1)) ** 2 + a3 * a3)
-    return min(max(t, 0.0), 1.0), CaseLabel.CROSSING
+    d = a2 - math.sqrt(a1)
+    try:
+        norm = math.sqrt(d ** 2 + a3 * a3)
+    except OverflowError:
+        norm = math.inf
+    if math.isinf(norm):
+        # the squares overflow near the float limit; hypot scales them first
+        norm = math.hypot(d, a3)
+    return min(max(a3 / norm, 0.0), 1.0), CaseLabel.CROSSING
 
 
 def build_beamformer(

@@ -26,7 +26,7 @@ from .beamformer import (
     theta_at,
     theta_coefficients,
 )
-from .oracle import GridSpec, grid_best_t, joint_vs_decoupled
+from .oracle import GridSpec, _best_t_rows, joint_vs_decoupled
 from .posopt import (
     _check_rows_feasible, _correlation_rows, correlation, correlation_objective, random_positions
 )
@@ -402,10 +402,14 @@ def _sampled_check(rng, samples: int, name: str, tol: float, rel_diffs, draw_t=F
 def _path_equivalence_diffs(cfgs, x, t) -> np.ndarray:
     # the correlation route (va) and the projection route (vb), kept apart
     t = _clamp_mixing(t)
-    scales = np.array([(c.snr_scale(0), c.snr_scale(1)) for c in cfgs]).T
+    scales = _row_scales(cfgs)
     f = _correlation_rows(x, np.array([[correlation_objective(c).kappa] for c in cfgs]))
     va = theta_at(_theta_coefficients(f, x.shape[1], *scales), t)
     vb = _theta_from_gains(*_projection_gains(x, _row_kappas(cfgs)), t, *scales)
+    return _rel_diffs(va, vb)
+
+
+def _rel_diffs(va, vb) -> np.ndarray:
     return np.abs(va - vb) / np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
 
 
@@ -420,16 +424,21 @@ def _row_kappas(cfgs) -> np.ndarray:
     return np.array([user_kappas(c) for c in cfgs]).T[:, :, None]
 
 
-def _mixing_rule_diffs(cfgs, x, t) -> list:
-    diffs = []
+def _row_scales(cfgs) -> np.ndarray:
+    """Both users' SNR scales per config as a (2, B) array: one row per user."""
+    return np.array([(c.snr_scale(0), c.snr_scale(1)) for c in cfgs]).T
+
+
+def _mixing_rule_diffs(cfgs, x, t) -> np.ndarray:
+    # the closed form, one row at a time, against the grid oracle on all rows at once
+    theta_closed = []
     for cfg, row in zip(cfgs, x):
-        f = correlation(row, correlation_objective(cfg))
-        coeffs = theta_coefficients(f, cfg)
+        coeffs = theta_coefficients(correlation(row, correlation_objective(cfg)), cfg)
         t_star, _label = optimize_mixing(coeffs, cfg.n_antennas)
-        theta_closed = float(theta_at(coeffs, t_star))
-        _t_ref, theta_ref = grid_best_t(row, cfg, t_step=1e-5)
-        diffs.append(abs(theta_closed - theta_ref) / max(theta_closed, theta_ref, 1e-300))
-    return diffs
+        theta_closed.append(float(theta_at(coeffs, t_star)))
+    gains = _projection_gains(x, _row_kappas(cfgs))
+    _t_ref, theta_ref = _best_t_rows(*gains, _row_scales(cfgs), t_step=1e-5)
+    return _rel_diffs(np.array(theta_closed), theta_ref)
 
 
 def _check_separation(rng, pairs_per_n: int, grid: GridSpec) -> dict:

@@ -22,13 +22,9 @@ MAX_EVALUATIONS = 100_000_000
 JOINT_MAX_ANTENNAS = 3
 # relative window for treating grid candidates as tied on the objective
 JOINT_TIE_RTOL = 1e-12
-# Tuples per enumerator chunk and rows of them brute_force_joint scores at
-# once, and mixing values grid_best_t scores at once: each scratch array of a
-# block stays within a few hundred kB, in cache, and neither the per-element
-# arithmetic nor the winner depends on any of the three.
+# Tuples per enumerator chunk, all scored in one _grid_peaks call; neither
+# the per-element arithmetic nor the winner depends on it.
 _JOINT_CHUNK = 128
-_JOINT_ROWS = 4
-_T_BLOCK = 16_384
 # points per round of grid_best_t's zoom, which shrinks the bracket 16-fold
 _ZOOM_POINTS = 33
 
@@ -66,6 +62,59 @@ def _mixing_grid(t_step: float) -> tuple:
     return t, root
 
 
+def _gain_columns(a, b, c, scales) -> list:
+    """The gains and both SNR scales as (B, 1) columns, one row per row of gains."""
+    return np.broadcast_arrays(*(np.reshape(v, (-1, 1)) for v in (a, b, c, *scales)))
+
+
+def _grid_peaks(a, b, c, scales, t_step: float) -> tuple:
+    """Index into _mixing_grid(t_step) of each row's first highest theta, and that theta.
+
+    a, b and c hold one gain per row, scales the two SNR scales (one value
+    each, or one per row).  A coarse pass scores every s-th point of the
+    T-point grid, s = isqrt(T), and the last point; a fine pass scores the
+    at most 2s + 1 points between the best coarse point's two coarse
+    neighbours.  Theta is the min of a rising and a unimodal branch, so it
+    is quasi-concave in t: no coarse point before the first maximizer scores
+    as high as the first best coarse point, and a coarse point past the next
+    one can hold the maximizer only if the next one scores as high as the
+    best.  So a row whose coarse maximum is unique has its first maximizer
+    in the bracket; a row that meets it twice (theta quantised flat across
+    a stride, as at subnormal SNR scales) is scored on the whole grid.  The
+    theta values are the kernel's on the cached t and sqrt(1 - t^2), so each
+    row's answer is an argmax over the whole grid, bit for bit.
+    """
+    t_grid, root = _mixing_grid(t_step)
+    stride = math.isqrt(t_grid.size)
+    coarse = np.append(np.arange(0, t_grid.size - 1, stride), t_grid.size - 1)
+    a, b, c, s1, s2 = _gain_columns(a, b, c, scales)
+
+    def score(rows, idx):
+        out = np.empty(np.broadcast_shapes(a[rows].shape, idx.shape))
+        return _theta_from_gains(
+            a[rows], b[rows], c[rows], t_grid[idx], s1[rows], s2[rows], root[idx], out,
+            np.empty_like(out),
+        )
+
+    every = slice(None)
+    theta = score(every, coarse)
+    m = np.argmax(theta, axis=1)
+    rows = np.arange(m.size)
+    tied = np.flatnonzero(np.sum(theta == theta[rows, m][:, None], axis=1) > 1)
+    lo = coarse[np.maximum(m - 1, 0)]
+    hi = coarse[np.minimum(m + 1, coarse.size - 1)]
+    # a bracket narrower than 2s + 1 points repeats its last point, which never wins a first argmax
+    fine = np.minimum(lo[:, None] + np.arange(2 * stride + 1), hi[:, None])
+    theta = score(every, fine)
+    k = np.argmax(theta, axis=1)
+    j, peak = fine[rows, k], theta[rows, k]
+    for r in tied:
+        theta = score([r], np.arange(t_grid.size))[0]
+        j[r] = np.argmax(theta)
+        peak[r] = theta[j[r]]
+    return j, peak
+
+
 def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOptimum:
     """Joint grid search over positions and mixing, via the projection route.
 
@@ -73,13 +122,17 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     are unchanged by mirroring, so only tuples with x_1 = 0 whose spacings
     are no greater than their reverse are scored: every other feasible tuple
     is a translate or a mirror of one of them with the same objective, up to
-    summation rounding.  Every tuple is scored against the whole mixing
-    grid, a few rows at a time, and keeps its peak.  The winner is then the
+    summation rounding.  Each chunk of tuples gets its peaks over the mixing
+    grid from one _grid_peaks call: a coarse pass over the grid, then the
+    bracket around each row's best coarse point, which holds the row's first
+    maximizer because theta is quasi-concave in t.  The winner is then the
     first tuple, in lexicographic order, whose peak lies within JOINT_TIE_RTOL
-    of the overall maximum, and its t the first grid value within the same
-    window of that tuple's peak; the anchored tuple kept of each mirror pair
-    is the one a search over every tuple would pick too.  The MAX_EVALUATIONS
-    cap counts anchored tuples, mirrors included, times mixing values.
+    of the overall maximum; only its row is scored again, on the whole grid,
+    to pick its t as the first grid value within the same window of its
+    peak.  The anchored tuple kept of each mirror pair is the one a search
+    over every tuple would pick too.  The MAX_EVALUATIONS cap still counts
+    anchored tuples, mirrors included, times the grid size, as the full scan
+    did, so the refused sizes stay the same.
     """
     n = cfg.n_antennas
     if n > JOINT_MAX_ANTENNAS:
@@ -87,82 +140,78 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     count, chunks = _grid_combination_chunks(
         cfg.span_l, cfg.d_min, grid.position_step, n, chunk=_JOINT_CHUNK
     )
-    t_grid, root = _mixing_grid(grid.t_step)
+    t_grid = _mixing_grid(grid.t_step)[0]
     if count * t_grid.size > MAX_EVALUATIONS:
         raise ValueError(
             "grid search would exceed the evaluation cap; coarsen the grid"
         )
-    out = np.empty((_JOINT_ROWS, t_grid.size))
-    tmp = np.empty_like(out)
     kappas, scales = user_kappas(cfg), (cfg.snr_scale(0), cfg.snr_scale(1))
     positions, gains, peaks = [], [], []
     for pos in chunks:
-        a, b, c = (g[:, None] for g in _projection_gains(pos, kappas))
-        for i in range(0, len(pos), _JOINT_ROWS):
-            k = min(_JOINT_ROWS, len(pos) - i)
-            rows = slice(i, i + k)
-            theta = _theta_from_gains(
-                a[rows], b[rows], c[rows], t_grid, *scales, root, out[:k], tmp[:k]
-            )
-            peaks.append(theta.max(axis=1))
+        a, b, c = _projection_gains(pos, kappas)
+        peaks.append(_grid_peaks(a, b, c, scales, grid.t_step)[1])
         positions.append(pos)
-        gains.append(np.hstack([a, b, c]))
+        gains.append(np.column_stack([a, b, c]))
     peaks = np.concatenate(peaks)
     best = float(peaks.max())
     tol = JOINT_TIE_RTOL * best
     j = int(np.flatnonzero(peaks >= best - tol)[0])
     a, b, c = np.concatenate(gains)[j]
-    theta = _theta_from_gains(a, b, c, t_grid, *scales, root, out[0], tmp[0])
+    theta = _theta_from_gains(a, b, c, t_grid, *scales)
     t = float(t_grid[int(np.flatnonzero(theta >= peaks[j] - tol)[0])])
     x = np.concatenate(positions)[j]
     return JointOptimum(x=x, t=t, min_rate=math.log2(1.0 + float(peaks[j])))
 
 
-def _grid_argmax(a, b, c, cfg: SystemConfig, t_step: float) -> tuple:
-    """Index into _mixing_grid(t_step) of the first highest theta, and that theta.
+def _best_t_rows(a, b, c, scales, t_step: float) -> tuple:
+    """grid_best_t for rows of gains: one (t, theta) per row, as arrays.
 
-    Scores the grid in blocks and keeps the first point of the highest value,
-    as one argmax over the whole grid would.
+    a, b, c and scales are as in _grid_peaks.  Each row runs the same zoom
+    as a call of its own would, until its own bracket is at most 1e-15 wide,
+    and its zoom points are np.linspace's, bit for bit.
     """
-    t_grid, root = _mixing_grid(t_step)
-    scales = cfg.snr_scale(0), cfg.snr_scale(1)
-    out = np.empty(min(_T_BLOCK, t_grid.size))
-    tmp = np.empty_like(out)
-    j_best, theta_best = None, -math.inf
-    for start in range(0, t_grid.size, _T_BLOCK):
-        block = slice(start, start + _T_BLOCK)
-        k = t_grid[block].size
-        theta = _theta_from_gains(a, b, c, t_grid[block], *scales, root[block], out[:k], tmp[:k])
-        j = int(np.argmax(theta))
-        if theta[j] > theta_best:
-            j_best, theta_best = start + j, float(theta[j])
-    return j_best, theta_best
+    t_grid = _mixing_grid(t_step)[0]
+    j, theta_best = _grid_peaks(a, b, c, scales, t_step)
+    a, b, c, s1, s2 = _gain_columns(a, b, c, scales)
+    t_best = t_grid[j]
+    lo = t_grid[np.maximum(j - 1, 0)]
+    hi = t_grid[np.minimum(j + 1, t_grid.size - 1)]
+    steps = np.arange(_ZOOM_POINTS, dtype=float)
+    live = np.flatnonzero(hi - lo > 1e-15)
+    while live.size:
+        start, stop = lo[live, None], hi[live, None]
+        t = start + steps * ((stop - start) / (_ZOOM_POINTS - 1))
+        t[:, -1] = stop[:, 0]
+        theta = _theta_from_gains(a[live], b[live], c[live], t, s1[live], s2[live])
+        k = np.argmax(theta, axis=1)
+        rows = np.arange(live.size)
+        up = theta[rows, k] > theta_best[live]
+        t_best[live[up]] = t[rows, k][up]
+        theta_best[live[up]] = theta[rows, k][up]
+        lo[live] = t[rows, np.maximum(k - 1, 0)]
+        hi[live] = t[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]
+        live = live[hi[live] - lo[live] > 1e-15]
+    return t_best, theta_best
 
 
 def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4) -> tuple:
     """Best mixing parameter for fixed positions by dense search over [0, 1].
 
-    After the grid pass, the bracket between the winning grid point's two
-    neighbours is re-gridded with _ZOOM_POINTS points, and again around each
-    round's first maximum, until it is at most 1e-15 wide.  Theta is the min
-    of a rising and a unimodal branch, so it is quasi-concave and each
-    bracket holds a maximizer.  Returns the best (t, theta) seen.
+    The grid pass is _grid_peaks: a coarse pass over the mixing grid, then
+    every grid point between the best coarse point's two coarse neighbours,
+    which gives the grid's first maximizer.  The bracket between that grid
+    point's two neighbours is then re-gridded with _ZOOM_POINTS points, and
+    again around each round's first maximum, until it is at most 1e-15
+    wide.  Theta is the min of a rising and a unimodal branch, so it is
+    quasi-concave and each bracket holds a maximizer.  Returns the best
+    (t, theta) seen.  The search uses the grid values alone, never the
+    closed form it is there to check.
     """
     if not (0.0 < t_step <= 0.01):
         raise ValueError("t_step must lie in (0, 0.01]")
-    a, b, c = projection_coefficients(x, cfg)
-    t_grid = _mixing_grid(t_step)[0]
-    j, theta_best = _grid_argmax(a, b, c, cfg, t_step)
-    t_best = float(t_grid[j])
-    lo, hi = t_grid[max(j - 1, 0)], t_grid[min(j + 1, t_grid.size - 1)]
-    while hi - lo > 1e-15:
-        t = np.linspace(lo, hi, _ZOOM_POINTS)
-        theta = _theta_from_gains(a, b, c, t, cfg.snr_scale(0), cfg.snr_scale(1))
-        k = int(np.argmax(theta))
-        if theta[k] > theta_best:
-            t_best, theta_best = float(t[k]), float(theta[k])
-        lo, hi = t[max(k - 1, 0)], t[min(k + 1, _ZOOM_POINTS - 1)]
-    return t_best, theta_best
+    gains = (np.array([g]) for g in projection_coefficients(x, cfg))
+    t, theta = _best_t_rows(*gains, (cfg.snr_scale(0), cfg.snr_scale(1)), t_step)
+    return float(t[0]), float(theta[0])
 
 
 def snap_positions_to_grid(x, cfg: SystemConfig, step: float) -> np.ndarray:

@@ -297,8 +297,9 @@ def test_criterion_05_closed_form_mixing_vs_grid():
         t_star, label = optimize_mixing(coeffs, cfg.n_antennas)
         seen.add(label)
         theta_closed = float(theta_at(coeffs, t_star))
-        j_raw, _theta_raw = oracle._grid_argmax(*projection_coefficients(x, cfg), cfg, 1e-5)
-        t_raw = float(oracle._mixing_grid(1e-5)[0][j_raw])
+        gains = (np.array([g]) for g in projection_coefficients(x, cfg))
+        j_raw, _theta_raw = oracle._grid_peaks(*gains, (cfg.snr_scale(0), cfg.snr_scale(1)), 1e-5)
+        t_raw = float(oracle._mixing_grid(1e-5)[0][j_raw[0]])
         _t_ref, theta_ref = grid_best_t(x, cfg, t_step=1e-5)
         worst = max(worst, rel_diff(theta_closed, theta_ref))
         lowest_margin = min(lowest_margin, t_raw - (f / cfg.n_antennas - 1e-5))

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -509,6 +510,24 @@ def test_main_optimize_far_below_unit_snr_reports_the_left_endpoint(tmp_path, ca
     theta = min(proposed["gamma_u1"], proposed["gamma_u2"])
     assert theta == pytest.approx(5.0e-13, rel=1e-12)
     assert abs(theta - theta_grid) <= 1e-12 * theta_grid
+    capsys.readouterr()
+
+
+def test_main_optimize_near_the_float_limit_keeps_the_crossing(tmp_path, capsys):
+    # a3 * a3 overflows in the crossing formula here: fpa was reported at
+    # t = 0.0 with gamma_u1 = 1.7e273 against gamma_u2 = 1.8e308
+    doc = json.loads((REPO_ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
+    doc["system"].update(ps_dbm=3035.5)
+    doc["schemes"] = ["proposed", "fpa"]
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        fpa = json.loads(out.read_text(encoding="utf-8"))["schemes"]["fpa"]
+        _t, theta_grid = grid_best_t(np.array(fpa["x"]), SystemConfig(**doc["system"]), t_step=1e-4)
+    assert fpa["case"] == "crossing" and fpa["t"] > 0.0
+    theta = min(fpa["gamma_u1"], fpa["gamma_u2"])
+    assert theta == pytest.approx(theta_grid, rel=1e-6)
     capsys.readouterr()
 
 

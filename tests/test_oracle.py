@@ -23,7 +23,7 @@ from ma_multicast import (
     snap_positions_to_grid,
     validate_positions,
 )
-from ma_multicast import oracle
+from ma_multicast import beamformer, oracle
 from ma_multicast.beamformer import PARALLEL_TOL, _projection_gains, _theta_from_gains
 from ma_multicast.oracle import JOINT_TIE_RTOL, JointOptimum
 from ma_multicast.posopt import _grid_combination_chunks
@@ -129,18 +129,41 @@ def unfiltered_joint(cfg, grid):
     return JointOptimum(x=best_x, t=best_t, min_rate=math.log2(1.0 + best_theta))
 
 
-def theta_reference(a, b, c, t, cfg):
+def snr_scales(cfg):
+    return cfg.snr_scale(0), cfg.snr_scale(1)
+
+
+def theta_reference(a, b, c, t, scale1, scale2):
     """The allocating theta expression that the buffered kernel must match bit for bit."""
     c_eff = np.where(c < PARALLEL_TOL, 0.0, c)
-    y1 = cfg.snr_scale(0) * (a * t) ** 2
-    y2 = cfg.snr_scale(1) * (b * t + c_eff * np.sqrt(np.maximum(1.0 - t * t, 0.0))) ** 2
+    y1 = scale1 * (a * t) ** 2
+    y2 = scale2 * (b * t + c_eff * np.sqrt(np.maximum(1.0 - t * t, 0.0))) ** 2
     return np.minimum(y1, y2)
 
 
 def raw_grid_best_t(x, cfg, t_step):
     """grid_best_t's grid pass alone: the first grid point of the highest theta."""
-    j, theta = oracle._grid_argmax(*projection_coefficients(x, cfg), cfg, t_step)
-    return float(oracle._mixing_grid(t_step)[0][j]), theta
+    gains = (np.array([g]) for g in projection_coefficients(x, cfg))
+    j, theta = oracle._grid_peaks(*gains, snr_scales(cfg), t_step)
+    return float(oracle._mixing_grid(t_step)[0][j[0]]), float(theta[0])
+
+
+def reference_best_t(x, cfg, t_step):
+    """grid_best_t as one argmax over the whole grid, then np.linspace zoom rounds."""
+    a, b, c = projection_coefficients(x, cfg)
+    t_grid = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
+    theta = theta_reference(a, b, c, t_grid, *snr_scales(cfg))
+    j = int(np.argmax(theta))
+    t_best, theta_best = float(t_grid[j]), float(theta[j])
+    lo, hi = t_grid[max(j - 1, 0)], t_grid[min(j + 1, t_grid.size - 1)]
+    while hi - lo > 1e-15:
+        t = np.linspace(lo, hi, 33)
+        theta = theta_reference(a, b, c, t, *snr_scales(cfg))
+        k = int(np.argmax(theta))
+        if theta[k] > theta_best:
+            t_best, theta_best = float(t[k]), float(theta[k])
+        lo, hi = t[max(k - 1, 0)], t[min(k + 1, 32)]
+    return t_best, theta_best
 
 
 def assert_same_optimum(got, want):
@@ -256,13 +279,13 @@ def validate_oracle_cases():
     return [(cfg, grid, unfiltered_joint(cfg, grid)) for cfg, grid in seen]
 
 
-@pytest.mark.parametrize("rows", [1, 3, 4, 8, 128])
+@pytest.mark.parametrize("chunk", [1, 3, 4, 8, 128])
 def test_brute_force_matches_unfiltered_reference_on_validate_configs(
-    monkeypatch, validate_oracle_cases, rows
+    monkeypatch, validate_oracle_cases, chunk
 ):
     # the winner is picked once over every tuple's peak, so the rows scored at
-    # once, and whether a tie straddles two blocks, change nothing
-    monkeypatch.setattr(oracle, "_JOINT_ROWS", rows)
+    # once, and whether a tie straddles two chunks, change nothing
+    monkeypatch.setattr(oracle, "_JOINT_CHUNK", chunk)
     for cfg, grid, want in validate_oracle_cases:
         assert_same_optimum(brute_force_joint(cfg, grid), want)
 
@@ -330,16 +353,106 @@ GRID_T_CASES = [
 
 
 @pytest.mark.parametrize("case", range(len(GRID_T_CASES)))
-@pytest.mark.parametrize("t_step, block", [(1e-5, None), (1e-4, None), (1e-3, None), (1e-4, 7)])
-def test_grid_best_t_blocks_match_one_array_argmax(monkeypatch, case, t_step, block):
+@pytest.mark.parametrize("t_step, rows", [(1e-5, None), (1e-4, None), (1e-3, None), (1e-4, 7)])
+def test_grid_best_t_blocks_match_one_array_argmax(case, t_step, rows):
     cfg, x = GRID_T_CASES[case]
-    if block is not None:
-        # many block boundaries: the plateau case's ties straddle one
-        monkeypatch.setattr(oracle, "_T_BLOCK", block)
     t_grid = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
-    theta = theta_reference(*projection_coefficients(x, cfg), t_grid, cfg)
+    theta = theta_reference(*projection_coefficients(x, cfg), t_grid, *snr_scales(cfg))
     j = int(np.argmax(theta))
     assert raw_grid_best_t(x, cfg, t_step) == (float(t_grid[j]), float(theta[j]))
+    if rows is not None:
+        # the case's row among others scored in one call: rows do not interact
+        rng = np.random.default_rng(70 + case)
+        batch = np.vstack([random_positions(cfg, rng) for _ in range(rows - 1)] + [x])
+        gains = _projection_gains(batch, user_kappas(cfg))
+        got_j, got_theta = oracle._grid_peaks(*gains, snr_scales(cfg), t_step)
+        assert (got_j[-1], got_theta[-1]) == (j, theta[j])
+
+
+def full_grid_peaks(a, b, c, scales, t_step):
+    """First argmax and its theta of every row over the whole mixing grid."""
+    t = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
+    s1, s2 = (np.reshape(s, (-1, 1)) for s in scales)
+    theta = theta_reference(a[:, None], b[:, None], c[:, None], t, s1, s2)
+    j = np.argmax(theta, axis=1)
+    return j, theta[np.arange(j.size), j]
+
+
+def assert_same_peaks(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+
+
+def random_gain_rows(rng, rows):
+    """Gains as the projection gives them (a = sqrt(n) up to rounding, b^2 + c^2 = n) and SNR scales.
+
+    The scales run from subnormal, where theta is quantised to a few steps
+    and its coarse maximum can repeat, to 1e306.
+    """
+    n = rng.integers(2, 9, rows).astype(float)
+    phi = rng.uniform(0.0, math.pi / 2.0, rows)
+    a = np.sqrt(n) * (1.0 + rng.normal(0.0, 1e-15, rows))
+    b, c = np.sqrt(n) * np.cos(phi), np.sqrt(n) * np.sin(phi)
+    log_scale = rng.choice([-323.5, -320.0, -3.0, 300.0], rows) + rng.uniform(0.0, 6.0, (2, rows))
+    return a, b, c, tuple(10.0 ** log_scale)
+
+
+@pytest.mark.parametrize("t_step, rows", [(1e-2, 400), (1e-3, 400), (1e-4, 100), (1e-5, 20)])
+def test_grid_peaks_match_the_full_grid_argmax_on_random_rows(t_step, rows):
+    # isqrt(T) divides T - 1 at T = 101 and 10 001 points; at 1 001 and
+    # 100 001 it does not, and the last coarse gap is shorter than the stride
+    a, b, c, scales = random_gain_rows(np.random.default_rng(int(round(1.0 / t_step))), rows)
+    assert_same_peaks(oracle._grid_peaks(a, b, c, scales, t_step), full_grid_peaks(a, b, c, scales, t_step))
+
+
+@pytest.mark.parametrize("t_step", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_grid_peaks_match_the_full_grid_argmax_on_the_grid_cases(t_step):
+    # one call over every case, each row with its own SNR scales
+    gains = np.array([projection_coefficients(x, cfg) for cfg, x in GRID_T_CASES]).T
+    scales = np.array([snr_scales(cfg) for cfg, _x in GRID_T_CASES]).T
+    assert_same_peaks(oracle._grid_peaks(*gains, scales, t_step), full_grid_peaks(*gains, scales, t_step))
+
+
+@pytest.mark.parametrize("t_step", [1e-2, 1e-3, 1e-4])
+def test_grid_peaks_match_the_full_grid_argmax_on_parallel_and_orthogonal_gains(t_step):
+    root2 = math.sqrt(2.0)
+    tiny = [0.0, 0.5 * PARALLEL_TOL, PARALLEL_TOL, 2.0 * PARALLEL_TOL]
+    # parallel channels (c = 0, and c on both sides of PARALLEL_TOL), then orthogonal ones (b = 0)
+    b = np.array([root2] * 4 + [0.0] * 4 + [1e-9, 1e-12])
+    c = np.array(tiny + [root2] * 4 + [root2, root2])
+    a = np.full(b.size, root2)
+    for scales in ((1.0, 1.0), (1.0, 100.0), (100.0, 1.0), (1e-320, 4e-321)):
+        assert_same_peaks(
+            oracle._grid_peaks(a, b, c, scales, t_step), full_grid_peaks(a, b, c, scales, t_step)
+        )
+
+
+def test_grid_peaks_score_a_row_whose_coarse_maximum_repeats_on_the_whole_grid():
+    # theta takes a few subnormal values: it is flat at 1.5e-323 across the
+    # coarse points t = 0.8 and 0.9 and peaks at t = 0.94, past the bracket
+    # around t = 0.8
+    a, b, c = (np.array([g]) for g in (2.000000000000001, 0.5406695004144325, 1.9255327811599594))
+    scales = (5e-324, 3.5e-323)
+    j, theta = oracle._grid_peaks(a, b, c, scales, 0.01)
+    assert (j[0], theta[0]) == (94, 2e-323)
+    assert_same_peaks((j, theta), full_grid_peaks(a, b, c, scales, 0.01))
+
+
+@pytest.mark.parametrize("t_step", [1e-5, 1e-3, 0.003])
+def test_best_t_rows_match_per_row_grid_best_t_on_a_mixed_n_batch(t_step):
+    rng = np.random.default_rng(808)
+    cfgs, xs = (list(v) for v in zip(*GRID_T_CASES))
+    for n in (2, 3, 5, 8):
+        cfg = SystemConfig(n_antennas=n, span_l=(n - 1) * 0.5 + 1.5, d_su=(40.0, 300.0))
+        cfgs.append(cfg)
+        xs.append(random_positions(cfg, rng))
+    gains = np.array([projection_coefficients(x, cfg) for cfg, x in zip(cfgs, xs)]).T
+    scales = np.array([snr_scales(cfg) for cfg in cfgs]).T
+    t, theta = oracle._best_t_rows(*gains, scales, t_step)
+    for i, (cfg, x) in enumerate(zip(cfgs, xs)):
+        want = reference_best_t(x, cfg, t_step)
+        assert grid_best_t(x, cfg, t_step=t_step) == want
+        assert (float(t[i]), float(theta[i])) == want
 
 
 @pytest.mark.parametrize("case", range(len(GRID_T_CASES)))
@@ -392,7 +505,7 @@ def test_buffered_theta_matches_the_allocating_expression_bitwise(case):
     rng = np.random.default_rng(40 + case)
     rows = np.vstack([x, cfg.span_l - x[::-1]] + [random_positions(cfg, rng) for _ in range(2)])
     a, b, c = (g[:, None] for g in _projection_gains(rows, user_kappas(cfg)))
-    want = theta_reference(a, b, c, t_grid, cfg)
+    want = theta_reference(a, b, c, t_grid, *snr_scales(cfg))
     out, tmp = np.empty_like(want), np.empty_like(want)
     scales = cfg.snr_scale(0), cfg.snr_scale(1)
     got = _theta_from_gains(a, b, c, t_grid, *scales, root, out, tmp)
@@ -401,7 +514,7 @@ def test_buffered_theta_matches_the_allocating_expression_bitwise(case):
     # 1-D blocks with scalar gains as grid_best_t scores them, the t = 1 end included
     gains = projection_coefficients(x, cfg)
     for block in (slice(0, 7), slice(4_999, 10_001), slice(0, 10_001)):
-        want = theta_reference(*gains, t_grid[block], cfg)
+        want = theta_reference(*gains, t_grid[block], *snr_scales(cfg))
         got = _theta_from_gains(
             *gains, t_grid[block], *scales, root[block], np.empty(want.size), np.empty(want.size)
         )
@@ -420,6 +533,21 @@ def test_mixing_grid_is_cached_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             np.multiply(arr, 2.0, out=arr)
     assert t[0] == 0.0 and root[0] == 1.0
+
+
+def test_grid_oracles_never_call_the_closed_form(monkeypatch):
+    # the oracles certify the closed form, so no bracket may come from it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid oracle called the correlation route")
+
+    for name in ("optimize_mixing", "theta_coefficients", "_theta_coefficients", "theta_at"):
+        monkeypatch.setattr(beamformer, name, forbidden)
+        monkeypatch.setattr(oracle, name, forbidden, raising=False)
+    cfg, x = GRID_T_CASES[0]
+    brute_force_joint(SystemConfig(n_antennas=3, span_l=2.0), GridSpec(0.1, 1e-3))
+    grid_best_t(x, cfg, t_step=1e-4)
+    gains = np.array([projection_coefficients(x, cfg)]).T
+    oracle._best_t_rows(*gains, snr_scales(cfg), 1e-4)
 
 
 def test_grid_best_t_rejects_bad_steps():
