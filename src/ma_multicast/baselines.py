@@ -32,6 +32,7 @@ from .sysmodel import (
     FEASIBILITY_TOL,
     SnrPair,
     SystemConfig,
+    exceeds_span,
     snr_pair,
     steering_vector,
 )
@@ -176,7 +177,7 @@ def ma_mrt(cfg: SystemConfig) -> SchemeResult:
 def fpa_scheme(cfg: SystemConfig) -> SchemeResult:
     """Fixed array at half-wavelength spacing with the optimal beamformer."""
     n = cfg.n_antennas
-    if (n - 1) * REFERENCE_SPACING > cfg.span_l + FEASIBILITY_TOL:
+    if exceeds_span(n, REFERENCE_SPACING, cfg.span_l):
         raise InfeasibleSchemeError("fixed half-wavelength array does not fit the aperture")
     if cfg.d_min > REFERENCE_SPACING + FEASIBILITY_TOL:
         raise InfeasibleSchemeError("fixed half-wavelength spacing violates d_min")

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sysmodel import SystemConfig, user_kappas, validate_positions
+from .sysmodel import SystemConfig, check_positions, user_kappas
 
 # Below this norm the component of user 2's steering vector orthogonal to
 # user 1's is considered numerically absent (channels parallel).
@@ -46,14 +46,6 @@ class ThetaCoefficients:
     f_max: float
 
 
-def _check_positions(x, cfg: SystemConfig) -> np.ndarray:
-    """validate_positions, plus one position per configured antenna."""
-    x = validate_positions(x, cfg.span_l, cfg.d_min)
-    if x.size != cfg.n_antennas:
-        raise ValueError("positions do not match n_antennas")
-    return x
-
-
 def _split(x, kappas) -> tuple:
     """h1, user 2's channel projected onto h1 (p), and the remainder h2 - p.
 
@@ -83,28 +75,13 @@ def _projection_gains(x, kappas) -> tuple:
     return a, b, c
 
 
-def _theta_from_gains(a, b, c, t, scale1, scale2, root=None, out=None, tmp=None):
-    """Worst-user SNR at mixing t from the gains and the SNR scales; broadcasts over arrays.
-
-    Grid callers pass root = sqrt(max(1 - t^2, 0)) of their t and two scratch
-    arrays out and tmp of the broadcast shape, and the result is out.  Other
-    callers pass t alone, and the three are allocated here.
-    """
-    if out is None:
-        root = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-        out = np.empty(np.broadcast(a, b, c, t, scale1, scale2).shape)
-        tmp = np.empty_like(out)
+def _theta_from_gains(a, b, c, t, scale1, scale2):
+    """Worst-user SNR at mixing t from the gains and the SNR scales; broadcasts over arrays."""
     # parallel channels: the complement direction carries nothing
     c_eff = np.where(c < PARALLEL_TOL, 0.0, c)
-    np.multiply(b, t, out=out)
-    np.multiply(c_eff, root, out=tmp)
-    out += tmp
-    np.square(out, out=out)
-    out *= scale2
-    np.multiply(a, t, out=tmp)
-    np.square(tmp, out=tmp)
-    tmp *= scale1
-    return np.minimum(out, tmp, out=out)
+    y1 = scale1 * np.square(a * t)
+    y2 = scale2 * np.square(b * t + c_eff * np.sqrt(np.maximum(1.0 - t * t, 0.0)))
+    return np.minimum(y1, y2)
 
 
 def projection_coefficients(x, cfg: SystemConfig) -> tuple:
@@ -114,7 +91,7 @@ def projection_coefficients(x, cfg: SystemConfig) -> tuple:
     gains along that direction and its orthogonal complement.  Computed from
     actual vector projections, not from any simplified expression.
     """
-    x = _check_positions(x, cfg)
+    x = check_positions(x, cfg)
     return tuple(float(g) for g in _projection_gains(x, user_kappas(cfg)))
 
 
@@ -210,7 +187,7 @@ def build_beamformer(
     times the unit complement direction (both conjugated), then rotated so
     its first significant entry is real nonnegative.
     """
-    x = _check_positions(x, cfg)
+    x = check_positions(x, cfg)
     t = float(_clamp_mixing(t))
     n = cfg.n_antennas
     h1, p, perp = _split(x, user_kappas(cfg))

@@ -30,7 +30,7 @@ from .oracle import GridSpec, _best_t_rows, joint_vs_decoupled
 from .posopt import (
     _check_rows_feasible, _correlation_rows, correlation, correlation_objective, random_positions
 )
-from .sysmodel import FEASIBILITY_TOL, SystemConfig, beam_pattern, user_kappas
+from .sysmodel import FEASIBILITY_TOL, SystemConfig, beam_pattern, exceeds_span, user_kappas
 
 log = logging.getLogger(__name__)
 
@@ -281,7 +281,7 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
     for value in values:
         label = f"{key}={value:g}"
         geometry = {"n_antennas": exp.system.n_antennas, "span_l": exp.system.span_l, field: value}
-        if (geometry["n_antennas"] - 1) * exp.system.d_min > geometry["span_l"] + FEASIBILITY_TOL:
+        if exceeds_span(geometry["n_antennas"], exp.system.d_min, geometry["span_l"]):
             rates, point_skips = [], [f"{label}: {infeasible}"]
         else:
             try:

@@ -53,13 +53,11 @@ class JointOptimum(NamedTuple):
 
 
 @functools.lru_cache(maxsize=4)
-def _mixing_grid(t_step: float) -> tuple:
-    """Read-only mixing grid of spacing t_step on [0, 1] and its sqrt(max(1 - t^2, 0))."""
+def _mixing_grid(t_step: float) -> np.ndarray:
+    """Read-only mixing grid of spacing t_step on [0, 1]."""
     t = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
-    root = np.sqrt(np.maximum(1.0 - t * t, 0.0))
     t.flags.writeable = False
-    root.flags.writeable = False
-    return t, root
+    return t
 
 
 def _gain_columns(a, b, c, scales) -> list:
@@ -81,23 +79,14 @@ def _grid_peaks(a, b, c, scales, t_step: float) -> tuple:
     best.  So a row whose coarse maximum is unique has its first maximizer
     in the bracket; a row that meets it twice (theta quantised flat across
     a stride, as at subnormal SNR scales) is scored on the whole grid.  The
-    theta values are the kernel's on the cached t and sqrt(1 - t^2), so each
-    row's answer is an argmax over the whole grid, bit for bit.
+    theta values are the kernel's on the cached grid points, so each row's
+    answer is an argmax over the whole grid, bit for bit.
     """
-    t_grid, root = _mixing_grid(t_step)
+    t_grid = _mixing_grid(t_step)
     stride = math.isqrt(t_grid.size)
     coarse = np.append(np.arange(0, t_grid.size - 1, stride), t_grid.size - 1)
     a, b, c, s1, s2 = _gain_columns(a, b, c, scales)
-
-    def score(rows, idx):
-        out = np.empty(np.broadcast_shapes(a[rows].shape, idx.shape))
-        return _theta_from_gains(
-            a[rows], b[rows], c[rows], t_grid[idx], s1[rows], s2[rows], root[idx], out,
-            np.empty_like(out),
-        )
-
-    every = slice(None)
-    theta = score(every, coarse)
+    theta = _theta_from_gains(a, b, c, t_grid[coarse], s1, s2)
     m = np.argmax(theta, axis=1)
     rows = np.arange(m.size)
     tied = np.flatnonzero(np.sum(theta == theta[rows, m][:, None], axis=1) > 1)
@@ -105,11 +94,11 @@ def _grid_peaks(a, b, c, scales, t_step: float) -> tuple:
     hi = coarse[np.minimum(m + 1, coarse.size - 1)]
     # a bracket narrower than 2s + 1 points repeats its last point, which never wins a first argmax
     fine = np.minimum(lo[:, None] + np.arange(2 * stride + 1), hi[:, None])
-    theta = score(every, fine)
+    theta = _theta_from_gains(a, b, c, t_grid[fine], s1, s2)
     k = np.argmax(theta, axis=1)
     j, peak = fine[rows, k], theta[rows, k]
     for r in tied:
-        theta = score([r], np.arange(t_grid.size))[0]
+        theta = _theta_from_gains(a[r], b[r], c[r], t_grid, s1[r], s2[r])
         j[r] = np.argmax(theta)
         peak[r] = theta[j[r]]
     return j, peak
@@ -140,7 +129,7 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     count, chunks = _grid_combination_chunks(
         cfg.span_l, cfg.d_min, grid.position_step, n, chunk=_JOINT_CHUNK
     )
-    t_grid = _mixing_grid(grid.t_step)[0]
+    t_grid = _mixing_grid(grid.t_step)
     if count * t_grid.size > MAX_EVALUATIONS:
         raise ValueError(
             "grid search would exceed the evaluation cap; coarsen the grid"
@@ -170,7 +159,7 @@ def _best_t_rows(a, b, c, scales, t_step: float) -> tuple:
     as a call of its own would, until its own bracket is at most 1e-15 wide,
     and its zoom points are np.linspace's, bit for bit.
     """
-    t_grid = _mixing_grid(t_step)[0]
+    t_grid = _mixing_grid(t_step)
     j, theta_best = _grid_peaks(a, b, c, scales, t_step)
     a, b, c, s1, s2 = _gain_columns(a, b, c, scales)
     t_best = t_grid[j]
@@ -261,7 +250,10 @@ def joint_vs_decoupled(
 
     The decoupled solution is snapped onto the search grid; the joint optimum
     can then exceed it by at most the grid resolution bound if correlation
-    maximization alone is enough to pick the positions.
+    maximization alone is enough to pick the positions.  That bound is loose,
+    so the check also needs the unsnapped decoupled solution to reach the
+    joint grid optimum: joint_excess_rel, the joint theta's relative excess
+    over it, must be at most 1e-9.
     """
     joint = brute_force_joint(cfg, grid)
     x_dec, _ = multi_start_sca(cfg)
@@ -275,13 +267,15 @@ def joint_vs_decoupled(
     theta_joint = min_snr_from_projections(joint.t, joint.x, cfg)
     eps = resolution_bound(cfg, grid, min(theta_joint, theta_snap))
     gap = joint.min_rate - math.log2(1.0 + theta_snap)
+    excess = (theta_joint - theta_dec) / theta_joint if theta_joint > 0.0 else 0.0
     return {
         "rate_joint": joint.min_rate,
         "rate_decoupled": math.log2(1.0 + theta_dec),
         "rate_decoupled_snapped": math.log2(1.0 + theta_snap),
         "epsilon_rate": eps,
         "gap_rate": gap,
-        "passed": bool(-1e-9 <= gap <= eps + 1e-12),
+        "joint_excess_rel": excess,
+        "passed": bool(-1e-9 <= gap <= eps + 1e-12 and excess <= 1e-9),
         "x_joint": joint.x.tolist(),
         "t_joint": joint.t,
         "x_decoupled": np.asarray(x_dec, dtype=float).tolist(),

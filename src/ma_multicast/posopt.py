@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import FEASIBILITY_TOL, SystemConfig, validate_positions
+from .sysmodel import FEASIBILITY_TOL, SystemConfig, check_positions, exceeds_span
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +122,7 @@ def project_polytope(z, span_l: float, d_min: float) -> np.ndarray:
         raise ValueError("z must be a non-empty 1-D array or a 2-D array of rows")
     n = z.shape[-1]
     # SystemConfig's own feasibility test, so every config it accepts projects
-    if (n - 1) * d_min > span_l + FEASIBILITY_TOL:
+    if exceeds_span(n, d_min, span_l):
         raise ValueError("polytope is empty: span_l < (n - 1) * d_min")
     hi = max(span_l - (n - 1) * d_min, 0.0)
     offsets = d_min * np.arange(n)
@@ -385,9 +385,7 @@ def sca_optimize(cfg: SystemConfig, init, tol: float = 1e-8, max_iter: int = 500
 
     The one-row case of the batched kernel that multi_start_sca runs.
     """
-    x = validate_positions(init, cfg.span_l, cfg.d_min)
-    if x.size != cfg.n_antennas:
-        raise ValueError("init does not match n_antennas")
+    x = check_positions(init, cfg)
     (trace,) = _sca_rows(cfg, x[None, :], tol, max_iter)
     return trace.x.copy(), trace
 

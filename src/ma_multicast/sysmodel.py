@@ -15,6 +15,11 @@ FEASIBILITY_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
 
 
+def exceeds_span(n: int, spacing: float, span_l: float) -> bool:
+    """Whether n antennas spacing apart overrun span_l by more than FEASIBILITY_TOL."""
+    return (n - 1) * spacing > span_l + FEASIBILITY_TOL
+
+
 def dbm_to_watt(dbm: float) -> float:
     """Convert a power figure in dBm to watts."""
     return 10.0 ** ((dbm - 30.0) / 10.0)
@@ -51,7 +56,7 @@ class SystemConfig:
             raise ValueError("span_l must be positive and finite")
         if not (0.0 < self.d_min < math.inf):
             raise ValueError("d_min must be positive and finite")
-        if (self.n_antennas - 1) * self.d_min > self.span_l + FEASIBILITY_TOL:
+        if exceeds_span(self.n_antennas, self.d_min, self.span_l):
             raise ValueError(
                 "infeasible geometry: (n_antennas - 1) * d_min = "
                 f"{(self.n_antennas - 1) * self.d_min:g} exceeds span_l = {self.span_l:g}"
@@ -131,9 +136,10 @@ def _as_position_array(x) -> np.ndarray:
     return x
 
 
-def validate_positions(x, span_l: float, d_min: float, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+def validate_positions(x, span_l: float, d_min: float) -> np.ndarray:
     """Check the ascending/spacing/aperture constraints and return x as floats."""
     x = _as_position_array(x)
+    tol = FEASIBILITY_TOL
     if x[0] < -tol:
         raise ValueError(f"first position {x[0]:g} lies left of the aperture")
     if x.size > 1 and np.min(np.diff(x)) < d_min - tol:
@@ -142,6 +148,14 @@ def validate_positions(x, span_l: float, d_min: float, tol: float = FEASIBILITY_
         )
     if x[-1] > span_l + tol:
         raise ValueError(f"last position {x[-1]:g} exceeds the aperture span {span_l:g}")
+    return x
+
+
+def check_positions(x, cfg: SystemConfig) -> np.ndarray:
+    """validate_positions, plus one position per configured antenna."""
+    x = validate_positions(x, cfg.span_l, cfg.d_min)
+    if x.size != cfg.n_antennas:
+        raise ValueError("positions do not match n_antennas")
     return x
 
 
@@ -201,9 +215,7 @@ def beam_pattern(w, x, thetas, wavelength: float = 1.0) -> np.ndarray:
 
 def snr_pair(w, x, cfg: SystemConfig) -> SnrPair:
     """Receive SNRs of both users under beamformer w and positions x."""
-    x = validate_positions(x, cfg.span_l, cfg.d_min)
-    if x.size != cfg.n_antennas:
-        raise ValueError("positions do not match n_antennas")
+    x = check_positions(x, cfg)
     gamma = tuple(
         cfg.snr_scale(i) * beam_gain(w, x, cfg.theta_su[i], cfg.wavelength)
         for i in (0, 1)

@@ -21,6 +21,7 @@ from ma_multicast import (
     run_validate,
     snap_mixing_to_grid,
     snap_positions_to_grid,
+    uniform_positions,
     validate_positions,
 )
 from ma_multicast import beamformer, oracle
@@ -134,7 +135,7 @@ def snr_scales(cfg):
 
 
 def theta_reference(a, b, c, t, scale1, scale2):
-    """The allocating theta expression that the buffered kernel must match bit for bit."""
+    """The theta expression, written out once more, that the kernel must match bit for bit."""
     c_eff = np.where(c < PARALLEL_TOL, 0.0, c)
     y1 = scale1 * (a * t) ** 2
     y2 = scale2 * (b * t + c_eff * np.sqrt(np.maximum(1.0 - t * t, 0.0))) ** 2
@@ -145,7 +146,7 @@ def raw_grid_best_t(x, cfg, t_step):
     """grid_best_t's grid pass alone: the first grid point of the highest theta."""
     gains = (np.array([g]) for g in projection_coefficients(x, cfg))
     j, theta = oracle._grid_peaks(*gains, snr_scales(cfg), t_step)
-    return float(oracle._mixing_grid(t_step)[0][j[0]]), float(theta[0])
+    return float(oracle._mixing_grid(t_step)[j[0]]), float(theta[0])
 
 
 def reference_best_t(x, cfg, t_step):
@@ -497,42 +498,35 @@ def test_grid_best_t_zoom_brackets_the_kink_when_the_grid_is_wider_than_t_step()
 
 
 @pytest.mark.parametrize("case", range(len(GRID_T_CASES)))
-def test_buffered_theta_matches_the_allocating_expression_bitwise(case):
+def test_theta_kernel_matches_the_reference_expression_bitwise(case):
     cfg, x = GRID_T_CASES[case]
-    t_grid, root = oracle._mixing_grid(1e-4)
+    t_grid = oracle._mixing_grid(1e-4)
     # (B, T) rows as brute_force_joint scores them: x, its mirror and two
     # random spreads
     rng = np.random.default_rng(40 + case)
     rows = np.vstack([x, cfg.span_l - x[::-1]] + [random_positions(cfg, rng) for _ in range(2)])
     a, b, c = (g[:, None] for g in _projection_gains(rows, user_kappas(cfg)))
     want = theta_reference(a, b, c, t_grid, *snr_scales(cfg))
-    out, tmp = np.empty_like(want), np.empty_like(want)
-    scales = cfg.snr_scale(0), cfg.snr_scale(1)
-    got = _theta_from_gains(a, b, c, t_grid, *scales, root, out, tmp)
-    assert got is out
+    got = _theta_from_gains(a, b, c, t_grid, *snr_scales(cfg))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # 1-D blocks with scalar gains as grid_best_t scores them, the t = 1 end included
     gains = projection_coefficients(x, cfg)
     for block in (slice(0, 7), slice(4_999, 10_001), slice(0, 10_001)):
         want = theta_reference(*gains, t_grid[block], *snr_scales(cfg))
-        got = _theta_from_gains(
-            *gains, t_grid[block], *scales, root[block], np.empty(want.size), np.empty(want.size)
-        )
+        got = _theta_from_gains(*gains, t_grid[block], *snr_scales(cfg))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_mixing_grid_is_cached_and_read_only():
-    t, root = oracle._mixing_grid(1e-4)
-    assert oracle._mixing_grid(1e-4)[0] is t
+    t = oracle._mixing_grid(1e-4)
+    assert oracle._mixing_grid(1e-4) is t
     assert np.array_equal(t, np.linspace(0.0, 1.0, 10_001))
-    assert np.array_equal(root, np.sqrt(np.maximum(1.0 - t * t, 0.0)))
-    for arr in (t, root):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0.5
-        with pytest.raises(ValueError, match="read-only"):
-            np.multiply(arr, 2.0, out=arr)
-    assert t[0] == 0.0 and root[0] == 1.0
+    assert not t.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        t[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        np.multiply(t, 2.0, out=t)
+    assert t[0] == 0.0
 
 
 def test_grid_oracles_never_call_the_closed_form(monkeypatch):
@@ -624,11 +618,24 @@ def test_joint_vs_decoupled_certificate():
     report = joint_vs_decoupled(cfg, GridSpec())
     assert report["passed"]
     assert -1e-9 <= report["gap_rate"] <= report["epsilon_rate"] + 1e-12
+    assert report["joint_excess_rel"] <= 1e-9
     assert report["rate_joint"] == pytest.approx(
         report["gap_rate"] + report["rate_decoupled_snapped"], abs=1e-12
     )
     for key in ("x_joint", "t_joint", "x_decoupled", "t_decoupled", "rate_decoupled"):
         assert key in report
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_joint_vs_decoupled_fails_a_solve_that_stops_at_the_uniform_spread(monkeypatch, n):
+    # the resolution bound alone passes this mutant; the joint-excess leg catches it
+    cfg, grid = SystemConfig(n_antennas=n, span_l=2.0), GridSpec(0.1, 1e-3)
+    assert joint_vs_decoupled(cfg, grid)["passed"]
+    monkeypatch.setattr(oracle, "multi_start_sca", lambda cfg: (uniform_positions(cfg), None))
+    report = joint_vs_decoupled(cfg, grid)
+    assert -1e-9 <= report["gap_rate"] <= report["epsilon_rate"] + 1e-12
+    assert report["joint_excess_rel"] > 1e-9
+    assert not report["passed"]
 
 
 # ---------------------------------------------------------------------------
