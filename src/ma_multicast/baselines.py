@@ -23,6 +23,7 @@ from .beamformer import (
 )
 from .posopt import (
     ScaTrace,
+    _correlation_rows,
     _grid_combination_chunks,
     correlation,
     correlation_objective,
@@ -157,7 +158,7 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     # difference multiset do), so ties are resolved within a small absolute
     # window; enumeration order is lexicographic and the first hit wins.
     for pos in chunks:
-        f = np.abs(np.exp(1j * obj.kappa * pos).sum(axis=1))
+        f = _correlation_rows(pos, obj.kappa)
         j = int(np.flatnonzero(f >= f.max() - APS_TIE_TOL)[0])
         if f[j] > best_f + APS_TIE_TOL:
             best_f = float(f[j])

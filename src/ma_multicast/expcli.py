@@ -27,10 +27,10 @@ from .beamformer import (
     theta_coefficients,
 )
 from .oracle import GridSpec, _best_t_rows, joint_vs_decoupled
-from .posopt import (
-    _check_rows_feasible, _correlation_rows, correlation, correlation_objective, random_positions
+from .posopt import _correlation_rows, correlation, correlation_objective, random_positions
+from .sysmodel import (
+    FEASIBILITY_TOL, SystemConfig, beam_pattern, exceeds_span, user_kappas, validate_position_rows
 )
-from .sysmodel import FEASIBILITY_TOL, SystemConfig, beam_pattern, exceeds_span, user_kappas
 
 log = logging.getLogger(__name__)
 
@@ -387,7 +387,7 @@ def _sampled_check(rng, samples: int, name: str, tol: float, rel_diffs, draw_t=F
         cfgs, x, t = zip(*draws)
         x = np.array(x)
         spans, d_mins = np.array([[c.span_l, c.d_min] for c in cfgs]).T[:, :, None]
-        _check_rows_feasible(x, spans, d_mins)
+        validate_position_rows(x, spans, d_mins)
         peaks.append(np.max(rel_diffs(cfgs, x, np.array(t) if draw_t else None)))
     # np.max, unlike Python's max, lets a NaN through, so the check fails on it
     worst = float(np.max(peaks))

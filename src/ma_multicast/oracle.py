@@ -7,19 +7,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .baselines import proposed_scheme
 from .beamformer import (
     _projection_gains,
     _theta_from_gains,
-    optimize_mixing,
     min_snr_from_projections,
     projection_coefficients,
-    theta_coefficients,
 )
-from .posopt import _grid_combination_chunks, correlation, correlation_objective, multi_start_sca
+from .posopt import _grid_combination_chunks, correlation_objective
 from .sysmodel import FEASIBILITY_TOL, SystemConfig, user_kappas
 
 MAX_EVALUATIONS = 100_000_000
-JOINT_MAX_ANTENNAS = 3
 # relative window for treating grid candidates as tied on the objective
 JOINT_TIE_RTOL = 1e-12
 # Tuples per enumerator chunk, all scored in one _grid_peaks call; neither
@@ -107,27 +105,24 @@ def _grid_peaks(a, b, c, scales, t_step: float) -> tuple:
 def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOptimum:
     """Joint grid search over positions and mixing, via the projection route.
 
-    Intended for tiny arrays only.  The gains depend only on the spacings and
+    Intended for tiny arrays only: MAX_EVALUATIONS, checked before anything
+    is built, bounds the work.  The gains depend only on the spacings and
     are unchanged by mirroring, so only tuples with x_1 = 0 whose spacings
     are no greater than their reverse are scored: every other feasible tuple
     is a translate or a mirror of one of them with the same objective, up to
     summation rounding.  Each chunk of tuples gets its peaks over the mixing
     grid from one _grid_peaks call: a coarse pass over the grid, then the
     bracket around each row's best coarse point, which holds the row's first
-    maximizer because theta is quasi-concave in t.  The winner is then the
-    first tuple, in lexicographic order, whose peak lies within JOINT_TIE_RTOL
-    of the overall maximum; only its row is scored again, on the whole grid,
-    to pick its t as the first grid value within the same window of its
-    peak.  The anchored tuple kept of each mirror pair is the one a search
-    over every tuple would pick too.  The MAX_EVALUATIONS cap still counts
-    anchored tuples, mirrors included, times the grid size, as the full scan
-    did, so the refused sizes stay the same.
+    maximizer because theta is quasi-concave in t.  The winner is the first
+    tuple, in lexicographic order, whose peak lies within JOINT_TIE_RTOL of
+    the overall maximum, and t is its first highest grid value, the one
+    _grid_peaks returned for it.  The anchored tuple kept of each mirror
+    pair is the one a search over every tuple would pick too.  The cap
+    counts anchored tuples, mirrors included, times the grid size, as the
+    full scan did, so the refused sizes stay the same.
     """
-    n = cfg.n_antennas
-    if n > JOINT_MAX_ANTENNAS:
-        raise ValueError(f"brute force is capped at {JOINT_MAX_ANTENNAS} antennas")
     count, chunks = _grid_combination_chunks(
-        cfg.span_l, cfg.d_min, grid.position_step, n, chunk=_JOINT_CHUNK
+        cfg.span_l, cfg.d_min, grid.position_step, cfg.n_antennas, chunk=_JOINT_CHUNK
     )
     t_grid = _mixing_grid(grid.t_step)
     if count * t_grid.size > MAX_EVALUATIONS:
@@ -135,21 +130,18 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
             "grid search would exceed the evaluation cap; coarsen the grid"
         )
     kappas, scales = user_kappas(cfg), (cfg.snr_scale(0), cfg.snr_scale(1))
-    positions, gains, peaks = [], [], []
+    positions, index, peaks = [], [], []
     for pos in chunks:
-        a, b, c = _projection_gains(pos, kappas)
-        peaks.append(_grid_peaks(a, b, c, scales, grid.t_step)[1])
+        j, peak = _grid_peaks(*_projection_gains(pos, kappas), scales, grid.t_step)
         positions.append(pos)
-        gains.append(np.column_stack([a, b, c]))
+        index.append(j)
+        peaks.append(peak)
     peaks = np.concatenate(peaks)
     best = float(peaks.max())
-    tol = JOINT_TIE_RTOL * best
-    j = int(np.flatnonzero(peaks >= best - tol)[0])
-    a, b, c = np.concatenate(gains)[j]
-    theta = _theta_from_gains(a, b, c, t_grid, *scales)
-    t = float(t_grid[int(np.flatnonzero(theta >= peaks[j] - tol)[0])])
-    x = np.concatenate(positions)[j]
-    return JointOptimum(x=x, t=t, min_rate=math.log2(1.0 + float(peaks[j])))
+    k = int(np.flatnonzero(peaks >= best - JOINT_TIE_RTOL * best)[0])
+    x = np.concatenate(positions)[k]
+    t = float(t_grid[np.concatenate(index)[k]])
+    return JointOptimum(x=x, t=t, min_rate=math.log2(1.0 + float(peaks[k])))
 
 
 def _best_t_rows(a, b, c, scales, t_step: float) -> tuple:
@@ -246,9 +238,10 @@ def joint_vs_decoupled(
     cfg: SystemConfig,
     grid: GridSpec = GridSpec(),
 ) -> dict:
-    """Compare the decoupled pipeline against the joint grid optimum.
+    """Compare the proposed scheme against the joint grid optimum.
 
-    The decoupled solution is snapped onto the search grid; the joint optimum
+    The decoupled solution is proposed_scheme's positions and mixing, the
+    ones optimize reports, snapped onto the search grid; the joint optimum
     can then exceed it by at most the grid resolution bound if correlation
     maximization alone is enough to pick the positions.  That bound is loose,
     so the check also needs the unsnapped decoupled solution to reach the
@@ -256,10 +249,8 @@ def joint_vs_decoupled(
     over it, must be at most 1e-9.
     """
     joint = brute_force_joint(cfg, grid)
-    x_dec, _ = multi_start_sca(cfg)
-    obj = correlation_objective(cfg)
-    f = correlation(x_dec, obj)
-    t_dec, _label = optimize_mixing(theta_coefficients(f, cfg), cfg.n_antennas)
+    decoupled = proposed_scheme(cfg)
+    x_dec, t_dec = decoupled.x, decoupled.w.t
     theta_dec = min_snr_from_projections(t_dec, x_dec, cfg)
     x_snap = snap_positions_to_grid(x_dec, cfg, grid.position_step)
     t_snap = snap_mixing_to_grid(t_dec, grid.t_step)
@@ -278,6 +269,6 @@ def joint_vs_decoupled(
         "passed": bool(-1e-9 <= gap <= eps + 1e-12 and excess <= 1e-9),
         "x_joint": joint.x.tolist(),
         "t_joint": joint.t,
-        "x_decoupled": np.asarray(x_dec, dtype=float).tolist(),
+        "x_decoupled": x_dec.tolist(),
         "t_decoupled": t_dec,
     }

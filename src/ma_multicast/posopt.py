@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import FEASIBILITY_TOL, SystemConfig, check_positions, exceeds_span
+from .sysmodel import (
+    FEASIBILITY_TOL, SystemConfig, check_positions, exceeds_span, validate_position_rows
+)
 
 log = logging.getLogger(__name__)
 
@@ -131,21 +133,6 @@ def project_polytope(z, span_l: float, d_min: float) -> np.ndarray:
     return u + offsets
 
 
-def _check_rows_feasible(x: np.ndarray, span_l, d_min) -> None:
-    """validate_positions for every row of a (B, n) array of positions.
-
-    span_l and d_min are one value each, or (B, 1) columns of one per row.
-    """
-    tol = FEASIBILITY_TOL
-    if (
-        not np.isfinite(x).all()
-        or x[:, 0].min() < -tol
-        or (x[:, -1:] > span_l + tol).any()
-        or (x[:, 1:] - x[:, :-1] < d_min - tol).any()
-    ):
-        raise ValueError("positions lie outside the feasible set")
-
-
 def solve_surrogate(x_k, g, delta, cfg: SystemConfig) -> np.ndarray:
     """Exact maximizer of the quadratic minorant over the spacing polytope.
 
@@ -158,7 +145,7 @@ def solve_surrogate(x_k, g, delta, cfg: SystemConfig) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if x_k.ndim not in (1, 2) or x_k.size < 1 or g.shape != x_k.shape:
         raise ValueError("x_k must be a non-empty 1-D or 2-D array and g must match its shape")
-    _check_rows_feasible(np.atleast_2d(x_k), cfg.span_l, cfg.d_min)
+    validate_position_rows(np.atleast_2d(x_k), cfg.span_l, cfg.d_min)
     delta = np.broadcast_to(np.asarray(delta, dtype=float), x_k.shape[:-1])
     if not np.all(delta > 0.0):
         raise DegenerateObjectiveError("surrogate curvature must be positive")
@@ -368,7 +355,7 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
             if active.size == 0:
                 break
     # solve_surrogate checked every anchor; this covers each row's last iterate
-    _check_rows_feasible(x, cfg.span_l, cfg.d_min)
+    validate_position_rows(x, cfg.span_l, cfg.d_min)
     return [
         ScaTrace(
             f1_history=_frozen(history[r, : iterations[r] + 1]),

@@ -136,18 +136,28 @@ def _as_position_array(x) -> np.ndarray:
     return x
 
 
+def validate_position_rows(x: np.ndarray, span_l, d_min) -> None:
+    """Check that every row of a (B, n) array is finite, starts at or after 0,
+    keeps the minimum spacing and ends within the span.
+
+    span_l and d_min are one value each, or (B, 1) columns of one per row.
+    The message names the first of those constraints that some row breaks.
+    """
+    tol = FEASIBILITY_TOL
+    if not np.isfinite(x).all():
+        raise ValueError("infeasible positions: not all finite")
+    if x[:, 0].min() < -tol:
+        raise ValueError("infeasible positions: a first position lies left of the aperture")
+    if (x[:, 1:] - x[:, :-1] < d_min - tol).any():
+        raise ValueError("infeasible positions: an adjacent spacing is below the minimum")
+    if (x[:, -1:] > span_l + tol).any():
+        raise ValueError("infeasible positions: a last position exceeds the aperture span")
+
+
 def validate_positions(x, span_l: float, d_min: float) -> np.ndarray:
     """Check the ascending/spacing/aperture constraints and return x as floats."""
     x = _as_position_array(x)
-    tol = FEASIBILITY_TOL
-    if x[0] < -tol:
-        raise ValueError(f"first position {x[0]:g} lies left of the aperture")
-    if x.size > 1 and np.min(np.diff(x)) < d_min - tol:
-        raise ValueError(
-            f"adjacent spacing {np.min(np.diff(x)):g} violates the minimum {d_min:g}"
-        )
-    if x[-1] > span_l + tol:
-        raise ValueError(f"last position {x[-1]:g} exceeds the aperture span {span_l:g}")
+    validate_position_rows(x[None, :], span_l, d_min)
     return x
 
 
@@ -171,11 +181,7 @@ def steering_vector(x, theta: float, wavelength: float = 1.0) -> np.ndarray:
     wavelength : float
         Carrier wavelength in the same unit as ``x``.
     """
-    x = _as_position_array(x)
-    if x.size > 1 and np.min(np.diff(x)) < -FEASIBILITY_TOL:
-        raise ValueError("positions must be sorted ascending")
-    if x[0] < -FEASIBILITY_TOL:
-        raise ValueError("positions must be nonnegative")
+    x = validate_positions(x, math.inf, 0.0)
     if not (wavelength > 0.0):
         raise ValueError("wavelength must be positive")
     if not np.isfinite(theta):

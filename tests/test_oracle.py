@@ -16,6 +16,7 @@ from ma_multicast import (
     joint_vs_decoupled,
     min_snr_from_projections,
     projection_coefficients,
+    proposed_scheme,
     random_positions,
     resolution_bound,
     run_validate,
@@ -24,7 +25,7 @@ from ma_multicast import (
     uniform_positions,
     validate_positions,
 )
-from ma_multicast import beamformer, oracle
+from ma_multicast import baselines, beamformer, oracle
 from ma_multicast.beamformer import PARALLEL_TOL, _projection_gains, _theta_from_gains
 from ma_multicast.oracle import JOINT_TIE_RTOL, JointOptimum
 from ma_multicast.posopt import _grid_combination_chunks
@@ -105,7 +106,8 @@ def unfiltered_joint(cfg, grid):
     """The joint search scoring every anchored tuple, mirrors included.
 
     Same arithmetic and tie rule as brute_force_joint, in 128-row chunks of
-    all x_1 = 0 tuples, as the search ran before mirrors were dropped.
+    all x_1 = 0 tuples, as the search ran before mirrors were dropped; t is
+    the winner's first highest grid value.
     """
     pos_all = np.asarray(
         [c for c in reference_tuples(cfg.span_l, cfg.d_min, grid.position_step, cfg.n_antennas)
@@ -125,8 +127,7 @@ def unfiltered_joint(cfg, grid):
         if row_best[j] > best_theta + JOINT_TIE_RTOL * best_theta:
             best_theta = float(row_best[j])
             best_x = pos[j].copy()
-            row = theta[j]
-            best_t = float(t_grid[int(np.flatnonzero(row >= row.max() - tol)[0])])
+            best_t = float(t_grid[int(np.argmax(theta[j]))])
     return JointOptimum(x=best_x, t=best_t, min_rate=math.log2(1.0 + best_theta))
 
 
@@ -195,7 +196,8 @@ def test_grid_spec_defaults_and_validation():
 
 
 def test_brute_force_rejects_large_arrays():
-    with pytest.raises(ValueError, match="capped at 3 antennas"):
+    # C(44, 4) = 135751 anchored tuples times 10001 mixing values exceed the cap
+    with pytest.raises(ValueError, match="cap"):
         brute_force_joint(SystemConfig(), GridSpec())
 
 
@@ -626,12 +628,37 @@ def test_joint_vs_decoupled_certificate():
         assert key in report
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n, span_l, grid", [(4, 2.0, GridSpec(0.05, 1e-4)), (5, 3.0, GridSpec(0.1, 1e-4))])
+def test_joint_vs_decoupled_certifies_four_and_five_antennas(n, span_l, grid):
+    report = joint_vs_decoupled(SystemConfig(n_antennas=n, span_l=span_l), grid)
+    assert report["passed"]
+    assert report["joint_excess_rel"] <= 1e-9
+
+
+def test_joint_vs_decoupled_certifies_the_scheme_optimize_reports():
+    # aligned channels: build_beamformer takes its parallel branch at t = 1, where
+    # the mixing rule alone gives the left endpoint 0.9999999999999999
+    cfg = SystemConfig(
+        n_antennas=2,
+        span_l=2.0,
+        theta_su=(1.8377256686100467, 0.20514194925801882),
+        d_su=(23.65752314919121, 39.49592992383879),
+    )
+    scheme = proposed_scheme(cfg)
+    assert scheme.w.case_label is CaseLabel.DEGENERATE_PARALLEL
+    report = joint_vs_decoupled(cfg, GridSpec())
+    assert report["x_decoupled"] == scheme.x.tolist()
+    assert report["t_decoupled"] == scheme.w.t == 1.0
+    assert report["passed"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_joint_vs_decoupled_fails_a_solve_that_stops_at_the_uniform_spread(monkeypatch, n):
     # the resolution bound alone passes this mutant; the joint-excess leg catches it
-    cfg, grid = SystemConfig(n_antennas=n, span_l=2.0), GridSpec(0.1, 1e-3)
+    cfg = SystemConfig(n_antennas=n, span_l=3.0 if n == 5 else 2.0)
+    grid = GridSpec(0.1, 1e-3)
     assert joint_vs_decoupled(cfg, grid)["passed"]
-    monkeypatch.setattr(oracle, "multi_start_sca", lambda cfg: (uniform_positions(cfg), None))
+    monkeypatch.setattr(baselines, "multi_start_sca", lambda cfg: (uniform_positions(cfg), None))
     report = joint_vs_decoupled(cfg, grid)
     assert -1e-9 <= report["gap_rate"] <= report["epsilon_rate"] + 1e-12
     assert report["joint_excess_rel"] > 1e-9

@@ -606,30 +606,6 @@ def test_kernel_rejects_infeasible_start():
         _sca_rows(cfg, np.array([[0.0, 0.5, 1.0], [0.0, 0.2, 1.0]]))
 
 
-def test_row_check_holds_each_row_to_its_own_bounds_as_validate_positions_does():
-    # rows a tolerance either side of each bound, with (B, 1) columns of span_l and d_min
-    rng = np.random.default_rng(12)
-    nudge = np.array([-2e-9, -0.5e-9, 0.0, 0.5e-9, 2e-9])
-    for _ in range(300):
-        span_l, d_min = rng.uniform(1.5, 3.0), rng.choice([0.25, 0.5])
-        x = np.array([0.0, d_min, span_l]) + rng.choice(nudge, 3)
-        try:
-            validate_positions(x, span_l, d_min)
-            want = True
-        except ValueError:
-            want = False
-        rows = np.vstack([[0.0, 0.5, 1.0], x])
-        spans, d_mins = np.array([[1.0], [span_l]]), np.array([[0.5], [d_min]])
-        if want:
-            posopt._check_rows_feasible(rows, spans, d_mins)
-        else:
-            with pytest.raises(ValueError, match="feasible"):
-                posopt._check_rows_feasible(rows, spans, d_mins)
-    # the first row fits a span of 1 but not the second row's
-    with pytest.raises(ValueError, match="feasible"):
-        posopt._check_rows_feasible(np.array([[0.0, 0.5, 1.0], [0.0, 0.5, 2.0]]), np.array([[2.0], [1.0]]), 0.5)
-
-
 # ---------------------------------------------------------------------------
 # Chain-DP start
 

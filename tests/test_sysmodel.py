@@ -23,6 +23,7 @@ from ma_multicast import (
     steering_vector,
     validate_positions,
 )
+from ma_multicast.sysmodel import validate_position_rows
 
 
 def scalar_steering(x, theta, wavelength=1.0):
@@ -157,13 +158,13 @@ def test_validate_positions_accepts_feasible():
 
 
 def test_validate_positions_rejects_violations():
-    with pytest.raises(ValueError):
-        validate_positions([0.0, 0.4], 4.0, 0.5)  # spacing
-    with pytest.raises(ValueError):
-        validate_positions([-0.1, 0.5], 4.0, 0.5)  # below zero
-    with pytest.raises(ValueError):
-        validate_positions([0.0, 4.1], 4.0, 0.5)  # beyond span
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="infeasible.*spacing"):
+        validate_positions([0.0, 0.4], 4.0, 0.5)
+    with pytest.raises(ValueError, match="infeasible.*left of the aperture"):
+        validate_positions([-0.1, 0.5], 4.0, 0.5)
+    with pytest.raises(ValueError, match="infeasible.*aperture span"):
+        validate_positions([0.0, 4.1], 4.0, 0.5)
+    with pytest.raises(ValueError, match="infeasible.*spacing"):
         validate_positions([1.0, 0.0], 4.0, 0.5)  # unsorted
     with pytest.raises(ValueError):
         validate_positions([[0.0, 1.0]], 4.0, 0.5)  # not 1-D
@@ -171,6 +172,30 @@ def test_validate_positions_rejects_violations():
 
 def test_validate_positions_tolerates_boundary_noise():
     validate_positions([0.0, 0.5 - 1e-12, 4.0 + 1e-12], 4.0, 0.5)
+
+
+def test_row_check_holds_each_row_to_its_own_bounds_as_validate_positions_does():
+    # rows a tolerance either side of each bound, with (B, 1) columns of span_l and d_min
+    rng = np.random.default_rng(12)
+    nudge = np.array([-2e-9, -0.5e-9, 0.0, 0.5e-9, 2e-9])
+    for _ in range(300):
+        span_l, d_min = rng.uniform(1.5, 3.0), rng.choice([0.25, 0.5])
+        x = np.array([0.0, d_min, span_l]) + rng.choice(nudge, 3)
+        try:
+            validate_positions(x, span_l, d_min)
+            want = True
+        except ValueError:
+            want = False
+        rows = np.vstack([[0.0, 0.5, 1.0], x])
+        spans, d_mins = np.array([[1.0], [span_l]]), np.array([[0.5], [d_min]])
+        if want:
+            validate_position_rows(rows, spans, d_mins)
+        else:
+            with pytest.raises(ValueError, match="feasible"):
+                validate_position_rows(rows, spans, d_mins)
+    # the first row fits a span of 1 but not the second row's
+    with pytest.raises(ValueError, match="feasible"):
+        validate_position_rows(np.array([[0.0, 0.5, 1.0], [0.0, 0.5, 2.0]]), np.array([[2.0], [1.0]]), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +219,16 @@ def test_steering_vector_unit_modulus():
     x = np.sort(rng.uniform(0.0, 5.0, 6))
     h = steering_vector(x, 1.234)
     assert np.allclose(np.abs(h), 1.0, atol=1e-14)
+
+
+def test_steering_vector_needs_only_sorted_nonnegative_positions():
+    # no span and no minimum spacing: coincident and far-out antennas are fine
+    assert steering_vector([0.0, 0.0, 1e6], 0.7).shape == (3,)
+    steering_vector([-1e-12, 0.0], 0.7)  # within the feasibility tolerance
+    with pytest.raises(ValueError, match="infeasible.*spacing"):
+        steering_vector([0.0, 1.0, 0.5], 0.7)
+    with pytest.raises(ValueError, match="infeasible.*left of the aperture"):
+        steering_vector([-0.1, 0.5], 0.7)
 
 
 def test_steering_translation_is_global_phase():
