@@ -23,7 +23,6 @@ from .beamformer import (
     CaseLabel,
     ThetaCoefficients,
     build_beamformer,
-    min_snr_from_correlation,
     min_snr_from_projections,
     optimize_mixing,
     projection_coefficients,
@@ -35,7 +34,6 @@ from .oracle import (
     GridSpec,
     JointOptimum,
     brute_force_joint,
-    grid_best_t,
     joint_vs_decoupled,
     resolution_bound,
     snap_mixing_to_grid,
@@ -95,12 +93,10 @@ __all__ = [
     "correlation_objective",
     "dbm_to_watt",
     "fpa_scheme",
-    "grid_best_t",
     "joint_vs_decoupled",
     "load_config",
     "ma_mrt",
     "main",
-    "min_snr_from_correlation",
     "min_snr_from_projections",
     "multi_start_sca",
     "optimize_mixing",

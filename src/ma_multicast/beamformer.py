@@ -102,11 +102,6 @@ def _clamp_mixing(t):
     return np.clip(t, 0.0, 1.0)
 
 
-def min_snr_from_correlation(t: float, f: float, cfg: SystemConfig) -> float:
-    """Worst-user SNR as a function of the mixing t and the correlation f."""
-    return theta_at(theta_coefficients(f, cfg), _clamp_mixing(t))
-
-
 def min_snr_from_projections(t: float, x, cfg: SystemConfig) -> float:
     """Worst-user SNR computed through explicit projections of the channels."""
     a, b, c = projection_coefficients(x, cfg)

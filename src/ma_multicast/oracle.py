@@ -12,7 +12,6 @@ from .beamformer import (
     _projection_gains,
     _theta_from_gains,
     min_snr_from_projections,
-    projection_coefficients,
 )
 from .posopt import _grid_combination_chunks, correlation_objective
 from .sysmodel import FEASIBILITY_TOL, SystemConfig, user_kappas
@@ -23,7 +22,7 @@ JOINT_TIE_RTOL = 1e-12
 # Tuples per enumerator chunk, all scored in one _grid_peaks call; neither
 # the per-element arithmetic nor the winner depends on it.
 _JOINT_CHUNK = 128
-# points per round of grid_best_t's zoom, which shrinks the bracket 16-fold
+# points per round of _best_t_rows' zoom, which shrinks the bracket 16-fold
 _ZOOM_POINTS = 33
 
 
@@ -145,11 +144,19 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
 
 
 def _best_t_rows(a, b, c, scales, t_step: float) -> tuple:
-    """grid_best_t for rows of gains: one (t, theta) per row, as arrays.
+    """Best mixing parameter of each row of gains by dense search over [0, 1].
 
-    a, b, c and scales are as in _grid_peaks.  Each row runs the same zoom
-    as a call of its own would, until its own bracket is at most 1e-15 wide,
-    and its zoom points are np.linspace's, bit for bit.
+    a, b, c and scales are as in _grid_peaks, which gives the grid pass: a
+    coarse pass over the mixing grid, then every grid point between the best
+    coarse point's two coarse neighbours, which gives the grid's first
+    maximizer.  The bracket between that grid point's two neighbours is then
+    re-gridded with _ZOOM_POINTS points, np.linspace's bit for bit, and again
+    around each round's first maximum, until it is at most 1e-15 wide; each
+    row zooms on its own bracket, as a call of its own would.  Theta is the
+    min of a rising and a unimodal branch, so it is quasi-concave and each
+    bracket holds a maximizer.  Returns the best (t, theta) seen per row, as
+    arrays.  The search uses the grid values alone, never the closed form it
+    is there to check.
     """
     t_grid = _mixing_grid(t_step)
     j, theta_best = _grid_peaks(a, b, c, scales, t_step)
@@ -173,26 +180,6 @@ def _best_t_rows(a, b, c, scales, t_step: float) -> tuple:
         hi[live] = t[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]
         live = live[hi[live] - lo[live] > 1e-15]
     return t_best, theta_best
-
-
-def grid_best_t(x, cfg: SystemConfig, t_step: float = 1e-4) -> tuple:
-    """Best mixing parameter for fixed positions by dense search over [0, 1].
-
-    The grid pass is _grid_peaks: a coarse pass over the mixing grid, then
-    every grid point between the best coarse point's two coarse neighbours,
-    which gives the grid's first maximizer.  The bracket between that grid
-    point's two neighbours is then re-gridded with _ZOOM_POINTS points, and
-    again around each round's first maximum, until it is at most 1e-15
-    wide.  Theta is the min of a rising and a unimodal branch, so it is
-    quasi-concave and each bracket holds a maximizer.  Returns the best
-    (t, theta) seen.  The search uses the grid values alone, never the
-    closed form it is there to check.
-    """
-    if not (0.0 < t_step <= 0.01):
-        raise ValueError("t_step must lie in (0, 0.01]")
-    gains = (np.array([g]) for g in projection_coefficients(x, cfg))
-    t, theta = _best_t_rows(*gains, (cfg.snr_scale(0), cfg.snr_scale(1)), t_step)
-    return float(t[0]), float(theta[0])
 
 
 def snap_positions_to_grid(x, cfg: SystemConfig, step: float) -> np.ndarray:

@@ -1,14 +1,18 @@
-"""Reference correlation math that the tests compare the SCA kernel against.
+"""Reference correlation math that the tests compare the package against.
 
 The kernel (posopt._sca_rows) works from the phasor sum s = sum exp(j kappa x)
 in O(n) per row, with its own curvature 2 kappa^2 max(|s|, 1) per row.  These
 are the independent routes: the O(n^2) pairwise excess and its gradient, the
 global curvature bound 2 kappa^2 n with its Hessian proof, and the quadratic
-minorant evaluated directly.  Not a test module; the tests import it.
+minorant evaluated directly.  Beside them sit the min SNR through the
+correlation, the route the projection route is checked against, and the
+oracle's mixing search run on one position vector.  Not a test module; the
+tests import it.
 """
 
 import numpy as np
 
+from ma_multicast import oracle, projection_coefficients, theta_at, theta_coefficients
 from ma_multicast.posopt import CorrelationObjective
 
 
@@ -58,3 +62,15 @@ def kernel_curvature(x_k, obj: CorrelationObjective) -> float:
     """The SCA kernel's curvature 2 kappa^2 max(|s_k|, 1) at x_k."""
     s_k = np.exp(1j * obj.kappa * np.asarray(x_k, dtype=float)).sum()
     return 2.0 * obj.kappa ** 2 * max(abs(s_k), 1.0)
+
+
+def min_snr_from_correlation(t: float, f: float, cfg) -> float:
+    """Worst-user SNR as a function of the mixing t in [0, 1] and the correlation f."""
+    return theta_at(theta_coefficients(f, cfg), t)
+
+
+def best_t(x, cfg, t_step: float) -> tuple:
+    """oracle._best_t_rows on the one row of x's projection gains, as floats (t, theta)."""
+    gains = (np.array([g]) for g in projection_coefficients(x, cfg))
+    t, theta = oracle._best_t_rows(*gains, (cfg.snr_scale(0), cfg.snr_scale(1)), t_step)
+    return float(t[0]), float(theta[0])

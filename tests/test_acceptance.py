@@ -21,11 +21,9 @@ from ma_multicast import (
     correlation,
     correlation_objective,
     fpa_scheme,
-    grid_best_t,
     joint_vs_decoupled,
     ma_mrt,
     main,
-    min_snr_from_correlation,
     min_snr_from_projections,
     multi_start_sca,
     optimize_mixing,
@@ -42,10 +40,12 @@ from ma_multicast import (
 from ma_multicast import oracle, posopt
 
 from correlation_reference import (
+    best_t,
     correlation_excess,
     correlation_excess_grad,
     curvature_bound,
     kernel_curvature,
+    min_snr_from_correlation,
     surrogate_value,
 )
 
@@ -300,7 +300,7 @@ def test_criterion_05_closed_form_mixing_vs_grid():
         gains = (np.array([g]) for g in projection_coefficients(x, cfg))
         j_raw, _theta_raw = oracle._grid_peaks(*gains, (cfg.snr_scale(0), cfg.snr_scale(1)), 1e-5)
         t_raw = float(oracle._mixing_grid(1e-5)[j_raw[0]])
-        _t_ref, theta_ref = grid_best_t(x, cfg, t_step=1e-5)
+        _t_ref, theta_ref = best_t(x, cfg, 1e-5)
         worst = max(worst, rel_diff(theta_closed, theta_ref))
         lowest_margin = min(lowest_margin, t_raw - (f / cfg.n_antennas - 1e-5))
     ok = worst <= 1e-6 and seen == set(CaseLabel) and lowest_margin >= -1e-12
@@ -422,6 +422,46 @@ def test_large_array_solve_reaches_the_oracle_lower_bound(span_l, ns):
         f = correlation(x, correlation_objective(cfg))
         assert f >= bounds[n][0] - 1e-9, (n, f, bounds[n][0])
         assert trace.converged, n
+
+
+@pytest.mark.parametrize("span_l, ns", [(20.0, (16, 20, 24, 28, 32)), (40.0, (40, 48, 56, 64))])
+def test_large_array_solve_lies_inside_the_oracle_bracket(span_l, ns):
+    """At 16-64 antennas the shared solve's correlation lies in [f_lo, f_hi].
+
+    With a 0.0025 grid and 64 phases the brackets are 0.4-1.3% wide, so a
+    solve that stops well short of the optimum, or a correlation that
+    overshoots what any feasible array reaches, fails.
+    """
+    bounds = correlation_bounds(
+        SystemConfig(n_antennas=max(ns), span_l=span_l), max(ns), step=0.0025, phases=64
+    )
+    for n in ns:
+        cfg = SystemConfig(n_antennas=n, span_l=span_l)
+        x, trace = multi_start_sca(cfg)
+        f = correlation(x, correlation_objective(cfg))
+        f_lo, f_hi = bounds[n]
+        assert f_lo - 1e-9 <= f <= f_hi, (n, f, f_lo, f_hi)
+        assert trace.converged, n
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="aligned regime: the solve stops 1e-6 short of f = n (ROADMAP items 4 and 10)",
+)
+def test_aligned_regime_solve_reaches_full_correlation():
+    # the phase difference has period P = 1.33737 > d_min, and 31 P fits in
+    # the span, so the chain x_i = (i - 1) P aligns every phasor (f = n); the
+    # solve stops at f = 31.99999897 with its end antennas pinned at 0 and
+    # span_l, each 0.001 rad off its peak and a whole period from the chain
+    cfg = SystemConfig(
+        n_antennas=32,
+        span_l=45.4700347835771,
+        d_min=0.25,
+        theta_su=(0.16994055233248953, 1.1601471462975412),
+    )
+    x, trace = multi_start_sca(cfg)
+    f = correlation(x, correlation_objective(cfg))
+    assert f >= cfg.n_antennas - 1e-9 * cfg.n_antennas, (f, trace.converged)
 
 
 def test_criterion_09_cli_determinism(tmp_path, capsys):

@@ -34,7 +34,6 @@ from ma_multicast import (
     correlation_objective,
     fpa_scheme,
     ma_mrt,
-    min_snr_from_correlation,
     multi_start_sca,
     project_polytope,
     proposed_scheme,
@@ -47,6 +46,8 @@ from ma_multicast import posopt
 from ma_multicast.baselines import APS_TIE_TOL
 from ma_multicast.beamformer import CaseLabel
 from ma_multicast.sysmodel import user_kappas
+
+from correlation_reference import min_snr_from_correlation
 
 
 ALL_SCHEMES = list(Scheme)

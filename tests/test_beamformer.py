@@ -21,7 +21,6 @@ from ma_multicast import (
     build_beamformer,
     correlation,
     correlation_objective,
-    min_snr_from_correlation,
     min_snr_from_projections,
     optimize_mixing,
     projection_coefficients,
@@ -39,6 +38,8 @@ from ma_multicast.beamformer import (
     _theta_from_gains,
 )
 from ma_multicast.sysmodel import user_kappas
+
+from correlation_reference import min_snr_from_correlation
 
 
 def random_feasible(rng, n, span_l, d_min=0.5):
@@ -188,9 +189,9 @@ def test_min_snr_input_validation():
     cfg = SystemConfig()
     x = np.array([0.0, 0.5, 1.0, 1.5, 4.0])
     with pytest.raises(ValueError):
-        min_snr_from_correlation(1.5, 2.0, cfg)
+        min_snr_from_projections(1.5, x, cfg)
     with pytest.raises(ValueError):
-        min_snr_from_correlation(0.5, 7.0, cfg)  # f > n
+        theta_coefficients(7.0, cfg)  # f > n
     with pytest.raises(ValueError):
         min_snr_from_projections(-0.2, x, cfg)
     # the array forms keep the same range checks, row by row, NaN included

@@ -20,10 +20,8 @@ from ma_multicast import (
     SystemConfig,
     correlation,
     correlation_objective,
-    grid_best_t,
     load_config,
     main,
-    min_snr_from_correlation,
     min_snr_from_projections,
     projection_coefficients,
     random_positions,
@@ -46,6 +44,8 @@ from ma_multicast.expcli import (
 )
 from ma_multicast.posopt import _correlation_rows
 from ma_multicast.sysmodel import user_kappas
+
+from correlation_reference import best_t, min_snr_from_correlation
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -290,7 +290,7 @@ def test_run_validate_is_deterministic():
 
 
 def path_equivalence_reference(cfg, x, t):
-    """One sample of min_snr_path_equivalence through the public scalar entry points."""
+    """One sample of min_snr_path_equivalence through the scalar routes."""
     f = correlation(x, correlation_objective(cfg))
     va = min_snr_from_correlation(t, f, cfg)
     vb = min_snr_from_projections(t, x, cfg)
@@ -506,7 +506,7 @@ def test_main_optimize_far_below_unit_snr_reports_the_left_endpoint(tmp_path, ca
     proposed = json.loads(out.read_text(encoding="utf-8"))["schemes"]["proposed"]
     assert proposed["case"] == "left_endpoint"
     cfg = SystemConfig(**doc["system"])
-    _t, theta_grid = grid_best_t(np.array(proposed["x"]), cfg, t_step=1e-4)
+    _t, theta_grid = best_t(np.array(proposed["x"]), cfg, 1e-4)
     theta = min(proposed["gamma_u1"], proposed["gamma_u2"])
     assert theta == pytest.approx(5.0e-13, rel=1e-12)
     assert abs(theta - theta_grid) <= 1e-12 * theta_grid
@@ -524,7 +524,7 @@ def test_main_optimize_near_the_float_limit_keeps_the_crossing(tmp_path, capsys)
         warnings.simplefilter("error")
         assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         fpa = json.loads(out.read_text(encoding="utf-8"))["schemes"]["fpa"]
-        _t, theta_grid = grid_best_t(np.array(fpa["x"]), SystemConfig(**doc["system"]), t_step=1e-4)
+        _t, theta_grid = best_t(np.array(fpa["x"]), SystemConfig(**doc["system"]), 1e-4)
     assert fpa["case"] == "crossing" and fpa["t"] > 0.0
     theta = min(fpa["gamma_u1"], fpa["gamma_u2"])
     assert theta == pytest.approx(theta_grid, rel=1e-6)

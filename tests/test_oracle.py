@@ -12,7 +12,6 @@ from ma_multicast import (
     SystemConfig,
     brute_force_joint,
     closed_form_beamformer,
-    grid_best_t,
     joint_vs_decoupled,
     min_snr_from_projections,
     projection_coefficients,
@@ -30,6 +29,8 @@ from ma_multicast.beamformer import PARALLEL_TOL, _projection_gains, _theta_from
 from ma_multicast.oracle import JOINT_TIE_RTOL, JointOptimum
 from ma_multicast.posopt import _grid_combination_chunks
 from ma_multicast.sysmodel import FEASIBILITY_TOL, user_kappas
+
+from correlation_reference import best_t
 
 
 def enumerate_pairs(cfg, step, t_step):
@@ -143,15 +144,15 @@ def theta_reference(a, b, c, t, scale1, scale2):
     return np.minimum(y1, y2)
 
 
-def raw_grid_best_t(x, cfg, t_step):
-    """grid_best_t's grid pass alone: the first grid point of the highest theta."""
+def raw_best_t(x, cfg, t_step):
+    """_best_t_rows' grid pass alone: the first grid point of the highest theta."""
     gains = (np.array([g]) for g in projection_coefficients(x, cfg))
     j, theta = oracle._grid_peaks(*gains, snr_scales(cfg), t_step)
     return float(oracle._mixing_grid(t_step)[j[0]]), float(theta[0])
 
 
 def reference_best_t(x, cfg, t_step):
-    """grid_best_t as one argmax over the whole grid, then np.linspace zoom rounds."""
+    """_best_t_rows as one argmax over the whole grid, then np.linspace zoom rounds."""
     a, b, c = projection_coefficients(x, cfg)
     t_grid = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
     theta = theta_reference(a, b, c, t_grid, *snr_scales(cfg))
@@ -318,7 +319,7 @@ def test_oracle_self_consistency_at_optimum():
     # rerunning the mixing search at the winning positions reproduces the rate
     cfg = SystemConfig(n_antennas=2, span_l=2.0)
     got = brute_force_joint(cfg, GridSpec(position_step=0.25, t_step=0.01))
-    t_best, theta_best = raw_grid_best_t(got.x, cfg, 0.01)
+    t_best, theta_best = raw_best_t(got.x, cfg, 0.01)
     assert math.log2(1.0 + theta_best) == pytest.approx(got.min_rate, rel=1e-12)
     assert t_best == pytest.approx(got.t, abs=1e-12)
 
@@ -332,8 +333,8 @@ def test_grid_best_t_refinement_matches_closed_form():
     x = np.linspace(0.0, cfg.span_l, cfg.n_antennas)
     bf = closed_form_beamformer(x, cfg)
     theta_closed = min_snr_from_projections(bf.t, x, cfg)
-    t_raw, theta_raw = raw_grid_best_t(x, cfg, 1e-3)
-    t_ref, theta_ref = grid_best_t(x, cfg, t_step=1e-3)
+    t_raw, theta_raw = raw_best_t(x, cfg, 1e-3)
+    t_ref, theta_ref = best_t(x, cfg, 1e-3)
     assert theta_ref >= theta_raw - 1e-12
     assert theta_ref <= theta_closed * (1.0 + 1e-12) + 1e-12
     assert theta_ref == pytest.approx(theta_closed, rel=1e-9)
@@ -362,7 +363,7 @@ def test_grid_best_t_blocks_match_one_array_argmax(case, t_step, rows):
     t_grid = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
     theta = theta_reference(*projection_coefficients(x, cfg), t_grid, *snr_scales(cfg))
     j = int(np.argmax(theta))
-    assert raw_grid_best_t(x, cfg, t_step) == (float(t_grid[j]), float(theta[j]))
+    assert raw_best_t(x, cfg, t_step) == (float(t_grid[j]), float(theta[j]))
     if rows is not None:
         # the case's row among others scored in one call: rows do not interact
         rng = np.random.default_rng(70 + case)
@@ -454,7 +455,7 @@ def test_best_t_rows_match_per_row_grid_best_t_on_a_mixed_n_batch(t_step):
     t, theta = oracle._best_t_rows(*gains, scales, t_step)
     for i, (cfg, x) in enumerate(zip(cfgs, xs)):
         want = reference_best_t(x, cfg, t_step)
-        assert grid_best_t(x, cfg, t_step=t_step) == want
+        assert best_t(x, cfg, t_step) == want
         assert (float(t[i]), float(theta[i])) == want
 
 
@@ -463,8 +464,8 @@ def test_best_t_rows_match_per_row_grid_best_t_on_a_mixed_n_batch(t_step):
 def test_grid_best_t_zoom_lies_between_the_grid_and_the_closed_form(case, t_step):
     cfg, x = GRID_T_CASES[case]
     theta_closed = min_snr_from_projections(closed_form_beamformer(x, cfg).t, x, cfg)
-    _t_raw, theta_raw = raw_grid_best_t(x, cfg, t_step)
-    t, theta = grid_best_t(x, cfg, t_step=t_step)
+    _t_raw, theta_raw = raw_best_t(x, cfg, t_step)
+    t, theta = best_t(x, cfg, t_step)
     assert 0.0 <= t <= 1.0
     assert theta_raw <= theta <= theta_closed * (1.0 + 1e-12)
 
@@ -478,7 +479,7 @@ def test_closed_form_mixing_keeps_the_optimum_far_below_unit_snr(ps_dbm):
     x = np.array([0.0, 0.5, 1.5, 2.5, 4.0])
     bf = closed_form_beamformer(x, cfg)
     theta_closed = min_snr_from_projections(bf.t, x, cfg)
-    _t, theta_grid = grid_best_t(x, cfg, t_step=1e-4)
+    _t, theta_grid = best_t(x, cfg, 1e-4)
     assert bf.case_label == CaseLabel.LEFT_ENDPOINT
     assert abs(theta_closed - theta_grid) <= 1e-12 * theta_grid
 
@@ -495,7 +496,7 @@ def test_grid_best_t_zoom_brackets_the_kink_when_the_grid_is_wider_than_t_step()
     )
     x = np.array([0.03432520107771439, 0.6083938553969768, 1.276111800162686, 2.038324446897454])
     theta_closed = min_snr_from_projections(closed_form_beamformer(x, cfg).t, x, cfg)
-    _t, theta = grid_best_t(x, cfg, t_step=0.003)
+    _t, theta = best_t(x, cfg, 0.003)
     assert theta == pytest.approx(theta_closed, rel=1e-9)
 
 
@@ -511,7 +512,7 @@ def test_theta_kernel_matches_the_reference_expression_bitwise(case):
     want = theta_reference(a, b, c, t_grid, *snr_scales(cfg))
     got = _theta_from_gains(a, b, c, t_grid, *snr_scales(cfg))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    # 1-D blocks with scalar gains as grid_best_t scores them, the t = 1 end included
+    # 1-D blocks with scalar gains, the t = 1 end included
     gains = projection_coefficients(x, cfg)
     for block in (slice(0, 7), slice(4_999, 10_001), slice(0, 10_001)):
         want = theta_reference(*gains, t_grid[block], *snr_scales(cfg))
@@ -541,17 +542,8 @@ def test_grid_oracles_never_call_the_closed_form(monkeypatch):
         monkeypatch.setattr(oracle, name, forbidden, raising=False)
     cfg, x = GRID_T_CASES[0]
     brute_force_joint(SystemConfig(n_antennas=3, span_l=2.0), GridSpec(0.1, 1e-3))
-    grid_best_t(x, cfg, t_step=1e-4)
     gains = np.array([projection_coefficients(x, cfg)]).T
     oracle._best_t_rows(*gains, snr_scales(cfg), 1e-4)
-
-
-def test_grid_best_t_rejects_bad_steps():
-    cfg = SystemConfig()
-    x = np.linspace(0.0, cfg.span_l, cfg.n_antennas)
-    for bad in (0.0, -1e-3, 0.05):
-        with pytest.raises(ValueError):
-            grid_best_t(x, cfg, t_step=bad)
 
 
 # ---------------------------------------------------------------------------
