@@ -8,9 +8,11 @@ adapts to the current point: 2 kappa^2 |s|, with s the phasor sum there, is
 a valid minorant curvature everywhere and never exceeds the global bound
 2 kappa^2 n (majorization-minimization, Sun, Babu & Palomar 2017).
 
-The position solve ascends from two starts as the rows of one array: the
-uniform spread and a chain dynamic program that maximizes
-sum_i cos(kappa x_i - psi) exactly on a grid, for the best of a few phases
+The position solve ascends from two starts as the rows of one array, the
+uniform spread and the chain-DP start.  The latter is the aligned chain,
+whose spacings are whole periods of the phase difference, when it fits the
+span; otherwise a chain dynamic program maximizes sum_i cos(kappa x_i - psi)
+exactly on a grid of the slack coordinates, for the best of a few phases
 psi.  The winning solve is memoised per config, so every scheme that needs
 the correlation-optimal positions shares one solve.
 """
@@ -38,8 +40,8 @@ TIE_TOL = 1e-12
 SOLVE_CACHE_SIZE = 8
 # Phases psi = 2 pi p / DP_PHASES tried by the chain-DP start.
 DP_PHASES = 64
-# Most grid steps across the aperture in the chain-DP start (more only when
-# n_antennas - 1 exceeds it); bounds its (m, DP_PHASES) tables at a few MB.
+# Most grid steps across the slack range of the chain-DP start; bounds its
+# (DP_MAX_STEPS + 1, DP_PHASES) tables at a few MB.
 DP_MAX_STEPS = 4096
 
 
@@ -212,93 +214,59 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
     return math.comb(reduced - 1, n - 1), chunks()
 
 
-def _dp_grid(cfg: SystemConfig, kappa: float) -> np.ndarray:
-    """Sorted candidate positions of the chain DP.
+def _chain_dp(wave: np.ndarray, turn: np.ndarray, rows=None) -> np.ndarray:
+    """Last value row of the chain DP; each antenna's row goes to rows when given.
 
-    The step divides d_min and moves the phase kappa x by at most pi / 32 (and
-    x by at most 0.05).  Where that needs more than
-    max(DP_MAX_STEPS, n - 1) steps across span_l (a tiny d_min or
-    wavelength), the step grows to the smallest one at least
-    span_l / max(DP_MAX_STEPS, n - 1) that still divides d_min, or to that
-    bound itself when it exceeds d_min; the DP start is then coarser but the
-    grid still holds a feasible chain.  The points k h and span_l - k h are
-    merged, so both aperture ends lie on the grid even when h does not divide
-    span_l.
+    Row i holds, at each grid point, the best gain sum of antennas 0..i with
+    antenna i there; antenna i's gains on the grid are Re(wave turn[i]).
     """
-    h_max = min(0.05, (math.pi / 32.0) / abs(kappa))
-    h = cfg.d_min / math.ceil(cfg.d_min / h_max)
-    h_min = cfg.span_l / max(DP_MAX_STEPS, cfg.n_antennas - 1)
-    if h < h_min:
-        h = cfg.d_min / math.floor(cfg.d_min / h_min) if cfg.d_min >= h_min else h_min
-    steps = h * np.arange(int(math.floor(cfg.span_l / h + FEASIBILITY_TOL)) + 1)
-    points = np.concatenate([steps, cfg.span_l - steps])
-    points.sort()
-    # sort + diff rather than np.unique, whose lazy numpy.ma import costs a CLI
-    # call about 25 ms
-    keep = np.empty(points.size, dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(points), FEASIBILITY_TOL, out=keep[1:])
-    return np.clip(points[keep], 0.0, cfg.span_l)
+    best = np.zeros(wave.shape)
+    for i, r in enumerate(turn):
+        np.maximum.accumulate(best, axis=0, out=best)
+        best += (wave * r).real
+        if rows is not None:
+            rows[i] = best
+    return best
 
 
 def chain_dp_start(cfg: SystemConfig) -> np.ndarray:
-    """Grid positions that maximize sum_i cos(kappa x_i - psi), best over phases psi.
+    """Positions that maximize sum_i cos(kappa x_i - psi), best over phases psi.
 
-    For a fixed phase psi the sum separates along the chain
-    x_{i+1} - x_i >= d_min, so a prefix-max dynamic program over the grid of
-    _dp_grid maximizes it exactly in O(n m).  Each such sum is a lower bound
-    of the correlation |sum_i exp(j kappa x_i)| at the same positions.  A
-    first pass runs every phase psi = 2 pi p / DP_PHASES at once and keeps
-    only the current antenna's (m, DP_PHASES) table; a second pass reruns the
-    winning phase alone and keeps its (n - 1, m) back-pointers.  Ties go to
-    the first phase and the leftmost grid point.  Every spacing passes
-    validate_positions; when span_l lies within FEASIBILITY_TOL of
-    (n - 1) d_min and the grid holds no such chain, the uniform spread is
-    returned instead.  Needs kappa != 0.
+    When every spacing can be a whole number of periods P = 2 pi / |kappa|,
+    the aligned chain x_i = (i - 1) ceil(d_min / P) P is returned: all
+    phasors agree, so it is the exact optimum f = n.  Otherwise the slack
+    u_i = x_i - (i - 1) d_min turns the polytope into 0 <= u_1 <= ... <= u_n
+    <= H = span_l - (n - 1) d_min, and for a fixed phase psi the sum is
+    maximized exactly on the grid linspace(0, H, M + 1) by a prefix-max
+    dynamic program in O(n M).  The step H / M moves the phase kappa u by at
+    most pi / 64 and u by at most 0.025, unless M reaches DP_MAX_STEPS.
+    Each such sum is a lower bound of the correlation
+    |sum_i exp(j kappa x_i)| at the same positions.  A first pass runs every
+    phase psi = 2 pi p / DP_PHASES at once and keeps only the current
+    antenna's values; a second pass reruns the winning phase and keeps every
+    antenna's value row, walked back from the last antenna.  Ties go to the
+    first phase and the smallest u.  Needs kappa != 0.
     """
     kappa = correlation_objective(cfg).kappa
-    grid = _dp_grid(cfg, kappa)
-    m = grid.size
-    # antenna i + 1 at grid[j] may follow antenna i at any of grid[:pred[j]];
-    # pred never decreases, so the reachable points are grid[start:].  The
-    # search rounds grid - d_min + FEASIBILITY_TOL, not the spacing itself,
-    # so a last predecessor whose spacing validate_positions would reject
-    # (merged points k h and span_l - k h can sit just over FEASIBILITY_TOL
-    # apart) is dropped by that check's own comparison.
-    pred = np.searchsorted(grid, grid - cfg.d_min + FEASIBILITY_TOL, side="right")
-    last = grid[np.maximum(pred - 1, 0)]
-    pred -= (pred > 0) & (grid - last < cfg.d_min - FEASIBILITY_TOL)
-    start = int(np.argmax(pred > 0))
-    tail = pred[start:] - 1
+    n, d_min = cfg.n_antennas, cfg.d_min
+    period = 2.0 * math.pi / abs(kappa)
+    pitch = math.ceil(d_min / period) * period
+    if not exceeds_span(n, pitch, cfg.span_l):
+        return pitch * np.arange(n)
+    hi = max(cfg.span_l - (n - 1) * d_min, 0.0)
+    h_max = min(0.025, (math.pi / 64.0) / abs(kappa))
+    u = np.linspace(0.0, hi, min(math.ceil(hi / h_max), DP_MAX_STEPS) + 1)
     psi = (2.0 * math.pi / DP_PHASES) * np.arange(DP_PHASES)
-    gain = np.cos(kappa * grid[:, None] - psi[None, :])
-    best = gain.copy()
-    run = np.empty_like(best)
-    for _ in range(cfg.n_antennas - 1):
-        np.maximum.accumulate(best, axis=0, out=run)
-        best[:start] = -np.inf
-        np.add(gain[start:], run[tail], out=best[start:])
-    gain = gain[:, int(np.argmax(best.max(axis=0)))]
-    best = gain.copy()
-    index = np.arange(m)
-    rises = np.empty(m, dtype=bool)
-    back = np.zeros((cfg.n_antennas - 1, m), dtype=int)
-    for i in range(cfg.n_antennas - 1):
-        run = np.maximum.accumulate(best)
-        # back[i, j]: leftmost argmax of best[:pred[j]]
-        rises[0] = True
-        np.greater(best[1:], run[:-1], out=rises[1:])
-        back[i, start:] = np.maximum.accumulate(np.where(rises, index, 0))[tail]
-        best[:start] = -np.inf
-        np.add(gain[start:], run[tail], out=best[start:])
-    j = int(np.argmax(best))
-    if best[j] == -np.inf:
-        return uniform_positions(cfg)
-    chosen = [j]
-    for i in range(cfg.n_antennas - 2, -1, -1):
-        j = int(back[i, j])
-        chosen.append(j)
-    return grid[chosen[::-1]]
+    wave = np.exp(1j * (kappa * u[:, None] - psi))
+    # antenna i sits at u + (i - 1) d_min, which turns its phasor by kappa (i - 1) d_min
+    turn = np.exp(1j * kappa * d_min * np.arange(n))
+    wave = wave[:, int(np.argmax(_chain_dp(wave, turn).max(axis=0)))]
+    value = np.empty((n, wave.size))
+    _chain_dp(wave, turn, value)
+    chosen = [int(np.argmax(value[-1]))]
+    for row in value[-2::-1]:
+        chosen.append(int(np.argmax(row[: chosen[-1] + 1])))
+    return u[chosen[::-1]] + d_min * np.arange(n)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

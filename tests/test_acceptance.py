@@ -424,7 +424,22 @@ def test_large_array_solve_reaches_the_oracle_lower_bound(span_l, ns):
         assert trace.converged, n
 
 
-@pytest.mark.parametrize("span_l, ns", [(20.0, (16, 20, 24, 28, 32)), (40.0, (40, 48, 56, 64))])
+# n = 36-39 on span 20 stop at max_iter on the winning start, so their
+# convergence is pinned by a strict xfail; at n = 39 the solve also ends
+# 5.3e-5 under f_lo, even when it is allowed to converge
+STALLED_ON_SPAN_20 = (36, 37, 38, 39)
+
+
+@pytest.mark.parametrize(
+    "span_l, ns",
+    [
+        (20.0, (16, 20, 24, 28, 32, 36, 37, 38)),
+        (40.0, (40, 48, 56, 64)),
+        pytest.param(
+            20.0, (39,), marks=pytest.mark.xfail(strict=True, reason="f ends 5.3e-5 under f_lo")
+        ),
+    ],
+)
 def test_large_array_solve_lies_inside_the_oracle_bracket(span_l, ns):
     """At 16-64 antennas the shared solve's correlation lies in [f_lo, f_hi].
 
@@ -441,18 +456,25 @@ def test_large_array_solve_lies_inside_the_oracle_bracket(span_l, ns):
         f = correlation(x, correlation_objective(cfg))
         f_lo, f_hi = bounds[n]
         assert f_lo - 1e-9 <= f <= f_hi, (n, f, f_lo, f_hi)
-        assert trace.converged, n
+        assert trace.converged or (span_l == 20.0 and n in STALLED_ON_SPAN_20), n
 
 
 @pytest.mark.xfail(
     strict=True,
-    reason="aligned regime: the solve stops 1e-6 short of f = n (ROADMAP items 4 and 10)",
+    reason="the winning uniform start stops at max_iter 500; it needs 694-1 000 rounds",
 )
+@pytest.mark.parametrize("n", STALLED_ON_SPAN_20)
+def test_large_array_solve_converges_on_span_20(n):
+    _x, trace = multi_start_sca(SystemConfig(n_antennas=n, span_l=20.0))
+    assert trace.converged, (n, trace.iterations)
+
+
 def test_aligned_regime_solve_reaches_full_correlation():
     # the phase difference has period P = 1.33737 > d_min, and 31 P fits in
-    # the span, so the chain x_i = (i - 1) P aligns every phasor (f = n); the
-    # solve stops at f = 31.99999897 with its end antennas pinned at 0 and
-    # span_l, each 0.001 rad off its peak and a whole period from the chain
+    # the span, so the chain x_i = (i - 1) P aligns every phasor (f = n); an
+    # ascent from elsewhere stops at f = 31.99999897 with its end antennas
+    # pinned at 0 and span_l, a whole period from the chain, so the chain-DP
+    # start must return the chain itself
     cfg = SystemConfig(
         n_antennas=32,
         span_l=45.4700347835771,

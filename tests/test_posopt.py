@@ -13,7 +13,8 @@ Oracles used here:
   * a per-start scalar SCA loop (pool-adjacent violators, O(n^2)
     pairwise excess and gradient, the same per-round curvature) checks the
     batched kernel;
-  * an itertools enumeration of grid tuples checks the chain-DP start.
+  * an itertools enumeration of nondecreasing slack tuples on a grid checks
+    the chain-DP start, and the whole-period chain checks its aligned case.
 """
 
 import functools
@@ -43,14 +44,13 @@ from ma_multicast.baselines import Scheme, aps_search, run_scheme
 from ma_multicast.posopt import (
     DP_MAX_STEPS,
     DegenerateObjectiveError,
-    _dp_grid,
     _isotonic_rows,
     _sca_rows,
     chain_dp_start,
     random_positions,
     solve_surrogate,
 )
-from ma_multicast.sysmodel import validate_positions
+from ma_multicast.sysmodel import FEASIBILITY_TOL, validate_positions
 
 from correlation_reference import (
     correlation_excess,
@@ -610,49 +610,72 @@ def test_kernel_rejects_infeasible_start():
 # Chain-DP start
 
 
-def dp_reference_grid(cfg):
-    """The points k h and span_l - k h, h the largest divisor step of d_min at most
-    min(0.05, (pi / 32) / |kappa|)."""
-    kappa = correlation_objective(cfg).kappa
-    h = cfg.d_min / math.ceil(cfg.d_min / min(0.05, (math.pi / 32.0) / abs(kappa)))
-    k = np.arange(int(cfg.span_l / h + 1e-9) + 1)
-    points = np.concatenate([k * h, cfg.span_l - k * h])
-    return np.unique(np.round(np.clip(points, 0.0, cfg.span_l), 12))
+def reference_kappa(cfg):
+    return (2.0 * math.pi / cfg.wavelength) * (math.sin(cfg.theta_su[1]) - math.sin(cfg.theta_su[0]))
+
+
+def aligned_chain(cfg):
+    """x_i = (i - 1) ceil(d_min / P) P, P = wavelength / |sin theta_2 - sin theta_1|, and
+    whether it fits the span: every spacing is then a whole number of phase periods."""
+    period = cfg.wavelength / abs(math.sin(cfg.theta_su[1]) - math.sin(cfg.theta_su[0]))
+    pitch = math.ceil(cfg.d_min / period) * period
+    n = cfg.n_antennas
+    return pitch * np.arange(n), (n - 1) * pitch <= cfg.span_l + FEASIBILITY_TOL
+
+
+def dp_reference_grid(cfg, steps=None):
+    """Slack values k H / M, k = 0..M, with H = span_l - (n - 1) d_min and M the fewest
+    steps of at most min(0.025, (pi / 64) / |kappa|), but at most DP_MAX_STEPS."""
+    hi = max(cfg.span_l - (cfg.n_antennas - 1) * cfg.d_min, 0.0)
+    if steps is None:
+        h = min(0.025, (math.pi / 64.0) / abs(reference_kappa(cfg)))
+        steps = min(math.ceil(hi / h), DP_MAX_STEPS)
+    return hi * np.arange(steps + 1) / max(steps, 1)
 
 
 def brute_force_dp_argmax(cfg, phases=64):
-    """Argmax of sum_i cos(kappa x_i - psi) over every feasible grid tuple and phase."""
-    kappa = correlation_objective(cfg).kappa
-    n, d = cfg.n_antennas, cfg.d_min
-    grid = dp_reference_grid(cfg)
-    # antenna i can only sit in [i d, span_l - (n - 1 - i) d]
-    windows = [
-        grid[(grid >= i * d - 1e-9) & (grid <= cfg.span_l - (n - 1 - i) * d + 1e-9)]
-        for i in range(n)
-    ]
-    tuples = np.array(list(itertools.product(*windows)))
-    tuples = tuples[np.all(np.diff(tuples, axis=1) >= d - 1e-9, axis=1)]
-    psi = 2.0 * math.pi * np.arange(phases) / phases
-    values = np.cos(kappa * tuples[:, :, None] - psi).sum(axis=1)
-    row, _phase = np.unravel_index(np.argmax(values), values.shape)
-    return tuples[row], float(values.max())
+    """Argmax of sum_i cos(kappa x_i - psi) over every nondecreasing tuple of grid
+    slacks and every phase.
+
+    The sum is Re(exp(-j psi) s), s the tuple's phasor sum, so one phasor sum
+    per tuple scores every phase.
+    """
+    n = cfg.n_antennas
+    u = dp_reference_grid(cfg)
+    tuples = u[np.array(list(itertools.combinations_with_replacement(range(u.size), n)))]
+    x = tuples + cfg.d_min * np.arange(n)
+    s = np.exp(1j * reference_kappa(cfg) * x).sum(axis=1)
+    best = np.full(s.size, -np.inf)
+    for p in range(phases):
+        np.maximum(best, (s * np.exp(-2j * math.pi * p / phases)).real, out=best)
+    row = int(np.argmax(best))
+    return x[row], float(best[row])
+
+
+def grid_distance(values, grid):
+    """Largest distance from a value to its nearest grid point."""
+    return np.max(np.min(np.abs(values[:, None] - grid[None, :]), axis=1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_chain_dp_start_matches_brute_force(n):
     rng = np.random.default_rng(60 + n)
-    for _ in range(5):
+    checked = 0
+    while checked < 5:
         cfg = SystemConfig(
             n_antennas=n,
             span_l=(n - 1) * 0.5 + float(rng.uniform(0.1, {2: 1.5, 3: 0.6, 4: 0.25}[n])),
             theta_su=tuple(float(t) for t in np.sort(rng.uniform(0.0, math.pi, 2))),
         )
-        kappa = correlation_objective(cfg).kappa
+        if aligned_chain(cfg)[1]:
+            continue  # the start is the aligned chain, tested below
+        kappa = reference_kappa(cfg)
         want_x, want_value = brute_force_dp_argmax(cfg)
         got = chain_dp_start(cfg)
         phase_sums = np.cos(kappa * got[:, None] - 2.0 * math.pi * np.arange(64) / 64).sum(axis=0)
         assert phase_sums.max() == pytest.approx(want_value, abs=1e-9)
         assert np.max(np.abs(got - want_x)) < 1e-9
+        checked += 1
 
 
 def test_chain_dp_start_is_feasible_and_on_the_grid():
@@ -667,26 +690,28 @@ def test_chain_dp_start_is_feasible_and_on_the_grid():
             x = chain_dp_start(cfg)
             assert x.shape == (n,)
             validate_positions(x, cfg.span_l, cfg.d_min)
-            grid = dp_reference_grid(cfg)
-            assert np.max(np.min(np.abs(x[:, None] - grid[None, :]), axis=1)) < 1e-9
+            chain, fits = aligned_chain(cfg)
+            if fits:
+                assert np.max(np.abs(x - chain)) < 1e-12 * n
+            else:
+                assert grid_distance(x - cfg.d_min * np.arange(n), dp_reference_grid(cfg)) < 1e-9
 
 
 def test_chain_dp_start_keeps_the_span_endpoint():
-    # default angles: h = 0.5 / 13, which does not divide 2.3; |1 + exp(j kappa d)|
-    # rises over d in [1.26, 2.3], so the best pair spans the whole aperture
+    # default angles: |1 + exp(j kappa d)| rises over d in [1.26, 2.3], so the
+    # best pair spans the whole aperture, and the slack grid holds H = 1.8
     cfg = SystemConfig(n_antennas=2, span_l=2.3)
     x = chain_dp_start(cfg)
     assert x[0] == 0.0 and x[1] == pytest.approx(2.3, abs=1e-12)
-    assert correlation(x, correlation_objective(cfg)) > correlation(
-        np.array([0.0, 59 * 0.5 / 13]), correlation_objective(cfg)
-    )
+    inner = np.array([0.0, 0.5 + dp_reference_grid(cfg)[-2]])
+    assert correlation(x, correlation_objective(cfg)) > correlation(inner, correlation_objective(cfg))
 
 
 @pytest.mark.parametrize("n, span", [(3, 2.0), (5, 3.0), (5, 4.0), (8, 4.5), (8, 10.0)])
 def test_chain_dp_start_stays_feasible_when_span_l_sits_off_a_grid_point(n, span):
-    # span_l within 2e-9 of a grid point puts span_l - k h just over
-    # FEASIBILITY_TOL from k h; at span_l = 3.000000001 a chain once fell
-    # 1.00000008e-9 short of d_min and the solve raised on its own start
+    # span_l within 2e-9 of a multiple of a grid step, where rounding can
+    # leave a chain just short of d_min and the solve would raise on its own
+    # start
     for k in range(-2, 3):
         cfg = SystemConfig(n_antennas=n, span_l=span + k * 1e-9)
         validate_positions(chain_dp_start(cfg), cfg.span_l, cfg.d_min)
@@ -694,23 +719,21 @@ def test_chain_dp_start_stays_feasible_when_span_l_sits_off_a_grid_point(n, span
         validate_positions(x, cfg.span_l, cfg.d_min)
 
 
-def test_chain_dp_start_without_a_grid_chain_is_the_uniform_spread():
-    # span_l 1e-9 under (n - 1) d_min passes the config check, but every chain
-    # of grid points falls short of d_min - FEASIBILITY_TOL somewhere
+def test_chain_dp_start_just_under_the_minimum_span_is_the_tightest_chain():
+    # span_l 1e-9 under (n - 1) d_min passes the config check; the slack range
+    # is then empty and every spacing is d_min
     cfg = SystemConfig(n_antennas=5, span_l=2.0 - 1e-9)
     x = chain_dp_start(cfg)
-    assert np.array_equal(x, uniform_positions(cfg))
+    assert np.array_equal(x, cfg.d_min * np.arange(5))
     validate_positions(x, cfg.span_l, cfg.d_min)
     validate_positions(multi_start_sca(cfg)[0], cfg.span_l, cfg.d_min)
 
 
 @pytest.mark.parametrize("d_min, wavelength", [(1e-6, 1.0), (0.5, 1e-4)])
 def test_chain_dp_grid_stays_bounded_for_a_tiny_step(d_min, wavelength):
-    # uncapped, d_min = 1e-6 would need about 8e6 points and 2 GB per table
+    # a grid step tied to d_min = 1e-6 would need about 8e6 points and 2 GB
+    # per table; at wavelength 1e-4 the aligned chain fits
     cfg = SystemConfig(n_antennas=5, d_min=d_min, wavelength=wavelength)
-    grid = _dp_grid(cfg, correlation_objective(cfg).kappa)
-    assert grid.size <= 2 * (DP_MAX_STEPS + 1)
-    assert grid[0] == 0.0 and grid[-1] == cfg.span_l
     tracemalloc.start()
     try:
         x, trace = multi_start_sca(cfg)
@@ -726,11 +749,48 @@ def test_chain_dp_grid_stays_bounded_for_a_tiny_step(d_min, wavelength):
 
 
 def test_chain_dp_grid_holds_a_chain_when_n_exceeds_the_step_cap():
+    # the SCA kernel's O(n^2) projection rules out multi_start_sca at this n
     n = DP_MAX_STEPS + 2
     cfg = SystemConfig(n_antennas=n, span_l=1.0, d_min=1.0 / (2 * n))
-    grid = _dp_grid(cfg, correlation_objective(cfg).kappa)
-    assert n <= grid.size <= 2 * n
-    assert np.min(np.diff(grid)) >= cfg.d_min
+    x = chain_dp_start(cfg)
+    assert x.shape == (n,)
+    validate_positions(x, cfg.span_l, cfg.d_min)
+
+
+def test_chain_dp_start_lies_on_the_capped_grid():
+    # nearly equal sines: the phase period (131) overruns the span, so the
+    # aligned chain does not fit, and steps of 0.025 across the slack range
+    # 198 would take 7 920 points; the DP_MAX_STEPS cap binds
+    cfg = SystemConfig(n_antennas=5, span_l=200.0, theta_su=(0.7, 0.71))
+    assert not aligned_chain(cfg)[1]
+    x = chain_dp_start(cfg)
+    validate_positions(x, cfg.span_l, cfg.d_min)
+    u = x - cfg.d_min * np.arange(5)
+    assert u[0] > 0.0  # an interior point, so the grid it lies on matters
+    capped = dp_reference_grid(cfg)
+    assert capped.size == DP_MAX_STEPS + 1
+    assert grid_distance(u, capped) < 1e-9
+    assert grid_distance(u, dp_reference_grid(cfg, steps=7920)) > 1e-6
+
+
+def test_chain_dp_start_returns_the_aligned_chain_exactly_when_it_fits():
+    rng = np.random.default_rng(63)
+    for n in (2, 3, 5, 8, 16, 32):
+        for _ in range(3):
+            theta = tuple(float(t) for t in np.sort(rng.uniform(0.0, math.pi, 2)))
+            d_min = float(rng.uniform(0.1, 1.0))
+            chain, _fits = aligned_chain(SystemConfig(n_antennas=n, d_min=d_min, theta_su=theta, span_l=1e6))
+            length = chain[-1]
+            for span_l in (length + float(rng.uniform(0.0, 3.0)), length, length - 0.5 * FEASIBILITY_TOL):
+                cfg = SystemConfig(n_antennas=n, d_min=d_min, theta_su=theta, span_l=span_l)
+                x = chain_dp_start(cfg)
+                assert np.max(np.abs(x - chain)) < 1e-12 * n
+                assert correlation(x, correlation_objective(cfg)) == pytest.approx(n, abs=1e-9 * n)
+            # short of the chain by more than the tolerance: the chain would be infeasible
+            cfg = SystemConfig(n_antennas=n, d_min=d_min, theta_su=theta, span_l=length - 2.0 * FEASIBILITY_TOL)
+            x = chain_dp_start(cfg)
+            validate_positions(x, cfg.span_l, cfg.d_min)
+            assert np.max(np.abs(x - chain)) > FEASIBILITY_TOL
 
 
 # ---------------------------------------------------------------------------
