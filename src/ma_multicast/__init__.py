@@ -41,7 +41,6 @@ from .oracle import (
 )
 from .posopt import (
     CorrelationObjective,
-    DegenerateObjectiveError,
     ScaTrace,
     correlation,
     correlation_objective,
@@ -49,7 +48,6 @@ from .posopt import (
     project_polytope,
     random_positions,
     sca_optimize,
-    solve_surrogate,
     uniform_positions,
 )
 from .sysmodel import (
@@ -70,7 +68,6 @@ __all__ = [
     "CaseLabel",
     "ConfigError",
     "CorrelationObjective",
-    "DegenerateObjectiveError",
     "ExperimentConfig",
     "GridSpec",
     "InfeasibleSchemeError",
@@ -112,7 +109,6 @@ __all__ = [
     "snap_mixing_to_grid",
     "snap_positions_to_grid",
     "snr_pair",
-    "solve_surrogate",
     "steering_vector",
     "theta_at",
     "theta_coefficients",

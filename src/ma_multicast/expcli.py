@@ -158,10 +158,13 @@ def config_from_dict(doc) -> ExperimentConfig:
     schemes = []
     for i, name in enumerate(raw_schemes):
         try:
-            schemes.append(Scheme(name))
+            scheme = Scheme(name)
         except ValueError:
             valid = ", ".join(s.value for s in Scheme)
             raise ConfigError(f"schemes[{i}]: unknown scheme {name!r} (valid: {valid})")
+        if scheme in schemes:
+            raise ConfigError(f"schemes[{i}]: duplicate scheme {name!r}")
+        schemes.append(scheme)
     # retired keys that steered AO's random restarts: still checked, then unused
     _expect_int(doc.get("seed", 1), "seed", minimum=0)
     _expect_int(doc.get("n_starts", 10), "n_starts", minimum=1)

@@ -6,7 +6,9 @@ concave quadratic lower bound of the correlation objective exactly, via a
 Euclidean projection onto the spacing polytope.  The curvature of that bound
 adapts to the current point: 2 kappa^2 |s|, with s the phasor sum there, is
 a valid minorant curvature everywhere and never exceeds the global bound
-2 kappa^2 n (majorization-minimization, Sun, Babu & Palomar 2017).
+2 kappa^2 n (majorization-minimization, Sun, Babu & Palomar 2017).  The
+batched kernel checks feasibility once on entry and once on exit; its rounds
+do not re-check it, since each projection is feasible by construction.
 
 The position solve ascends from two starts as the rows of one array, the
 uniform spread and the chain-DP start.  The latter is the aligned chain,
@@ -43,10 +45,6 @@ DP_PHASES = 64
 # Most grid steps across the slack range of the chain-DP start; bounds its
 # (DP_MAX_STEPS + 1, DP_PHASES) tables at a few MB.
 DP_MAX_STEPS = 4096
-
-
-class DegenerateObjectiveError(ValueError):
-    """Raised when the surrogate has no curvature (every feasible x is optimal)."""
 
 
 @dataclass(frozen=True)
@@ -135,23 +133,16 @@ def project_polytope(z, span_l: float, d_min: float) -> np.ndarray:
     return u + offsets
 
 
-def solve_surrogate(x_k, g, delta, cfg: SystemConfig) -> np.ndarray:
+def _surrogate_step(x_k: np.ndarray, g: np.ndarray, delta, span_l: float, d_min: float) -> np.ndarray:
     """Exact maximizer of the quadratic minorant over the spacing polytope.
 
     x_k is one feasible position vector with its slope g, or a (B, n) array
-    of them solved row by row; delta is one curvature or one per row.  A row
-    with zero slope keeps x_k exactly, since x_k itself maximizes its
-    minorant.
+    of them solved row by row; delta is one positive curvature or one per
+    row.  A row with zero slope keeps x_k exactly, since x_k itself
+    maximizes its minorant.  It checks neither that x_k is feasible nor that
+    delta is positive: _sca_rows proves both.
     """
-    x_k = np.asarray(x_k, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x_k.ndim not in (1, 2) or x_k.size < 1 or g.shape != x_k.shape:
-        raise ValueError("x_k must be a non-empty 1-D or 2-D array and g must match its shape")
-    validate_position_rows(np.atleast_2d(x_k), cfg.span_l, cfg.d_min)
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), x_k.shape[:-1])
-    if not np.all(delta > 0.0):
-        raise DegenerateObjectiveError("surrogate curvature must be positive")
-    x_new = project_polytope(x_k + g / delta[..., None], cfg.span_l, cfg.d_min)
+    x_new = project_polytope(x_k + g / np.asarray(delta)[..., None], span_l, d_min)
     flat = ~g.any(axis=-1)  # a 0-d mask when x_k is one vector
     x_new[flat] = x_k[flat]
     return x_new
@@ -290,10 +281,16 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
     floor only keeps it positive at s_k = 0, where the slope is zero.  A row
     stops on its own once its improvement falls below tol or after max_iter
     rounds.  Returns one ScaTrace per row.
+
+    The round loop re-checks neither feasibility nor delta_k.  Rounds run
+    only when |kappa| >= KAPPA_TOL, so delta_k >= 2 KAPPA_TOL^2 > 0, and each
+    anchor is either a start or the previous round's polytope projection.  The starts are checked once
+    on entry and the last iterates once on exit.
     """
     obj = correlation_objective(cfg)
     x = np.array(starts, dtype=float)
     rows, n = x.shape
+    validate_position_rows(x, cfg.span_l, cfg.d_min)
     e = np.exp(1j * obj.kappa * x)
     s = e.sum(axis=1)
     f1 = np.abs(s) ** 2 - n
@@ -310,7 +307,7 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
             s_k = s[active]
             g = 2.0 * obj.kappa * np.imag(s_k[:, None] * np.conj(e[active]))
             delta = 2.0 * obj.kappa ** 2 * np.maximum(np.abs(s_k), 1.0)
-            x_new = solve_surrogate(x[active], g, delta, cfg)
+            x_new = _surrogate_step(x[active], g, delta, cfg.span_l, cfg.d_min)
             e_new = np.exp(1j * obj.kappa * x_new)
             s_new = e_new.sum(axis=1)
             f1_new = np.abs(s_new) ** 2 - n
@@ -322,7 +319,6 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
             active = active[~done]
             if active.size == 0:
                 break
-    # solve_surrogate checked every anchor; this covers each row's last iterate
     validate_position_rows(x, cfg.span_l, cfg.d_min)
     return [
         ScaTrace(

@@ -31,7 +31,6 @@ from ma_multicast import (
     proposed_scheme,
     random_positions,
     sca_optimize,
-    solve_surrogate,
     theta_at,
     theta_coefficients,
     uniform_positions,
@@ -545,7 +544,7 @@ def test_criterion_10_surrogate_projection_correctness():
         x_k = random_positions(cfg, rng)
         delta = kernel_curvature(x_k, obj)
         g = correlation_excess_grad(x_k, obj)
-        solved = solve_surrogate(x_k, g, delta, cfg)
+        solved = posopt._surrogate_step(x_k, g, delta, cfg.span_l, cfg.d_min)
         validate_positions(solved, cfg.span_l, cfg.d_min)
         target = x_k + g / delta
         slack = np.linspace(0.0, hi, 41)
@@ -559,7 +558,7 @@ def test_criterion_10_surrogate_projection_correctness():
     cfg0 = SystemConfig(n_antennas=4, span_l=2.0)
     x_k0 = uniform_positions(cfg0)
     delta0 = kernel_curvature(x_k0, correlation_objective(cfg0))
-    fixed = np.array_equal(solve_surrogate(x_k0, np.zeros(4), delta0, cfg0), x_k0)
+    fixed = np.array_equal(posopt._surrogate_step(x_k0, np.zeros(4), delta0, cfg0.span_l, cfg0.d_min), x_k0)
     ok = worst_gap <= 2e-3 and fixed
     assert report(
         10,

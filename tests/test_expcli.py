@@ -117,6 +117,7 @@ def test_config_from_dict_defaults():
             "sweep.x: unknown field",
         ),
         ({"sweep": {"kind": "beam_pattern", "angle_count": 1}}, "sweep.angle_count: must be >= 2"),
+        ({"schemes": ["proposed", "fpa", "proposed"]}, "schemes[2]: duplicate scheme 'proposed'"),
     ],
 )
 def test_config_from_dict_rejections(doc, fragment):

@@ -10,9 +10,9 @@ Oracles used here:
   * an exhaustive non-decreasing-tuple enumeration checks the surrogate
     maximizer on a deliberately small box;
   * an exact analytic Hessian checks the curvature bound 2 kappa^2 n;
-  * a per-start scalar SCA loop (pool-adjacent violators, O(n^2)
-    pairwise excess and gradient, the same per-round curvature) checks the
-    batched kernel;
+  * a per-start scalar SCA loop (the naive pool-adjacent-violators
+    projection, O(n^2) pairwise excess and gradient, the same per-round
+    curvature) checks the batched kernel;
   * an itertools enumeration of nondecreasing slack tuples on a grid checks
     the chain-DP start, and the whole-period chain checks its aligned case.
 """
@@ -43,12 +43,12 @@ from ma_multicast import posopt
 from ma_multicast.baselines import Scheme, aps_search, run_scheme
 from ma_multicast.posopt import (
     DP_MAX_STEPS,
-    DegenerateObjectiveError,
+    KAPPA_TOL,
     _isotonic_rows,
     _sca_rows,
+    _surrogate_step,
     chain_dp_start,
     random_positions,
-    solve_surrogate,
 )
 from ma_multicast.sysmodel import FEASIBILITY_TOL, validate_positions
 
@@ -343,7 +343,7 @@ def test_solve_surrogate_against_enumeration():
     for _ in range(5):
         x_k = feasible_probe(rng, 4, cfg.span_l, 0.5)
         g = correlation_excess_grad(x_k, obj)
-        got = solve_surrogate(x_k, g, delta, cfg)
+        got = _surrogate_step(x_k, g, delta, cfg.span_l, cfg.d_min)
         # the maximizer of the minorant is the projection of x_k + g / delta
         z = x_k + g / delta
         dist = ((candidates - z) ** 2).sum(axis=1)
@@ -354,10 +354,8 @@ def test_solve_surrogate_against_enumeration():
 def test_solve_surrogate_zero_gradient_returns_anchor():
     cfg = SystemConfig(n_antennas=4, span_l=4.0)
     x_k = np.array([0.0, 0.5, 1.0, 4.0])
-    out = solve_surrogate(x_k, np.zeros(4), 10.0, cfg)
+    out = _surrogate_step(x_k, np.zeros(4), 10.0, cfg.span_l, cfg.d_min)
     assert np.array_equal(out, x_k)
-    with pytest.raises(DegenerateObjectiveError):
-        solve_surrogate(x_k, np.ones(4), 0.0, cfg)
 
 
 def test_solve_surrogate_rows_match_one_vector_solves():
@@ -369,13 +367,10 @@ def test_solve_surrogate_rows_match_one_vector_solves():
         x_k = np.array([feasible_probe(rng, n, cfg.span_l, 0.5) for _ in range(6)])
         g = np.array([correlation_excess_grad(row, obj) for row in x_k])
         g[2] = 0.0  # a zero-slope row keeps its anchor
-        got = solve_surrogate(x_k, g, delta, cfg)
-        want = np.vstack([solve_surrogate(a, b, delta, cfg) for a, b in zip(x_k, g)])
+        got = _surrogate_step(x_k, g, delta, cfg.span_l, cfg.d_min)
+        want = np.vstack([_surrogate_step(a, b, delta, cfg.span_l, cfg.d_min) for a, b in zip(x_k, g)])
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
         assert np.array_equal(got[2], x_k[2])
-    with pytest.raises(ValueError, match="feasible"):
-        solve_surrogate(np.array([[0.0, 0.5, 1.0], [0.0, 0.2, 1.0]]), np.ones((2, 3)), 1.0,
-                        SystemConfig(n_antennas=3, span_l=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +496,10 @@ def test_random_positions_feasible():
 
 
 def scalar_sca(cfg, init, tol=1e-8, max_iter=500):
-    """One start at a time: PAV projection and the O(n^2) pairwise sums.
+    """One start at a time: naive PAV projection and the O(n^2) pairwise sums.
 
     Each round's curvature is 2 kappa^2 max(|s|, 1) at the current point,
-    with |s| = sqrt(f1 + n) from the pairwise excess.
+    with |s| = sqrt(f1 + n) from the pairwise excess; a zero slope keeps x.
     """
     obj = correlation_objective(cfg)
     n = cfg.n_antennas
@@ -513,7 +508,7 @@ def scalar_sca(cfg, init, tol=1e-8, max_iter=500):
     for k in range(1, max_iter + 1):
         g = correlation_excess_grad(x, obj)
         delta = 2.0 * obj.kappa**2 * max(math.sqrt(max(f1 + n, 0.0)), 1.0)
-        x_new = solve_surrogate(x, g, delta, cfg)
+        x_new = x if not g.any() else reference_projection(x + g / delta, cfg.span_l, cfg.d_min)
         f1_new = correlation_excess(x_new, obj)
         improvement = f1_new - f1
         x, f1 = x_new, f1_new
@@ -564,14 +559,14 @@ def test_local_curvature_minorizes_everywhere():
 def test_every_sca_step_stays_on_or_above_its_minorant(monkeypatch):
     """Each round's delta is at most 2 kappa^2 n and its step ends on or above the minorant."""
     calls = []
-    original = posopt.solve_surrogate
+    original = posopt._surrogate_step
 
-    def recording(x_k, g, delta, cfg):
-        x_new = original(x_k, g, delta, cfg)
+    def recording(x_k, g, delta, span_l, d_min):
+        x_new = original(x_k, g, delta, span_l, d_min)
         calls.append((np.atleast_2d(x_k), np.atleast_2d(g), np.ravel(delta), np.atleast_2d(x_new)))
         return x_new
 
-    monkeypatch.setattr(posopt, "solve_surrogate", recording)
+    monkeypatch.setattr(posopt, "_surrogate_step", recording)
     rng = np.random.default_rng(55)
     steps = 0
     for n in (2, 3, 4, 5, 8, 16):
@@ -604,6 +599,46 @@ def test_kernel_rejects_infeasible_start():
     cfg = SystemConfig(n_antennas=3, span_l=2.0)
     with pytest.raises(ValueError, match="feasible"):
         _sca_rows(cfg, np.array([[0.0, 0.5, 1.0], [0.0, 0.2, 1.0]]))
+
+
+def test_kernel_checks_feasibility_on_entry_and_exit_only(monkeypatch):
+    calls = []
+    original = posopt.validate_position_rows
+
+    def counting(x, *args):
+        calls.append(x.copy())  # the kernel goes on to update x in place
+        return original(x, *args)
+
+    monkeypatch.setattr(posopt, "validate_position_rows", counting)
+    rounds = set()
+    for cfg in (
+        SystemConfig(),
+        SystemConfig(n_antennas=16, span_l=20.0),
+        SystemConfig(theta_su=(0.7, math.pi - 0.7)),  # kappa = 0: no rounds
+    ):
+        starts = np.array([uniform_positions(cfg)])
+        calls.clear()
+        traces = _sca_rows(cfg, starts)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], starts)
+        assert np.array_equal(calls[1][0], traces[0].x)
+        rounds.add(traces[0].iterations)
+    assert 0 in rounds and max(rounds) > 2
+
+
+@pytest.mark.parametrize("d, rounds", [(2e-13, 1), (1e-13, 0)])
+def test_position_solve_at_the_curvature_edge(d, rounds):
+    # kappa about 1.10e-12 runs the rounds with delta >= 2 KAPPA_TOL^2; about
+    # 5.5e-13 takes the short-circuit and keeps the uniform start
+    cfg = SystemConfig(theta_su=(0.5, 0.5 + d))
+    obj = correlation_objective(cfg)
+    assert (abs(obj.kappa) >= KAPPA_TOL) == (rounds > 0)
+    x, trace = multi_start_sca(cfg)
+    assert trace.iterations == rounds and trace.converged
+    validate_positions(x, cfg.span_l, cfg.d_min)
+    assert correlation(x, obj) == pytest.approx(cfg.n_antennas, abs=1e-12)
+    if rounds == 0:
+        assert np.array_equal(x, uniform_positions(cfg))
 
 
 # ---------------------------------------------------------------------------
