@@ -40,10 +40,8 @@ from .oracle import (
     snap_positions_to_grid,
 )
 from .posopt import (
-    CorrelationObjective,
     ScaTrace,
     correlation,
-    correlation_objective,
     multi_start_sca,
     project_polytope,
     random_positions,
@@ -67,7 +65,6 @@ __all__ = [
     "Beamformer",
     "CaseLabel",
     "ConfigError",
-    "CorrelationObjective",
     "ExperimentConfig",
     "GridSpec",
     "InfeasibleSchemeError",
@@ -87,7 +84,6 @@ __all__ = [
     "build_beamformer",
     "closed_form_beamformer",
     "correlation",
-    "correlation_objective",
     "dbm_to_watt",
     "fpa_scheme",
     "joint_vs_decoupled",

@@ -26,7 +26,6 @@ from .posopt import (
     _correlation_rows,
     _grid_combination_chunks,
     correlation,
-    correlation_objective,
     multi_start_sca,
 )
 from .sysmodel import (
@@ -68,8 +67,7 @@ class SchemeResult:
 
 def closed_form_beamformer(x, cfg: SystemConfig) -> Beamformer:
     """Optimal beamformer for fixed positions via the three-case mixing rule."""
-    obj = correlation_objective(cfg)
-    f = correlation(x, obj)
+    f = correlation(x, cfg)
     t, label = optimize_mixing(theta_coefficients(f, cfg), cfg.n_antennas)
     return build_beamformer(x, t, cfg, label)
 
@@ -150,7 +148,6 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
             f"{count} candidate subsets exceed the cap {APS_MAX_COMBINATIONS}; "
             "use a coarser grid_step"
         )
-    obj = correlation_objective(cfg)
     best_f = -math.inf
     best_x = None
     # Translates and mirrors are not enumerated, but other subsets can still
@@ -158,7 +155,7 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     # difference multiset do), so ties are resolved within a small absolute
     # window; enumeration order is lexicographic and the first hit wins.
     for pos in chunks:
-        f = _correlation_rows(pos, obj.kappa)
+        f = _correlation_rows(pos, cfg.kappa)
         j = int(np.flatnonzero(f >= f.max() - APS_TIE_TOL)[0])
         if f[j] > best_f + APS_TIE_TOL:
             best_f = float(f[j])

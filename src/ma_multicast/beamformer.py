@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sysmodel import SystemConfig, check_positions, user_kappas
+from .sysmodel import SystemConfig, check_positions
 
 # Below this norm the component of user 2's steering vector orthogonal to
 # user 1's is considered numerically absent (channels parallel).
@@ -50,7 +50,8 @@ def _split(x, kappas) -> tuple:
     """h1, user 2's channel projected onto h1 (p), and the remainder h2 - p.
 
     x is one position vector or a (B, n) array of them, one per row; kappas
-    holds the users' phase rates (user_kappas), each one value or a (B, 1) column.
+    holds the users' phase rates (SystemConfig.kappas), each one value or a
+    (B, 1) column.
     """
     x = np.asarray(x, dtype=float)
     kappa1, kappa2 = kappas
@@ -92,7 +93,7 @@ def projection_coefficients(x, cfg: SystemConfig) -> tuple:
     actual vector projections, not from any simplified expression.
     """
     x = check_positions(x, cfg)
-    return tuple(float(g) for g in _projection_gains(x, user_kappas(cfg)))
+    return tuple(float(g) for g in _projection_gains(x, cfg.kappas))
 
 
 def _clamp_mixing(t):
@@ -105,7 +106,7 @@ def _clamp_mixing(t):
 def min_snr_from_projections(t: float, x, cfg: SystemConfig) -> float:
     """Worst-user SNR computed through explicit projections of the channels."""
     a, b, c = projection_coefficients(x, cfg)
-    return float(_theta_from_gains(a, b, c, _clamp_mixing(t), cfg.snr_scale(0), cfg.snr_scale(1)))
+    return float(_theta_from_gains(a, b, c, _clamp_mixing(t), *cfg.snr_scales))
 
 
 def _theta_coefficients(f_max, n: int, scale1, scale2) -> ThetaCoefficients:
@@ -120,7 +121,7 @@ def _theta_coefficients(f_max, n: int, scale1, scale2) -> ThetaCoefficients:
 
 def theta_coefficients(f_max: float, cfg: SystemConfig) -> ThetaCoefficients:
     """The mixing objective's constants for one correlation value, as Python floats."""
-    c = _theta_coefficients(f_max, cfg.n_antennas, cfg.snr_scale(0), cfg.snr_scale(1))
+    c = _theta_coefficients(f_max, cfg.n_antennas, *cfg.snr_scales)
     return ThetaCoefficients(float(c.a1), float(c.a2), float(c.a3), float(c.f_max))
 
 
@@ -185,7 +186,7 @@ def build_beamformer(
     x = check_positions(x, cfg)
     t = float(_clamp_mixing(t))
     n = cfg.n_antennas
-    h1, p, perp = _split(x, user_kappas(cfg))
+    h1, p, perp = _split(x, cfg.kappas)
     b = float(np.linalg.norm(p))
     c = float(np.linalg.norm(perp))
     if b < PARALLEL_TOL:

@@ -27,9 +27,9 @@ from .beamformer import (
     theta_coefficients,
 )
 from .oracle import GridSpec, _best_t_rows, joint_vs_decoupled
-from .posopt import _correlation_rows, correlation, correlation_objective, random_positions
+from .posopt import _correlation_rows, correlation, random_positions
 from .sysmodel import (
-    FEASIBILITY_TOL, SystemConfig, beam_pattern, exceeds_span, user_kappas, validate_position_rows
+    FEASIBILITY_TOL, SystemConfig, beam_pattern, exceeds_span, validate_position_rows
 )
 
 log = logging.getLogger(__name__)
@@ -204,7 +204,6 @@ def _db(value: float):
 
 
 def _result_dict(res: SchemeResult, cfg: SystemConfig) -> dict:
-    obj = correlation_objective(cfg)
     return {
         "x": [float(v) for v in res.x],
         "w_re": [float(v) for v in res.w.w.real],
@@ -216,7 +215,7 @@ def _result_dict(res: SchemeResult, cfg: SystemConfig) -> dict:
         "gamma_u1_db": _db(res.snr.gamma_u1),
         "gamma_u2_db": _db(res.snr.gamma_u2),
         "min_rate_bps_hz": float(res.snr.min_rate),
-        "correlation": correlation(res.x, obj),
+        "correlation": correlation(res.x, cfg),
         "iterations": res.trace.iterations if res.trace is not None else None,
     }
 
@@ -406,7 +405,7 @@ def _path_equivalence_diffs(cfgs, x, t) -> np.ndarray:
     # the correlation route (va) and the projection route (vb), kept apart
     t = _clamp_mixing(t)
     scales = _row_scales(cfgs)
-    f = _correlation_rows(x, np.array([[correlation_objective(c).kappa] for c in cfgs]))
+    f = _correlation_rows(x, np.array([[c.kappa] for c in cfgs]))
     va = theta_at(_theta_coefficients(f, x.shape[1], *scales), t)
     vb = _theta_from_gains(*_projection_gains(x, _row_kappas(cfgs)), t, *scales)
     return _rel_diffs(va, vb)
@@ -424,19 +423,19 @@ def _projection_identity_diffs(cfgs, x, t) -> np.ndarray:
 
 def _row_kappas(cfgs) -> np.ndarray:
     """Both users' phase rates per config as a (2, B, 1) array: one column per user."""
-    return np.array([user_kappas(c) for c in cfgs]).T[:, :, None]
+    return np.array([c.kappas for c in cfgs]).T[:, :, None]
 
 
 def _row_scales(cfgs) -> np.ndarray:
     """Both users' SNR scales per config as a (2, B) array: one row per user."""
-    return np.array([(c.snr_scale(0), c.snr_scale(1)) for c in cfgs]).T
+    return np.array([c.snr_scales for c in cfgs]).T
 
 
 def _mixing_rule_diffs(cfgs, x, t) -> np.ndarray:
     # the closed form, one row at a time, against the grid oracle on all rows at once
     theta_closed = []
     for cfg, row in zip(cfgs, x):
-        coeffs = theta_coefficients(correlation(row, correlation_objective(cfg)), cfg)
+        coeffs = theta_coefficients(correlation(row, cfg), cfg)
         t_star, _label = optimize_mixing(coeffs, cfg.n_antennas)
         theta_closed.append(float(theta_at(coeffs, t_star)))
     gains = _projection_gains(x, _row_kappas(cfgs))

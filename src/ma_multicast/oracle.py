@@ -13,8 +13,8 @@ from .beamformer import (
     _theta_from_gains,
     min_snr_from_projections,
 )
-from .posopt import _grid_combination_chunks, correlation_objective
-from .sysmodel import FEASIBILITY_TOL, SystemConfig, user_kappas
+from .posopt import _grid_combination_chunks
+from .sysmodel import FEASIBILITY_TOL, SystemConfig
 
 MAX_EVALUATIONS = 100_000_000
 # relative window for treating grid candidates as tied on the objective
@@ -128,10 +128,9 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
         raise ValueError(
             "grid search would exceed the evaluation cap; coarsen the grid"
         )
-    kappas, scales = user_kappas(cfg), (cfg.snr_scale(0), cfg.snr_scale(1))
     positions, index, peaks = [], [], []
     for pos in chunks:
-        j, peak = _grid_peaks(*_projection_gains(pos, kappas), scales, grid.t_step)
+        j, peak = _grid_peaks(*_projection_gains(pos, cfg.kappas), cfg.snr_scales, grid.t_step)
         positions.append(pos)
         index.append(j)
         peaks.append(peak)
@@ -209,15 +208,14 @@ def resolution_bound(cfg: SystemConfig, grid: GridSpec, theta_ref: float) -> flo
     root moduli of continuity of both complement terms, and the mixing-grid
     spacing, then maps the SNR increment into rate units at theta_ref.
     """
-    obj = correlation_objective(cfg)
-    k = abs(obj.kappa)
+    k = abs(cfg.kappa)
     n = cfg.n_antennas
     hx, ht = grid.position_step, grid.t_step
     df = k * n * hx / 2.0
     dg_pos = (df + math.sqrt(2.0 * n * df)) / math.sqrt(n)
     dg_mix = math.sqrt(n) * (ht + math.sqrt(2.0 * ht))
-    dy2 = 2.0 * cfg.snr_scale(1) * math.sqrt(n) * (dg_pos + dg_mix)
-    dy1 = 2.0 * cfg.snr_scale(0) * n * ht
+    dy2 = 2.0 * cfg.snr_scales[1] * math.sqrt(n) * (dg_pos + dg_mix)
+    dy1 = 2.0 * cfg.snr_scales[0] * n * ht
     return max(dy1, dy2) / ((1.0 + max(theta_ref, 0.0)) * math.log(2.0))
 
 

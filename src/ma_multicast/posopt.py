@@ -47,14 +47,6 @@ DP_PHASES = 64
 DP_MAX_STEPS = 4096
 
 
-@dataclass(frozen=True)
-class CorrelationObjective:
-    """Angular frequency of the correlation objective and the array size."""
-
-    kappa: float
-    n: int
-
-
 @dataclass(frozen=True, eq=False)
 class ScaTrace:
     """Log of one surrogate-ascent run.
@@ -69,13 +61,6 @@ class ScaTrace:
     iterations: int
 
 
-def correlation_objective(cfg: SystemConfig) -> CorrelationObjective:
-    kappa = (2.0 * math.pi / cfg.wavelength) * (
-        math.sin(cfg.theta_su[1]) - math.sin(cfg.theta_su[0])
-    )
-    return CorrelationObjective(kappa=kappa, n=cfg.n_antennas)
-
-
 def _correlation_rows(x, kappa) -> np.ndarray:
     """|sum_n exp(j kappa x_n)| of x or of each row of it; kappa is one value or a (B, 1) column.
 
@@ -86,9 +71,9 @@ def _correlation_rows(x, kappa) -> np.ndarray:
     return np.hypot(s.real, s.imag)
 
 
-def correlation(x, obj: CorrelationObjective) -> float:
-    """Channel correlation f(x) = |sum_n exp(j kappa x_n)|, in [0, n]."""
-    return float(_correlation_rows(x, obj.kappa))
+def correlation(x, cfg: SystemConfig) -> float:
+    """Channel correlation f(x) = |sum_n exp(j kappa x_n)|, in [0, n], with cfg's kappa."""
+    return float(_correlation_rows(x, cfg.kappa))
 
 
 def _isotonic_rows(y: np.ndarray) -> np.ndarray:
@@ -238,8 +223,7 @@ def chain_dp_start(cfg: SystemConfig) -> np.ndarray:
     antenna's value row, walked back from the last antenna.  Ties go to the
     first phase and the smallest u.  Needs kappa != 0.
     """
-    kappa = correlation_objective(cfg).kappa
-    n, d_min = cfg.n_antennas, cfg.d_min
+    kappa, n, d_min = cfg.kappa, cfg.n_antennas, cfg.d_min
     period = 2.0 * math.pi / abs(kappa)
     pitch = math.ceil(d_min / period) * period
     if not exceeds_span(n, pitch, cfg.span_l):
@@ -284,31 +268,31 @@ def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter
 
     The round loop re-checks neither feasibility nor delta_k.  Rounds run
     only when |kappa| >= KAPPA_TOL, so delta_k >= 2 KAPPA_TOL^2 > 0, and each
-    anchor is either a start or the previous round's polytope projection.  The starts are checked once
-    on entry and the last iterates once on exit.
+    anchor is either a start or the previous round's polytope projection.
+    The starts are checked once on entry and the last iterates once on exit.
     """
-    obj = correlation_objective(cfg)
+    kappa = cfg.kappa
     x = np.array(starts, dtype=float)
     rows, n = x.shape
     validate_position_rows(x, cfg.span_l, cfg.d_min)
-    e = np.exp(1j * obj.kappa * x)
+    e = np.exp(1j * kappa * x)
     s = e.sum(axis=1)
     f1 = np.abs(s) ** 2 - n
     history = np.empty((rows, max_iter + 1))
     history[:, 0] = f1
     iterations = np.zeros(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
-    if abs(obj.kappa) < KAPPA_TOL:
+    if abs(kappa) < KAPPA_TOL:
         # users at matching sine angles: f is constant, nothing to move
         converged[:] = True
     else:
         active = np.arange(rows)
         for k in range(1, max_iter + 1):
             s_k = s[active]
-            g = 2.0 * obj.kappa * np.imag(s_k[:, None] * np.conj(e[active]))
-            delta = 2.0 * obj.kappa ** 2 * np.maximum(np.abs(s_k), 1.0)
+            g = 2.0 * kappa * np.imag(s_k[:, None] * np.conj(e[active]))
+            delta = 2.0 * kappa ** 2 * np.maximum(np.abs(s_k), 1.0)
             x_new = _surrogate_step(x[active], g, delta, cfg.span_l, cfg.d_min)
-            e_new = np.exp(1j * obj.kappa * x_new)
+            e_new = np.exp(1j * kappa * x_new)
             s_new = e_new.sum(axis=1)
             f1_new = np.abs(s_new) ** 2 - n
             done = f1_new - f1[active] < tol
@@ -347,9 +331,8 @@ def _solve_positions(cfg: SystemConfig) -> ScaTrace:
 
     Rows are ranked by the last f1 = |s|^2 - n their ascent computed.
     """
-    obj = correlation_objective(cfg)
     starts = [uniform_positions(cfg)]
-    if abs(obj.kappa) >= KAPPA_TOL:
+    if abs(cfg.kappa) >= KAPPA_TOL:
         # with kappa = 0 every x is optimal and the uniform start stays
         starts.append(chain_dp_start(cfg))
     best, best_f1 = None, -math.inf

@@ -34,6 +34,20 @@ class SystemConfig:
     power, -80 dBm noise, free-space-like path-loss exponent 2, unit
     wavelength and half-wavelength minimum spacing on a 4-wavelength
     aperture with five antennas.
+
+    Building the config, or rebuilding it with dataclasses.replace, computes
+    three derived constants once.  They are plain attributes, not fields, so
+    equality, hashing and asdict see only the inputs.
+
+    Attributes
+    ----------
+    kappas : tuple
+        Each user's phase rate (2 pi / wavelength) sin(theta_i).
+    kappa : float
+        Phase rate of the correlation, (2 pi / wavelength)
+        (sin(theta_2) - sin(theta_1)).
+    snr_scales : tuple
+        Each user's SNR prefactor ps / (d^tau * sigma^2).
     """
 
     n_antennas: int = 5
@@ -79,8 +93,6 @@ class SystemConfig:
             )
         except (OverflowError, ZeroDivisionError):
             scales = (math.nan,)
-        # not a field: equality, hashing and asdict see only the inputs
-        object.__setattr__(self, "_snr_scales", scales)
         # the largest beam gain is n_antennas, so scale * n is the largest SNR
         if not all(0.0 < c and c * self.n_antennas < math.inf for c in scales):
             raise ValueError(
@@ -88,6 +100,11 @@ class SystemConfig:
                 "SNR scale ps / (d^tau * sigma^2) whose product with n_antennas "
                 "is finite"
             )
+        object.__setattr__(self, "snr_scales", scales)
+        rate = 2.0 * math.pi / self.wavelength
+        sines = tuple(math.sin(t) for t in self.theta_su)
+        object.__setattr__(self, "kappas", tuple(rate * s for s in sines))
+        object.__setattr__(self, "kappa", rate * (sines[1] - sines[0]))
 
     @property
     def ps_w(self) -> float:
@@ -96,20 +113,6 @@ class SystemConfig:
     @property
     def sigma2_w(self) -> float:
         return dbm_to_watt(self.sigma2_dbm)
-
-    def snr_scale(self, user: int) -> float:
-        """Per-user SNR prefactor ps / (d^tau * sigma^2) for user index 0 or 1.
-
-        Computed once, when the config is built or replaced.
-        """
-        return self._snr_scales[user]
-
-
-def user_kappas(cfg: SystemConfig) -> tuple:
-    """Phase rate (2 pi / wavelength) sin(theta_i) of each user's steering vector."""
-    return tuple(
-        (2.0 * math.pi / cfg.wavelength) * math.sin(cfg.theta_su[i]) for i in (0, 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,7 @@ def snr_pair(w, x, cfg: SystemConfig) -> SnrPair:
     """Receive SNRs of both users under beamformer w and positions x."""
     x = check_positions(x, cfg)
     gamma = tuple(
-        cfg.snr_scale(i) * beam_gain(w, x, cfg.theta_su[i], cfg.wavelength)
-        for i in (0, 1)
+        c * beam_gain(w, x, theta, cfg.wavelength)
+        for c, theta in zip(cfg.snr_scales, cfg.theta_su)
     )
     return SnrPair.from_gammas(*gamma)

@@ -13,24 +13,23 @@ tests import it.
 import numpy as np
 
 from ma_multicast import oracle, projection_coefficients, theta_at, theta_coefficients
-from ma_multicast.posopt import CorrelationObjective
 
 
-def correlation_excess(x, obj: CorrelationObjective) -> float:
-    """Pairwise part f(x)^2 - n of the squared correlation."""
+def correlation_excess(x, kappa: float) -> float:
+    """Pairwise part f(x)^2 - n of the squared correlation, n being x's size."""
     x = np.asarray(x, dtype=float)
     d = x[:, None] - x[None, :]
-    return float(np.cos(obj.kappa * d).sum()) - obj.n
+    return float(np.cos(kappa * d).sum()) - x.size
 
 
-def correlation_excess_grad(x, obj: CorrelationObjective) -> np.ndarray:
+def correlation_excess_grad(x, kappa: float) -> np.ndarray:
     """Gradient of the pairwise correlation term."""
     x = np.asarray(x, dtype=float)
     d = x[:, None] - x[None, :]
-    return 2.0 * obj.kappa * np.sin(obj.kappa * d).sum(axis=0)
+    return 2.0 * kappa * np.sin(kappa * d).sum(axis=0)
 
 
-def curvature_bound(obj: CorrelationObjective) -> float:
+def curvature_bound(kappa: float, n: int) -> float:
     """Global curvature 2 kappa^2 n of the correlation excess; it is tight.
 
     The SCA kernel does not use it: each row takes the smaller curvature
@@ -47,7 +46,7 @@ def curvature_bound(obj: CorrelationObjective) -> float:
     curvature therefore minorizes f1 around any point.  The bound is attained
     in the limit of aligned phasors, where L tends to n I - 1 1^T.
     """
-    return 2.0 * obj.kappa ** 2 * obj.n
+    return 2.0 * kappa ** 2 * n
 
 
 def surrogate_value(x, x_k, f1_k: float, g, delta: float) -> float:
@@ -58,10 +57,10 @@ def surrogate_value(x, x_k, f1_k: float, g, delta: float) -> float:
     return f1_k + float(g @ step) - 0.5 * delta * float(step @ step)
 
 
-def kernel_curvature(x_k, obj: CorrelationObjective) -> float:
+def kernel_curvature(x_k, kappa: float) -> float:
     """The SCA kernel's curvature 2 kappa^2 max(|s_k|, 1) at x_k."""
-    s_k = np.exp(1j * obj.kappa * np.asarray(x_k, dtype=float)).sum()
-    return 2.0 * obj.kappa ** 2 * max(abs(s_k), 1.0)
+    s_k = np.exp(1j * kappa * np.asarray(x_k, dtype=float)).sum()
+    return 2.0 * kappa ** 2 * max(abs(s_k), 1.0)
 
 
 def min_snr_from_correlation(t: float, f: float, cfg) -> float:
@@ -72,5 +71,5 @@ def min_snr_from_correlation(t: float, f: float, cfg) -> float:
 def best_t(x, cfg, t_step: float) -> tuple:
     """oracle._best_t_rows on the one row of x's projection gains, as floats (t, theta)."""
     gains = (np.array([g]) for g in projection_coefficients(x, cfg))
-    t, theta = oracle._best_t_rows(*gains, (cfg.snr_scale(0), cfg.snr_scale(1)), t_step)
+    t, theta = oracle._best_t_rows(*gains, cfg.snr_scales, t_step)
     return float(t[0]), float(theta[0])

@@ -31,7 +31,6 @@ from ma_multicast import (
     brute_force_joint,
     closed_form_beamformer,
     correlation,
-    correlation_objective,
     fpa_scheme,
     ma_mrt,
     multi_start_sca,
@@ -45,7 +44,6 @@ from ma_multicast import (
 from ma_multicast import posopt
 from ma_multicast.baselines import APS_TIE_TOL
 from ma_multicast.beamformer import CaseLabel
-from ma_multicast.sysmodel import user_kappas
 
 from correlation_reference import min_snr_from_correlation
 
@@ -55,7 +53,6 @@ ALL_SCHEMES = list(Scheme)
 
 def enumerate_grid_search(cfg, grid_step):
     """Independent APS oracle: plain nested loops over index tuples."""
-    obj = correlation_objective(cfg)
     m = int(math.floor(cfg.span_l / grid_step + 1e-9)) + 1
     points = [grid_step * i for i in range(m)]
     best_f, best_x = -1.0, None
@@ -63,7 +60,7 @@ def enumerate_grid_search(cfg, grid_step):
         x = [points[i] for i in combo]
         if any(b - a < cfg.d_min - 1e-9 for a, b in zip(x, x[1:])):
             continue
-        f = abs(sum(np.exp(1j * obj.kappa * xi) for xi in x))
+        f = abs(sum(np.exp(1j * cfg.kappa * xi) for xi in x))
         if f > best_f + 1e-12:
             best_f, best_x = f, x
     return np.array(best_x), best_f
@@ -75,13 +72,12 @@ def unfiltered_aps_x(cfg, grid_step):
     Same arithmetic and tie rule as aps_search over all x_1 = 0 subsets, as
     the search ran before mirrors were dropped.
     """
-    obj = correlation_objective(cfg)
     values = grid_step * np.arange(int(math.floor(cfg.span_l / grid_step + 1e-9)) + 1)
     pos = np.asarray([
         c for c in itertools.combinations(values, cfg.n_antennas)
         if c[0] == 0.0 and all(b - a >= cfg.d_min - 1e-9 for a, b in zip(c, c[1:]))
     ])
-    f = np.abs(np.exp(1j * obj.kappa * pos).sum(axis=1))
+    f = np.abs(np.exp(1j * cfg.kappa * pos).sum(axis=1))
     return pos[int(np.flatnonzero(f >= f.max() - APS_TIE_TOL)[0])]
 
 
@@ -180,7 +176,7 @@ def test_ao_serves_identical_flat_channels():
     # so the matched filter gives each user its peak gain n
     cfg = SystemConfig(theta_su=(0.0, 0.0), d_su=(80.0, 120.0))
     res = ao_scheme(cfg)
-    gamma = min(cfg.snr_scale(0), cfg.snr_scale(1)) * cfg.n_antennas
+    gamma = min(cfg.snr_scales) * cfg.n_antennas
     assert res.snr.min_rate == pytest.approx(math.log2(1.0 + gamma), rel=1e-12)
 
 
@@ -214,8 +210,8 @@ def scalar_ao_position_step(x_k, w, cfg, max_rounds=30, inner_iters=200, tol=1e-
     pointwise minimum by projected supergradient steps, keeping the best
     iterate so the true objective never decreases.  Returns the new positions.
     """
-    kappas = user_kappas(cfg)
-    c = np.array([cfg.snr_scale(0), cfg.snr_scale(1)])
+    kappas = cfg.kappas
+    c = np.array(cfg.snr_scales)
     s = c / c.max()
     n = cfg.n_antennas
     delta_w = 2.0 * max(abs(k) for k in kappas) ** 2 * n
@@ -340,9 +336,9 @@ def theorem_config(trial, rng):
 
 def scaled_gains_and_gradients(x, w, cfg):
     """c_i g_i and c_i grad g_i of user i's gain g_i, for both users."""
-    pairs = [scalar_gain_and_grad(x, w, kappa) for kappa in user_kappas(cfg)]
-    values = [cfg.snr_scale(i) * gain for i, (gain, _grad) in enumerate(pairs)]
-    grads = [cfg.snr_scale(i) * grad for i, (_gain, grad) in enumerate(pairs)]
+    pairs = [scalar_gain_and_grad(x, w, kappa) for kappa in cfg.kappas]
+    values = [cfg.snr_scales[i] * gain for i, (gain, _grad) in enumerate(pairs)]
+    grads = [cfg.snr_scales[i] * grad for i, (_gain, grad) in enumerate(pairs)]
     return values, grads
 
 
@@ -378,12 +374,12 @@ def test_closed_form_beamformer_is_a_first_order_fixed_point_of_the_position_ste
             scale = max(float(np.linalg.norm(g)) for g in grads)
             assert min_norm_convex_combination(*grads) <= 1e-10 * scale
         else:
-            kappas = user_kappas(cfg)
+            kappas = cfg.kappas
             for i in binding[bf.case_label]:
                 assert values[i] <= min(values) * (1.0 + 1e-10)
-                peak = cfg.snr_scale(i) * cfg.n_antennas
+                peak = cfg.snr_scales[i] * cfg.n_antennas
                 assert values[i] == pytest.approx(peak, rel=1e-10)
-                peak_slope = 2.0 * cfg.snr_scale(i) * kappas[i] * cfg.n_antennas
+                peak_slope = 2.0 * cfg.snr_scales[i] * kappas[i] * cfg.n_antennas
                 assert np.linalg.norm(grads[i]) <= 1e-10 * peak_slope
     assert {CaseLabel.CROSSING, CaseLabel.LEFT_ENDPOINT, CaseLabel.RIGHT_ENDPOINT} <= seen
 
@@ -460,7 +456,7 @@ def test_ao_curvature_bound_covers_gain_hessian(n):
         else:
             w = rng.normal(size=n) + 1j * rng.normal(size=n)
             w /= np.linalg.norm(w)
-        kappas = user_kappas(cfg)
+        kappas = cfg.kappas
         delta_w = 2.0 * max(abs(k) for k in kappas) ** 2 * n
         for kappa in kappas:
             hess = gain_hessian(x, w, kappa)
@@ -493,7 +489,7 @@ def test_aps_matches_independent_enumeration(n, angles):
     res = aps_search(cfg, grid_step=0.5)
     want_x, want_f = enumerate_grid_search(cfg, 0.5)
     assert np.allclose(res.x, want_x, atol=1e-12)
-    assert correlation(res.x, correlation_objective(cfg)) == pytest.approx(want_f, rel=1e-12)
+    assert correlation(res.x, cfg) == pytest.approx(want_f, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -561,10 +557,10 @@ def test_aps_uses_optimal_beamformer():
 def test_mrt_first_user_snr_is_matched_filter_bound():
     cfg = SystemConfig(d_su=(70.0, 180.0))
     res = ma_mrt(cfg)
-    assert res.snr.gamma_u1 == pytest.approx(cfg.snr_scale(0) * cfg.n_antennas, rel=1e-12)
+    assert res.snr.gamma_u1 == pytest.approx(cfg.snr_scales[0] * cfg.n_antennas, rel=1e-12)
     # second user sees the correlation squared over n
-    f = correlation(res.x, correlation_objective(cfg))
-    want = cfg.snr_scale(1) * f * f / cfg.n_antennas
+    f = correlation(res.x, cfg)
+    want = cfg.snr_scales[1] * f * f / cfg.n_antennas
     assert res.snr.gamma_u2 == pytest.approx(want, rel=1e-9)
     assert res.w.t == 1.0
 
@@ -573,13 +569,13 @@ def test_mrt_parallel_channels_serve_both():
     th = 0.9
     cfg = SystemConfig(theta_su=(th, math.pi - th))
     res = ma_mrt(cfg)
-    assert res.snr.gamma_u2 == pytest.approx(cfg.snr_scale(1) * cfg.n_antennas, rel=1e-9)
+    assert res.snr.gamma_u2 == pytest.approx(cfg.snr_scales[1] * cfg.n_antennas, rel=1e-9)
 
 
 def test_mrt_equals_full_mixing_objective():
     cfg = SystemConfig()
     res = ma_mrt(cfg)
-    f = correlation(res.x, correlation_objective(cfg))
+    f = correlation(res.x, cfg)
     want = math.log2(1.0 + min_snr_from_correlation(1.0, f, cfg))
     assert res.snr.min_rate == pytest.approx(want, rel=1e-9)
 

@@ -20,7 +20,6 @@ from ma_multicast import (
     SystemConfig,
     build_beamformer,
     correlation,
-    correlation_objective,
     min_snr_from_projections,
     optimize_mixing,
     projection_coefficients,
@@ -37,7 +36,6 @@ from ma_multicast.beamformer import (
     _theta_coefficients,
     _theta_from_gains,
 )
-from ma_multicast.sysmodel import user_kappas
 
 from correlation_reference import min_snr_from_correlation
 
@@ -95,7 +93,7 @@ def kernel_cases(name):
         return [(cfg, np.array(rows))]
     # half the beat period between two antennas makes the channels orthogonal
     cfg = SystemConfig(n_antennas=2, span_l=4.0)
-    gap = math.pi / abs(correlation_objective(cfg).kappa)
+    gap = math.pi / abs(cfg.kappa)
     return [(cfg, np.array([[s, s + gap] for s in (0.0, 0.5, cfg.span_l - gap)]))]
 
 
@@ -108,7 +106,7 @@ def test_project_split_reassembles():
             h1_ref = np.array([steering_vector(x, cfg.theta_su[0], cfg.wavelength) for x in rows])
             h2_ref = np.array([steering_vector(x, cfg.theta_su[1], cfg.wavelength) for x in rows])
             for x, h1_want, h2_want in ((rows[0], h1_ref[0], h2_ref[0]), (rows, h1_ref, h2_ref)):
-                h1, p, perp = _split(x, user_kappas(cfg))
+                h1, p, perp = _split(x, cfg.kappas)
                 assert h1.shape == p.shape == perp.shape == np.shape(x)
                 assert np.max(np.abs(h1 - h1_want)) < 1e-12
                 assert np.max(np.abs(p + perp - h2_want)) < 1e-12
@@ -124,14 +122,14 @@ def test_project_split_reassembles():
 def test_batched_kernel_matches_scalar_route(name):
     t = np.linspace(0.0, 1.0, 21)
     for cfg, rows in kernel_cases(name):
-        a, b, c = _projection_gains(rows, user_kappas(cfg))
+        a, b, c = _projection_gains(rows, cfg.kappas)
         assert a.shape == b.shape == c.shape == (rows.shape[0],)
         if name == "parallel":
             assert np.all(c < PARALLEL_TOL)
         if name == "orthogonal":
             assert np.all(b < PARALLEL_TOL)
         theta = _theta_from_gains(
-            a[:, None], b[:, None], c[:, None], t, cfg.snr_scale(0), cfg.snr_scale(1)
+            a[:, None], b[:, None], c[:, None], t, *cfg.snr_scales
         )
         assert theta.shape == (rows.shape[0], t.size)
         for i, x in enumerate(rows):
@@ -153,14 +151,14 @@ def test_projection_coefficients_identities():
         assert a == pytest.approx(math.sqrt(n), rel=1e-12)
         assert b * b + c * c == pytest.approx(n, rel=1e-12)
         # b is the correlation scaled by 1/sqrt(n)
-        f = correlation(x, correlation_objective(cfg))
+        f = correlation(x, cfg)
         assert b == pytest.approx(f / math.sqrt(n), rel=1e-10, abs=1e-10)
 
 
 def test_projection_coefficients_orthogonal_channels():
     # antenna spacing of half the beat period makes the two channels orthogonal
     cfg = SystemConfig(n_antennas=2, span_l=4.0)
-    kappa = correlation_objective(cfg).kappa
+    kappa = cfg.kappa
     gap = math.pi / abs(kappa)
     x = np.array([0.0, gap])
     a, b, c = projection_coefficients(x, cfg)
@@ -179,7 +177,7 @@ def test_min_snr_paths_agree():
         cfg = random_config(rng)
         x = random_feasible(rng, cfg.n_antennas, cfg.span_l)
         t = float(rng.uniform())
-        f = correlation(x, correlation_objective(cfg))
+        f = correlation(x, cfg)
         va = min_snr_from_correlation(t, f, cfg)
         vb = min_snr_from_projections(t, x, cfg)
         assert va == pytest.approx(vb, rel=1e-9)
@@ -195,7 +193,7 @@ def test_min_snr_input_validation():
     with pytest.raises(ValueError):
         min_snr_from_projections(-0.2, x, cfg)
     # the array forms keep the same range checks, row by row, NaN included
-    scales = np.array([cfg.snr_scale(0)] * 2), np.array([cfg.snr_scale(1)] * 2)
+    scales = np.array([cfg.snr_scales[0]] * 2), np.array([cfg.snr_scales[1]] * 2)
     for f in ([1.0, 5.0 + 2e-9], [1.0, math.nan], [-2e-9, 1.0]):
         with pytest.raises(ValueError, match="outside"):
             _theta_coefficients(np.array(f), 5, *scales)
@@ -225,7 +223,7 @@ def test_theta_at_matches_branch_formula():
     rng = np.random.default_rng(24)
     cfg = random_config(rng)
     n = cfg.n_antennas
-    c1, c2 = cfg.snr_scale(0), cfg.snr_scale(1)
+    c1, c2 = cfg.snr_scales
     f = float(rng.uniform(0.0, n))
     coeffs = theta_coefficients(f, cfg)
     assert coeffs.a1 == pytest.approx(c1 * n, rel=1e-12)
@@ -245,7 +243,7 @@ def test_balanced_distances_cross():
     cfg = SystemConfig()  # equal distances, default angles
     rng = np.random.default_rng(25)
     x = random_feasible(rng, cfg.n_antennas, cfg.span_l)
-    f = correlation(x, correlation_objective(cfg))
+    f = correlation(x, cfg)
     coeffs = theta_coefficients(f, cfg)
     t_star, label = optimize_mixing(coeffs, cfg.n_antennas)
     assert label is CaseLabel.CROSSING
@@ -261,7 +259,7 @@ def test_strong_first_user_peaks_second_branch():
     cfg = SystemConfig(d_su=(20.0, 500.0))
     rng = np.random.default_rng(26)
     x = random_feasible(rng, cfg.n_antennas, cfg.span_l)
-    f = correlation(x, correlation_objective(cfg))
+    f = correlation(x, cfg)
     coeffs = theta_coefficients(f, cfg)
     t_star, label = optimize_mixing(coeffs, cfg.n_antennas)
     assert label is CaseLabel.LEFT_ENDPOINT
@@ -274,7 +272,7 @@ def test_weak_first_user_takes_full_alignment():
     cfg = SystemConfig(d_su=(500.0, 20.0))
     rng = np.random.default_rng(27)
     x = random_feasible(rng, cfg.n_antennas, cfg.span_l)
-    f = correlation(x, correlation_objective(cfg))
+    f = correlation(x, cfg)
     coeffs = theta_coefficients(f, cfg)
     t_star, label = optimize_mixing(coeffs, cfg.n_antennas)
     assert label is CaseLabel.RIGHT_ENDPOINT
@@ -289,7 +287,7 @@ def test_parallel_channels_degenerate():
     cfg = SystemConfig(theta_su=(th, math.pi - th))
     rng = np.random.default_rng(28)
     x = random_feasible(rng, cfg.n_antennas, cfg.span_l)
-    f = correlation(x, correlation_objective(cfg))
+    f = correlation(x, cfg)
     assert f == pytest.approx(cfg.n_antennas, rel=1e-12)
     coeffs = theta_coefficients(f, cfg)
     t_star, label = optimize_mixing(coeffs, cfg.n_antennas)
@@ -303,7 +301,7 @@ def test_mixing_grid_argmax_never_left_of_peak():
     for _ in range(60):
         cfg = random_config(rng)
         x = random_feasible(rng, cfg.n_antennas, cfg.span_l)
-        f = correlation(x, correlation_objective(cfg))
+        f = correlation(x, cfg)
         coeffs = theta_coefficients(f, cfg)
         t = np.linspace(0.0, 1.0, 100_001)
         k = int(np.argmax(theta_at(coeffs, t)))
@@ -315,7 +313,7 @@ def test_mixing_certified_on_random_configs():
     for _ in range(60):
         cfg = random_config(rng)
         x = random_feasible(rng, cfg.n_antennas, cfg.span_l)
-        f = correlation(x, correlation_objective(cfg))
+        f = correlation(x, cfg)
         coeffs = theta_coefficients(f, cfg)
         t_star, _label = optimize_mixing(coeffs, cfg.n_antennas)
         v_star = theta_at(coeffs, t_star)
@@ -367,7 +365,7 @@ def test_built_vector_realizes_scalar_objective():
     for _ in range(50):
         cfg = random_config(rng)
         x = random_feasible(rng, cfg.n_antennas, cfg.span_l)
-        f = correlation(x, correlation_objective(cfg))
+        f = correlation(x, cfg)
         coeffs = theta_coefficients(f, cfg)
         t_star, label = optimize_mixing(coeffs, cfg.n_antennas)
         bf = build_beamformer(x, t_star, cfg, label)
@@ -381,7 +379,7 @@ def test_crossing_balances_both_users():
     cfg = SystemConfig()
     rng = np.random.default_rng(33)
     x = random_feasible(rng, cfg.n_antennas, cfg.span_l)
-    f = correlation(x, correlation_objective(cfg))
+    f = correlation(x, cfg)
     coeffs = theta_coefficients(f, cfg)
     t_star, label = optimize_mixing(coeffs, cfg.n_antennas)
     assert label is CaseLabel.CROSSING
@@ -403,9 +401,9 @@ def test_parallel_channels_force_full_mixing():
 
 def test_orthogonal_channels_still_optimizable():
     cfg = SystemConfig(n_antennas=2, span_l=4.0)
-    kappa = correlation_objective(cfg).kappa
+    kappa = cfg.kappa
     x = np.array([0.0, math.pi / abs(kappa)])
-    f = correlation(x, correlation_objective(cfg))
+    f = correlation(x, cfg)
     assert f == pytest.approx(0.0, abs=1e-9)
     coeffs = theta_coefficients(max(f, 0.0), cfg)
     t_star, label = optimize_mixing(coeffs, cfg.n_antennas)

@@ -19,7 +19,6 @@ from ma_multicast import (
     Scheme,
     SystemConfig,
     correlation,
-    correlation_objective,
     load_config,
     main,
     min_snr_from_projections,
@@ -43,7 +42,6 @@ from ma_multicast.expcli import (
     write_json,
 )
 from ma_multicast.posopt import _correlation_rows
-from ma_multicast.sysmodel import user_kappas
 
 from correlation_reference import best_t, min_snr_from_correlation
 
@@ -292,7 +290,7 @@ def test_run_validate_is_deterministic():
 
 def path_equivalence_reference(cfg, x, t):
     """One sample of min_snr_path_equivalence through the scalar routes."""
-    f = correlation(x, correlation_objective(cfg))
+    f = correlation(x, cfg)
     va = min_snr_from_correlation(t, f, cfg)
     vb = min_snr_from_projections(t, x, cfg)
     return abs(va - vb) / max(abs(va), abs(vb), 1e-300)
@@ -352,13 +350,13 @@ def test_batched_routes_match_the_scalar_entry_points_bit_for_bit(samples):
     for n in range(2, 9):
         cfgs, xs, ts, _ = zip(*(r for r in rows if r[0].n_antennas == n))
         x, t = np.array(xs), np.array(ts)
-        scales = np.array([(c.snr_scale(0), c.snr_scale(1)) for c in cfgs]).T
-        f = _correlation_rows(x, np.array([[correlation_objective(c).kappa] for c in cfgs]))
-        gains = _projection_gains(x, np.array([user_kappas(c) for c in cfgs]).T[:, :, None])
+        scales = np.array([c.snr_scales for c in cfgs]).T
+        f = _correlation_rows(x, np.array([[c.kappa] for c in cfgs]))
+        gains = _projection_gains(x, np.array([c.kappas for c in cfgs]).T[:, :, None])
         va = theta_at(_theta_coefficients(f, n, *scales), t)
         vb = _theta_from_gains(*gains, t, *scales)
         for i, cfg in enumerate(cfgs):
-            f_i = correlation(x[i], correlation_objective(cfg))
+            f_i = correlation(x[i], cfg)
             assert bits(f[i]) == bits(f_i)
             assert np.array_equal(bits([g[i] for g in gains]), bits(projection_coefficients(x[i], cfg)))
             assert bits(va[i]) == bits(min_snr_from_correlation(t[i], f_i, cfg))
@@ -373,8 +371,8 @@ def test_correlation_rows_round_as_python_abs():
     kappa = rng.uniform(-6.0, 6.0, (3000, 1))
     want = [abs(np.exp(1j * k[0] * row).sum()) for k, row in zip(kappa, x)]
     assert np.array_equal(bits(_correlation_rows(x, kappa)), bits(want))
-    obj = correlation_objective(SystemConfig())
-    assert bits(correlation(x[0], obj)) == bits(abs(np.exp(1j * obj.kappa * x[0]).sum()))
+    cfg = SystemConfig()
+    assert bits(correlation(x[0], cfg)) == bits(abs(np.exp(1j * cfg.kappa * x[0]).sum()))
 
 
 def test_sampled_check_fails_on_a_nan_difference():
@@ -529,6 +527,29 @@ def test_main_optimize_near_the_float_limit_keeps_the_crossing(tmp_path, capsys)
     assert fpa["case"] == "crossing" and fpa["t"] > 0.0
     theta = min(fpa["gamma_u1"], fpa["gamma_u2"])
     assert theta == pytest.approx(theta_grid, rel=1e-6)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "system, schemes",
+    [({}, None), ({"n_antennas": 28, "span_l": 20.0}, ["proposed", "ao", "ma_mrt", "fpa"])],
+    ids=["default", "n28-span20"],
+)
+def test_optimize_reports_the_correlation_of_its_positions(tmp_path, capsys, system, schemes):
+    # kappa from the echoed angles and wavelength, x from the report: nothing from the package
+    doc = json.loads((REPO_ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
+    doc["system"].update(system)
+    doc["schemes"] = schemes or doc["schemes"]
+    out = tmp_path / "r.json"
+    assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    echoed = report["config"]["system"]
+    theta1, theta2 = echoed["theta_su"]
+    kappa = (2.0 * math.pi / echoed["wavelength"]) * (math.sin(theta2) - math.sin(theta1))
+    assert set(report["schemes"]) == set(doc["schemes"])
+    for name, entry in report["schemes"].items():
+        want = abs(np.exp(1j * kappa * np.array(entry["x"])).sum())
+        assert abs(entry["correlation"] - want) <= 1e-12 * want, (name, entry["correlation"], want)
     capsys.readouterr()
 
 

@@ -28,7 +28,7 @@ from ma_multicast import baselines, beamformer, oracle
 from ma_multicast.beamformer import PARALLEL_TOL, _projection_gains, _theta_from_gains
 from ma_multicast.oracle import JOINT_TIE_RTOL, JointOptimum
 from ma_multicast.posopt import _grid_combination_chunks
-from ma_multicast.sysmodel import FEASIBILITY_TOL, user_kappas
+from ma_multicast.sysmodel import FEASIBILITY_TOL
 
 from correlation_reference import best_t
 
@@ -73,8 +73,8 @@ def enumerate_joint(cfg, step, t_step):
     b = np.abs(np.exp(1j * (k2 - k1) * x).sum(axis=1)) / math.sqrt(n)
     c = np.sqrt(np.maximum(n - b * b, 0.0))
     t = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
-    y1 = cfg.snr_scale(0) * n * t * t
-    y2 = cfg.snr_scale(1) * (b[:, None] * t + c[:, None] * np.sqrt(1.0 - t * t)) ** 2
+    y1 = cfg.snr_scales[0] * n * t * t
+    y2 = cfg.snr_scales[1] * (b[:, None] * t + c[:, None] * np.sqrt(1.0 - t * t)) ** 2
     theta = np.minimum(y1, y2)
     rows = theta.max(axis=1)
     tol = 1e-12 * rows.max()
@@ -118,9 +118,9 @@ def unfiltered_joint(cfg, grid):
     best_theta, best_x, best_t = -math.inf, None, None
     for start in range(0, len(pos_all), 128):
         pos = pos_all[start:start + 128]
-        a, b, c = _projection_gains(pos, user_kappas(cfg))
+        a, b, c = _projection_gains(pos, cfg.kappas)
         theta = _theta_from_gains(
-            a[:, None], b[:, None], c[:, None], t_grid, cfg.snr_scale(0), cfg.snr_scale(1)
+            a[:, None], b[:, None], c[:, None], t_grid, *cfg.snr_scales
         )
         row_best = theta.max(axis=1)
         tol = JOINT_TIE_RTOL * float(row_best.max())
@@ -130,10 +130,6 @@ def unfiltered_joint(cfg, grid):
             best_x = pos[j].copy()
             best_t = float(t_grid[int(np.argmax(theta[j]))])
     return JointOptimum(x=best_x, t=best_t, min_rate=math.log2(1.0 + best_theta))
-
-
-def snr_scales(cfg):
-    return cfg.snr_scale(0), cfg.snr_scale(1)
 
 
 def theta_reference(a, b, c, t, scale1, scale2):
@@ -147,7 +143,7 @@ def theta_reference(a, b, c, t, scale1, scale2):
 def raw_best_t(x, cfg, t_step):
     """_best_t_rows' grid pass alone: the first grid point of the highest theta."""
     gains = (np.array([g]) for g in projection_coefficients(x, cfg))
-    j, theta = oracle._grid_peaks(*gains, snr_scales(cfg), t_step)
+    j, theta = oracle._grid_peaks(*gains, cfg.snr_scales, t_step)
     return float(oracle._mixing_grid(t_step)[j[0]]), float(theta[0])
 
 
@@ -155,13 +151,13 @@ def reference_best_t(x, cfg, t_step):
     """_best_t_rows as one argmax over the whole grid, then np.linspace zoom rounds."""
     a, b, c = projection_coefficients(x, cfg)
     t_grid = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
-    theta = theta_reference(a, b, c, t_grid, *snr_scales(cfg))
+    theta = theta_reference(a, b, c, t_grid, *cfg.snr_scales)
     j = int(np.argmax(theta))
     t_best, theta_best = float(t_grid[j]), float(theta[j])
     lo, hi = t_grid[max(j - 1, 0)], t_grid[min(j + 1, t_grid.size - 1)]
     while hi - lo > 1e-15:
         t = np.linspace(lo, hi, 33)
-        theta = theta_reference(a, b, c, t, *snr_scales(cfg))
+        theta = theta_reference(a, b, c, t, *cfg.snr_scales)
         k = int(np.argmax(theta))
         if theta[k] > theta_best:
             t_best, theta_best = float(t[k]), float(theta[k])
@@ -237,7 +233,7 @@ def test_brute_force_finds_full_correlation_spacing():
     # the first of its tied translates, so a full-grid search keeps it too
     assert np.allclose(got.x, [0.0, 2.5], atol=1e-9)
     assert got.t == pytest.approx(1.0, abs=1e-12)
-    expect = math.log2(1.0 + 2.0 * cfg.snr_scale(0))
+    expect = math.log2(1.0 + 2.0 * cfg.snr_scales[0])
     assert got.min_rate == pytest.approx(expect, rel=1e-9)
 
 
@@ -361,15 +357,15 @@ GRID_T_CASES = [
 def test_grid_best_t_blocks_match_one_array_argmax(case, t_step, rows):
     cfg, x = GRID_T_CASES[case]
     t_grid = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
-    theta = theta_reference(*projection_coefficients(x, cfg), t_grid, *snr_scales(cfg))
+    theta = theta_reference(*projection_coefficients(x, cfg), t_grid, *cfg.snr_scales)
     j = int(np.argmax(theta))
     assert raw_best_t(x, cfg, t_step) == (float(t_grid[j]), float(theta[j]))
     if rows is not None:
         # the case's row among others scored in one call: rows do not interact
         rng = np.random.default_rng(70 + case)
         batch = np.vstack([random_positions(cfg, rng) for _ in range(rows - 1)] + [x])
-        gains = _projection_gains(batch, user_kappas(cfg))
-        got_j, got_theta = oracle._grid_peaks(*gains, snr_scales(cfg), t_step)
+        gains = _projection_gains(batch, cfg.kappas)
+        got_j, got_theta = oracle._grid_peaks(*gains, cfg.snr_scales, t_step)
         assert (got_j[-1], got_theta[-1]) == (j, theta[j])
 
 
@@ -413,7 +409,7 @@ def test_grid_peaks_match_the_full_grid_argmax_on_random_rows(t_step, rows):
 def test_grid_peaks_match_the_full_grid_argmax_on_the_grid_cases(t_step):
     # one call over every case, each row with its own SNR scales
     gains = np.array([projection_coefficients(x, cfg) for cfg, x in GRID_T_CASES]).T
-    scales = np.array([snr_scales(cfg) for cfg, _x in GRID_T_CASES]).T
+    scales = np.array([cfg.snr_scales for cfg, _x in GRID_T_CASES]).T
     assert_same_peaks(oracle._grid_peaks(*gains, scales, t_step), full_grid_peaks(*gains, scales, t_step))
 
 
@@ -451,7 +447,7 @@ def test_best_t_rows_match_per_row_grid_best_t_on_a_mixed_n_batch(t_step):
         cfgs.append(cfg)
         xs.append(random_positions(cfg, rng))
     gains = np.array([projection_coefficients(x, cfg) for cfg, x in zip(cfgs, xs)]).T
-    scales = np.array([snr_scales(cfg) for cfg in cfgs]).T
+    scales = np.array([cfg.snr_scales for cfg in cfgs]).T
     t, theta = oracle._best_t_rows(*gains, scales, t_step)
     for i, (cfg, x) in enumerate(zip(cfgs, xs)):
         want = reference_best_t(x, cfg, t_step)
@@ -508,15 +504,15 @@ def test_theta_kernel_matches_the_reference_expression_bitwise(case):
     # random spreads
     rng = np.random.default_rng(40 + case)
     rows = np.vstack([x, cfg.span_l - x[::-1]] + [random_positions(cfg, rng) for _ in range(2)])
-    a, b, c = (g[:, None] for g in _projection_gains(rows, user_kappas(cfg)))
-    want = theta_reference(a, b, c, t_grid, *snr_scales(cfg))
-    got = _theta_from_gains(a, b, c, t_grid, *snr_scales(cfg))
+    a, b, c = (g[:, None] for g in _projection_gains(rows, cfg.kappas))
+    want = theta_reference(a, b, c, t_grid, *cfg.snr_scales)
+    got = _theta_from_gains(a, b, c, t_grid, *cfg.snr_scales)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # 1-D blocks with scalar gains, the t = 1 end included
     gains = projection_coefficients(x, cfg)
     for block in (slice(0, 7), slice(4_999, 10_001), slice(0, 10_001)):
-        want = theta_reference(*gains, t_grid[block], *snr_scales(cfg))
-        got = _theta_from_gains(*gains, t_grid[block], *snr_scales(cfg))
+        want = theta_reference(*gains, t_grid[block], *cfg.snr_scales)
+        got = _theta_from_gains(*gains, t_grid[block], *cfg.snr_scales)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -543,7 +539,7 @@ def test_grid_oracles_never_call_the_closed_form(monkeypatch):
     cfg, x = GRID_T_CASES[0]
     brute_force_joint(SystemConfig(n_antennas=3, span_l=2.0), GridSpec(0.1, 1e-3))
     gains = np.array([projection_coefficients(x, cfg)]).T
-    oracle._best_t_rows(*gains, snr_scales(cfg), 1e-4)
+    oracle._best_t_rows(*gains, cfg.snr_scales, 1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from ma_multicast import (
     load_config,
     run_single,
     correlation,
-    correlation_objective,
     multi_start_sca,
     project_polytope,
     sca_optimize,
@@ -191,20 +190,19 @@ def test_projection_rejects_empty_polytope():
 
 def test_reference_kappa_value():
     # 2 pi (sin(9 pi / 10) - sin(pi / 4)) with wavelength 1
-    obj = correlation_objective(SystemConfig())
+    kappa = SystemConfig().kappa
     want = 2.0 * math.pi * (math.sin(9 * math.pi / 10) - math.sin(math.pi / 4))
-    assert obj.kappa == pytest.approx(want, rel=1e-15)
-    assert obj.kappa == pytest.approx(-2.501271899, rel=1e-9)
+    assert kappa == pytest.approx(want, rel=1e-15)
+    assert kappa == pytest.approx(-2.501271899, rel=1e-9)
 
 
 def test_correlation_matches_direct_sum():
     rng = np.random.default_rng(44)
     cfg = SystemConfig()
-    obj = correlation_objective(cfg)
     for _ in range(50):
         x = feasible_probe(rng, 5, 4.0, 0.5)
-        direct = abs(np.exp(1j * obj.kappa * x).sum())
-        assert correlation(x, obj) == pytest.approx(direct, rel=1e-12)
+        direct = abs(np.exp(1j * cfg.kappa * x).sum())
+        assert correlation(x, cfg) == pytest.approx(direct, rel=1e-12)
 
 
 def test_excess_equals_correlation_squared_minus_n():
@@ -212,10 +210,9 @@ def test_excess_equals_correlation_squared_minus_n():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         cfg = SystemConfig(n_antennas=n, span_l=(n - 1) * 0.5 + 2.0)
-        obj = correlation_objective(cfg)
         x = feasible_probe(rng, n, cfg.span_l, 0.5)
-        f = correlation(x, obj)
-        assert correlation_excess(x, obj) == pytest.approx(f * f - n, rel=1e-9, abs=1e-9)
+        f = correlation(x, cfg)
+        assert correlation_excess(x, cfg.kappa) == pytest.approx(f * f - n, rel=1e-9, abs=1e-9)
 
 
 def test_excess_gradient_matches_finite_differences():
@@ -224,21 +221,19 @@ def test_excess_gradient_matches_finite_differences():
     for _ in range(60):
         n = int(rng.integers(2, 7))
         cfg = SystemConfig(n_antennas=n, span_l=(n - 1) * 0.5 + 2.0)
-        obj = correlation_objective(cfg)
         x = feasible_probe(rng, n, cfg.span_l, 0.5)
-        g = correlation_excess_grad(x, obj)
+        g = correlation_excess_grad(x, cfg.kappa)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            fd = (correlation_excess(x + e, obj) - correlation_excess(x - e, obj)) / (2 * h)
+            fd = (correlation_excess(x + e, cfg.kappa) - correlation_excess(x - e, cfg.kappa)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=5e-5, abs=5e-5)
 
 
 def test_curvature_bound_formula_and_reference_value():
     cfg = SystemConfig()
-    obj = correlation_objective(cfg)
-    k, n = abs(obj.kappa), cfg.n_antennas
-    delta = curvature_bound(obj)
+    k, n = abs(cfg.kappa), cfg.n_antennas
+    delta = curvature_bound(cfg.kappa, n)
     assert delta == pytest.approx(2.0 * k * k * n, rel=1e-12)
     assert delta == pytest.approx(10.0 * k * k, rel=1e-12)  # n = 5
     assert delta == pytest.approx(62.563611, rel=1e-7)
@@ -259,7 +254,6 @@ def test_curvature_bound_covers_exact_hessian_and_is_tight():
     for n in (2, 3, 4, 5, 8, 12, 16, 24, 32):
         for _ in range(40):
             kappa = float(rng.uniform(-6.0, 6.0))
-            obj = posopt.CorrelationObjective(kappa=kappa, n=n)
             period = 2.0 * math.pi / abs(kappa)
             if rng.uniform() < 0.5:
                 x = np.sort(rng.uniform(0.0, 3.0 * n, n))
@@ -270,13 +264,13 @@ def test_curvature_bound_covers_exact_hessian_and_is_tight():
             if n <= 5:
                 h = 1e-5
                 fd = np.array([
-                    (correlation_excess_grad(x + h * e, obj) - correlation_excess_grad(x - h * e, obj))
+                    (correlation_excess_grad(x + h * e, kappa) - correlation_excess_grad(x - h * e, kappa))
                     / (2.0 * h)
                     for e in np.eye(n)
                 ])
                 assert np.max(np.abs(fd - hess)) <= 1e-5 * (1.0 + np.max(np.abs(hess)))
             eig = np.linalg.eigvalsh(-hess)
-            delta = curvature_bound(obj)
+            delta = curvature_bound(kappa, n)
             # the bound covers both ends of the spectrum
             assert eig[-1] <= delta * (1.0 + 1e-12)
             assert eig[0] >= -delta * (1.0 + 1e-12)
@@ -289,8 +283,7 @@ def test_excess_hessian_norm_within_bound():
     h = 1e-5
     for n in range(2, 7):
         cfg = SystemConfig(n_antennas=n, span_l=(n - 1) * 0.5 + 2.0)
-        obj = correlation_objective(cfg)
-        delta = curvature_bound(obj)
+        delta = curvature_bound(cfg.kappa, cfg.n_antennas)
         for _ in range(10):
             x = feasible_probe(rng, n, cfg.span_l, 0.5)
             hess = np.empty((n, n))
@@ -301,10 +294,10 @@ def test_excess_hessian_norm_within_bound():
                     ei[i] = h
                     ej[j] = h
                     hess[i, j] = (
-                        correlation_excess(x + ei + ej, obj)
-                        - correlation_excess(x + ei - ej, obj)
-                        - correlation_excess(x - ei + ej, obj)
-                        + correlation_excess(x - ei - ej, obj)
+                        correlation_excess(x + ei + ej, cfg.kappa)
+                        - correlation_excess(x + ei - ej, cfg.kappa)
+                        - correlation_excess(x - ei + ej, cfg.kappa)
+                        + correlation_excess(x - ei - ej, cfg.kappa)
                     ) / (4 * h * h)
             assert np.linalg.norm(hess, 2) <= delta * (1.0 + 1e-6) + 1e-6
 
@@ -318,21 +311,19 @@ def test_surrogate_minorizes_excess():
     for _ in range(400):
         n = int(rng.integers(2, 7))
         cfg = SystemConfig(n_antennas=n, span_l=(n - 1) * 0.5 + 2.0)
-        obj = correlation_objective(cfg)
         x_k = feasible_probe(rng, n, cfg.span_l, 0.5)
         x = feasible_probe(rng, n, cfg.span_l, 0.5)
-        f1_k = correlation_excess(x_k, obj)
-        g = correlation_excess_grad(x_k, obj)
-        delta = curvature_bound(obj)
-        assert surrogate_value(x, x_k, f1_k, g, delta) <= correlation_excess(x, obj) + 1e-9
+        f1_k = correlation_excess(x_k, cfg.kappa)
+        g = correlation_excess_grad(x_k, cfg.kappa)
+        delta = curvature_bound(cfg.kappa, cfg.n_antennas)
+        assert surrogate_value(x, x_k, f1_k, g, delta) <= correlation_excess(x, cfg.kappa) + 1e-9
         assert surrogate_value(x_k, x_k, f1_k, g, delta) == pytest.approx(f1_k, rel=1e-12)
 
 
 def test_solve_surrogate_against_enumeration():
     # small box so a 1e-3-grid enumeration of sorted tuples is exhaustive
     cfg = SystemConfig(n_antennas=4, span_l=1.56, d_min=0.5)
-    obj = correlation_objective(cfg)
-    delta = curvature_bound(obj)
+    delta = curvature_bound(cfg.kappa, cfg.n_antennas)
     hi = cfg.span_l - 3 * cfg.d_min  # 0.06
     offsets = cfg.d_min * np.arange(4)
     grid = np.round(np.linspace(0.0, hi, 61), 9)
@@ -342,7 +333,7 @@ def test_solve_surrogate_against_enumeration():
     rng = np.random.default_rng(49)
     for _ in range(5):
         x_k = feasible_probe(rng, 4, cfg.span_l, 0.5)
-        g = correlation_excess_grad(x_k, obj)
+        g = correlation_excess_grad(x_k, cfg.kappa)
         got = _surrogate_step(x_k, g, delta, cfg.span_l, cfg.d_min)
         # the maximizer of the minorant is the projection of x_k + g / delta
         z = x_k + g / delta
@@ -362,10 +353,9 @@ def test_solve_surrogate_rows_match_one_vector_solves():
     rng = np.random.default_rng(51)
     for n in (2, 3, 5, 8, 16):
         cfg = SystemConfig(n_antennas=n, span_l=(n - 1) * 0.5 + 2.0)
-        obj = correlation_objective(cfg)
-        delta = curvature_bound(obj)
+        delta = curvature_bound(cfg.kappa, cfg.n_antennas)
         x_k = np.array([feasible_probe(rng, n, cfg.span_l, 0.5) for _ in range(6)])
-        g = np.array([correlation_excess_grad(row, obj) for row in x_k])
+        g = np.array([correlation_excess_grad(row, cfg.kappa) for row in x_k])
         g[2] = 0.0  # a zero-slope row keeps its anchor
         got = _surrogate_step(x_k, g, delta, cfg.span_l, cfg.d_min)
         want = np.vstack([_surrogate_step(a, b, delta, cfg.span_l, cfg.d_min) for a, b in zip(x_k, g)])
@@ -382,14 +372,13 @@ def test_sca_trace_monotone_and_improving():
     for _ in range(30):
         n = int(rng.integers(2, 7))
         cfg = SystemConfig(n_antennas=n, span_l=(n - 1) * 0.5 + 2.5)
-        obj = correlation_objective(cfg)
         init = feasible_probe(rng, n, cfg.span_l, 0.5)
         x, trace = sca_optimize(cfg, init)
         vals = trace.f1_history
         assert vals.size == trace.iterations + 1
         assert np.array_equal(trace.x, x)
         assert np.all(np.diff(vals) >= -1e-9)
-        assert correlation_excess(x, obj) >= correlation_excess(init, obj) - 1e-9
+        assert correlation_excess(x, cfg.kappa) >= correlation_excess(init, cfg.kappa) - 1e-9
 
 
 def test_sca_zero_kappa_short_circuit():
@@ -406,42 +395,38 @@ def test_sca_two_antennas_reaches_grid_optimum():
     # f depends only on the spacing, so sweep it; the single-start run from
     # the uniform init can stall on the boundary, the multi-start must not
     cfg = SystemConfig(n_antennas=2, span_l=4.0)
-    obj = correlation_objective(cfg)
     init = uniform_positions(cfg)
     x_single, _trace = sca_optimize(cfg, init)
-    assert correlation_excess(x_single, obj) >= correlation_excess(init, obj) - 1e-9
+    assert correlation_excess(x_single, cfg.kappa) >= correlation_excess(init, cfg.kappa) - 1e-9
     deltas = np.arange(0.5, 4.0 + 1e-12, 1e-3)
-    grid_best = np.max(np.abs(1.0 + np.exp(1j * obj.kappa * deltas)))
+    grid_best = np.max(np.abs(1.0 + np.exp(1j * cfg.kappa * deltas)))
     x_multi, _ = multi_start_sca(cfg)
-    assert correlation(x_multi, obj) >= grid_best - 1e-3
+    assert correlation(x_multi, cfg) >= grid_best - 1e-3
 
 
 def test_sca_three_antennas_multi_start_near_grid():
     cfg = SystemConfig(n_antennas=3, span_l=4.0)
-    obj = correlation_objective(cfg)
     d1 = np.arange(0.5, 3.5 + 1e-12, 0.02)
     best = 0.0
     for a in d1:
         d2 = np.arange(0.5, 4.0 - a + 1e-12, 0.02)
-        vals = np.abs(1.0 + np.exp(1j * obj.kappa * a) + np.exp(1j * obj.kappa * (a + d2)))
+        vals = np.abs(1.0 + np.exp(1j * cfg.kappa * a) + np.exp(1j * cfg.kappa * (a + d2)))
         best = max(best, float(vals.max()))
     x, _ = multi_start_sca(cfg)
-    assert correlation(x, obj) >= best * (1.0 - 0.01)
+    assert correlation(x, cfg) >= best * (1.0 - 0.01)
 
 
 def test_sca_five_antennas_matches_fine_grid_selection():
     cfg = SystemConfig()  # n = 5, span 4
-    obj = correlation_objective(cfg)
     x, _ = multi_start_sca(cfg)
     ref = aps_search(cfg, grid_step=0.05)
-    f_ref = correlation(ref.x, obj)
-    assert correlation(x, obj) >= f_ref * (1.0 - 0.01)
+    f_ref = correlation(ref.x, cfg)
+    assert correlation(x, cfg) >= f_ref * (1.0 - 0.01)
 
 
 def test_position_solve_deterministic_and_best_of_two_starts():
     for n, span_l in ((3, 3.0), (5, 4.0), (8, 6.0), (16, 10.0)):
         cfg = SystemConfig(n_antennas=n, span_l=span_l)
-        obj = correlation_objective(cfg)
         xa, trace = multi_start_sca(cfg)
         posopt._solve_positions.cache_clear()  # recompute, not a cache hit
         xb, _ = multi_start_sca(cfg)
@@ -449,8 +434,8 @@ def test_position_solve_deterministic_and_best_of_two_starts():
         # the winner is the better of the two one-row runs
         starts = (uniform_positions(cfg), chain_dp_start(cfg))
         runs = [sca_optimize(cfg, start)[0] for start in starts]
-        f_runs = [correlation_excess(x, obj) for x in runs]
-        assert correlation_excess(xa, obj) == pytest.approx(max(f_runs), rel=1e-12)
+        f_runs = [correlation_excess(x, cfg.kappa) for x in runs]
+        assert correlation_excess(xa, cfg.kappa) == pytest.approx(max(f_runs), rel=1e-12)
         assert min(np.max(np.abs(xa - x)) for x in runs) < 1e-11
         assert trace.converged
 
@@ -501,15 +486,14 @@ def scalar_sca(cfg, init, tol=1e-8, max_iter=500):
     Each round's curvature is 2 kappa^2 max(|s|, 1) at the current point,
     with |s| = sqrt(f1 + n) from the pairwise excess; a zero slope keeps x.
     """
-    obj = correlation_objective(cfg)
     n = cfg.n_antennas
     x = np.array(init, dtype=float)
-    f1 = correlation_excess(x, obj)
+    f1 = correlation_excess(x, cfg.kappa)
     for k in range(1, max_iter + 1):
-        g = correlation_excess_grad(x, obj)
-        delta = 2.0 * obj.kappa**2 * max(math.sqrt(max(f1 + n, 0.0)), 1.0)
+        g = correlation_excess_grad(x, cfg.kappa)
+        delta = 2.0 * cfg.kappa**2 * max(math.sqrt(max(f1 + n, 0.0)), 1.0)
         x_new = x if not g.any() else reference_projection(x + g / delta, cfg.span_l, cfg.d_min)
-        f1_new = correlation_excess(x_new, obj)
+        f1_new = correlation_excess(x_new, cfg.kappa)
         improvement = f1_new - f1
         x, f1 = x_new, f1_new
         if improvement < tol:
@@ -527,7 +511,6 @@ def test_batched_kernel_matches_scalar_loop(n):
             span_l=(n - 1) * 0.5 + span_extra,
             theta_su=tuple(float(t) for t in np.sort(rng.uniform(0.1, math.pi - 0.1, 2))),
         )
-        obj = correlation_objective(cfg)
         starts = [uniform_positions(cfg)]
         starts += [random_positions(cfg, rng) for _ in range(starts_per_seed - 1)]
         traces = _sca_rows(cfg, np.array(starts))
@@ -536,8 +519,8 @@ def test_batched_kernel_matches_scalar_loop(n):
             assert trace.iterations == iters_ref
             assert trace.converged == conv_ref
             assert np.max(np.abs(trace.x - x_ref)) < 1e-11
-            f_ref = correlation(x_ref, obj)
-            assert correlation(trace.x, obj) == pytest.approx(f_ref, rel=1e-12)
+            f_ref = correlation(x_ref, cfg)
+            assert correlation(trace.x, cfg) == pytest.approx(f_ref, rel=1e-12)
 
 
 def test_local_curvature_minorizes_everywhere():
@@ -546,13 +529,13 @@ def test_local_curvature_minorizes_everywhere():
     worst = -math.inf
     for _ in range(3000):
         n = int(rng.integers(2, 33))
-        obj = posopt.CorrelationObjective(kappa=float(rng.uniform(-8.0, 8.0)), n=n)
+        kappa = float(rng.uniform(-8.0, 8.0))
         x_k = rng.uniform(-5.0, 5.0, n)
         y = x_k + rng.normal(0.0, float(rng.choice([1e-3, 0.1, 1.0, 5.0])), n)
-        f1_k = correlation_excess(x_k, obj)
-        delta = 2.0 * obj.kappa**2 * abs(np.exp(1j * obj.kappa * x_k).sum())
-        lower = surrogate_value(y, x_k, f1_k, correlation_excess_grad(x_k, obj), delta)
-        worst = max(worst, (lower - correlation_excess(y, obj)) / max(1.0, abs(f1_k)))
+        f1_k = correlation_excess(x_k, kappa)
+        delta = 2.0 * kappa**2 * abs(np.exp(1j * kappa * x_k).sum())
+        lower = surrogate_value(y, x_k, f1_k, correlation_excess_grad(x_k, kappa), delta)
+        worst = max(worst, (lower - correlation_excess(y, kappa)) / max(1.0, abs(f1_k)))
     assert worst <= 1e-12
 
 
@@ -576,8 +559,7 @@ def test_every_sca_step_stays_on_or_above_its_minorant(monkeypatch):
                 span_l=(n - 1) * 0.5 + float(rng.uniform(0.1, 8.0)),
                 theta_su=tuple(float(t) for t in np.sort(rng.uniform(0.0, math.pi, 2))),
             )
-            obj = correlation_objective(cfg)
-            delta_max = curvature_bound(obj)
+            delta_max = curvature_bound(cfg.kappa, cfg.n_antennas)
             calls.clear()
             starts = np.array([feasible_probe(rng, n, cfg.span_l, cfg.d_min) for _ in range(3)])
             traces = _sca_rows(cfg, starts)
@@ -585,8 +567,8 @@ def test_every_sca_step_stays_on_or_above_its_minorant(monkeypatch):
             for x_k, g, delta, x_new in calls:
                 assert np.all(delta > 0.0) and np.all(delta <= delta_max * (1.0 + 1e-15))
                 for row in range(x_k.shape[0]):
-                    f1_k = correlation_excess(x_k[row], obj)
-                    f1_new = correlation_excess(x_new[row], obj)
+                    f1_k = correlation_excess(x_k[row], cfg.kappa)
+                    f1_new = correlation_excess(x_new[row], cfg.kappa)
                     lower = surrogate_value(x_new[row], x_k[row], f1_k, g[row], delta[row])
                     scale = max(1.0, abs(f1_k))
                     assert f1_new >= lower - 1e-12 * scale
@@ -631,12 +613,11 @@ def test_position_solve_at_the_curvature_edge(d, rounds):
     # kappa about 1.10e-12 runs the rounds with delta >= 2 KAPPA_TOL^2; about
     # 5.5e-13 takes the short-circuit and keeps the uniform start
     cfg = SystemConfig(theta_su=(0.5, 0.5 + d))
-    obj = correlation_objective(cfg)
-    assert (abs(obj.kappa) >= KAPPA_TOL) == (rounds > 0)
+    assert (abs(cfg.kappa) >= KAPPA_TOL) == (rounds > 0)
     x, trace = multi_start_sca(cfg)
     assert trace.iterations == rounds and trace.converged
     validate_positions(x, cfg.span_l, cfg.d_min)
-    assert correlation(x, obj) == pytest.approx(cfg.n_antennas, abs=1e-12)
+    assert correlation(x, cfg) == pytest.approx(cfg.n_antennas, abs=1e-12)
     if rounds == 0:
         assert np.array_equal(x, uniform_positions(cfg))
 
@@ -739,7 +720,7 @@ def test_chain_dp_start_keeps_the_span_endpoint():
     x = chain_dp_start(cfg)
     assert x[0] == 0.0 and x[1] == pytest.approx(2.3, abs=1e-12)
     inner = np.array([0.0, 0.5 + dp_reference_grid(cfg)[-2]])
-    assert correlation(x, correlation_objective(cfg)) > correlation(inner, correlation_objective(cfg))
+    assert correlation(x, cfg) > correlation(inner, cfg)
 
 
 @pytest.mark.parametrize("n, span", [(3, 2.0), (5, 3.0), (5, 4.0), (8, 4.5), (8, 10.0)])
@@ -778,9 +759,7 @@ def test_chain_dp_grid_stays_bounded_for_a_tiny_step(d_min, wavelength):
     assert peak < 64e6
     validate_positions(chain_dp_start(cfg), cfg.span_l, cfg.d_min)
     validate_positions(x, cfg.span_l, cfg.d_min)
-    assert correlation(x, correlation_objective(cfg)) >= correlation(
-        uniform_positions(cfg), correlation_objective(cfg)
-    ) - 1e-9
+    assert correlation(x, cfg) >= correlation(uniform_positions(cfg), cfg) - 1e-9
 
 
 def test_chain_dp_grid_holds_a_chain_when_n_exceeds_the_step_cap():
@@ -820,7 +799,7 @@ def test_chain_dp_start_returns_the_aligned_chain_exactly_when_it_fits():
                 cfg = SystemConfig(n_antennas=n, d_min=d_min, theta_su=theta, span_l=span_l)
                 x = chain_dp_start(cfg)
                 assert np.max(np.abs(x - chain)) < 1e-12 * n
-                assert correlation(x, correlation_objective(cfg)) == pytest.approx(n, abs=1e-9 * n)
+                assert correlation(x, cfg) == pytest.approx(n, abs=1e-9 * n)
             # short of the chain by more than the tolerance: the chain would be infeasible
             cfg = SystemConfig(n_antennas=n, d_min=d_min, theta_su=theta, span_l=length - 2.0 * FEASIBILITY_TOL)
             x = chain_dp_start(cfg)

@@ -59,29 +59,53 @@ def test_dbm_to_watt_known_values():
     assert dbm_to_watt(-80.0) == pytest.approx(1e-11, rel=1e-15)
 
 
-def test_default_snr_scale():
+def test_default_config_snr_scales():
     # 10^(-0.5) W / (100^2 * 10^(-11) W) = 10^6.5
     cfg = SystemConfig()
-    assert cfg.snr_scale(0) == pytest.approx(10.0**6.5, rel=1e-12)
-    assert cfg.snr_scale(1) == pytest.approx(10.0**6.5, rel=1e-12)
+    assert cfg.snr_scales[0] == pytest.approx(10.0**6.5, rel=1e-12)
+    assert cfg.snr_scales[1] == pytest.approx(10.0**6.5, rel=1e-12)
+
+
+def defining_constants(c):
+    """snr_scales, kappas and kappa of c from their defining expressions."""
+    rate = 2.0 * math.pi / c.wavelength
+    return (
+        tuple(c.ps_w / (d**c.tau * c.sigma2_w) for d in c.d_su),
+        tuple(rate * math.sin(t) for t in c.theta_su),
+        rate * (math.sin(c.theta_su[1]) - math.sin(c.theta_su[0])),
+    )
+
+
+def derived_constants(c):
+    return c.snr_scales, c.kappas, c.kappa
 
 
 def test_snr_scale_tracks_distance():
     cfg = SystemConfig(d_su=(50.0, 200.0))
-    assert cfg.snr_scale(0) == pytest.approx(dbm_to_watt(25.0) / (50.0**2 * 1e-11), rel=1e-12)
-    assert cfg.snr_scale(1) == pytest.approx(dbm_to_watt(25.0) / (200.0**2 * 1e-11), rel=1e-12)
+    assert cfg.snr_scales[0] == pytest.approx(dbm_to_watt(25.0) / (50.0**2 * 1e-11), rel=1e-12)
+    assert cfg.snr_scales[1] == pytest.approx(dbm_to_watt(25.0) / (200.0**2 * 1e-11), rel=1e-12)
     cfg4 = SystemConfig(tau=4.0)
-    assert cfg4.snr_scale(0) == pytest.approx(dbm_to_watt(25.0) / (100.0**4 * 1e-11), rel=1e-12)
-    # the scales are computed once per config, by the defining expression
-    for c in (cfg, cfg4, SystemConfig(ps_dbm=13.7, sigma2_dbm=-91.3, tau=2.7)):
-        for i in (0, 1):
-            assert c.snr_scale(i) == c.ps_w / (c.d_su[i] ** c.tau * c.sigma2_w)
+    assert cfg4.snr_scales[0] == pytest.approx(dbm_to_watt(25.0) / (100.0**4 * 1e-11), rel=1e-12)
+    # the derived constants are computed once per config, by the defining expressions
+    odd = SystemConfig(ps_dbm=13.7, sigma2_dbm=-91.3, tau=2.7, wavelength=0.37, theta_su=(0.3, 2.9))
+    for c in (cfg, cfg4, odd, SystemConfig(theta_su=(0.5, 0.5))):
+        assert derived_constants(c) == defining_constants(c)
     # replace builds a new config and recomputes them from its own fields
     moved = dataclasses.replace(cfg, d_su=(200.0, 50.0), tau=3.0)
-    assert moved.snr_scale(0) == dbm_to_watt(25.0) / (200.0**3.0 * dbm_to_watt(-80.0))
-    assert moved.snr_scale(1) == dbm_to_watt(25.0) / (50.0**3.0 * dbm_to_watt(-80.0))
-    assert dataclasses.replace(moved, d_su=(50.0, 200.0), tau=2.0).snr_scale(1) == cfg.snr_scale(1)
-    # the cached scales are not fields: asdict, equality and hashing see the inputs only
+    assert moved.snr_scales[0] == dbm_to_watt(25.0) / (200.0**3.0 * dbm_to_watt(-80.0))
+    assert moved.snr_scales[1] == dbm_to_watt(25.0) / (50.0**3.0 * dbm_to_watt(-80.0))
+    assert dataclasses.replace(moved, d_su=(50.0, 200.0), tau=2.0).snr_scales[1] == cfg.snr_scales[1]
+    changes = [
+        {"theta_su": (0.3, 2.9)}, {"wavelength": 0.37}, {"d_su": (200.0, 50.0)}, {"tau": 3.0},
+    ]
+    for change in changes:
+        changed = dataclasses.replace(cfg, **change)
+        assert derived_constants(changed) == defining_constants(changed)
+        assert derived_constants(changed) != derived_constants(cfg)
+    # the derived constants are not fields: asdict, equality and hashing see the inputs only
+    derived = {"snr_scales", "kappas", "kappa"}
+    assert derived.isdisjoint(f.name for f in dataclasses.fields(SystemConfig))
+    assert derived.isdisjoint(dataclasses.asdict(cfg))
     assert [f.name for f in dataclasses.fields(SystemConfig)] == list(dataclasses.asdict(cfg))
     assert dataclasses.asdict(cfg) == {
         "n_antennas": 5, "span_l": 4.0, "d_min": 0.5, "wavelength": 1.0, "tau": 2.0,
@@ -92,6 +116,10 @@ def test_snr_scale_tracks_distance():
     assert twin == cfg and hash(twin) == hash(cfg)
     assert hash(cfg) == hash(tuple(getattr(cfg, f.name) for f in dataclasses.fields(cfg)))
     assert moved != cfg
+    # overwriting them changes neither equality nor the hash
+    for name in derived:
+        object.__setattr__(twin, name, None)
+    assert twin == cfg and hash(twin) == hash(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +334,8 @@ def test_snr_pair_is_scaled_beam_gain():
     x = random_feasible(rng, 5, 4.0, 0.5)
     w = random_unit_beamformer(rng, 5)
     snr = snr_pair(w, x, cfg)
-    assert snr.gamma_u1 == cfg.snr_scale(0) * beam_gain(w, x, cfg.theta_su[0])
-    assert snr.gamma_u2 == cfg.snr_scale(1) * beam_gain(w, x, cfg.theta_su[1])
+    assert snr.gamma_u1 == cfg.snr_scales[0] * beam_gain(w, x, cfg.theta_su[0])
+    assert snr.gamma_u2 == cfg.snr_scales[1] * beam_gain(w, x, cfg.theta_su[1])
 
 
 def test_snr_pair_min_rate_definition():
