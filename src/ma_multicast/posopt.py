@@ -138,9 +138,13 @@ def uniform_positions(cfg: SystemConfig) -> np.ndarray:
     return (cfg.span_l / (cfg.n_antennas - 1)) * np.arange(cfg.n_antennas)
 
 
-# the quoted annotation keeps numpy.random, which only validate needs, unimported
-def random_positions(cfg: SystemConfig, rng: "np.random.Generator") -> np.ndarray:
-    """Random feasible positions: sorted slack values plus the spacing offsets."""
+def random_positions(cfg: SystemConfig, rng) -> np.ndarray:
+    """Random feasible positions: sorted slack values plus the spacing offsets.
+
+    rng is anything with numpy's uniform(low, high, size): a
+    numpy.random.Generator, or validate's stdlib stream _pcg64.PCG64, which
+    draws the same values.
+    """
     hi = cfg.span_l - (cfg.n_antennas - 1) * cfg.d_min
     u = np.sort(rng.uniform(0.0, max(hi, 0.0), cfg.n_antennas))
     return u + cfg.d_min * np.arange(cfg.n_antennas)

@@ -61,19 +61,20 @@ class SystemConfig:
     theta_su: tuple = (math.pi / 4.0, 9.0 * math.pi / 10.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "d_su", tuple(float(d) for d in self.d_su))
-        object.__setattr__(self, "theta_su", tuple(float(t) for t in self.theta_su))
-        if not isinstance(self.n_antennas, (int, np.integer)) or self.n_antennas < 2:
+        d_su = tuple(map(float, self.d_su))
+        theta_su = tuple(map(float, self.theta_su))
+        n = self.n_antennas
+        if not isinstance(n, (int, np.integer)) or n < 2:
             raise ValueError("n_antennas must be an integer >= 2")
-        object.__setattr__(self, "n_antennas", int(self.n_antennas))
+        n = int(n)
         if not (0.0 < self.span_l < math.inf):
             raise ValueError("span_l must be positive and finite")
         if not (0.0 < self.d_min < math.inf):
             raise ValueError("d_min must be positive and finite")
-        if exceeds_span(self.n_antennas, self.d_min, self.span_l):
+        if exceeds_span(n, self.d_min, self.span_l):
             raise ValueError(
                 "infeasible geometry: (n_antennas - 1) * d_min = "
-                f"{(self.n_antennas - 1) * self.d_min:g} exceeds span_l = {self.span_l:g}"
+                f"{(n - 1) * self.d_min:g} exceeds span_l = {self.span_l:g}"
             )
         if not (0.0 < self.wavelength < math.inf):
             raise ValueError("wavelength must be positive and finite")
@@ -81,30 +82,33 @@ class SystemConfig:
             raise ValueError("tau must be positive and finite")
         if not (math.isfinite(self.ps_dbm) and math.isfinite(self.sigma2_dbm)):
             raise ValueError("ps_dbm and sigma2_dbm must be finite")
-        if len(self.d_su) != 2 or any(not (0.0 < d < math.inf) for d in self.d_su):
+        if len(d_su) != 2 or not (0.0 < d_su[0] < math.inf and 0.0 < d_su[1] < math.inf):
             raise ValueError("d_su must be a pair of positive finite distances")
-        if len(self.theta_su) != 2 or any(
-            not (0.0 <= t <= math.pi) for t in self.theta_su
+        if len(theta_su) != 2 or not (
+            0.0 <= theta_su[0] <= math.pi and 0.0 <= theta_su[1] <= math.pi
         ):
             raise ValueError("theta_su must be a pair of angles in [0, pi]")
         try:
-            scales = tuple(
-                self.ps_w / (d ** self.tau * self.sigma2_w) for d in self.d_su
-            )
+            ps_w, sigma2_w = self.ps_w, self.sigma2_w
+            c1 = ps_w / (d_su[0] ** self.tau * sigma2_w)
+            c2 = ps_w / (d_su[1] ** self.tau * sigma2_w)
         except (OverflowError, ZeroDivisionError):
-            scales = (math.nan,)
+            c1 = c2 = math.nan
         # the largest beam gain is n_antennas, so scale * n is the largest SNR
-        if not all(0.0 < c and c * self.n_antennas < math.inf for c in scales):
+        if not (0.0 < c1 and c1 * n < math.inf and 0.0 < c2 and c2 * n < math.inf):
             raise ValueError(
                 "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive "
                 "SNR scale ps / (d^tau * sigma^2) whose product with n_antennas "
                 "is finite"
             )
-        object.__setattr__(self, "snr_scales", scales)
         rate = 2.0 * math.pi / self.wavelength
-        sines = tuple(math.sin(t) for t in self.theta_su)
-        object.__setattr__(self, "kappas", tuple(rate * s for s in sines))
-        object.__setattr__(self, "kappa", rate * (sines[1] - sines[0]))
+        sin1, sin2 = math.sin(theta_su[0]), math.sin(theta_su[1])
+        object.__setattr__(self, "n_antennas", n)
+        object.__setattr__(self, "d_su", d_su)
+        object.__setattr__(self, "theta_su", theta_su)
+        object.__setattr__(self, "snr_scales", (c1, c2))
+        object.__setattr__(self, "kappas", (rate * sin1, rate * sin2))
+        object.__setattr__(self, "kappa", rate * (sin2 - sin1))
 
     @property
     def ps_w(self) -> float:

@@ -28,7 +28,7 @@ from ma_multicast import (
     run_validate,
     theta_at,
 )
-from ma_multicast import expcli, posopt
+from ma_multicast import _pcg64, expcli, posopt
 from ma_multicast.beamformer import _projection_gains, _theta_coefficients, _theta_from_gains
 from ma_multicast.expcli import (
     VALIDATION_SEED,
@@ -375,6 +375,22 @@ def test_correlation_rows_round_as_python_abs():
     assert bits(correlation(x[0], cfg)) == bits(abs(np.exp(1j * cfg.kappa * x[0]).sum()))
 
 
+@pytest.mark.parametrize("quick", [True, False])
+def test_validate_report_is_the_one_numpy_default_rng_gives(monkeypatch, quick):
+    # the stdlib stream draws what numpy.random.default_rng draws, so the
+    # whole report, every float of it, is the same
+    def numpy_stream(seed):
+        assert seed == VALIDATION_SEED
+        return np.random.default_rng(seed)
+
+    report, passed = run_validate(quick)
+    monkeypatch.setattr(_pcg64, "PCG64", numpy_stream)
+    posopt._solve_positions.cache_clear()
+    reference, reference_passed = run_validate(quick)
+    assert passed and reference_passed
+    assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
 def test_sampled_check_fails_on_a_nan_difference():
     def diffs(cfgs, x, t):
         out = np.zeros(len(cfgs))
@@ -568,23 +584,29 @@ def test_optimize_report_system_block_parses_back_to_its_config(tmp_path, capsys
     capsys.readouterr()
 
 
-def test_optimize_never_imports_numpy_random(tmp_path):
-    # only validate draws random numbers; a fresh interpreter shows what the
-    # package and an optimize run pull in
+def test_no_command_imports_numpy_random(tmp_path):
+    # validate draws from the stdlib PCG64 stream, and no other command draws
+    # at all; a fresh interpreter per command shows what each pulls in
     code = (
         "import sys, ma_multicast\n"
         "assert 'numpy.random' not in sys.modules\n"
-        "code = ma_multicast.main(['optimize', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "code = ma_multicast.main(sys.argv[1:])\n"
         "assert code == 0, code\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
     config = str(REPO_ROOT / "configs" / "default.json")
+    commands = [
+        ["optimize", "--config", config, "--out", str(tmp_path / "r.json")],
+        ["sweep-n", "--config", config, "--n-min", "4", "--n-max", "5", "--out", str(tmp_path / "s.csv")],
+        ["validate", "--quick"],
+    ]
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, config, str(tmp_path / "r.json")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr)
 
 
 def test_main_sweep_requires_range(tmp_path, capsys):

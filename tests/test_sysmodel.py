@@ -10,6 +10,7 @@ Oracles used here:
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,49 @@ def test_default_config_overrides():
 def test_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         SystemConfig(**kwargs)
+
+
+SCALE_MESSAGE = "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive SNR scale"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # fields that break two checks name the first, in the constructor's order
+        ({"d_su": ("far", 1.0), "n_antennas": 1}, "could not convert string to float"),
+        ({"n_antennas": 1, "span_l": -1.0}, "n_antennas must be an integer >= 2"),
+        ({"n_antennas": 2.0}, "n_antennas must be an integer >= 2"),
+        ({"span_l": math.nan, "d_min": -1.0}, "span_l must be positive and finite"),
+        ({"d_min": 0.0, "wavelength": 0.0}, "d_min must be positive and finite"),
+        (
+            {"n_antennas": 10, "wavelength": 0.0},
+            "infeasible geometry: (n_antennas - 1) * d_min = 4.5 exceeds span_l = 4",
+        ),
+        ({"wavelength": math.inf, "tau": 0.0}, "wavelength must be positive and finite"),
+        ({"tau": -2.0, "ps_dbm": math.inf}, "tau must be positive and finite"),
+        ({"sigma2_dbm": math.nan, "d_su": (0.0, 1.0)}, "ps_dbm and sigma2_dbm must be finite"),
+        ({"d_su": (1.0, 2.0, 3.0), "theta_su": (4.0, 5.0)}, "d_su must be a pair"),
+        ({"d_su": (100.0, math.nan), "ps_dbm": 4000.0}, "d_su must be a pair"),
+        ({"theta_su": (0.5,), "ps_dbm": 4000.0}, "theta_su must be a pair of angles in [0, pi]"),
+        ({"theta_su": (0.5, math.nan)}, "theta_su must be a pair of angles in [0, pi]"),
+        ({"ps_dbm": 4000.0}, SCALE_MESSAGE),  # dBm to watts overflows
+        ({"d_su": (1e300, 100.0)}, SCALE_MESSAGE),  # d^tau overflows
+        ({"sigma2_dbm": -4000.0}, SCALE_MESSAGE),  # noise power 0
+        ({"ps_dbm": -4000.0}, SCALE_MESSAGE),  # scale 0
+        ({"ps_dbm": 3036.0}, SCALE_MESSAGE),  # scale * n_antennas overflows
+    ],
+)
+def test_config_rejection_names_the_first_broken_check(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SystemConfig(**kwargs)
+
+
+def test_config_normalises_its_numeric_fields():
+    cfg = SystemConfig(n_antennas=np.int64(4), d_su=[np.float64(40.0), 80], theta_su=(1, np.float32(0.5)))
+    assert type(cfg.n_antennas) is int and cfg.n_antennas == 4
+    assert cfg.d_su == (40.0, 80.0) and cfg.theta_su == (1.0, float(np.float32(0.5)))
+    assert all(type(v) is float for v in cfg.d_su + cfg.theta_su + cfg.snr_scales + cfg.kappas)
+    assert cfg == SystemConfig(n_antennas=4, d_su=(40.0, 80.0), theta_su=(1.0, float(np.float32(0.5))))
 
 
 def test_validate_positions_accepts_feasible():
