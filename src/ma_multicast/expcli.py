@@ -1,11 +1,12 @@
 """Experiment harness: JSON config in, JSON/CSV artifacts out, CLI front end.
 
 Every run is deterministic for a fixed config; only validate draws random
-numbers, from its fixed seed.  Sweep points are evaluated one after another,
-in sweep order.
+numbers, from its fixed seed (ma_multicast.validation).  Sweep points are
+evaluated one after another, in sweep order.
 """
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -17,24 +18,10 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .baselines import REFERENCE_SPACING, InfeasibleSchemeError, Scheme, SchemeResult, run_scheme
-from .beamformer import (
-    _clamp_mixing,
-    _projection_gains,
-    _theta_coefficients,
-    _theta_from_gains,
-    optimize_mixing,
-    theta_at,
-    theta_coefficients,
-)
-from .oracle import GridSpec, _best_t_rows, joint_vs_decoupled
-from .posopt import _correlation_rows, correlation, random_positions
-from .sysmodel import (
-    FEASIBILITY_TOL, SystemConfig, beam_pattern, exceeds_span, validate_position_rows
-)
+from .posopt import correlation
+from .sysmodel import FEASIBILITY_TOL, SystemConfig, beam_pattern, exceeds_span
 
 log = logging.getLogger(__name__)
-
-VALIDATION_SEED = 20240517
 
 
 class ConfigError(Exception):
@@ -351,144 +338,6 @@ def write_json(path, document):
 
 
 # ---------------------------------------------------------------------------
-# Validation suite
-
-
-def _random_validation_config(rng, n=None, span=None) -> SystemConfig:
-    """A config drawn from rng, a numpy Generator or _pcg64.PCG64 (they draw alike)."""
-    n = int(n if n is not None else rng.integers(2, 9))
-    while True:
-        th1, th2 = rng.uniform(0.0, math.pi, 2)
-        if abs(math.sin(th2) - math.sin(th1)) >= 0.05:
-            break
-    d1, d2 = np.exp(rng.uniform(math.log(20.0), math.log(500.0), 2))
-    span_l = span if span is not None else (n - 1) * 0.5 + rng.uniform(0.5, 4.0)
-    return SystemConfig(
-        n_antennas=n,
-        span_l=float(span_l),
-        d_su=(float(d1), float(d2)),
-        theta_su=(float(th1), float(th2)),
-    )
-
-
-def _sampled_check(rng, samples: int, name: str, tol: float, rel_diffs, draw_t=False) -> dict:
-    """Worst of rel_diffs over samples random configs, each at random positions.
-
-    Each sample draws its config, positions and, with draw_t, a mixing t, in
-    that order.  rel_diffs(cfgs, x, t) then scores each group of equal n: its
-    configs, positions as one checked (B, n) array and t (or None), one value
-    per row.
-    """
-    groups = {}
-    for _ in range(samples):
-        cfg = _random_validation_config(rng)
-        x = random_positions(cfg, rng)
-        t = rng.uniform() if draw_t else None
-        groups.setdefault(cfg.n_antennas, []).append((cfg, x, t))
-    peaks = [0.0]
-    for draws in groups.values():
-        cfgs, x, t = zip(*draws)
-        x = np.array(x)
-        spans, d_mins = np.array([[c.span_l, c.d_min] for c in cfgs]).T[:, :, None]
-        validate_position_rows(x, spans, d_mins)
-        peaks.append(np.max(rel_diffs(cfgs, x, np.array(t) if draw_t else None)))
-    # np.max, unlike Python's max, lets a NaN through, so the check fails on it
-    worst = float(np.max(peaks))
-    return {
-        "name": name,
-        "samples": samples,
-        "worst_rel_diff": worst,
-        "passed": bool(worst <= tol),
-    }
-
-
-def _path_equivalence_diffs(cfgs, x, t) -> np.ndarray:
-    # the correlation route (va) and the projection route (vb), kept apart
-    t = _clamp_mixing(t)
-    scales = _row_scales(cfgs)
-    f = _correlation_rows(x, np.array([[c.kappa] for c in cfgs]))
-    va = theta_at(_theta_coefficients(f, x.shape[1], *scales), t)
-    vb = _theta_from_gains(*_projection_gains(x, _row_kappas(cfgs)), t, *scales)
-    return _rel_diffs(va, vb)
-
-
-def _rel_diffs(va, vb) -> np.ndarray:
-    return np.abs(va - vb) / np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
-
-
-def _projection_identity_diffs(cfgs, x, t) -> np.ndarray:
-    a, b, c = _projection_gains(x, _row_kappas(cfgs))
-    n = x.shape[1]
-    return np.maximum(np.abs(a - math.sqrt(n)) / math.sqrt(n), np.abs(b * b + c * c - n) / n)
-
-
-def _row_kappas(cfgs) -> np.ndarray:
-    """Both users' phase rates per config as a (2, B, 1) array: one column per user."""
-    return np.array([c.kappas for c in cfgs]).T[:, :, None]
-
-
-def _row_scales(cfgs) -> np.ndarray:
-    """Both users' SNR scales per config as a (2, B) array: one row per user."""
-    return np.array([c.snr_scales for c in cfgs]).T
-
-
-def _mixing_rule_diffs(cfgs, x, t) -> np.ndarray:
-    # the closed form, one row at a time, against the grid oracle on all rows at once
-    theta_closed = []
-    for cfg, row in zip(cfgs, x):
-        coeffs = theta_coefficients(correlation(row, cfg), cfg)
-        t_star, _label = optimize_mixing(coeffs, cfg.n_antennas)
-        theta_closed.append(float(theta_at(coeffs, t_star)))
-    gains = _projection_gains(x, _row_kappas(cfgs))
-    _t_ref, theta_ref = _best_t_rows(*gains, _row_scales(cfgs), t_step=1e-5)
-    return _rel_diffs(np.array(theta_closed), theta_ref)
-
-
-def _check_separation(rng, pairs_per_n: int, grid: GridSpec) -> dict:
-    details = []
-    passed = True
-    for n in (2, 3):
-        for _ in range(pairs_per_n):
-            cfg = _random_validation_config(rng, n=n, span=2.0)
-            outcome = joint_vs_decoupled(cfg, grid)
-            outcome["n_antennas"] = n
-            outcome["theta_su"] = list(cfg.theta_su)
-            details.append(outcome)
-            passed = passed and outcome["passed"]
-    return {
-        "name": "separation_certificate",
-        "grid": {"position_step": grid.position_step, "t_step": grid.t_step},
-        "runs": details,
-        "passed": bool(passed),
-    }
-
-
-def run_validate(quick: bool = False) -> tuple:
-    """Deterministic self-check suite; returns (report, all_passed).
-
-    Its draws are numpy.random.default_rng(VALIDATION_SEED)'s, bit for bit,
-    from a stream that leaves numpy.random unloaded.
-    """
-    # imported here, so the commands that draw nothing do not compile it
-    from ._pcg64 import PCG64
-
-    rng = PCG64(VALIDATION_SEED)
-    samples = 40 if quick else 200
-    checks = [
-        _sampled_check(rng, samples, "min_snr_path_equivalence", 1e-9, _path_equivalence_diffs, True),
-        _sampled_check(rng, samples, "projection_identities", 1e-9, _projection_identity_diffs),
-        _sampled_check(rng, 10 if quick else 40, "closed_form_mixing_vs_grid", 1e-6, _mixing_rule_diffs),
-        _check_separation(
-            rng,
-            pairs_per_n=2 if quick else 6,
-            grid=GridSpec(0.1, 1e-3) if quick else GridSpec(0.05, 1e-4),
-        ),
-    ]
-    passed = all(c["passed"] for c in checks)
-    return {"quick": quick, "checks": checks, "passed": passed}, passed
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -547,9 +396,19 @@ def _artifact_path(exp: ExperimentConfig, out):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    """Run one CLI command; returns its exit code.
+
+    The process exits right after, so main freezes the heap on every way out
+    (gc.freeze): the interpreter's shutdown collections then skip the objects
+    that the imports and the command left behind instead of walking them one
+    by one.  An in-process caller keeps that freeze: every object alive when
+    main returns stays uncollected until gc.unfreeze() or exit.  Objects made
+    afterwards are collected as usual.
+    """
     try:
+        # argparse exits through SystemExit, which the handlers below let pass
+        args = _build_parser().parse_args(argv)
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
         exp = load_config(args.config) if getattr(args, "config", None) else default_experiment()
         out = _artifact_path(exp, args.out)
         if args.command == "optimize":
@@ -577,6 +436,9 @@ def main(argv=None) -> int:
             write_csv(out, ["l", "scheme", "min_rate_bps_hz"], rows)
             print(f"wrote {out} ({len(rows)} rows, {len(skips)} skips)")
         elif args.command == "validate":
+            # imported here, so the other commands compile neither the suite nor its oracle
+            from .validation import run_validate
+
             report, passed = run_validate(quick=args.quick)
             for check in report["checks"]:
                 status = "PASS" if check["passed"] else "FAIL"
@@ -593,6 +455,8 @@ def main(argv=None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return 3
+    finally:
+        gc.freeze()
     return 0
 
 

@@ -1,0 +1,157 @@
+"""The `validate` self-check suite: random configs cross-checked against the oracles.
+
+Only `validate` runs it, so the other commands load neither this module nor
+the oracle it calls.  Its draws come from a fixed seed, so every report is
+deterministic.
+"""
+
+import math
+
+import numpy as np
+
+from . import _pcg64
+from .beamformer import (
+    _clamp_mixing,
+    _projection_gains,
+    _theta_coefficients,
+    _theta_from_gains,
+    optimize_mixing,
+    theta_at,
+    theta_coefficients,
+)
+from .oracle import GridSpec, _best_t_rows, joint_vs_decoupled
+from .posopt import _correlation_rows, correlation, random_positions
+from .sysmodel import SystemConfig, validate_position_rows
+
+VALIDATION_SEED = 20240517
+
+
+def _random_validation_config(rng, n=None, span=None) -> SystemConfig:
+    """A config drawn from rng, a numpy Generator or _pcg64.PCG64 (they draw alike)."""
+    n = int(n if n is not None else rng.integers(2, 9))
+    while True:
+        th1, th2 = rng.uniform(0.0, math.pi, 2)
+        if abs(math.sin(th2) - math.sin(th1)) >= 0.05:
+            break
+    d1, d2 = np.exp(rng.uniform(math.log(20.0), math.log(500.0), 2))
+    span_l = span if span is not None else (n - 1) * 0.5 + rng.uniform(0.5, 4.0)
+    return SystemConfig(
+        n_antennas=n,
+        span_l=float(span_l),
+        d_su=(float(d1), float(d2)),
+        theta_su=(float(th1), float(th2)),
+    )
+
+
+def _sampled_check(rng, samples: int, name: str, tol: float, rel_diffs, draw_t=False) -> dict:
+    """Worst of rel_diffs over samples random configs, each at random positions.
+
+    Each sample draws its config, positions and, with draw_t, a mixing t, in
+    that order.  rel_diffs(cfgs, x, t) then scores each group of equal n: its
+    configs, positions as one checked (B, n) array and t (or None), one value
+    per row.
+    """
+    groups = {}
+    for _ in range(samples):
+        cfg = _random_validation_config(rng)
+        x = random_positions(cfg, rng)
+        t = rng.uniform() if draw_t else None
+        groups.setdefault(cfg.n_antennas, []).append((cfg, x, t))
+    peaks = [0.0]
+    for draws in groups.values():
+        cfgs, x, t = zip(*draws)
+        x = np.array(x)
+        spans, d_mins = np.array([[c.span_l, c.d_min] for c in cfgs]).T[:, :, None]
+        validate_position_rows(x, spans, d_mins)
+        peaks.append(np.max(rel_diffs(cfgs, x, np.array(t) if draw_t else None)))
+    # np.max, unlike Python's max, lets a NaN through, so the check fails on it
+    worst = float(np.max(peaks))
+    return {
+        "name": name,
+        "samples": samples,
+        "worst_rel_diff": worst,
+        "passed": bool(worst <= tol),
+    }
+
+
+def _path_equivalence_diffs(cfgs, x, t) -> np.ndarray:
+    # the correlation route (va) and the projection route (vb), kept apart
+    t = _clamp_mixing(t)
+    scales = _row_scales(cfgs)
+    f = _correlation_rows(x, np.array([[c.kappa] for c in cfgs]))
+    va = theta_at(_theta_coefficients(f, x.shape[1], *scales), t)
+    vb = _theta_from_gains(*_projection_gains(x, _row_kappas(cfgs)), t, *scales)
+    return _rel_diffs(va, vb)
+
+
+def _rel_diffs(va, vb) -> np.ndarray:
+    return np.abs(va - vb) / np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
+
+
+def _projection_identity_diffs(cfgs, x, t) -> np.ndarray:
+    a, b, c = _projection_gains(x, _row_kappas(cfgs))
+    n = x.shape[1]
+    return np.maximum(np.abs(a - math.sqrt(n)) / math.sqrt(n), np.abs(b * b + c * c - n) / n)
+
+
+def _row_kappas(cfgs) -> np.ndarray:
+    """Both users' phase rates per config as a (2, B, 1) array: one column per user."""
+    return np.array([c.kappas for c in cfgs]).T[:, :, None]
+
+
+def _row_scales(cfgs) -> np.ndarray:
+    """Both users' SNR scales per config as a (2, B) array: one row per user."""
+    return np.array([c.snr_scales for c in cfgs]).T
+
+
+def _mixing_rule_diffs(cfgs, x, t) -> np.ndarray:
+    # the closed form, one row at a time, against the grid oracle on all rows at once
+    theta_closed = []
+    for cfg, row in zip(cfgs, x):
+        coeffs = theta_coefficients(correlation(row, cfg), cfg)
+        t_star, _label = optimize_mixing(coeffs, cfg.n_antennas)
+        theta_closed.append(float(theta_at(coeffs, t_star)))
+    gains = _projection_gains(x, _row_kappas(cfgs))
+    _t_ref, theta_ref = _best_t_rows(*gains, _row_scales(cfgs), t_step=1e-5)
+    return _rel_diffs(np.array(theta_closed), theta_ref)
+
+
+def _check_separation(rng, pairs_per_n: int, grid: GridSpec) -> dict:
+    details = []
+    passed = True
+    for n in (2, 3):
+        for _ in range(pairs_per_n):
+            cfg = _random_validation_config(rng, n=n, span=2.0)
+            outcome = joint_vs_decoupled(cfg, grid)
+            outcome["n_antennas"] = n
+            outcome["theta_su"] = list(cfg.theta_su)
+            details.append(outcome)
+            passed = passed and outcome["passed"]
+    return {
+        "name": "separation_certificate",
+        "grid": {"position_step": grid.position_step, "t_step": grid.t_step},
+        "runs": details,
+        "passed": bool(passed),
+    }
+
+
+def run_validate(quick: bool = False) -> tuple:
+    """Deterministic self-check suite; returns (report, all_passed).
+
+    Its draws are numpy.random.default_rng(VALIDATION_SEED)'s, bit for bit,
+    from a stream that leaves numpy.random unloaded.
+    """
+    rng = _pcg64.PCG64(VALIDATION_SEED)
+    samples = 40 if quick else 200
+    checks = [
+        _sampled_check(rng, samples, "min_snr_path_equivalence", 1e-9, _path_equivalence_diffs, True),
+        _sampled_check(rng, samples, "projection_identities", 1e-9, _projection_identity_diffs),
+        _sampled_check(rng, 10 if quick else 40, "closed_form_mixing_vs_grid", 1e-6, _mixing_rule_diffs),
+        _check_separation(
+            rng,
+            pairs_per_n=2 if quick else 6,
+            grid=GridSpec(0.1, 1e-3) if quick else GridSpec(0.05, 1e-4),
+        ),
+    ]
+    passed = all(c["passed"] for c in checks)
+    return {"quick": quick, "checks": checks, "passed": passed}, passed

@@ -1,5 +1,7 @@
 """Shared test setup."""
 
+import gc
+
 import pytest
 
 from ma_multicast import posopt
@@ -9,3 +11,10 @@ from ma_multicast import posopt
 def clear_solve_cache():
     """Start every test without memoised position solves, so order cannot matter."""
     posopt._solve_positions.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_heap():
+    """Thaw what a main() call froze, so no test hands frozen objects to the next."""
+    yield
+    gc.unfreeze()

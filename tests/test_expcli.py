@@ -1,6 +1,7 @@
 """Tests for config ingestion, experiment runs, artifacts, and the CLI."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -28,10 +30,9 @@ from ma_multicast import (
     run_validate,
     theta_at,
 )
-from ma_multicast import _pcg64, expcli, posopt
+from ma_multicast import _pcg64, posopt, validation
 from ma_multicast.beamformer import _projection_gains, _theta_coefficients, _theta_from_gains
 from ma_multicast.expcli import (
-    VALIDATION_SEED,
     _db,
     config_from_dict,
     default_experiment,
@@ -42,6 +43,7 @@ from ma_multicast.expcli import (
     write_json,
 )
 from ma_multicast.posopt import _correlation_rows
+from ma_multicast.validation import VALIDATION_SEED
 
 from correlation_reference import best_t, min_snr_from_correlation
 
@@ -305,8 +307,8 @@ def projection_identity_reference(cfg, x, t):
 
 # (name, per-sample reference, batched diffs, draws a mixing t) in validate's order
 BATCHED_CHECKS = [
-    ("min_snr_path_equivalence", path_equivalence_reference, expcli._path_equivalence_diffs, True),
-    ("projection_identities", projection_identity_reference, expcli._projection_identity_diffs, False),
+    ("min_snr_path_equivalence", path_equivalence_reference, validation._path_equivalence_diffs, True),
+    ("projection_identities", projection_identity_reference, validation._projection_identity_diffs, False),
 ]
 
 
@@ -314,7 +316,7 @@ def per_sample_loop(rng, samples, reference, draw_t):
     """The loop the batched checks replace: config, positions, t, then the value, per sample."""
     rows = []
     for _ in range(samples):
-        cfg = expcli._random_validation_config(rng)
+        cfg = validation._random_validation_config(rng)
         x = random_positions(cfg, rng)
         t = float(rng.uniform()) if draw_t else None
         rows.append((cfg, x, t, reference(cfg, x, t)))
@@ -337,7 +339,7 @@ def test_batched_checks_match_the_per_sample_loop_bit_for_bit(samples):
             cfgs, xs, ts, want = zip(*(r for r in rows if r[0].n_antennas == n))
             got = diffs(cfgs, np.array(xs), np.array(ts) if draw_t else None)
             assert np.array_equal(bits(got), bits(want)), (name, n)
-        report = expcli._sampled_check(rng, samples, name, 1e-9, diffs, draw_t)
+        report = validation._sampled_check(rng, samples, name, 1e-9, diffs, draw_t)
         # same draws in the same order, and the worst of the same values
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         assert bits(report["worst_rel_diff"]) == bits(max(r[3] for r in rows))
@@ -379,14 +381,18 @@ def test_correlation_rows_round_as_python_abs():
 def test_validate_report_is_the_one_numpy_default_rng_gives(monkeypatch, quick):
     # the stdlib stream draws what numpy.random.default_rng draws, so the
     # whole report, every float of it, is the same
+    seeds = []
+
     def numpy_stream(seed):
-        assert seed == VALIDATION_SEED
+        seeds.append(seed)
         return np.random.default_rng(seed)
 
     report, passed = run_validate(quick)
     monkeypatch.setattr(_pcg64, "PCG64", numpy_stream)
     posopt._solve_positions.cache_clear()
     reference, reference_passed = run_validate(quick)
+    # the reference run really drew from numpy's stream
+    assert seeds == [VALIDATION_SEED]
     assert passed and reference_passed
     assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
 
@@ -397,7 +403,7 @@ def test_sampled_check_fails_on_a_nan_difference():
         out[-1] = math.nan
         return out
 
-    report = expcli._sampled_check(np.random.default_rng(VALIDATION_SEED), 10, "check", 1e-9, diffs)
+    report = validation._sampled_check(np.random.default_rng(VALIDATION_SEED), 10, "check", 1e-9, diffs)
     assert math.isnan(report["worst_rel_diff"]) and report["passed"] is False
 
 
@@ -411,11 +417,11 @@ def test_sampled_check_rejects_a_group_with_an_infeasible_row(monkeypatch):
             x[-1] = cfg.span_l + 1e-6
         return x
 
-    monkeypatch.setattr(expcli, "random_positions", positions)
+    monkeypatch.setattr(validation, "random_positions", positions)
     for _name, _reference, diffs, draw_t in BATCHED_CHECKS:
         draws.clear()
         with pytest.raises(ValueError, match="feasible"):
-            expcli._sampled_check(
+            validation._sampled_check(
                 np.random.default_rng(VALIDATION_SEED), 10, "check", 1e-9, diffs, draw_t
             )
 
@@ -586,14 +592,19 @@ def test_optimize_report_system_block_parses_back_to_its_config(tmp_path, capsys
 
 def test_no_command_imports_numpy_random(tmp_path):
     # validate draws from the stdlib PCG64 stream, and no other command draws
-    # at all; a fresh interpreter per command shows what each pulls in
+    # at all; a fresh interpreter per command shows what each pulls in.  The
+    # package loads its modules on first use, so only validate loads the
+    # suite, its oracle and its stream
     code = (
-        "import sys, ma_multicast\n"
+        "import json, sys, ma_multicast\n"
         "assert 'numpy.random' not in sys.modules\n"
+        "assert [m for m in sys.modules if m.startswith('ma_multicast.')] == []\n"
         "code = ma_multicast.main(sys.argv[1:])\n"
         "assert code == 0, code\n"
         "assert 'numpy.random' not in sys.modules\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ma_multicast.'))))\n"
     )
+    validate_only = {"ma_multicast.oracle", "ma_multicast.validation", "ma_multicast._pcg64"}
     config = str(REPO_ROOT / "configs" / "default.json")
     commands = [
         ["optimize", "--config", config, "--out", str(tmp_path / "r.json")],
@@ -607,6 +618,36 @@ def test_no_command_imports_numpy_random(tmp_path):
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, (argv[0], proc.stderr)
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        if argv[0] == "validate":
+            assert loaded >= validate_only
+        else:
+            assert not loaded & validate_only, (argv[0], loaded & validate_only)
+
+
+@pytest.mark.parametrize("config_doc", [SMALL_DOC, {"no_such_key": 1}], ids=["ok", "config-error"])
+def test_main_leaves_the_heap_frozen_and_the_collector_working(tmp_path, capsys, config_doc):
+    # main freezes the heap on its way out, so the exit that follows skips
+    # it; a caller that stays on keeps a collector that still reclaims
+    # whatever it builds afterwards
+    enabled = gc.isenabled()
+    assert gc.get_freeze_count() == 0
+    cfg = write_config(tmp_path, config_doc)
+    code = main(["optimize", "--config", cfg, "--out", str(tmp_path / "r.json")])
+    assert code == (0 if config_doc is SMALL_DOC else 1)
+    assert gc.get_freeze_count() > 0
+    assert gc.isenabled() == enabled
+
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
+    capsys.readouterr()
 
 
 def test_main_sweep_requires_range(tmp_path, capsys):
@@ -740,6 +781,6 @@ def test_main_validate_failure_exit_code(monkeypatch, capsys):
     def fake_validate(quick=False):
         return {"quick": quick, "checks": [], "passed": False}, False
 
-    monkeypatch.setattr("ma_multicast.expcli.run_validate", fake_validate)
+    monkeypatch.setattr("ma_multicast.validation.run_validate", fake_validate)
     assert main(["validate"]) == 2
     capsys.readouterr()

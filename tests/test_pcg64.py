@@ -12,7 +12,7 @@ import pytest
 
 from ma_multicast import SystemConfig, random_positions
 from ma_multicast._pcg64 import PCG64
-from ma_multicast.expcli import VALIDATION_SEED
+from ma_multicast.validation import VALIDATION_SEED
 
 # 0, 1, validate's seed, one of more than 32 bits and one of more than 128 bits
 SEEDS = [0, 1, VALIDATION_SEED, 2**40 + 12345, 2**130 + 987654321]
