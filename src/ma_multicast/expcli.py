@@ -268,7 +268,7 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
     rows = []
     skips = []
     for value in values:
-        label = f"{key}={value:g}"
+        label = f"{key}={_format_cell(value)}"
         geometry = {"n_antennas": exp.system.n_antennas, "span_l": exp.system.span_l, field: value}
         if exceeds_span(geometry["n_antennas"], exp.system.d_min, geometry["span_l"]):
             rates, point_skips = [], [f"{label}: {infeasible}"]

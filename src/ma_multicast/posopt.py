@@ -6,14 +6,14 @@ concave quadratic lower bound of the correlation objective exactly, via a
 Euclidean projection onto the spacing polytope.  The curvature of that bound
 adapts to the current point: 2 kappa^2 |s|, with s the phasor sum there, is
 a valid minorant curvature everywhere and never exceeds the global bound
-2 kappa^2 n (majorization-minimization, Sun, Babu & Palomar 2017).  The
-batched kernel checks feasibility once on entry and once on exit; its rounds
-do not re-check it, since each projection is feasible by construction.
+2 kappa^2 n (majorization-minimization, Sun, Babu & Palomar 2017).  Each
+ascent checks feasibility once on entry and once on exit; its rounds do not
+re-check it, since each projection is feasible by construction.
 
-The position solve ascends from two starts as the rows of one array, the
-uniform spread and the chain-DP start.  The latter is the aligned chain,
-whose spacings are whole periods of the phase difference, when it fits the
-span; otherwise a chain dynamic program maximizes sum_i cos(kappa x_i - psi)
+The position solve runs one ascent per start, from the uniform spread and
+from the chain-DP start.  The latter is the aligned chain, whose spacings
+are whole periods of the phase difference, when it fits the span;
+otherwise a chain dynamic program maximizes sum_i cos(kappa x_i - psi)
 exactly on a grid of the slack coordinates, for the best of a few phases
 psi.  The winning solve is memoised per config, so every scheme that needs
 the correlation-optimal positions shares one solve.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sysmodel import (
-    FEASIBILITY_TOL, SystemConfig, check_positions, exceeds_span, validate_position_rows
+    FEASIBILITY_TOL, SystemConfig, check_positions, exceeds_span, validate_positions
 )
 
 log = logging.getLogger(__name__)
@@ -76,61 +76,57 @@ def correlation(x, cfg: SystemConfig) -> float:
     return float(_correlation_rows(x, cfg.kappa))
 
 
-def _isotonic_rows(y: np.ndarray) -> np.ndarray:
-    """Projection of every row of y onto the nondecreasing cone, at once.
+def _isotonic(y: np.ndarray) -> np.ndarray:
+    """Projection of y onto the nondecreasing cone by pool adjacent violators.
 
-    Uses the max-min formula x_i = max_{j<=i} min_{k>=i} mean(y_j..y_k)
-    (Best & Chakravarti 1990), O(B n^2) array work with no Python loop.
+    One left-to-right pass keeps a stack of blocks, each with its sum and
+    size; a value that falls below the mean of the block before it merges
+    with it, and the merged block keeps merging backwards while it violates
+    the order (Best & Chakravarti 1990).  O(n) time and memory.
     """
-    n = y.shape[1]
-    csum = np.zeros((y.shape[0], n + 1))
-    np.cumsum(y, axis=1, out=csum[:, 1:])
-    idx = np.arange(n)
-    width = np.maximum(idx[None, :] - idx[:, None] + 1, 1)
-    # means[:, j, k] = mean(y_j..y_k), meaningful for k >= j only
-    means = (csum[:, None, 1:] - csum[:, :n, None]) / width
-    # tail[:, j, i] = min_{k >= i} means[:, j, k]
-    tail = np.minimum.accumulate(means[:, :, ::-1], axis=2)[:, :, ::-1]
-    tail[:, idx[:, None] > idx[None, :]] = -np.inf
-    return tail.max(axis=1)
+    sums, sizes = [], []
+    for total in y.tolist():
+        size = 1
+        while sums and sums[-1] / sizes[-1] > total / size:
+            total += sums.pop()
+            size += sizes.pop()
+        sums.append(total)
+        sizes.append(size)
+    return np.repeat(np.array(sums) / np.array(sizes), sizes)
 
 
 def project_polytope(z, span_l: float, d_min: float) -> np.ndarray:
     """Euclidean projection onto {0 <= x_1, x_i - x_{i-1} >= d_min, x_n <= span_l}.
 
-    z is one position vector or a (B, n) array projected row by row.
     Subtracting the cumulative minimum spacings turns the constraints into an
     order cone with box bounds, whose projection is isotonic regression
-    (the batched max-min formula, one vector being one row) followed by
-    clipping.
+    followed by clipping.
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim not in (1, 2) or z.size < 1:
-        raise ValueError("z must be a non-empty 1-D array or a 2-D array of rows")
-    n = z.shape[-1]
+    if z.ndim != 1 or z.size < 1:
+        raise ValueError("z must be a non-empty 1-D array")
+    n = z.size
     # SystemConfig's own feasibility test, so every config it accepts projects
     if exceeds_span(n, d_min, span_l):
         raise ValueError("polytope is empty: span_l < (n - 1) * d_min")
     hi = max(span_l - (n - 1) * d_min, 0.0)
     offsets = d_min * np.arange(n)
-    u = _isotonic_rows((z - offsets).reshape(-1, n)).reshape(z.shape)
+    u = _isotonic(z - offsets)
     np.clip(u, 0.0, hi, out=u)
     return u + offsets
 
 
-def _surrogate_step(x_k: np.ndarray, g: np.ndarray, delta, span_l: float, d_min: float) -> np.ndarray:
+def _surrogate_step(x_k: np.ndarray, g: np.ndarray, delta: float, span_l: float, d_min: float) -> np.ndarray:
     """Exact maximizer of the quadratic minorant over the spacing polytope.
 
-    x_k is one feasible position vector with its slope g, or a (B, n) array
-    of them solved row by row; delta is one positive curvature or one per
-    row.  A row with zero slope keeps x_k exactly, since x_k itself
-    maximizes its minorant.  It checks neither that x_k is feasible nor that
-    delta is positive: _sca_rows proves both.
+    x_k is a feasible position vector, g its slope and delta > 0 the
+    curvature.  A zero slope returns x_k itself, since x_k maximizes its own
+    minorant.  It checks neither that x_k is feasible nor that delta is
+    positive: _sca proves both.
     """
-    x_new = project_polytope(x_k + g / np.asarray(delta)[..., None], span_l, d_min)
-    flat = ~g.any(axis=-1)  # a 0-d mask when x_k is one vector
-    x_new[flat] = x_k[flat]
-    return x_new
+    if not g.any():
+        return x_k
+    return project_polytope(x_k + g / delta, span_l, d_min)
 
 
 def uniform_positions(cfg: SystemConfig) -> np.ndarray:
@@ -254,78 +250,52 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sca_rows(cfg: SystemConfig, starts: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> list:
-    """Ascend the correlation excess from every row of starts at once.
+def _sca(cfg: SystemConfig, start, tol: float = 1e-8, max_iter: int = 500) -> ScaTrace:
+    """Ascend the correlation excess from one start; returns its ScaTrace.
 
     With s = sum_n exp(j kappa x_n), f1 = |s|^2 - n and its gradient
-    2 kappa Im(s conj(exp(j kappa x))) cost O(n) per row.  Each round solves
-    every row's quadratic minorant exactly with that row's own curvature
-    delta_k = 2 kappa^2 max(|s_k|, 1), so each row's f1 never decreases.
-    delta_k is a valid curvature everywhere, not only near x_k: with
-    phi = arg s_k, |s(y)|^2 >= 2 Re(conj(s_k) s(y)) - |s_k|^2
+    2 kappa Im(s conj(exp(j kappa x))) cost O(n).  Each round solves the
+    quadratic minorant exactly with the curvature
+    delta_k = 2 kappa^2 max(|s_k|, 1) of the current point, so f1 never
+    decreases.  delta_k is a valid curvature everywhere, not only near x_k:
+    with phi = arg s_k, |s(y)|^2 >= 2 Re(conj(s_k) s(y)) - |s_k|^2
     = 2 |s_k| sum_i cos(kappa y_i - phi) - |s_k|^2, with equality and equal
     slope at y = x_k, and each cosine has curvature at most kappa^2.  Since
     |s_k| <= n, delta_k never exceeds the global curvature 2 kappa^2 n; the
-    floor only keeps it positive at s_k = 0, where the slope is zero.  A row
-    stops on its own once its improvement falls below tol or after max_iter
-    rounds.  Returns one ScaTrace per row.
+    floor only keeps it positive at s_k = 0, where the slope is zero.  The
+    ascent stops once the improvement falls below tol or after max_iter
+    rounds.
 
     The round loop re-checks neither feasibility nor delta_k.  Rounds run
     only when |kappa| >= KAPPA_TOL, so delta_k >= 2 KAPPA_TOL^2 > 0, and each
-    anchor is either a start or the previous round's polytope projection.
-    The starts are checked once on entry and the last iterates once on exit.
+    anchor is either the start or the previous round's polytope projection.
+    The start is checked once on entry and the last iterate once on exit.
     """
     kappa = cfg.kappa
-    x = np.array(starts, dtype=float)
-    rows, n = x.shape
-    validate_position_rows(x, cfg.span_l, cfg.d_min)
+    x = validate_positions(start, cfg.span_l, cfg.d_min)
+    n = x.size
     e = np.exp(1j * kappa * x)
-    s = e.sum(axis=1)
-    f1 = np.abs(s) ** 2 - n
-    history = np.empty((rows, max_iter + 1))
-    history[:, 0] = f1
-    iterations = np.zeros(rows, dtype=int)
-    converged = np.zeros(rows, dtype=bool)
-    if abs(kappa) < KAPPA_TOL:
-        # users at matching sine angles: f is constant, nothing to move
-        converged[:] = True
-    else:
-        active = np.arange(rows)
-        for k in range(1, max_iter + 1):
-            s_k = s[active]
-            g = 2.0 * kappa * np.imag(s_k[:, None] * np.conj(e[active]))
-            delta = 2.0 * kappa ** 2 * np.maximum(np.abs(s_k), 1.0)
-            x_new = _surrogate_step(x[active], g, delta, cfg.span_l, cfg.d_min)
-            e_new = np.exp(1j * kappa * x_new)
-            s_new = e_new.sum(axis=1)
-            f1_new = np.abs(s_new) ** 2 - n
-            done = f1_new - f1[active] < tol
-            x[active], e[active], s[active], f1[active] = x_new, e_new, s_new, f1_new
-            history[active, k] = f1_new
-            iterations[active] = k
-            converged[active[done]] = True
-            active = active[~done]
-            if active.size == 0:
-                break
-    validate_position_rows(x, cfg.span_l, cfg.d_min)
-    return [
-        ScaTrace(
-            f1_history=_frozen(history[r, : iterations[r] + 1]),
-            x=_frozen(x[r]),
-            converged=bool(converged[r]),
-            iterations=int(iterations[r]),
-        )
-        for r in range(rows)
-    ]
+    s = e.sum()
+    history = [np.abs(s) ** 2 - n]
+    # users at matching sine angles: f is constant, nothing to move
+    converged = abs(kappa) < KAPPA_TOL
+    while not converged and len(history) <= max_iter:
+        g = 2.0 * kappa * np.imag(s * np.conj(e))
+        delta = 2.0 * kappa ** 2 * max(np.abs(s), 1.0)
+        x = _surrogate_step(x, g, delta, cfg.span_l, cfg.d_min)
+        e = np.exp(1j * kappa * x)
+        s = e.sum()
+        history.append(np.abs(s) ** 2 - n)
+        converged = history[-1] - history[-2] < tol
+    validate_positions(x, cfg.span_l, cfg.d_min)
+    return ScaTrace(
+        f1_history=_frozen(history), x=_frozen(x), converged=bool(converged), iterations=len(history) - 1
+    )
 
 
 def sca_optimize(cfg: SystemConfig, init, tol: float = 1e-8, max_iter: int = 500):
-    """Ascend the correlation excess from init; returns (x, ScaTrace).
-
-    The one-row case of the batched kernel that multi_start_sca runs.
-    """
-    x = check_positions(init, cfg)
-    (trace,) = _sca_rows(cfg, x[None, :], tol, max_iter)
+    """Ascend the correlation excess from init; returns (x, ScaTrace)."""
+    trace = _sca(cfg, check_positions(init, cfg), tol, max_iter)
     return trace.x.copy(), trace
 
 
@@ -333,14 +303,15 @@ def sca_optimize(cfg: SystemConfig, init, tol: float = 1e-8, max_iter: int = 500
 def _solve_positions(cfg: SystemConfig) -> ScaTrace:
     """Winning trace of the two-start solve; memoised, so logged once per config.
 
-    Rows are ranked by the last f1 = |s|^2 - n their ascent computed.
+    Starts are ranked by the last f1 = |s|^2 - n their ascent computed.
     """
     starts = [uniform_positions(cfg)]
     if abs(cfg.kappa) >= KAPPA_TOL:
         # with kappa = 0 every x is optimal and the uniform start stays
         starts.append(chain_dp_start(cfg))
     best, best_f1 = None, -math.inf
-    for trace in _sca_rows(cfg, np.array(starts)):
+    for start in starts:
+        trace = _sca(cfg, start)
         f1 = trace.f1_history[-1]
         if (
             best is None

@@ -1,13 +1,14 @@
 """Reference correlation math that the tests compare the package against.
 
-The kernel (posopt._sca_rows) works from the phasor sum s = sum exp(j kappa x)
-in O(n) per row, with its own curvature 2 kappa^2 max(|s|, 1) per row.  These
-are the independent routes: the O(n^2) pairwise excess and its gradient, the
-global curvature bound 2 kappa^2 n with its Hessian proof, and the quadratic
-minorant evaluated directly.  Beside them sit the min SNR through the
-correlation, the route the projection route is checked against, and the
-oracle's mixing search run on one position vector.  Not a test module; the
-tests import it.
+The kernel (posopt._sca) works from the phasor sum s = sum exp(j kappa x)
+in O(n) per round, with the curvature 2 kappa^2 max(|s|, 1) of its current
+point, and projects by a stack-based pool-adjacent-violators pass.  These are
+the independent routes: the O(n^2) pairwise excess and its gradient, the
+global curvature bound 2 kappa^2 n with its Hessian proof, the quadratic
+minorant evaluated directly, and the max-min formula for isotonic
+regression.  Beside them sit the min SNR through the correlation, the route
+the projection route is checked against, and the oracle's mixing search run
+on one position vector.  Not a test module; the tests import it.
 """
 
 import numpy as np
@@ -32,9 +33,9 @@ def correlation_excess_grad(x, kappa: float) -> np.ndarray:
 def curvature_bound(kappa: float, n: int) -> float:
     """Global curvature 2 kappa^2 n of the correlation excess; it is tight.
 
-    The SCA kernel does not use it: each row takes the smaller curvature
-    2 kappa^2 max(|s|, 1) of its current point (posopt._sca_rows), and this is
-    the upper bound on that per-row curvature that the tests check against.
+    The SCA kernel does not use it: each round takes the smaller curvature
+    2 kappa^2 max(|s|, 1) of its current point (posopt._sca), and this is
+    the upper bound on that per-round curvature that the tests check against.
 
     With e = exp(j kappa x) and s = sum(e), the Hessian of f1 = |s|^2 - n is
     -2 kappa^2 L, where L = diag(Re(e_i conj(s))) - Re(e e^H) is the Laplacian
@@ -55,6 +56,26 @@ def surrogate_value(x, x_k, f1_k: float, g, delta: float) -> float:
     x_k = np.asarray(x_k, dtype=float)
     step = x - x_k
     return f1_k + float(g @ step) - 0.5 * delta * float(step @ step)
+
+
+def max_min_isotonic(y) -> np.ndarray:
+    """Projection of y onto the nondecreasing cone by the max-min formula.
+
+    x_i = max_{j<=i} min_{k>=i} mean(y_j..y_k) (Best & Chakravarti 1990),
+    from one cumulative sum in O(n^2) array work with no Python loop; no
+    block merging as in pool adjacent violators.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    csum = np.concatenate(([0.0], np.cumsum(y)))
+    idx = np.arange(n)
+    width = np.maximum(idx[None, :] - idx[:, None] + 1, 1)
+    # means[j, k] = mean(y_j..y_k), meaningful for k >= j only
+    means = (csum[None, 1:] - csum[:n, None]) / width
+    # tail[j, i] = min_{k >= i} means[j, k]
+    tail = np.minimum.accumulate(means[:, ::-1], axis=1)[:, ::-1]
+    tail[idx[:, None] > idx[None, :]] = -np.inf
+    return tail.max(axis=0)
 
 
 def kernel_curvature(x_k, kappa: float) -> float:

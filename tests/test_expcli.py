@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import logging
 import math
 import os
 import pathlib
@@ -754,6 +755,22 @@ def test_main_sweep_l_flags_override(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "l,scheme,min_rate_bps_hz"
     assert len(lines) == 4
+    capsys.readouterr()
+
+
+def test_sweep_skip_labels_name_the_value_the_csv_would_print(tmp_path, capsys, caplog):
+    # spans 2e-9 apart just under (n - 1) * d_min = 4: six significant digits
+    # would print each as l=4, which is not smaller than 4
+    cfg = write_config(tmp_path, {"system": {"n_antennas": 9}, "schemes": ["fpa"]})
+    argv = ["sweep-l", "--config", cfg, "--l-min", "3.99999999", "--l-max", "3.999999996",
+            "--l-step", "2e-9", "--out", str(tmp_path / "sweep_l.csv")]
+    with caplog.at_level(logging.WARNING, logger="ma_multicast.expcli"):
+        assert main(argv) == 0
+    skips = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep-l skip")]
+    assert skips == [
+        f"sweep-l skip: l={value}: smaller than (n - 1) * d_min"
+        for value in ("3.99999999", "3.999999992", "3.999999994", "3.999999996")
+    ]
     capsys.readouterr()
 
 

@@ -2,7 +2,9 @@
 
 Oracles used here:
   * a naive repeated-scan pool-adjacent-violators reference plus the
-    variational inequality of Euclidean projection certify project_polytope;
+    variational inequality of Euclidean projection certify project_polytope,
+    and that reference and the max-min formula both check the stack-based
+    isotonic pass under it;
   * central finite differences check the correlation-excess gradient;
   * the identity sum_{i != j} cos(kappa (x_i - x_j)) = f^2 - n ties the
     excess to the correlation through an independent route;
@@ -10,9 +12,9 @@ Oracles used here:
   * an exhaustive non-decreasing-tuple enumeration checks the surrogate
     maximizer on a deliberately small box;
   * an exact analytic Hessian checks the curvature bound 2 kappa^2 n;
-  * a per-start scalar SCA loop (the naive pool-adjacent-violators
-    projection, O(n^2) pairwise excess and gradient, the same per-round
-    curvature) checks the batched kernel;
+  * a scalar SCA loop (the naive pool-adjacent-violators projection, the
+    O(n^2) pairwise excess and gradient, the same per-round curvature)
+    checks the one-start kernel;
   * an itertools enumeration of nondecreasing slack tuples on a grid checks
     the chain-DP start, and the whole-period chain checks its aligned case.
 """
@@ -43,8 +45,8 @@ from ma_multicast.baselines import Scheme, aps_search, run_scheme
 from ma_multicast.posopt import (
     DP_MAX_STEPS,
     KAPPA_TOL,
-    _isotonic_rows,
-    _sca_rows,
+    _isotonic,
+    _sca,
     _surrogate_step,
     chain_dp_start,
     random_positions,
@@ -55,6 +57,7 @@ from correlation_reference import (
     correlation_excess,
     correlation_excess_grad,
     curvature_bound,
+    max_min_isotonic,
     surrogate_value,
 )
 
@@ -63,15 +66,15 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Records the config of every batched SCA kernel run."""
+    """Records the config of every SCA kernel run; one solve runs one per start."""
     calls = []
-    original = posopt._sca_rows
+    original = posopt._sca
 
     def counting(cfg, *args, **kwargs):
         calls.append(cfg)
         return original(cfg, *args, **kwargs)
 
-    monkeypatch.setattr(posopt, "_sca_rows", counting)
+    monkeypatch.setattr(posopt, "_sca", counting)
     return calls
 
 
@@ -162,26 +165,19 @@ def test_batched_isotonic_matches_naive_pav():
             np.full(n, 0.25),
             -np.sort(rng.uniform(size=n)),  # fully decreasing: one block
         ]
-        y = np.vstack(rows + [rng.uniform(-3.0, 3.0, n) for _ in range(3)])
-        got = _isotonic_rows(y)
-        want = np.vstack([naive_pav(row) for row in y])
-        assert np.max(np.abs(got - want)) < 1e-12, n
-        assert np.max(np.abs(got[1] - y[1])) < 1e-12
-
-
-def test_projection_rows_match_one_vector_projection():
-    rng = np.random.default_rng(53)
-    for n in (1, 2, 5, 16, 33):
-        span_l = (n - 1) * 0.5 + 2.0
-        z = rng.uniform(-2.0, span_l + 2.0, (6, n))
-        got = project_polytope(z, span_l, 0.5)
-        want = np.vstack([project_polytope(row, span_l, 0.5) for row in z])
-        assert np.max(np.abs(got - want)) < 1e-12
+        for y in rows + [rng.uniform(-3.0, 3.0, n) for _ in range(3)]:
+            got = _isotonic(y)
+            assert got.shape == y.shape
+            assert np.max(np.abs(got - naive_pav(y))) < 1e-12, n
+            assert np.max(np.abs(got - max_min_isotonic(y))) < 1e-12, n
+        assert np.max(np.abs(_isotonic(rows[1]) - rows[1])) < 1e-12
 
 
 def test_projection_rejects_empty_polytope():
     with pytest.raises(ValueError):
         project_polytope(np.zeros(4), 1.0, 0.5)  # needs span >= 1.5
+    with pytest.raises(ValueError):
+        project_polytope(np.zeros((2, 4)), 4.0, 0.5)  # one vector only
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +345,6 @@ def test_solve_surrogate_zero_gradient_returns_anchor():
     assert np.array_equal(out, x_k)
 
 
-def test_solve_surrogate_rows_match_one_vector_solves():
-    rng = np.random.default_rng(51)
-    for n in (2, 3, 5, 8, 16):
-        cfg = SystemConfig(n_antennas=n, span_l=(n - 1) * 0.5 + 2.0)
-        delta = curvature_bound(cfg.kappa, cfg.n_antennas)
-        x_k = np.array([feasible_probe(rng, n, cfg.span_l, 0.5) for _ in range(6)])
-        g = np.array([correlation_excess_grad(row, cfg.kappa) for row in x_k])
-        g[2] = 0.0  # a zero-slope row keeps its anchor
-        got = _surrogate_step(x_k, g, delta, cfg.span_l, cfg.d_min)
-        want = np.vstack([_surrogate_step(a, b, delta, cfg.span_l, cfg.d_min) for a, b in zip(x_k, g)])
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-        assert np.array_equal(got[2], x_k[2])
-
-
 # ---------------------------------------------------------------------------
 # SCA runs
 
@@ -457,11 +439,12 @@ def test_position_solve_breaks_f1_ties_on_the_smaller_x(monkeypatch):
     low = trace(3.0, [0.0, 1.0, 2.0, 3.0, 4.0])
     tied = trace(3.0 + 0.5 * posopt.TIE_TOL, [0.0, 1.0, 2.0, 3.5, 4.0])
     better = trace(3.0 + 2.0 * posopt.TIE_TOL, [0.0, 1.0, 2.5, 3.0, 4.0])
-    for rows, winner in (
+    for runs, winner in (
         ([low, tied], low), ([tied, low], low),
         ([better, low], better), ([low, better], better),
     ):
-        monkeypatch.setattr(posopt, "_sca_rows", lambda cfg, starts, rows=rows: rows)
+        # one ascent per start, handed out in start order
+        monkeypatch.setattr(posopt, "_sca", lambda cfg, start, runs=iter(runs): next(runs))
         posopt._solve_positions.cache_clear()
         assert multi_start_sca(cfg)[1] is winner
 
@@ -477,7 +460,7 @@ def test_random_positions_feasible():
 
 
 # ---------------------------------------------------------------------------
-# Batched kernel against a per-start scalar loop
+# The SCA kernel against a scalar loop
 
 
 def scalar_sca(cfg, init, tol=1e-8, max_iter=500):
@@ -513,8 +496,8 @@ def test_batched_kernel_matches_scalar_loop(n):
         )
         starts = [uniform_positions(cfg)]
         starts += [random_positions(cfg, rng) for _ in range(starts_per_seed - 1)]
-        traces = _sca_rows(cfg, np.array(starts))
-        for init, trace in zip(starts, traces):
+        for init in starts:
+            trace = _sca(cfg, init)
             x_ref, iters_ref, conv_ref = scalar_sca(cfg, init)
             assert trace.iterations == iters_ref
             assert trace.converged == conv_ref
@@ -546,7 +529,7 @@ def test_every_sca_step_stays_on_or_above_its_minorant(monkeypatch):
 
     def recording(x_k, g, delta, span_l, d_min):
         x_new = original(x_k, g, delta, span_l, d_min)
-        calls.append((np.atleast_2d(x_k), np.atleast_2d(g), np.ravel(delta), np.atleast_2d(x_new)))
+        calls.append((x_k, g, delta, x_new))
         return x_new
 
     monkeypatch.setattr(posopt, "_surrogate_step", recording)
@@ -561,50 +544,48 @@ def test_every_sca_step_stays_on_or_above_its_minorant(monkeypatch):
             )
             delta_max = curvature_bound(cfg.kappa, cfg.n_antennas)
             calls.clear()
-            starts = np.array([feasible_probe(rng, n, cfg.span_l, cfg.d_min) for _ in range(3)])
-            traces = _sca_rows(cfg, starts)
-            assert len(calls) == max(t.iterations for t in traces)
+            traces = [_sca(cfg, feasible_probe(rng, n, cfg.span_l, cfg.d_min)) for _ in range(3)]
+            assert len(calls) == sum(t.iterations for t in traces)
             for x_k, g, delta, x_new in calls:
-                assert np.all(delta > 0.0) and np.all(delta <= delta_max * (1.0 + 1e-15))
-                for row in range(x_k.shape[0]):
-                    f1_k = correlation_excess(x_k[row], cfg.kappa)
-                    f1_new = correlation_excess(x_new[row], cfg.kappa)
-                    lower = surrogate_value(x_new[row], x_k[row], f1_k, g[row], delta[row])
-                    scale = max(1.0, abs(f1_k))
-                    assert f1_new >= lower - 1e-12 * scale
-                    assert f1_new >= f1_k - 1e-12 * scale
-                    steps += 1
+                assert 0.0 < delta <= delta_max * (1.0 + 1e-15)
+                f1_k = correlation_excess(x_k, cfg.kappa)
+                f1_new = correlation_excess(x_new, cfg.kappa)
+                lower = surrogate_value(x_new, x_k, f1_k, g, delta)
+                scale = max(1.0, abs(f1_k))
+                assert f1_new >= lower - 1e-12 * scale
+                assert f1_new >= f1_k - 1e-12 * scale
+                steps += 1
     assert steps > 500
 
 
 def test_kernel_rejects_infeasible_start():
     cfg = SystemConfig(n_antennas=3, span_l=2.0)
     with pytest.raises(ValueError, match="feasible"):
-        _sca_rows(cfg, np.array([[0.0, 0.5, 1.0], [0.0, 0.2, 1.0]]))
+        _sca(cfg, np.array([0.0, 0.2, 1.0]))
 
 
 def test_kernel_checks_feasibility_on_entry_and_exit_only(monkeypatch):
     calls = []
-    original = posopt.validate_position_rows
+    original = posopt.validate_positions
 
     def counting(x, *args):
-        calls.append(x.copy())  # the kernel goes on to update x in place
+        calls.append(np.array(x))
         return original(x, *args)
 
-    monkeypatch.setattr(posopt, "validate_position_rows", counting)
+    monkeypatch.setattr(posopt, "validate_positions", counting)
     rounds = set()
     for cfg in (
         SystemConfig(),
         SystemConfig(n_antennas=16, span_l=20.0),
         SystemConfig(theta_su=(0.7, math.pi - 0.7)),  # kappa = 0: no rounds
     ):
-        starts = np.array([uniform_positions(cfg)])
+        start = uniform_positions(cfg)
         calls.clear()
-        traces = _sca_rows(cfg, starts)
+        trace = _sca(cfg, start)
         assert len(calls) == 2
-        assert np.array_equal(calls[0], starts)
-        assert np.array_equal(calls[1][0], traces[0].x)
-        rounds.add(traces[0].iterations)
+        assert np.array_equal(calls[0], start)
+        assert np.array_equal(calls[1], trace.x)
+        rounds.add(trace.iterations)
     assert 0 in rounds and max(rounds) > 2
 
 
@@ -763,10 +744,19 @@ def test_chain_dp_grid_stays_bounded_for_a_tiny_step(d_min, wavelength):
 
 
 def test_chain_dp_grid_holds_a_chain_when_n_exceeds_the_step_cap():
-    # the SCA kernel's O(n^2) projection rules out multi_start_sca at this n
     n = DP_MAX_STEPS + 2
     cfg = SystemConfig(n_antennas=n, span_l=1.0, d_min=1.0 / (2 * n))
     x = chain_dp_start(cfg)
+    assert x.shape == (n,)
+    validate_positions(x, cfg.span_l, cfg.d_min)
+    # the whole solve at this n: the O(n) projection keeps it to a few arrays of n
+    tracemalloc.start()
+    try:
+        x, _trace = multi_start_sca(cfg)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
     assert x.shape == (n,)
     validate_positions(x, cfg.span_l, cfg.d_min)
 
@@ -815,7 +805,7 @@ def test_run_single_runs_the_kernel_once(kernel_calls):
     exp = load_config(REPO_ROOT / "configs" / "default.json")
     report = run_single(exp)
     assert {"proposed", "ao", "ma_mrt"} <= set(report["schemes"])
-    assert kernel_calls == [exp.system]
+    assert kernel_calls == [exp.system] * 2  # one solve: the uniform and the chain-DP start
 
 
 def test_shared_solve_hands_out_copies(kernel_calls):
@@ -825,7 +815,7 @@ def test_shared_solve_hands_out_copies(kernel_calls):
     x1[:] = -1.0
     x2, trace2 = multi_start_sca(cfg)
     assert np.array_equal(x2, want)
-    assert trace2 is trace1 and len(kernel_calls) == 1
+    assert trace2 is trace1 and len(kernel_calls) == 2
     for frozen in (trace1.x, trace1.f1_history):
         with pytest.raises(ValueError):
             frozen[0] = 0.0
@@ -837,19 +827,19 @@ def test_shared_solve_is_keyed_on_the_config_alone(kernel_calls):
     cfg = SystemConfig(n_antennas=4, span_l=3.0)
     multi_start_sca(cfg)
     multi_start_sca(SystemConfig(n_antennas=4, span_l=3.0))  # equal config: a hit
-    assert len(kernel_calls) == 1
+    assert len(kernel_calls) == 2  # two starts, one solve
     multi_start_sca(replace(cfg, span_l=3.5))
     multi_start_sca(replace(cfg, theta_su=(0.3, 2.0)))
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 6
     # every scheme that needs the positions reuses the solve
     for scheme in (Scheme.PROPOSED, Scheme.AO, Scheme.MA_MRT):
         run_scheme(scheme, cfg)
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 6
 
 
 def test_unconverged_solve_warns_once_per_distinct_solve(caplog, monkeypatch):
     # a 20-round cap: both starts at n = 28 need more, the default n = 5 fewer
-    monkeypatch.setattr(posopt, "_sca_rows", functools.partial(posopt._sca_rows, max_iter=20))
+    monkeypatch.setattr(posopt, "_sca", functools.partial(posopt._sca, max_iter=20))
     cfg = SystemConfig(n_antennas=28, span_l=20.0, theta_su=(0.3, 2.0))
     with caplog.at_level(logging.WARNING, logger="ma_multicast.posopt"):
         _x, trace = multi_start_sca(cfg)
