@@ -19,7 +19,6 @@ numpy's own:
 """
 
 _MASK32 = (1 << 32) - 1
-_MASK53 = (1 << 53) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _TWICE = (1 << 64) + 1  # times a 64-bit word: the word in both 64-bit halves
@@ -117,18 +116,9 @@ class PCG64:
         span = high - low
         if not span >= 0.0:
             raise ValueError("high - low must be non-negative")
-        if size is None:
-            return low + span * ((self._next64() >> 11) * _TO_UNIT)
-        # _next64 inlined, as this loop is the hot path; shifting 11 bits
-        # further keeps the top 53 bits of the output word
-        s, inc = self.state, self.inc
-        out = []
-        for _ in range(size):
-            s = (s * _MULTIPLIER + inc) & _MASK128
-            top = ((s >> 64 ^ s) & _MASK64) * _TWICE >> (s >> 122) + 11 & _MASK53
-            out.append(low + span * (top * _TO_UNIT))
-        self.state = s
-        return out
+        count = 1 if size is None else size
+        out = [low + span * ((self._next64() >> 11) * _TO_UNIT) for _ in range(count)]
+        return out[0] if size is None else out
 
     def integers(self, low: int, high: int) -> int:
         """One integer in [low, high): Lemire's bounded draw on 32-bit words.

@@ -82,8 +82,8 @@ def _closed_form_result(
 
 def proposed_scheme(cfg: SystemConfig) -> SchemeResult:
     """Correlation-first decoupled design: optimize positions, then the beamformer."""
-    x, trace = multi_start_sca(cfg)
-    return _closed_form_result(Scheme.PROPOSED, x, cfg, trace)
+    trace = multi_start_sca(cfg)
+    return _closed_form_result(Scheme.PROPOSED, trace.x, cfg, trace)
 
 
 def ao_scheme(cfg: SystemConfig) -> SchemeResult:
@@ -115,8 +115,7 @@ def ao_scheme(cfg: SystemConfig) -> SchemeResult:
     the certificate above on random configs, and checks that the closed-form
     beamformer matches the reference start by start.
     """
-    x, _trace = multi_start_sca(cfg)
-    return _closed_form_result(Scheme.AO, x, cfg)
+    return _closed_form_result(Scheme.AO, multi_start_sca(cfg).x, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +164,11 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
 
 def ma_mrt(cfg: SystemConfig) -> SchemeResult:
     """Optimized positions but a matched filter pointed at user 1 only."""
-    x, trace = multi_start_sca(cfg)
-    h1 = steering_vector(x, cfg.theta_su[0], cfg.wavelength)
+    trace = multi_start_sca(cfg)
+    h1 = steering_vector(trace.x, cfg.theta_su[0], cfg.wavelength)
     w = np.conj(h1) / math.sqrt(cfg.n_antennas)
     bf = Beamformer(w=w, t=1.0, case_label=None)
-    return SchemeResult(Scheme.MA_MRT, x, bf, snr_pair(w, x, cfg), trace)
+    return SchemeResult(Scheme.MA_MRT, trace.x, bf, snr_pair(w, trace.x, cfg), trace)
 
 
 def fpa_scheme(cfg: SystemConfig) -> SchemeResult:

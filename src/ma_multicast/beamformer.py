@@ -163,14 +163,8 @@ def optimize_mixing(coeffs: ThetaCoefficients, n: int) -> tuple:
         return t_left, CaseLabel.LEFT_ENDPOINT
     if y2_right > y1_right + slack:
         return 1.0, CaseLabel.RIGHT_ENDPOINT
-    d = a2 - math.sqrt(a1)
-    try:
-        norm = math.sqrt(d ** 2 + a3 * a3)
-    except OverflowError:
-        norm = math.inf
-    if math.isinf(norm):
-        # the squares overflow near the float limit; hypot scales them first
-        norm = math.hypot(d, a3)
+    # hypot scales before squaring, so SNR scales near the float limit do not overflow
+    norm = math.hypot(a2 - math.sqrt(a1), a3)
     return min(max(a3 / norm, 0.0), 1.0), CaseLabel.CROSSING
 
 

@@ -37,10 +37,6 @@ class ExperimentConfig:
     output_dir: str = "."
 
 
-def default_experiment() -> ExperimentConfig:
-    return ExperimentConfig(system=SystemConfig(), schemes=tuple(Scheme))
-
-
 # ---------------------------------------------------------------------------
 # Config ingestion
 
@@ -230,7 +226,7 @@ def run_single(exp: ExperimentConfig) -> dict:
     return report
 
 
-def run_beampattern(exp: ExperimentConfig, angle_count: int = 361):
+def run_beampattern(exp: ExperimentConfig, angle_count: int):
     if angle_count < 2:
         raise ConfigError("angle_count must be >= 2")
     thetas = np.linspace(0.0, math.pi, angle_count)
@@ -296,7 +292,12 @@ def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
 def run_sweep_l(exp: ExperimentConfig, l_min: float, l_max: float, l_step: float):
     if not (0.0 < l_min <= l_max < math.inf and 0.0 < l_step < math.inf):
         raise ConfigError("need finite 0 < l_min <= l_max and l_step > 0")
-    count = int(math.floor((l_max - l_min) / l_step + FEASIBILITY_TOL)) + 1
+    steps = (l_max - l_min) / l_step + FEASIBILITY_TOL
+    # past one point: a step that l_min + l_step rounds away would repeat l_min
+    # without end, and an infinite count has no integer
+    if steps >= 1.0 and (l_min + l_step == l_min or not math.isfinite(steps)):
+        raise ConfigError(f"l_step = {l_step!r} is too small for the range {l_min!r} to {l_max!r}")
+    count = int(math.floor(steps)) + 1
     values = (l_min + k * l_step for k in range(count))
     return _run_sweep(exp, "l", "span_l", values, "smaller than (n - 1) * d_min")
 
@@ -409,16 +410,14 @@ def main(argv=None) -> int:
         # argparse exits through SystemExit, which the handlers below let pass
         args = _build_parser().parse_args(argv)
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-        exp = load_config(args.config) if getattr(args, "config", None) else default_experiment()
+        exp = load_config(args.config) if getattr(args, "config", None) else config_from_dict({})
         out = _artifact_path(exp, args.out)
         if args.command == "optimize":
             write_json(out, run_single(exp))
             print(f"wrote {out}")
         elif args.command == "beampattern":
-            points = args.points
-            if points is None:
-                sweep = exp.sweep or {}
-                points = sweep.get("angle_count", 361) if sweep.get("kind") == "beam_pattern" else 361
+            # only a beam_pattern sweep section holds angle_count
+            points = (exp.sweep or {}).get("angle_count", 361) if args.points is None else args.points
             rows = run_beampattern(exp, points)
             write_csv(out, ["theta_rad", "scheme", "gain"], rows)
             print(f"wrote {out} ({len(rows)} rows)")

@@ -15,8 +15,9 @@ from the chain-DP start.  The latter is the aligned chain, whose spacings
 are whole periods of the phase difference, when it fits the span;
 otherwise a chain dynamic program maximizes sum_i cos(kappa x_i - psi)
 exactly on a grid of the slack coordinates, for the best of a few phases
-psi.  The winning solve is memoised per config, so every scheme that needs
-the correlation-optimal positions shares one solve.
+psi.  multi_start_sca memoises the winning trace per config, so every
+scheme that needs the correlation-optimal positions shares one solve and
+reads its read-only positions.
 """
 
 import functools
@@ -300,10 +301,15 @@ def sca_optimize(cfg: SystemConfig, init, tol: float = 1e-8, max_iter: int = 500
 
 
 @functools.lru_cache(maxsize=SOLVE_CACHE_SIZE)
-def _solve_positions(cfg: SystemConfig) -> ScaTrace:
-    """Winning trace of the two-start solve; memoised, so logged once per config.
+def multi_start_sca(cfg: SystemConfig) -> ScaTrace:
+    """Best SCA run from the uniform start and the chain-DP start.
 
-    Starts are ranked by the last f1 = |s|^2 - n their ascent computed.
+    Deterministic: starts are ranked by the last f1 = |s|^2 - n their ascent
+    computed, and exact f1 ties go to the lexicographically smaller position
+    vector.  Returns the winning run's ScaTrace.  The solve is memoised on
+    cfg, so the schemes that share these positions share one solve and an
+    unconverged solve warns once per config; every caller reads the same
+    read-only trace.x.
     """
     starts = [uniform_positions(cfg)]
     if abs(cfg.kappa) >= KAPPA_TOL:
@@ -326,15 +332,3 @@ def _solve_positions(cfg: SystemConfig) -> ScaTrace:
             cfg.n_antennas, cfg.span_l, best.iterations,
         )
     return best
-
-
-def multi_start_sca(cfg: SystemConfig):
-    """Best SCA run from the uniform start and the chain-DP start.
-
-    Deterministic; exact f1 ties go to the lexicographically smaller
-    position vector.  Returns (x, ScaTrace) of the winning run.  The solve is
-    memoised on cfg, so the schemes that share these positions share one
-    solve; each call gets its own copy of x.
-    """
-    trace = _solve_positions(cfg)
-    return trace.x.copy(), trace

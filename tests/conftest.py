@@ -10,7 +10,7 @@ from ma_multicast import posopt
 @pytest.fixture(autouse=True)
 def clear_solve_cache():
     """Start every test without memoised position solves, so order cannot matter."""
-    posopt._solve_positions.cache_clear()
+    posopt.multi_start_sca.cache_clear()
 
 
 @pytest.fixture(autouse=True)

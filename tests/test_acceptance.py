@@ -440,7 +440,8 @@ def test_large_array_solve_reaches_the_oracle_lower_bound(span_l, ns):
     )
     for n in ns:
         cfg = SystemConfig(n_antennas=n, span_l=span_l)
-        x, trace = multi_start_sca(cfg)
+        trace = multi_start_sca(cfg)
+        x = trace.x
         f = correlation(x, cfg)
         assert f >= bounds[n][0] - 1e-9, (n, f, bounds[n][0])
         assert trace.converged, n
@@ -474,7 +475,8 @@ def test_large_array_solve_lies_inside_the_oracle_bracket(span_l, ns):
     )
     for n in ns:
         cfg = SystemConfig(n_antennas=n, span_l=span_l)
-        x, trace = multi_start_sca(cfg)
+        trace = multi_start_sca(cfg)
+        x = trace.x
         f = correlation(x, cfg)
         f_lo, f_hi = bounds[n]
         assert f_lo - 1e-9 <= f <= f_hi, (n, f, f_lo, f_hi)
@@ -487,7 +489,7 @@ def test_large_array_solve_lies_inside_the_oracle_bracket(span_l, ns):
 )
 @pytest.mark.parametrize("n", STALLED_ON_SPAN_20)
 def test_large_array_solve_converges_on_span_20(n):
-    _x, trace = multi_start_sca(SystemConfig(n_antennas=n, span_l=20.0))
+    trace = multi_start_sca(SystemConfig(n_antennas=n, span_l=20.0))
     assert trace.converged, (n, trace.iterations)
 
 
@@ -513,7 +515,8 @@ def test_large_array_solve_converges_on_span_20(n):
 )
 def test_position_solve_reaches_the_slack_grid_lower_bound(cfg):
     f_lo = slack_lower_bound(cfg, step=0.005, phases=128)
-    x, trace = multi_start_sca(cfg)
+    trace = multi_start_sca(cfg)
+    x = trace.x
     f = correlation(x, cfg)
     assert f >= f_lo - 1e-9, (f, f_lo, trace.converged, trace.iterations)
 
@@ -530,7 +533,8 @@ def test_aligned_regime_solve_reaches_full_correlation():
         d_min=0.25,
         theta_su=(0.16994055233248953, 1.1601471462975412),
     )
-    x, trace = multi_start_sca(cfg)
+    trace = multi_start_sca(cfg)
+    x = trace.x
     f = correlation(x, cfg)
     assert f >= cfg.n_antennas - 1e-9 * cfg.n_antennas, (f, trace.converged)
 
@@ -570,7 +574,7 @@ def test_criterion_09_cli_determinism(tmp_path, capsys):
         payloads = []
         for run in ("a", "b"):
             out = tmp_path / f"{name}_{run}.{ext}"
-            posopt._solve_positions.cache_clear()  # each run solves afresh
+            posopt.multi_start_sca.cache_clear()  # each run solves afresh
             code = main(argv + ["--out", str(out)])
             if code != 0:
                 problems.append(f"{name} exited {code}")

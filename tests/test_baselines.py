@@ -104,7 +104,7 @@ def test_scheme_results_are_consistent(scheme):
 def test_schemes_deterministic(scheme):
     cfg = SystemConfig()
     ra = run_scheme(scheme, cfg)
-    posopt._solve_positions.cache_clear()  # recompute, not a cache hit
+    posopt.multi_start_sca.cache_clear()  # recompute, not a cache hit
     rb = run_scheme(scheme, cfg)
     assert np.array_equal(ra.x, rb.x)
     assert np.array_equal(ra.w.w, rb.w.w)
@@ -123,7 +123,7 @@ def test_run_scheme_rejects_unknown():
 def test_proposed_uses_correlation_positions():
     cfg = SystemConfig()
     res = proposed_scheme(cfg)
-    x_ref, _ = multi_start_sca(cfg)
+    x_ref = multi_start_sca(cfg).x
     assert np.array_equal(res.x, x_ref)
     bf = closed_form_beamformer(res.x, cfg)
     assert np.array_equal(res.w.w, bf.w)
@@ -302,7 +302,7 @@ def test_ao_matches_scalar_loop(n):
     cfg = ao_test_config(n, rng)
     starts = [uniform_positions(cfg)]
     starts += [random_positions(cfg, rng) for _ in range(3)]
-    starts.append(multi_start_sca(cfg)[0])  # the warm start
+    starts.append(multi_start_sca(cfg).x)  # the warm start
     starts.append(cfg.d_min * np.arange(n))  # packed against the left end
     for init in starts:
         bf, rate = closed_form_rate(init, cfg)
@@ -398,7 +398,7 @@ def test_ao_matches_the_reference_from_every_kind_of_start():
             uniform_positions(cfg),
             random_positions(cfg, rng),
             cfg.d_min * np.arange(n),  # packed against the left end
-            multi_start_sca(cfg)[0],  # the warm start
+            multi_start_sca(cfg).x,  # the warm start
         ]
         for init in starts:
             _bf, rate = closed_form_rate(init, cfg)

@@ -36,7 +36,6 @@ from ma_multicast.beamformer import _projection_gains, _theta_coefficients, _the
 from ma_multicast.expcli import (
     _db,
     config_from_dict,
-    default_experiment,
     run_beampattern,
     run_sweep_l,
     run_sweep_n,
@@ -84,7 +83,8 @@ def test_config_from_dict_defaults():
     assert exp.aps_grid_step == 0.5
     assert exp.sweep is None
     assert exp.output_dir == "."
-    assert default_experiment().system == SystemConfig()
+    # the CLI runs config_from_dict({}) when no --config is given, which is configs/default.json
+    assert exp == load_config(REPO_ROOT / "configs" / "default.json")
 
 
 @pytest.mark.parametrize(
@@ -390,7 +390,7 @@ def test_validate_report_is_the_one_numpy_default_rng_gives(monkeypatch, quick):
 
     report, passed = run_validate(quick)
     monkeypatch.setattr(_pcg64, "PCG64", numpy_stream)
-    posopt._solve_positions.cache_clear()
+    posopt.multi_start_sca.cache_clear()
     reference, reference_passed = run_validate(quick)
     # the reference run really drew from numpy's stream
     assert seeds == [VALIDATION_SEED]
@@ -436,7 +436,7 @@ def test_main_optimize_deterministic(tmp_path, capsys):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     assert main(["optimize", "--config", cfg, "--out", str(out_a)]) == 0
-    posopt._solve_positions.cache_clear()  # recompute, not a cache hit
+    posopt.multi_start_sca.cache_clear()  # recompute, not a cache hit
     assert main(["optimize", "--config", cfg, "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     doc = json.loads(out_a.read_text(encoding="utf-8"))
@@ -509,7 +509,7 @@ def test_main_retired_keys_leave_the_artifact_unchanged(tmp_path, capsys):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     assert main(["optimize", "--config", plain, "--out", str(out_a)]) == 0
-    posopt._solve_positions.cache_clear()  # recompute, not a cache hit
+    posopt.multi_start_sca.cache_clear()  # recompute, not a cache hit
     assert main(["optimize", "--config", retired, "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert set(json.loads(out_a.read_text(encoding="utf-8"))["config"]) == {
@@ -536,8 +536,8 @@ def test_main_optimize_far_below_unit_snr_reports_the_left_endpoint(tmp_path, ca
 
 
 def test_main_optimize_near_the_float_limit_keeps_the_crossing(tmp_path, capsys):
-    # a3 * a3 overflows in the crossing formula here: fpa was reported at
-    # t = 0.0 with gamma_u1 = 1.7e273 against gamma_u2 = 1.8e308
+    # a3 * a3 overflows here, so a crossing norm that squares before scaling
+    # reported fpa at t = 0.0 with gamma_u1 = 1.7e273 against gamma_u2 = 1.8e308
     doc = json.loads((REPO_ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
     doc["system"].update(ps_dbm=3035.5)
     doc["schemes"] = ["proposed", "fpa"]
@@ -677,6 +677,39 @@ def test_main_bad_sweep_range_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, argv
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "l_min, l_max, step",
+    [("3", "4", "5e-324"), ("3", "4", "1e-300"), ("1e-300", "1e300", "1e-300")],
+)
+def test_main_sweep_l_step_too_small_for_its_range_is_config_error(tmp_path, l_min, l_max, step):
+    # 3 + step rounds back to 3: at 5e-324 the point count overflows, and at
+    # 1e-300 the sweep would evaluate l = 3 about 1e300 times.  1e-300 does move
+    # l_min = 1e-300, but the count up to 1e300 overflows.  A subprocess with a
+    # timeout turns a hang into a failure.
+    cfg = write_config(tmp_path, SMALL_DOC)
+    out = tmp_path / "s.csv"
+    argv = ["sweep-l", "--config", cfg, "--l-min", l_min, "--l-max", l_max, "--l-step", step,
+            "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ma_multicast", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error: l_step = ") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_sweep_l_steps_that_move_l_min_still_run():
+    exp = small_experiment(schemes=(Scheme.FPA,))
+    # one point needs no step, however small
+    rows, _skips = run_sweep_l(exp, 3.0, 3.0, 5e-324)
+    assert [row[0] for row in rows] == [3.0]
+    # 1e-15 is about two ulps of 3, so each step moves l; 3 + 4e-15 rounds to 3 + 3.997e-15
+    rows, _skips = run_sweep_l(exp, 3.0, 3.0 + 4e-15, 1e-15)
+    assert len(rows) == 4 and len({row[0] for row in rows}) == 4
 
 
 def test_main_scheme_that_does_not_fit_is_config_error(tmp_path, capsys):

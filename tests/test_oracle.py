@@ -27,7 +27,7 @@ from ma_multicast import (
 from ma_multicast import baselines, beamformer, oracle
 from ma_multicast.beamformer import PARALLEL_TOL, _projection_gains, _theta_from_gains
 from ma_multicast.oracle import JOINT_TIE_RTOL, JointOptimum
-from ma_multicast.posopt import _grid_combination_chunks
+from ma_multicast.posopt import ScaTrace, _grid_combination_chunks, correlation
 from ma_multicast.sysmodel import FEASIBILITY_TOL
 
 from correlation_reference import best_t
@@ -646,7 +646,13 @@ def test_joint_vs_decoupled_fails_a_solve_that_stops_at_the_uniform_spread(monke
     cfg = SystemConfig(n_antennas=n, span_l=3.0 if n == 5 else 2.0)
     grid = GridSpec(0.1, 1e-3)
     assert joint_vs_decoupled(cfg, grid)["passed"]
-    monkeypatch.setattr(baselines, "multi_start_sca", lambda cfg: (uniform_positions(cfg), None))
+
+    def uniform_solve(cfg):
+        x = uniform_positions(cfg)
+        f1 = correlation(x, cfg) ** 2 - cfg.n_antennas
+        return ScaTrace(f1_history=np.array([f1]), x=x, converged=True, iterations=0)
+
+    monkeypatch.setattr(baselines, "multi_start_sca", uniform_solve)
     report = joint_vs_decoupled(cfg, grid)
     assert -1e-9 <= report["gap_rate"] <= report["epsilon_rate"] + 1e-12
     assert report["joint_excess_rel"] > 1e-9

@@ -382,7 +382,7 @@ def test_sca_two_antennas_reaches_grid_optimum():
     assert correlation_excess(x_single, cfg.kappa) >= correlation_excess(init, cfg.kappa) - 1e-9
     deltas = np.arange(0.5, 4.0 + 1e-12, 1e-3)
     grid_best = np.max(np.abs(1.0 + np.exp(1j * cfg.kappa * deltas)))
-    x_multi, _ = multi_start_sca(cfg)
+    x_multi = multi_start_sca(cfg).x
     assert correlation(x_multi, cfg) >= grid_best - 1e-3
 
 
@@ -394,13 +394,13 @@ def test_sca_three_antennas_multi_start_near_grid():
         d2 = np.arange(0.5, 4.0 - a + 1e-12, 0.02)
         vals = np.abs(1.0 + np.exp(1j * cfg.kappa * a) + np.exp(1j * cfg.kappa * (a + d2)))
         best = max(best, float(vals.max()))
-    x, _ = multi_start_sca(cfg)
+    x = multi_start_sca(cfg).x
     assert correlation(x, cfg) >= best * (1.0 - 0.01)
 
 
 def test_sca_five_antennas_matches_fine_grid_selection():
     cfg = SystemConfig()  # n = 5, span 4
-    x, _ = multi_start_sca(cfg)
+    x = multi_start_sca(cfg).x
     ref = aps_search(cfg, grid_step=0.05)
     f_ref = correlation(ref.x, cfg)
     assert correlation(x, cfg) >= f_ref * (1.0 - 0.01)
@@ -409,9 +409,10 @@ def test_sca_five_antennas_matches_fine_grid_selection():
 def test_position_solve_deterministic_and_best_of_two_starts():
     for n, span_l in ((3, 3.0), (5, 4.0), (8, 6.0), (16, 10.0)):
         cfg = SystemConfig(n_antennas=n, span_l=span_l)
-        xa, trace = multi_start_sca(cfg)
-        posopt._solve_positions.cache_clear()  # recompute, not a cache hit
-        xb, _ = multi_start_sca(cfg)
+        trace = multi_start_sca(cfg)
+        xa = trace.x
+        posopt.multi_start_sca.cache_clear()  # recompute, not a cache hit
+        xb = multi_start_sca(cfg).x
         assert np.array_equal(xa, xb)
         # the winner is the better of the two one-row runs
         starts = (uniform_positions(cfg), chain_dp_start(cfg))
@@ -425,7 +426,8 @@ def test_position_solve_deterministic_and_best_of_two_starts():
 def test_position_solve_keeps_the_uniform_start_when_kappa_is_zero():
     th = 0.7
     cfg = SystemConfig(theta_su=(th, math.pi - th))  # equal sines
-    x, trace = multi_start_sca(cfg)
+    trace = multi_start_sca(cfg)
+    x = trace.x
     assert np.array_equal(x, uniform_positions(cfg))
     assert trace.converged and trace.iterations == 0
 
@@ -445,8 +447,8 @@ def test_position_solve_breaks_f1_ties_on_the_smaller_x(monkeypatch):
     ):
         # one ascent per start, handed out in start order
         monkeypatch.setattr(posopt, "_sca", lambda cfg, start, runs=iter(runs): next(runs))
-        posopt._solve_positions.cache_clear()
-        assert multi_start_sca(cfg)[1] is winner
+        posopt.multi_start_sca.cache_clear()
+        assert multi_start_sca(cfg) is winner
 
 
 def test_random_positions_feasible():
@@ -595,7 +597,8 @@ def test_position_solve_at_the_curvature_edge(d, rounds):
     # 5.5e-13 takes the short-circuit and keeps the uniform start
     cfg = SystemConfig(theta_su=(0.5, 0.5 + d))
     assert (abs(cfg.kappa) >= KAPPA_TOL) == (rounds > 0)
-    x, trace = multi_start_sca(cfg)
+    trace = multi_start_sca(cfg)
+    x = trace.x
     assert trace.iterations == rounds and trace.converged
     validate_positions(x, cfg.span_l, cfg.d_min)
     assert correlation(x, cfg) == pytest.approx(cfg.n_antennas, abs=1e-12)
@@ -712,7 +715,7 @@ def test_chain_dp_start_stays_feasible_when_span_l_sits_off_a_grid_point(n, span
     for k in range(-2, 3):
         cfg = SystemConfig(n_antennas=n, span_l=span + k * 1e-9)
         validate_positions(chain_dp_start(cfg), cfg.span_l, cfg.d_min)
-        x, _trace = multi_start_sca(cfg)
+        x = multi_start_sca(cfg).x
         validate_positions(x, cfg.span_l, cfg.d_min)
 
 
@@ -723,7 +726,7 @@ def test_chain_dp_start_just_under_the_minimum_span_is_the_tightest_chain():
     x = chain_dp_start(cfg)
     assert np.array_equal(x, cfg.d_min * np.arange(5))
     validate_positions(x, cfg.span_l, cfg.d_min)
-    validate_positions(multi_start_sca(cfg)[0], cfg.span_l, cfg.d_min)
+    validate_positions(multi_start_sca(cfg).x, cfg.span_l, cfg.d_min)
 
 
 @pytest.mark.parametrize("d_min, wavelength", [(1e-6, 1.0), (0.5, 1e-4)])
@@ -733,7 +736,8 @@ def test_chain_dp_grid_stays_bounded_for_a_tiny_step(d_min, wavelength):
     cfg = SystemConfig(n_antennas=5, d_min=d_min, wavelength=wavelength)
     tracemalloc.start()
     try:
-        x, trace = multi_start_sca(cfg)
+        trace = multi_start_sca(cfg)
+        x = trace.x
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -752,7 +756,7 @@ def test_chain_dp_grid_holds_a_chain_when_n_exceeds_the_step_cap():
     # the whole solve at this n: the O(n) projection keeps it to a few arrays of n
     tracemalloc.start()
     try:
-        x, _trace = multi_start_sca(cfg)
+        x = multi_start_sca(cfg).x
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -808,19 +812,23 @@ def test_run_single_runs_the_kernel_once(kernel_calls):
     assert kernel_calls == [exp.system] * 2  # one solve: the uniform and the chain-DP start
 
 
-def test_shared_solve_hands_out_copies(kernel_calls):
+def test_shared_solve_hands_out_its_read_only_trace(kernel_calls):
     cfg = SystemConfig(n_antennas=4, span_l=3.0)
-    x1, trace1 = multi_start_sca(cfg)
-    want = x1.copy()
-    x1[:] = -1.0
-    x2, trace2 = multi_start_sca(cfg)
-    assert np.array_equal(x2, want)
-    assert trace2 is trace1 and len(kernel_calls) == 2
-    for frozen in (trace1.x, trace1.f1_history):
+    trace = multi_start_sca(cfg)
+    want = trace.x.copy()
+    # the schemes that need the positions hold the solve's own x, and none can write to it
+    for scheme in (Scheme.PROPOSED, Scheme.AO, Scheme.MA_MRT):
+        res = run_scheme(scheme, cfg)
+        assert res.x is trace.x
+        with pytest.raises(ValueError):
+            res.x[:] = -1.0
+    assert multi_start_sca(cfg) is trace and len(kernel_calls) == 2
+    assert np.array_equal(trace.x, want)
+    for frozen in (trace.x, trace.f1_history):
         with pytest.raises(ValueError):
             frozen[0] = 0.0
     with pytest.raises(AttributeError):
-        trace1.converged = False
+        trace.converged = False
 
 
 def test_shared_solve_is_keyed_on_the_config_alone(kernel_calls):
@@ -842,9 +850,9 @@ def test_unconverged_solve_warns_once_per_distinct_solve(caplog, monkeypatch):
     monkeypatch.setattr(posopt, "_sca", functools.partial(posopt._sca, max_iter=20))
     cfg = SystemConfig(n_antennas=28, span_l=20.0, theta_su=(0.3, 2.0))
     with caplog.at_level(logging.WARNING, logger="ma_multicast.posopt"):
-        _x, trace = multi_start_sca(cfg)
+        trace = multi_start_sca(cfg)
         multi_start_sca(cfg)  # cache hit: no second warning
-        _x, converged = multi_start_sca(SystemConfig())
+        converged = multi_start_sca(SystemConfig())
     assert not trace.converged and trace.iterations == 20
     assert converged.converged
     warnings = [r for r in caplog.records if r.name == "ma_multicast.posopt"]
