@@ -34,7 +34,6 @@ from .sysmodel import (
     SystemConfig,
     exceeds_span,
     snr_pair,
-    steering_vector,
 )
 
 APS_MAX_COMBINATIONS = 10_000_000
@@ -165,7 +164,7 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
 def ma_mrt(cfg: SystemConfig) -> SchemeResult:
     """Optimized positions but a matched filter pointed at user 1 only."""
     trace = multi_start_sca(cfg)
-    h1 = steering_vector(trace.x, cfg.theta_su[0], cfg.wavelength)
+    h1 = np.exp(1j * cfg.kappas[0] * trace.x)
     w = np.conj(h1) / math.sqrt(cfg.n_antennas)
     bf = Beamformer(w=w, t=1.0, case_label=None)
     return SchemeResult(Scheme.MA_MRT, trace.x, bf, snr_pair(w, trace.x, cfg), trace)

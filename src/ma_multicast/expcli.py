@@ -23,6 +23,9 @@ from .sysmodel import FEASIBILITY_TOL, SystemConfig, beam_pattern, exceeds_span
 
 log = logging.getLogger(__name__)
 
+# most points one sweep lists; a sweep past it is a config error
+SWEEP_MAX_POINTS = 100_000
+
 
 class ConfigError(Exception):
     """Configuration document rejected; the message carries the field path."""
@@ -284,6 +287,10 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
 def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
     if n_min < 2 or n_max < n_min:
         raise ConfigError("need 2 <= n_min <= n_max")
+    if n_max - n_min >= SWEEP_MAX_POINTS:
+        raise ConfigError(
+            f"n_min = {n_min} to n_max = {n_max} lists more than {SWEEP_MAX_POINTS} points"
+        )
     return _run_sweep(
         exp, "n", "n_antennas", range(n_min, n_max + 1), "(n - 1) * d_min exceeds span_l"
     )
@@ -293,13 +300,13 @@ def run_sweep_l(exp: ExperimentConfig, l_min: float, l_max: float, l_step: float
     if not (0.0 < l_min <= l_max < math.inf and 0.0 < l_step < math.inf):
         raise ConfigError("need finite 0 < l_min <= l_max and l_step > 0")
     steps = (l_max - l_min) / l_step + FEASIBILITY_TOL
-    # past one point: a step that l_min + l_step rounds away would repeat l_min
-    # without end, and an infinite count has no integer
-    if steps >= 1.0 and (l_min + l_step == l_min or not math.isfinite(steps)):
-        raise ConfigError(f"l_step = {l_step!r} is too small for the range {l_min!r} to {l_max!r}")
-    count = int(math.floor(steps)) + 1
-    values = (l_min + k * l_step for k in range(count))
-    return _run_sweep(exp, "l", "span_l", values, "smaller than (n - 1) * d_min")
+    # a step is too small when the sweep lists more than SWEEP_MAX_POINTS
+    # points (an overflowing count among them) or rounds two of them to one l
+    if steps < SWEEP_MAX_POINTS:
+        values = [l_min + k * l_step for k in range(int(steps) + 1)]
+        if len(set(values)) == len(values):
+            return _run_sweep(exp, "l", "span_l", values, "smaller than (n - 1) * d_min")
+    raise ConfigError(f"l_step = {l_step!r} is too small for the range {l_min!r} to {l_max!r}")
 
 
 # ---------------------------------------------------------------------------

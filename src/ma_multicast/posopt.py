@@ -140,7 +140,8 @@ def random_positions(cfg: SystemConfig, rng) -> np.ndarray:
 
     rng is anything with numpy's uniform(low, high, size): a
     numpy.random.Generator, or validate's stdlib stream _pcg64.PCG64, which
-    draws the same values.
+    draws the same values as the Generator whose recorded state it starts
+    from.
     """
     hi = cfg.span_l - (cfg.n_antennas - 1) * cfg.d_min
     u = np.sort(rng.uniform(0.0, max(hi, 0.0), cfg.n_antennas))

@@ -129,7 +129,8 @@ class SnrPair:
 
     @classmethod
     def from_gammas(cls, gamma_u1: float, gamma_u2: float) -> "SnrPair":
-        if gamma_u1 < 0.0 or gamma_u2 < 0.0:
+        # written so that a NaN fails too
+        if not (gamma_u1 >= 0.0 and gamma_u2 >= 0.0):
             raise ValueError("SNRs must be nonnegative")
         return cls(gamma_u1, gamma_u2, math.log2(1.0 + min(gamma_u1, gamma_u2)))
 
@@ -202,7 +203,8 @@ def _check_unit_norm(w) -> np.ndarray:
     if w.ndim != 1:
         raise ValueError("beamformer must be a 1-D vector")
     nrm2 = float(np.vdot(w, w).real)
-    if abs(nrm2 - 1.0) > UNIT_NORM_TOL:
+    # written so that a NaN or inf entry, whose norm^2 is NaN or inf, fails too
+    if not (abs(nrm2 - 1.0) <= UNIT_NORM_TOL):
         raise ValueError(f"beamformer norm^2 = {nrm2!r} is not 1 within {UNIT_NORM_TOL:g}")
     return w
 
@@ -227,10 +229,16 @@ def beam_pattern(w, x, thetas, wavelength: float = 1.0) -> np.ndarray:
 
 
 def snr_pair(w, x, cfg: SystemConfig) -> SnrPair:
-    """Receive SNRs of both users under beamformer w and positions x."""
+    """Receive SNRs of both users under beamformer w and positions x.
+
+    Each user's gain is beam_gain's, bit for bit: the steering vector is
+    exp(1j * kappa_i * x) with the config's phase rate kappa_i.
+    """
     x = check_positions(x, cfg)
+    w = _check_unit_norm(w)
+    if w.size != x.size:
+        raise ValueError("beamformer length does not match the number of antennas")
     gamma = tuple(
-        c * beam_gain(w, x, theta, cfg.wavelength)
-        for c, theta in zip(cfg.snr_scales, cfg.theta_su)
+        c * float(abs(np.exp(1j * k * x) @ w) ** 2) for c, k in zip(cfg.snr_scales, cfg.kappas)
     )
     return SnrPair.from_gammas(*gamma)

@@ -24,6 +24,9 @@ from .posopt import _correlation_rows, correlation, random_positions
 from .sysmodel import SystemConfig, validate_position_rows
 
 VALIDATION_SEED = 20240517
+# the PCG64 (state, inc) of numpy.random.default_rng(VALIDATION_SEED), as
+# its bit_generator.state["state"] reports them (numpy 2.4.6)
+VALIDATION_STATE = (0x629DF5546F385E619840E9800539C1D3, 0x7F512A6A0918932316DACC757CE1EE1D)
 
 
 def _random_validation_config(rng, n=None, span=None) -> SystemConfig:
@@ -139,9 +142,10 @@ def run_validate(quick: bool = False) -> tuple:
     """Deterministic self-check suite; returns (report, all_passed).
 
     Its draws are numpy.random.default_rng(VALIDATION_SEED)'s, bit for bit,
-    from a stream that leaves numpy.random unloaded.
+    from a stream that starts at that generator's recorded VALIDATION_STATE
+    and leaves numpy.random unloaded.
     """
-    rng = _pcg64.PCG64(VALIDATION_SEED)
+    rng = _pcg64.PCG64(*VALIDATION_STATE)
     samples = 40 if quick else 200
     checks = [
         _sampled_check(rng, samples, "min_snr_path_equivalence", 1e-9, _path_equivalence_diffs, True),

@@ -34,6 +34,7 @@ from ma_multicast import (
 from ma_multicast import _pcg64, posopt, validation
 from ma_multicast.beamformer import _projection_gains, _theta_coefficients, _theta_from_gains
 from ma_multicast.expcli import (
+    SWEEP_MAX_POINTS,
     _db,
     config_from_dict,
     run_beampattern,
@@ -218,6 +219,32 @@ def test_run_sweep_n_skips_infeasible_points():
         run_sweep_n(exp, 4, 3)
 
 
+def test_sweeps_too_long_or_repeating_are_refused_before_the_first_point(monkeypatch):
+    listed = []
+    monkeypatch.setattr(
+        "ma_multicast.expcli._run_sweep",
+        lambda exp, key, field, values, infeasible: listed.append(list(values)),
+    )
+    exp = small_experiment(schemes=(Scheme.FPA,))
+    # SWEEP_MAX_POINTS points are listed, one more is refused
+    run_sweep_n(exp, 2, SWEEP_MAX_POINTS + 1)
+    run_sweep_l(exp, 1.0, 1.0 + (SWEEP_MAX_POINTS - 1) / 8, 1 / 8)
+    assert [len(values) for values in listed] == [SWEEP_MAX_POINTS] * 2
+    with pytest.raises(ConfigError, match=f"^n_min = 2 to n_max = {SWEEP_MAX_POINTS + 2} "):
+        run_sweep_n(exp, 2, SWEEP_MAX_POINTS + 2)
+    with pytest.raises(ConfigError, match="^l_step = 0.125 is too small for the range 1.0 to "):
+        run_sweep_l(exp, 1.0, 1.0 + SWEEP_MAX_POINTS / 8, 1 / 8)
+    with pytest.raises(ConfigError, match="^n_min = 2 to n_max = 1000000000 "):
+        run_sweep_n(exp, 2, 10**9)
+    # 1e15 points
+    with pytest.raises(ConfigError, match="^l_step = 1e-15 is too small for the range 3.0 to 4.0$"):
+        run_sweep_l(exp, 3.0, 4.0, 1e-15)
+    # 3 334 points, but 3e-16 is under one ulp of 3 (4.4e-16): only 2 253 distinct l
+    with pytest.raises(ConfigError, match="^l_step = 3e-16 is too small for the range 3.0 to "):
+        run_sweep_l(exp, 3.0, 3.000000000001, 3e-16)
+    assert len(listed) == 2
+
+
 def test_run_sweep_l_skips_infeasible_schemes():
     system = SystemConfig(n_antennas=4, span_l=2.0, d_min=0.4)
     exp = small_experiment(system=system)
@@ -382,18 +409,19 @@ def test_correlation_rows_round_as_python_abs():
 def test_validate_report_is_the_one_numpy_default_rng_gives(monkeypatch, quick):
     # the stdlib stream draws what numpy.random.default_rng draws, so the
     # whole report, every float of it, is the same
-    seeds = []
+    starts = []
 
-    def numpy_stream(seed):
-        seeds.append(seed)
-        return np.random.default_rng(seed)
+    def numpy_stream(state, inc):
+        starts.append({"state": state, "inc": inc})
+        return np.random.default_rng(VALIDATION_SEED)
 
     report, passed = run_validate(quick)
     monkeypatch.setattr(_pcg64, "PCG64", numpy_stream)
     posopt.multi_start_sca.cache_clear()
     reference, reference_passed = run_validate(quick)
-    # the reference run really drew from numpy's stream
-    assert seeds == [VALIDATION_SEED]
+    # the reference run really drew from numpy's stream, from the one start
+    # that numpy reports after seeding with VALIDATION_SEED
+    assert starts == [np.random.default_rng(VALIDATION_SEED).bit_generator.state["state"]]
     assert passed and reference_passed
     assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
 

@@ -24,7 +24,7 @@ from ma_multicast import (
     steering_vector,
     validate_positions,
 )
-from ma_multicast.sysmodel import validate_position_rows
+from ma_multicast.sysmodel import SnrPair, validate_position_rows
 
 
 def scalar_steering(x, theta, wavelength=1.0):
@@ -372,7 +372,7 @@ def test_beam_pattern_matches_pointwise_gain():
 
 
 def test_snr_pair_is_scaled_beam_gain():
-    # same code path as beam_gain, so equality must be exact
+    # the same operations as beam_gain, so equality must be exact
     rng = np.random.default_rng(14)
     cfg = SystemConfig(d_su=(80.0, 230.0))
     x = random_feasible(rng, 5, 4.0, 0.5)
@@ -398,3 +398,32 @@ def test_snr_pair_rejects_bad_norm():
     x = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
         snr_pair(np.array([0.9, 0.1j]), x, cfg)
+
+
+# a NaN entry gives a NaN norm^2, which a test for |norm^2 - 1| > tol lets pass
+NON_FINITE_BEAMFORMERS = [[math.nan, 0.5], [0.5, complex(0.0, math.nan)], [math.inf, 0.5]]
+
+
+def test_beam_gain_rejects_non_finite_beamformers():
+    for w in NON_FINITE_BEAMFORMERS:
+        with pytest.raises(ValueError, match="norm"):
+            beam_gain(w, [0.0, 0.5], 0.3)
+
+
+def test_beam_pattern_rejects_non_finite_beamformers():
+    for w in NON_FINITE_BEAMFORMERS:
+        with pytest.raises(ValueError, match="norm"):
+            beam_pattern(w, [0.0, 0.5], [0.3, 1.2])
+
+
+def test_snr_pair_rejects_non_finite_beamformers():
+    cfg = SystemConfig(n_antennas=2, span_l=4.0)
+    for w in NON_FINITE_BEAMFORMERS:
+        with pytest.raises(ValueError, match="norm"):
+            snr_pair(w, [0.0, 0.5], cfg)
+
+
+def test_snr_pair_from_gammas_rejects_nan():
+    for gammas in [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            SnrPair.from_gammas(*gammas)
