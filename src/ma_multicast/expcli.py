@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,139 +33,147 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    system: SystemConfig
-    schemes: tuple
+    system: SystemConfig = SystemConfig()
+    schemes: tuple = tuple(Scheme)
     aps_grid_step: float = REFERENCE_SPACING
     sweep: dict | None = None
     output_dir: str = "."
 
 
 # ---------------------------------------------------------------------------
-# Config ingestion
+# Config ingestion: one table per config object maps each field to its reader,
+# a check that takes (value, path) and returns the value to keep
 
 
-def _expect_number(value, path, positive=False):
+def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
     value = float(value)
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite")
-    if positive and value <= 0.0:
+    return value
+
+
+def _positive(value, path):
+    value = _number(value, path)
+    if value <= 0.0:
         raise ConfigError(f"{path}: must be positive")
     return value
 
 
-def _expect_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
+def _integer(minimum):
+    """The reader of an integer >= minimum."""
+
+    def read(value, path):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer")
+        if value < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}")
+        return value
+
+    return read
+
+
+def _pair(value, path):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path}: expected a pair of numbers")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _string(value, path):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
     return value
 
 
-def _expect_pair(value, path):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}: expected a pair of numbers")
-    return tuple(_expect_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+def _schemes(value, path):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    schemes = []
+    for i, name in enumerate(value):
+        try:
+            scheme = Scheme(name)
+        except ValueError:
+            valid = ", ".join(s.value for s in Scheme)
+            raise ConfigError(f"{path}[{i}]: unknown scheme {name!r} (valid: {valid})")
+        if scheme in schemes:
+            raise ConfigError(f"{path}[{i}]: duplicate scheme {name!r}")
+        schemes.append(scheme)
+    return tuple(schemes)
 
 
-def _system_from_dict(doc, path="system") -> SystemConfig:
+def _fields(doc, path, table, required):
+    """The fields of one config object, each read by its entry in table.
+
+    An unknown field is refused before any field is read.  The table's fields
+    are then read in table order: the ones present, or every one when
+    required, where a missing field reads as None and its reader refuses it.
+    The top level has the empty path.
+    """
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
-    known = {f.name for f in fields(SystemConfig)}
+        raise ConfigError(f"{path or 'top level'}: expected an object")
+    prefix = f"{path}." if path else ""
     for key in doc:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown field")
-    kwargs = {}
-    if "n_antennas" in doc:
-        kwargs["n_antennas"] = _expect_int(doc["n_antennas"], f"{path}.n_antennas", minimum=2)
-    for key in ("span_l", "d_min", "wavelength", "tau"):
-        if key in doc:
-            kwargs[key] = _expect_number(doc[key], f"{path}.{key}", positive=True)
-    for key in ("ps_dbm", "sigma2_dbm"):
-        if key in doc:
-            kwargs[key] = _expect_number(doc[key], f"{path}.{key}")
-    if "d_su" in doc:
-        kwargs["d_su"] = _expect_pair(doc["d_su"], f"{path}.d_su")
-    if "theta_su" in doc:
-        kwargs["theta_su"] = _expect_pair(doc["theta_su"], f"{path}.theta_su")
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    return {key: read(doc.get(key), prefix + key) for key, read in table.items() if required or key in doc}
+
+
+def _system(doc, path):
     try:
-        return SystemConfig(**kwargs)
+        return SystemConfig(**_fields(doc, path, SYSTEM_FIELDS, required=False))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _sweep_from_dict(doc, path="sweep"):
+def _sweep(doc, path):
+    """A sweep section, read by the table of its kind; null is no sweep."""
     if doc is None:
         return None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
     kind = doc.get("kind")
-    if kind == "over_n":
-        keys = {"kind", "n_min", "n_max"}
-        out = {
-            "kind": kind,
-            "n_min": _expect_int(doc.get("n_min"), f"{path}.n_min", minimum=2),
-            "n_max": _expect_int(doc.get("n_max"), f"{path}.n_max", minimum=2),
-        }
-    elif kind == "over_l":
-        keys = {"kind", "l_min", "l_max", "l_step"}
-        out = {
-            "kind": kind,
-            "l_min": _expect_number(doc.get("l_min"), f"{path}.l_min", positive=True),
-            "l_max": _expect_number(doc.get("l_max"), f"{path}.l_max", positive=True),
-            "l_step": _expect_number(doc.get("l_step"), f"{path}.l_step", positive=True),
-        }
-    elif kind == "beam_pattern":
-        keys = {"kind", "angle_count"}
-        out = {
-            "kind": kind,
-            "angle_count": _expect_int(doc.get("angle_count"), f"{path}.angle_count", minimum=2),
-        }
-    else:
-        raise ConfigError(f"{path}.kind: expected one of over_n, over_l, beam_pattern")
-    for key in doc:
-        if key not in keys:
-            raise ConfigError(f"{path}.{key}: unknown field")
-    return out
+    if not isinstance(kind, str) or kind not in SWEEP_FIELDS:
+        raise ConfigError(f"{path}.kind: expected one of {', '.join(SWEEP_FIELDS)}")
+    return _fields(doc, path, {"kind": _string, **SWEEP_FIELDS[kind]}, required=True)
+
+
+SYSTEM_FIELDS = {
+    "n_antennas": _integer(2),
+    "span_l": _positive,
+    "d_min": _positive,
+    "wavelength": _positive,
+    "tau": _positive,
+    "ps_dbm": _number,
+    "sigma2_dbm": _number,
+    "d_su": _pair,
+    "theta_su": _pair,
+}
+
+# one table per sweep kind; its fields are also the dests of its command's flags
+SWEEP_FIELDS = {
+    "over_n": {"n_min": _integer(2), "n_max": _integer(2)},
+    "over_l": {"l_min": _positive, "l_max": _positive, "l_step": _positive},
+    "beam_pattern": {"angle_count": _integer(2)},
+}
+
+CONFIG_FIELDS = {
+    "system": _system,
+    "schemes": _schemes,
+    # retired keys that steered AO's random restarts: still checked, then dropped
+    "seed": _integer(0),
+    "n_starts": _integer(1),
+    "aps_grid_step": _positive,
+    "sweep": _sweep,
+    "output_dir": _string,
+}
 
 
 def config_from_dict(doc) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected an object")
-    known = {"system", "schemes", "seed", "n_starts", "aps_grid_step", "sweep", "output_dir"}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown field")
-    system = _system_from_dict(doc.get("system", {}))
-    raw_schemes = doc.get("schemes", [s.value for s in Scheme])
-    if not isinstance(raw_schemes, list) or not raw_schemes:
-        raise ConfigError("schemes: expected a non-empty list")
-    schemes = []
-    for i, name in enumerate(raw_schemes):
-        try:
-            scheme = Scheme(name)
-        except ValueError:
-            valid = ", ".join(s.value for s in Scheme)
-            raise ConfigError(f"schemes[{i}]: unknown scheme {name!r} (valid: {valid})")
-        if scheme in schemes:
-            raise ConfigError(f"schemes[{i}]: duplicate scheme {name!r}")
-        schemes.append(scheme)
-    # retired keys that steered AO's random restarts: still checked, then unused
-    _expect_int(doc.get("seed", 1), "seed", minimum=0)
-    _expect_int(doc.get("n_starts", 10), "n_starts", minimum=1)
-    aps_grid_step = _expect_number(doc.get("aps_grid_step", REFERENCE_SPACING), "aps_grid_step", positive=True)
-    sweep = _sweep_from_dict(doc.get("sweep"))
-    output_dir = doc.get("output_dir", ".")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir: expected a string")
-    return ExperimentConfig(
-        system=system,
-        schemes=tuple(schemes),
-        aps_grid_step=aps_grid_step,
-        sweep=sweep,
-        output_dir=output_dir,
-    )
+    read = _fields(doc, "", CONFIG_FIELDS, required=False)
+    read.pop("seed", None)
+    read.pop("n_starts", None)
+    return ExperimentConfig(**read)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -243,44 +251,44 @@ def run_beampattern(exp: ExperimentConfig, angle_count: int):
     return rows
 
 
-def _sweep_point(exp: ExperimentConfig, cfg: SystemConfig, label: str):
-    """Rates of every scheme at one sweep point; infeasible schemes are skipped."""
-    rates = []
-    skips = []
-    for scheme in exp.schemes:
-        try:
-            res = run_scheme(scheme, cfg, exp.aps_grid_step)
-        except InfeasibleSchemeError as exc:
-            skips.append(f"{label} scheme={scheme.value}: {exc}")
-            continue
-        rates.append((scheme.value, res.snr.min_rate))
-    return rates, skips
-
-
 def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: str):
     """Rows (value, scheme, rate) over values of one config field, and the skips.
 
-    A value whose geometry cannot hold n antennas d_min apart is skipped whole;
-    a value that makes the config invalid otherwise (an SNR that overflows at
-    a larger n) is a config error.
+    A value whose geometry cannot hold n antennas d_min apart is skipped whole,
+    and a scheme that cannot fit a point is skipped at that point; each skip
+    is logged as it happens.  A value that makes the config invalid otherwise
+    (an SNR that overflows at a larger n) is a config error.  Feasibility
+    only falls as n grows, so the first n that does not fit ends an n sweep
+    with one skip for it and every n after it.
     """
     rows = []
     skips = []
+
+    def skip(message):
+        log.warning("sweep-%s skip: %s", key, message)
+        skips.append(message)
+
     for value in values:
         label = f"{key}={_format_cell(value)}"
         geometry = {"n_antennas": exp.system.n_antennas, "span_l": exp.system.span_l, field: value}
         if exceeds_span(geometry["n_antennas"], exp.system.d_min, geometry["span_l"]):
-            rates, point_skips = [], [f"{label}: {infeasible}"]
-        else:
+            if field == "n_antennas" and value != values[-1]:
+                # n only grows from here, so every later n overruns the span too
+                skip(f"{label}..{_format_cell(values[-1])}: {infeasible}")
+                break
+            skip(f"{label}: {infeasible}")
+            continue
+        try:
+            cfg = replace(exp.system, **{field: value})
+        except ValueError as exc:
+            raise ConfigError(f"{label}: {exc}") from exc
+        for scheme in exp.schemes:
             try:
-                cfg = replace(exp.system, **{field: value})
-            except ValueError as exc:
-                raise ConfigError(f"{label}: {exc}") from exc
-            rates, point_skips = _sweep_point(exp, cfg, label)
-        for message in point_skips:
-            log.warning("sweep-%s skip: %s", key, message)
-            skips.append(message)
-        rows.extend((value, scheme, rate) for scheme, rate in rates)
+                res = run_scheme(scheme, cfg, exp.aps_grid_step)
+            except InfeasibleSchemeError as exc:
+                skip(f"{label} scheme={scheme.value}: {exc}")
+                continue
+            rows.append((value, scheme.value, res.snr.min_rate))
     return rows, skips
 
 
@@ -301,10 +309,11 @@ def run_sweep_l(exp: ExperimentConfig, l_min: float, l_max: float, l_step: float
         raise ConfigError("need finite 0 < l_min <= l_max and l_step > 0")
     steps = (l_max - l_min) / l_step + FEASIBILITY_TOL
     # a step is too small when the sweep lists more than SWEEP_MAX_POINTS
-    # points (an overflowing count among them) or rounds two of them to one l
+    # points (an overflowing count among them) or two points whose CSV cells
+    # and skip labels read the same l
     if steps < SWEEP_MAX_POINTS:
         values = [l_min + k * l_step for k in range(int(steps) + 1)]
-        if len(set(values)) == len(values):
+        if len({_format_cell(value) for value in values}) == len(values):
             return _run_sweep(exp, "l", "span_l", values, "smaller than (n - 1) * d_min")
     raise ConfigError(f"l_step = {l_step!r} is too small for the range {l_min!r} to {l_max!r}")
 
@@ -314,13 +323,8 @@ def run_sweep_l(exp: ExperimentConfig, l_min: float, l_max: float, l_step: float
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
+    """A float to 12 significant digits; an int or a str as it is."""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _open_output(path):
@@ -351,6 +355,12 @@ def write_json(path, document):
 
 OUT_HELP = "output {} path; a relative path goes under the config's output_dir"
 
+# the sweep kind of each command whose flags a config's sweep section may give
+SWEEP_KINDS = {"beampattern": "beam_pattern", "sweep-n": "over_n", "sweep-l": "over_l"}
+
+# a sweep value that neither a flag nor the config has to give
+SWEEP_DEFAULTS = {"angle_count": 361}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -365,34 +375,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_beam = sub.add_parser("beampattern", help="array gain over angles for each scheme")
     p_beam.add_argument("--config", help="JSON experiment configuration")
-    p_beam.add_argument("--points", type=int, default=None, help="number of angle samples")
+    p_beam.add_argument("--points", dest="angle_count", type=int, help="number of angle samples")
     p_beam.add_argument("--out", default="beampattern.csv", help=OUT_HELP.format("CSV"))
 
     p_n = sub.add_parser("sweep-n", help="rates versus the number of antennas")
     p_n.add_argument("--config", help="JSON experiment configuration")
-    p_n.add_argument("--n-min", type=int, default=None)
-    p_n.add_argument("--n-max", type=int, default=None)
+    p_n.add_argument("--n-min", type=int)
+    p_n.add_argument("--n-max", type=int)
     p_n.add_argument("--out", default="sweep_n.csv", help=OUT_HELP.format("CSV"))
 
     p_l = sub.add_parser("sweep-l", help="rates versus the aperture span")
     p_l.add_argument("--config", help="JSON experiment configuration")
-    p_l.add_argument("--l-min", type=float, default=None)
-    p_l.add_argument("--l-max", type=float, default=None)
-    p_l.add_argument("--l-step", type=float, default=None)
+    p_l.add_argument("--l-min", type=float)
+    p_l.add_argument("--l-max", type=float)
+    p_l.add_argument("--l-step", type=float)
     p_l.add_argument("--out", default="sweep_l.csv", help=OUT_HELP.format("CSV"))
 
     p_val = sub.add_parser("validate", help="run the oracle-backed self checks")
     p_val.add_argument("--quick", action="store_true", help="reduced sample counts")
     p_val.add_argument("--out", default=None, help="optional JSON report path")
     return parser
-
-
-def _sweep_param(args_value, sweep, kind, key, label):
-    if args_value is not None:
-        return args_value
-    if sweep and sweep.get("kind") == kind and key in sweep:
-        return sweep[key]
-    raise ConfigError(f"{label} is required (flag or sweep section of the config)")
 
 
 def _artifact_path(exp: ExperimentConfig, out):
@@ -422,25 +424,6 @@ def main(argv=None) -> int:
         if args.command == "optimize":
             write_json(out, run_single(exp))
             print(f"wrote {out}")
-        elif args.command == "beampattern":
-            # only a beam_pattern sweep section holds angle_count
-            points = (exp.sweep or {}).get("angle_count", 361) if args.points is None else args.points
-            rows = run_beampattern(exp, points)
-            write_csv(out, ["theta_rad", "scheme", "gain"], rows)
-            print(f"wrote {out} ({len(rows)} rows)")
-        elif args.command == "sweep-n":
-            n_min = _sweep_param(args.n_min, exp.sweep, "over_n", "n_min", "--n-min")
-            n_max = _sweep_param(args.n_max, exp.sweep, "over_n", "n_max", "--n-max")
-            rows, skips = run_sweep_n(exp, n_min, n_max)
-            write_csv(out, ["n", "scheme", "min_rate_bps_hz"], rows)
-            print(f"wrote {out} ({len(rows)} rows, {len(skips)} skips)")
-        elif args.command == "sweep-l":
-            l_min = _sweep_param(args.l_min, exp.sweep, "over_l", "l_min", "--l-min")
-            l_max = _sweep_param(args.l_max, exp.sweep, "over_l", "l_max", "--l-max")
-            l_step = _sweep_param(args.l_step, exp.sweep, "over_l", "l_step", "--l-step")
-            rows, skips = run_sweep_l(exp, l_min, l_max, l_step)
-            write_csv(out, ["l", "scheme", "min_rate_bps_hz"], rows)
-            print(f"wrote {out} ({len(rows)} rows, {len(skips)} skips)")
         elif args.command == "validate":
             # imported here, so the other commands compile neither the suite nor its oracle
             from .validation import run_validate
@@ -454,6 +437,26 @@ def main(argv=None) -> int:
                 print(f"wrote {out}")
             if not passed:
                 return 2
+        else:
+            # each sweep value: its flag, else the config's sweep section of the command's kind
+            kind = SWEEP_KINDS[args.command]
+            section = exp.sweep if exp.sweep is not None and exp.sweep["kind"] == kind else {}
+            values = {}
+            for key in SWEEP_FIELDS[kind]:
+                value = getattr(args, key)
+                values[key] = section.get(key, SWEEP_DEFAULTS.get(key)) if value is None else value
+                if values[key] is None:
+                    flag = "--" + key.replace("_", "-")
+                    raise ConfigError(f"{flag} is required (flag or sweep section of the config)")
+            if args.command == "beampattern":
+                rows = run_beampattern(exp, **values)
+                write_csv(out, ["theta_rad", "scheme", "gain"], rows)
+                print(f"wrote {out} ({len(rows)} rows)")
+            else:
+                run = run_sweep_n if args.command == "sweep-n" else run_sweep_l
+                rows, skips = run(exp, **values)
+                write_csv(out, [args.command.removeprefix("sweep-"), "scheme", "min_rate_bps_hz"], rows)
+                print(f"wrote {out} ({len(rows)} rows, {len(skips)} skips)")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
