@@ -142,8 +142,10 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     except ValueError as exc:
         raise InfeasibleSchemeError(str(exc)) from exc
     if count > APS_MAX_COMBINATIONS:
+        # a count can run to thousands of digits, past what str() converts
+        shown = count if count < 10**18 else "more than 1e18"
         raise InfeasibleSchemeError(
-            f"{count} candidate subsets exceed the cap {APS_MAX_COMBINATIONS}; "
+            f"{shown} candidate subsets exceed the cap {APS_MAX_COMBINATIONS}; "
             "use a coarser grid_step"
         )
     best_f = -math.inf

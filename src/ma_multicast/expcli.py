@@ -23,7 +23,7 @@ from .sysmodel import FEASIBILITY_TOL, SystemConfig, beam_pattern, exceeds_span
 
 log = logging.getLogger(__name__)
 
-# most points one sweep lists; a sweep past it is a config error
+# most points one sweep lists, or angles one beam pattern samples; past it is a config error
 SWEEP_MAX_POINTS = 100_000
 
 
@@ -240,6 +240,8 @@ def run_single(exp: ExperimentConfig) -> dict:
 def run_beampattern(exp: ExperimentConfig, angle_count: int):
     if angle_count < 2:
         raise ConfigError("angle_count must be >= 2")
+    if angle_count > SWEEP_MAX_POINTS:
+        raise ConfigError(f"angle_count = {angle_count} lists more than {SWEEP_MAX_POINTS} points")
     thetas = np.linspace(0.0, math.pi, angle_count)
     rows = []
     for scheme in exp.schemes:
@@ -254,12 +256,14 @@ def run_beampattern(exp: ExperimentConfig, angle_count: int):
 def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: str):
     """Rows (value, scheme, rate) over values of one config field, and the skips.
 
-    A value whose geometry cannot hold n antennas d_min apart is skipped whole,
-    and a scheme that cannot fit a point is skipped at that point; each skip
-    is logged as it happens.  A value that makes the config invalid otherwise
-    (an SNR that overflows at a larger n) is a config error.  Feasibility
-    only falls as n grows, so the first n that does not fit ends an n sweep
-    with one skip for it and every n after it.
+    Values whose geometry cannot hold n antennas d_min apart are skipped, and
+    a scheme that cannot fit a point is skipped at that point; each skip is
+    logged as it happens.  Feasibility only falls as n grows and only rises
+    as l grows, so those values are a tail of an n sweep, which ends at its
+    first such n, and a head of an l sweep: each is one skip, labelled with
+    its first and last value (n=10..100001), or its one value (n=10).  A
+    value that makes the config invalid otherwise (an SNR that overflows at
+    a larger n) is a config error.
     """
     rows = []
     skips = []
@@ -268,16 +272,26 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
         log.warning("sweep-%s skip: %s", key, message)
         skips.append(message)
 
-    for value in values:
-        label = f"{key}={_format_cell(value)}"
+    def fits(value):
         geometry = {"n_antennas": exp.system.n_antennas, "span_l": exp.system.span_l, field: value}
-        if exceeds_span(geometry["n_antennas"], exp.system.d_min, geometry["span_l"]):
-            if field == "n_antennas" and value != values[-1]:
-                # n only grows from here, so every later n overruns the span too
-                skip(f"{label}..{_format_cell(values[-1])}: {infeasible}")
-                break
-            skip(f"{label}: {infeasible}")
-            continue
+        return not exceeds_span(geometry["n_antennas"], exp.system.d_min, geometry["span_l"])
+
+    def skip_short(short):
+        label = f"{key}={_format_cell(short[0])}"
+        if len(short) > 1:
+            label += f"..{_format_cell(short[-1])}"
+        skip(f"{label}: {infeasible}")
+
+    # values[:k] lie on the same side of the feasibility edge as values[0]
+    tail = field == "n_antennas"
+    k = 0
+    while k < len(values) and fits(values[k]) == tail:
+        k += 1
+    fit, short = (values[:k], values[k:]) if tail else (values[k:], values[:k])
+    if short and not tail:
+        skip_short(short)
+    for value in fit:
+        label = f"{key}={_format_cell(value)}"
         try:
             cfg = replace(exp.system, **{field: value})
         except ValueError as exc:
@@ -289,6 +303,8 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
                 skip(f"{label} scheme={scheme.value}: {exc}")
                 continue
             rows.append((value, scheme.value, res.snr.min_rate))
+    if short and tail:
+        skip_short(short)
     return rows, skips
 
 

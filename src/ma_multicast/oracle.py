@@ -1,6 +1,5 @@
 """Brute-force references used to certify the optimizers on small instances."""
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,9 +18,11 @@ from .sysmodel import FEASIBILITY_TOL, SystemConfig
 MAX_EVALUATIONS = 100_000_000
 # relative window for treating grid candidates as tied on the objective
 JOINT_TIE_RTOL = 1e-12
-# Tuples per enumerator chunk, all scored in one _grid_peaks call; neither
-# the per-element arithmetic nor the winner depends on it.
-_JOINT_CHUNK = 128
+# Most (row, t) points that one pass of the mixing-grid search scores at
+# once: rows go in blocks under it and the whole-grid rescan in runs of it,
+# so memory stays flat in the grid size and the row count.  Neither the
+# per-element arithmetic nor any result depends on it.
+_PASS_BUDGET = 4096
 # points per round of _best_t_rows' zoom, which shrinks the bracket 16-fold
 _ZOOM_POINTS = 33
 
@@ -49,12 +50,14 @@ class JointOptimum(NamedTuple):
     min_rate: float
 
 
-@functools.lru_cache(maxsize=4)
-def _mixing_grid(t_step: float) -> np.ndarray:
-    """Read-only mixing grid of spacing t_step on [0, 1]."""
-    t = np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)
-    t.flags.writeable = False
-    return t
+def _grid_size(t_step: float) -> int:
+    """Points of the mixing grid of spacing t_step on [0, 1]."""
+    return int(round(1.0 / t_step)) + 1
+
+
+def _grid_t(j, size: int):
+    """Points j of np.linspace(0.0, 1.0, size) bit for bit: j * (1 / (size - 1)), 1.0 at the end."""
+    return np.where(j == size - 1, 1.0, j * (1.0 / (size - 1)))
 
 
 def _gain_columns(a, b, c, scales) -> list:
@@ -62,42 +65,61 @@ def _gain_columns(a, b, c, scales) -> list:
     return np.broadcast_arrays(*(np.reshape(v, (-1, 1)) for v in (a, b, c, *scales)))
 
 
+def _scan_grid(a, b, c, s1, s2, size: int) -> tuple:
+    """Index and value of one row's first highest theta on the grid, _PASS_BUDGET points at a time."""
+    best_j, best = 0, None
+    for start in range(0, size, _PASS_BUDGET):
+        j = np.arange(start, min(start + _PASS_BUDGET, size))
+        theta = _theta_from_gains(a, b, c, _grid_t(j, size), s1, s2)
+        k = int(np.argmax(theta))
+        if best is None or theta[k] > best:
+            best_j, best = start + k, theta[k]
+    return best_j, best
+
+
 def _grid_peaks(a, b, c, scales, t_step: float) -> tuple:
-    """Index into _mixing_grid(t_step) of each row's first highest theta, and that theta.
+    """Index on the t_step mixing grid of each row's first highest theta, and that theta.
 
     a, b and c hold one gain per row, scales the two SNR scales (one value
     each, or one per row).  A coarse pass scores every s-th point of the
     T-point grid, s = isqrt(T), and the last point; a fine pass scores the
     at most 2s + 1 points between the best coarse point's two coarse
-    neighbours.  Theta is the min of a rising and a unimodal branch, so it
+    neighbours.  Both passes run on blocks of _PASS_BUDGET // (2s + 1) rows,
+    one at least.  Theta is the min of a rising and a unimodal branch, so it
     is quasi-concave in t: no coarse point before the first maximizer scores
     as high as the first best coarse point, and a coarse point past the next
     one can hold the maximizer only if the next one scores as high as the
     best.  So a row whose coarse maximum is unique has its first maximizer
     in the bracket; a row that meets it twice (theta quantised flat across
-    a stride, as at subnormal SNR scales) is scored on the whole grid.  The
-    theta values are the kernel's on the cached grid points, so each row's
-    answer is an argmax over the whole grid, bit for bit.
+    a stride, as at subnormal SNR scales) is scored on the whole grid by
+    _scan_grid.  The grid points are np.linspace(0, 1, T)'s (_grid_t), so
+    each row's answer is an argmax over the whole grid, bit for bit.
     """
-    t_grid = _mixing_grid(t_step)
-    stride = math.isqrt(t_grid.size)
-    coarse = np.append(np.arange(0, t_grid.size - 1, stride), t_grid.size - 1)
-    a, b, c, s1, s2 = _gain_columns(a, b, c, scales)
-    theta = _theta_from_gains(a, b, c, t_grid[coarse], s1, s2)
-    m = np.argmax(theta, axis=1)
-    rows = np.arange(m.size)
-    tied = np.flatnonzero(np.sum(theta == theta[rows, m][:, None], axis=1) > 1)
-    lo = coarse[np.maximum(m - 1, 0)]
-    hi = coarse[np.minimum(m + 1, coarse.size - 1)]
-    # a bracket narrower than 2s + 1 points repeats its last point, which never wins a first argmax
-    fine = np.minimum(lo[:, None] + np.arange(2 * stride + 1), hi[:, None])
-    theta = _theta_from_gains(a, b, c, t_grid[fine], s1, s2)
-    k = np.argmax(theta, axis=1)
-    j, peak = fine[rows, k], theta[rows, k]
-    for r in tied:
-        theta = _theta_from_gains(a[r], b[r], c[r], t_grid, s1[r], s2[r])
-        j[r] = np.argmax(theta)
-        peak[r] = theta[j[r]]
+    size = _grid_size(t_step)
+    stride = math.isqrt(size)
+    coarse = np.append(np.arange(0, size - 1, stride), size - 1)
+    t_coarse = _grid_t(coarse, size)
+    steps = np.arange(2 * stride + 1)
+    gains = _gain_columns(a, b, c, scales)
+    j = np.empty(len(gains[0]), dtype=int)
+    peak = np.empty(len(gains[0]))
+    # the fine pass is the wider one
+    block = max(1, _PASS_BUDGET // steps.size)
+    for r in range(0, j.size, block):
+        a, b, c, s1, s2 = (g[r : r + block] for g in gains)
+        theta = _theta_from_gains(a, b, c, t_coarse, s1, s2)
+        m = np.argmax(theta, axis=1)
+        rows = np.arange(m.size)
+        tied = np.flatnonzero(np.sum(theta == theta[rows, m][:, None], axis=1) > 1)
+        lo = coarse[np.maximum(m - 1, 0)]
+        hi = coarse[np.minimum(m + 1, coarse.size - 1)]
+        # a bracket narrower than 2s + 1 points repeats its last point, which never wins a first argmax
+        fine = np.minimum(lo[:, None] + steps, hi[:, None])
+        theta = _theta_from_gains(a, b, c, _grid_t(fine, size), s1, s2)
+        k = np.argmax(theta, axis=1)
+        j[r : r + block], peak[r : r + block] = fine[rows, k], theta[rows, k]
+        for i in tied:
+            j[r + i], peak[r + i] = _scan_grid(a[i], b[i], c[i], s1[i], s2[i], size)
     return j, peak
 
 
@@ -109,37 +131,42 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     are unchanged by mirroring, so only tuples with x_1 = 0 whose spacings
     are no greater than their reverse are scored: every other feasible tuple
     is a translate or a mirror of one of them with the same objective, up to
-    summation rounding.  Each chunk of tuples gets its peaks over the mixing
-    grid from one _grid_peaks call: a coarse pass over the grid, then the
-    bracket around each row's best coarse point, which holds the row's first
-    maximizer because theta is quasi-concave in t.  The winner is the first
-    tuple, in lexicographic order, whose peak lies within JOINT_TIE_RTOL of
-    the overall maximum, and t is its first highest grid value, the one
-    _grid_peaks returned for it.  The anchored tuple kept of each mirror
-    pair is the one a search over every tuple would pick too.  The cap
-    counts anchored tuples, mirrors included, times the grid size, as the
-    full scan did, so the refused sizes stay the same.
+    summation rounding.  The tuples come in chunks of at most _PASS_BUDGET
+    positions, and each gets its peak over the mixing grid from _grid_peaks:
+    a coarse pass over the grid, then the bracket around each row's best
+    coarse point, which holds the row's first maximizer because theta is
+    quasi-concave in t.  The winner is the first tuple, in lexicographic
+    order, whose peak lies within JOINT_TIE_RTOL of the overall maximum, and
+    t is its first highest grid value, the one _grid_peaks returned for it.
+    That tuple beats every tuple before it, so only such record tuples are
+    kept, and of them only those inside the tie window of the best peak so
+    far: memory stays flat in the tuple count.  The anchored tuple kept of
+    each mirror pair is the one a search over every tuple would pick too.
+    The cap counts anchored tuples, mirrors included, times the grid size,
+    as the full scan did, so the refused sizes stay the same.
     """
+    size = _grid_size(grid.t_step)
     count, chunks = _grid_combination_chunks(
-        cfg.span_l, cfg.d_min, grid.position_step, cfg.n_antennas, chunk=_JOINT_CHUNK
+        cfg.span_l,
+        cfg.d_min,
+        grid.position_step,
+        cfg.n_antennas,
+        chunk=max(1, _PASS_BUDGET // cfg.n_antennas),
     )
-    t_grid = _mixing_grid(grid.t_step)
-    if count * t_grid.size > MAX_EVALUATIONS:
+    if count * size > MAX_EVALUATIONS:
         raise ValueError(
             "grid search would exceed the evaluation cap; coarsen the grid"
         )
-    positions, index, peaks = [], [], []
+    best, records = -math.inf, []
     for pos in chunks:
         j, peak = _grid_peaks(*_projection_gains(pos, cfg.kappas), cfg.snr_scales, grid.t_step)
-        positions.append(pos)
-        index.append(j)
-        peaks.append(peak)
-    peaks = np.concatenate(peaks)
-    best = float(peaks.max())
-    k = int(np.flatnonzero(peaks >= best - JOINT_TIE_RTOL * best)[0])
-    x = np.concatenate(positions)[k]
-    t = float(t_grid[np.concatenate(index)[k]])
-    return JointOptimum(x=x, t=t, min_rate=math.log2(1.0 + float(peaks[k])))
+        # the best peak before each tuple: a tuple that does not beat it never wins
+        ahead = np.maximum.accumulate(np.concatenate(([best], peak[:-1])))
+        records += [(float(peak[k]), pos[k].copy(), int(j[k])) for k in np.flatnonzero(peak > ahead)]
+        best = records[-1][0]
+        records = [rec for rec in records if rec[0] >= best - JOINT_TIE_RTOL * best]
+    theta, x, j = records[0]
+    return JointOptimum(x=x, t=float(_grid_t(j, size)), min_rate=math.log2(1.0 + theta))
 
 
 def _best_t_rows(a, b, c, scales, t_step: float) -> tuple:
@@ -151,33 +178,36 @@ def _best_t_rows(a, b, c, scales, t_step: float) -> tuple:
     maximizer.  The bracket between that grid point's two neighbours is then
     re-gridded with _ZOOM_POINTS points, np.linspace's bit for bit, and again
     around each round's first maximum, until it is at most 1e-15 wide; each
-    row zooms on its own bracket, as a call of its own would.  Theta is the
-    min of a rising and a unimodal branch, so it is quasi-concave and each
-    bracket holds a maximizer.  Returns the best (t, theta) seen per row, as
-    arrays.  The search uses the grid values alone, never the closed form it
-    is there to check.
+    row zooms on its own bracket, as a call of its own would, in blocks of
+    rows under _PASS_BUDGET points.  Theta is the min of a rising and a
+    unimodal branch, so it is quasi-concave and each bracket holds a
+    maximizer.  Returns the best (t, theta) seen per row, as arrays.  The
+    search uses the grid values alone, never the closed form it is there to
+    check.
     """
-    t_grid = _mixing_grid(t_step)
+    size = _grid_size(t_step)
     j, theta_best = _grid_peaks(a, b, c, scales, t_step)
     a, b, c, s1, s2 = _gain_columns(a, b, c, scales)
-    t_best = t_grid[j]
-    lo = t_grid[np.maximum(j - 1, 0)]
-    hi = t_grid[np.minimum(j + 1, t_grid.size - 1)]
+    t_best = _grid_t(j, size)
+    lo = _grid_t(np.maximum(j - 1, 0), size)
+    hi = _grid_t(np.minimum(j + 1, size - 1), size)
     steps = np.arange(_ZOOM_POINTS, dtype=float)
-    live = np.flatnonzero(hi - lo > 1e-15)
-    while live.size:
-        start, stop = lo[live, None], hi[live, None]
-        t = start + steps * ((stop - start) / (_ZOOM_POINTS - 1))
-        t[:, -1] = stop[:, 0]
-        theta = _theta_from_gains(a[live], b[live], c[live], t, s1[live], s2[live])
-        k = np.argmax(theta, axis=1)
-        rows = np.arange(live.size)
-        up = theta[rows, k] > theta_best[live]
-        t_best[live[up]] = t[rows, k][up]
-        theta_best[live[up]] = theta[rows, k][up]
-        lo[live] = t[rows, np.maximum(k - 1, 0)]
-        hi[live] = t[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]
-        live = live[hi[live] - lo[live] > 1e-15]
+    block = max(1, _PASS_BUDGET // _ZOOM_POINTS)
+    for r in range(0, j.size, block):
+        live = r + np.flatnonzero(hi[r : r + block] - lo[r : r + block] > 1e-15)
+        while live.size:
+            start, stop = lo[live, None], hi[live, None]
+            t = start + steps * ((stop - start) / (_ZOOM_POINTS - 1))
+            t[:, -1] = stop[:, 0]
+            theta = _theta_from_gains(a[live], b[live], c[live], t, s1[live], s2[live])
+            k = np.argmax(theta, axis=1)
+            rows = np.arange(live.size)
+            up = theta[rows, k] > theta_best[live]
+            t_best[live[up]] = t[rows, k][up]
+            theta_best[live[up]] = theta[rows, k][up]
+            lo[live] = t[rows, np.maximum(k - 1, 0)]
+            hi[live] = t[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]
+            live = live[hi[live] - lo[live] > 1e-15]
     return t_best, theta_best
 
 

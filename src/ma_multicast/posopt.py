@@ -168,16 +168,20 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
     caps count; and an iterator over the kept subsets in lexicographic order
     as float position arrays of at most chunk rows (never empty).
     """
-    m = int(math.floor(span_l / step + FEASIBILITY_TOL)) + 1
+    ratio = span_l / step
+    if not math.isfinite(ratio):
+        raise ValueError(f"span_l / step = {ratio} leaves no finite count of grid points")
+    # Python ints: at a step far below span_l the counts pass any fixed-width integer
+    m = int(math.floor(ratio + FEASIBILITY_TOL)) + 1
     gap = max(1, math.ceil((d_min - FEASIBILITY_TOL) / step))
     reduced = m - (n - 1) * (gap - 1)
     if reduced < n:
         raise ValueError("no feasible antenna subset on this grid")
-    shift = (gap - 1) * np.arange(n)
 
     def chunks():
         # built on the first chunk, so a caller refusing the count allocates nothing
         values = step * np.arange(m)
+        shift = (gap - 1) * np.arange(n)
         combos = ((0,) + c for c in itertools.combinations(range(1, reduced), n - 1))
         while block := list(itertools.islice(combos, chunk)):
             idx = np.asarray(block, dtype=int)

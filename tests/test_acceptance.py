@@ -321,7 +321,7 @@ def test_criterion_05_closed_form_mixing_vs_grid():
         theta_closed = float(theta_at(coeffs, t_star))
         gains = (np.array([g]) for g in projection_coefficients(x, cfg))
         j_raw, _theta_raw = oracle._grid_peaks(*gains, cfg.snr_scales, 1e-5)
-        t_raw = float(oracle._mixing_grid(1e-5)[j_raw[0]])
+        t_raw = float(np.linspace(0.0, 1.0, 100_001)[j_raw[0]])
         _t_ref, theta_ref = best_t(x, cfg, 1e-5)
         worst = max(worst, rel_diff(theta_closed, theta_ref))
         lowest_margin = min(lowest_margin, t_raw - (f / cfg.n_antennas - 1e-5))

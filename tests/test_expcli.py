@@ -637,6 +637,24 @@ def test_main_scheme_that_does_not_fit_is_config_error(tmp_path, capsys):
     assert "config error: schemes: fpa:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        # 4e300 grid points: the counts are Python ints, so the cap refuses them
+        (1e-300, "schemes: aps: more than 1e18 candidate subsets exceed the cap 10000000; use a coarser grid_step"),
+        # 4 / 5e-324 is infinite: no count at all
+        (5e-324, "schemes: aps: span_l / step = inf leaves no finite count of grid points"),
+    ],
+    ids=["1e-300", "5e-324"],
+)
+def test_main_aps_grid_step_far_below_the_span_is_config_error(tmp_path, capsys, step, message):
+    cfg = write_config(tmp_path, {"aps_grid_step": step, "schemes": ["aps"]})
+    out = tmp_path / "result.json"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_main_unwritable_out_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_DOC)
     out = tmp_path / "no_such_dir" / "r.json"
@@ -711,18 +729,55 @@ def test_main_sweep_l_flags_override(tmp_path, capsys):
 
 def test_sweep_skip_labels_name_the_value_the_csv_would_print(tmp_path, capsys, caplog):
     # spans 2e-9 apart just under (n - 1) * d_min = 4: six significant digits
-    # would print each as l=4, which is not smaller than 4
+    # would print both ends of the one skip line as l=4, which is not smaller than 4
     cfg = write_config(tmp_path, {"system": {"n_antennas": 9}, "schemes": ["fpa"]})
     argv = ["sweep-l", "--config", cfg, "--l-min", "3.99999999", "--l-max", "3.999999996",
             "--l-step", "2e-9", "--out", str(tmp_path / "sweep_l.csv")]
     with caplog.at_level(logging.WARNING, logger="ma_multicast.expcli"):
         assert main(argv) == 0
     skips = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep-l skip")]
-    assert skips == [
-        f"sweep-l skip: l={value}: smaller than (n - 1) * d_min"
-        for value in ("3.99999999", "3.999999992", "3.999999994", "3.999999996")
-    ]
+    assert skips == ["sweep-l skip: l=3.99999999..3.999999996: smaller than (n - 1) * d_min"]
     capsys.readouterr()
+
+
+def test_sweep_l_logs_the_spans_short_of_the_array_as_one_skip(tmp_path, capsys, caplog):
+    # feasibility only rises with l: on the default config (n = 5 needs l >= 2)
+    # l = 0.001 to 1.999 is one skip line, not 1 999, and l = 2 to 2.1 run
+    cfg = write_config(tmp_path, {"schemes": ["fpa"]})
+    out = tmp_path / "sweep_l.csv"
+    argv = ["sweep-l", "--config", cfg, "--l-min", "0.001", "--l-max", "2.1", "--l-step", "0.001",
+            "--out", str(out)]
+    with caplog.at_level(logging.WARNING, logger="ma_multicast.expcli"):
+        assert main(argv) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "sweep-l skip: l=0.001..1.999: smaller than (n - 1) * d_min"
+    ]
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines[1:]][::50] == ["2", "2.05", "2.1"]
+    assert "(101 rows, 1 skips)" in capsys.readouterr().out
+    # a single short span keeps its own label
+    _rows, skips = run_sweep_l(small_experiment(schemes=(Scheme.FPA,)), 0.5, 1.5, 0.5)
+    assert skips == ["l=0.5: smaller than (n - 1) * d_min"]
+
+
+@pytest.mark.parametrize(
+    "flags, sweep, count",
+    [
+        (["--points", str(SWEEP_MAX_POINTS + 1)], None, SWEEP_MAX_POINTS + 1),
+        (["--points", "100000000"], None, 100_000_000),
+        ([], {"kind": "beam_pattern", "angle_count": SWEEP_MAX_POINTS + 1}, SWEEP_MAX_POINTS + 1),
+    ],
+    ids=["cap+1", "1e8", "config"],
+)
+def test_beampattern_past_the_sweep_cap_is_config_error(tmp_path, monkeypatch, capsys, flags, sweep, count):
+    cfg = write_config(tmp_path, dict(SMALL_DOC, sweep=sweep))
+    sampled = []
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: sampled.append(args))
+    out = tmp_path / "pattern.csv"
+    assert main(["beampattern", "--config", cfg, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: angle_count = {count} lists more than {SWEEP_MAX_POINTS} points\n"
+    assert sampled == [] and not out.exists()
 
 
 def test_main_beampattern_points_from_config(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def raw_best_t(x, cfg, t_step):
     """_best_t_rows' grid pass alone: the first grid point of the highest theta."""
     gains = (np.array([g]) for g in projection_coefficients(x, cfg))
     j, theta = oracle._grid_peaks(*gains, cfg.snr_scales, t_step)
-    return float(oracle._mixing_grid(t_step)[j[0]]), float(theta[0])
+    return float(np.linspace(0.0, 1.0, int(round(1.0 / t_step)) + 1)[j[0]]), float(theta[0])
 
 
 def reference_best_t(x, cfg, t_step):
@@ -279,14 +280,17 @@ def validate_oracle_cases():
     return [(cfg, grid, unfiltered_joint(cfg, grid)) for cfg, grid in seen]
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 4, 8, 128])
+@pytest.mark.parametrize("rows", [1, 3, 4, 8, 128])
 def test_brute_force_matches_unfiltered_reference_on_validate_configs(
-    monkeypatch, validate_oracle_cases, chunk
+    monkeypatch, validate_oracle_cases, rows
 ):
-    # the winner is picked once over every tuple's peak, so the rows scored at
-    # once, and whether a tie straddles two chunks, change nothing
-    monkeypatch.setattr(oracle, "_JOINT_CHUNK", chunk)
+    # the winner is the first tuple within the tie window of every tuple's
+    # peak, so the rows scored at once, and whether a tie straddles two
+    # blocks or chunks, change nothing; the budget is set to give _grid_peaks
+    # blocks of `rows` rows and enumerator chunks of budget // n tuples
     for cfg, grid, want in validate_oracle_cases:
+        width = 2 * math.isqrt(int(round(1.0 / grid.t_step)) + 1) + 1
+        monkeypatch.setattr(oracle, "_PASS_BUDGET", rows * width)
         assert_same_optimum(brute_force_joint(cfg, grid), want)
 
 
@@ -499,7 +503,7 @@ def test_grid_best_t_zoom_brackets_the_kink_when_the_grid_is_wider_than_t_step()
 @pytest.mark.parametrize("case", range(len(GRID_T_CASES)))
 def test_theta_kernel_matches_the_reference_expression_bitwise(case):
     cfg, x = GRID_T_CASES[case]
-    t_grid = oracle._mixing_grid(1e-4)
+    t_grid = np.linspace(0.0, 1.0, 10_001)
     # (B, T) rows as brute_force_joint scores them: x, its mirror and two
     # random spreads
     rng = np.random.default_rng(40 + case)
@@ -516,16 +520,52 @@ def test_theta_kernel_matches_the_reference_expression_bitwise(case):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_mixing_grid_is_cached_and_read_only():
-    t = oracle._mixing_grid(1e-4)
-    assert oracle._mixing_grid(1e-4) is t
-    assert np.array_equal(t, np.linspace(0.0, 1.0, 10_001))
-    assert not t.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        t[0] = 0.5
-    with pytest.raises(ValueError, match="read-only"):
-        np.multiply(t, 2.0, out=t)
-    assert t[0] == 0.0
+@pytest.mark.parametrize("size", [2, 3, 7, 101, 334, 1_001, 3_001, 10_001, 33_334, 100_001])
+def test_grid_points_from_their_index_are_linspace_bit_for_bit(size):
+    t = oracle._grid_t(np.arange(size), size)
+    assert np.array_equal(t.view(np.uint64), np.linspace(0.0, 1.0, size).view(np.uint64))
+    assert t[-1] == 1.0
+
+
+def traced_peak_bytes(fn, *args):
+    """Most bytes held at once during fn(*args), above what was held when it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_validate_holds_under_a_megabyte():
+    assert traced_peak_bytes(run_validate) <= 1e6
+
+
+def test_brute_force_at_a_fine_mixing_grid_holds_under_a_megabyte():
+    # 6 tuples on a 10 000 001-point mixing grid: no pass holds the grid
+    cfg, grid = SystemConfig(n_antennas=2, span_l=1.0), GridSpec(0.1, 1e-7)
+    assert traced_peak_bytes(brute_force_joint, cfg, grid) <= 1e6
+    assert brute_force_joint(cfg, grid).t == float(np.linspace(0.0, 1.0, 10_000_001)[9_515_191])
+
+
+def test_best_t_rows_on_many_rows_and_a_fine_grid_hold_under_a_megabyte():
+    # 399 rows, then the subnormal-scale row whose coarse maximum repeats, so
+    # it is rescanned on the whole 1 000 001-point grid
+    rng = np.random.default_rng(5)
+    n = rng.integers(2, 9, 399).astype(float)
+    phi = rng.uniform(0.0, math.pi / 2.0, 399)
+    a = np.append(np.sqrt(n), 2.000000000000001)
+    b = np.append(np.sqrt(n) * np.cos(phi), 0.5406695004144325)
+    c = np.append(np.sqrt(n) * np.sin(phi), 1.9255327811599594)
+    scales = tuple(np.append(10.0 ** rng.uniform(-3.0, 3.0, 399), s) for s in (5e-324, 3.5e-323))
+    t_grid = np.linspace(0.0, 1.0, 1_000_001)
+    theta = theta_reference(a[-1], b[-1], c[-1], t_grid, 5e-324, 3.5e-323)
+    assert np.sum(theta[::1_000] == theta[::1_000].max()) > 1
+    assert traced_peak_bytes(oracle._best_t_rows, a, b, c, scales, 1e-6) <= 1e6
+    j, peak = oracle._grid_peaks(a, b, c, scales, 1e-6)
+    assert (j[-1], peak[-1]) == (np.argmax(theta), theta.max())
 
 
 def test_grid_oracles_never_call_the_closed_form(monkeypatch):
