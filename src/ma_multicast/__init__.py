@@ -9,7 +9,9 @@ own modules.
 `import ma_multicast` loads none of them.  Each export below resolves on
 first access (PEP 562) by importing its home module, so a command loads only
 the modules it runs: `optimize` and the sweeps never load the oracle or the
-validation suite.  Every export is the very object its home module defines.
+validation suite.  The config types and `load_config` live in a module that
+uses the standard library only, so loading or checking a config loads no
+numpy.  Every export is the very object its home module defines.
 """
 
 import importlib
@@ -20,7 +22,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "baselines": (
         "InfeasibleSchemeError",
-        "Scheme",
         "SchemeResult",
         "ao_scheme",
         "aps_search",
@@ -41,7 +42,8 @@ _EXPORTS = {
         "theta_at",
         "theta_coefficients",
     ),
-    "expcli": ("ConfigError", "ExperimentConfig", "load_config", "main", "run_single"),
+    "config": ("ConfigError", "ExperimentConfig", "Scheme", "SystemConfig", "dbm_to_watt", "load_config"),
+    "expcli": ("main", "run_single"),
     "oracle": (
         "GridSpec",
         "JointOptimum",
@@ -62,10 +64,8 @@ _EXPORTS = {
     ),
     "sysmodel": (
         "SnrPair",
-        "SystemConfig",
         "beam_gain",
         "beam_pattern",
-        "dbm_to_watt",
         "snr_pair",
         "steering_vector",
         "validate_positions",

@@ -11,7 +11,6 @@ a half-wavelength grid (FPA).
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .beamformer import (
     optimize_mixing,
     theta_coefficients,
 )
+from .config import FEASIBILITY_TOL, REFERENCE_SPACING, Scheme, SystemConfig, exceeds_span
 from .posopt import (
     ScaTrace,
     _correlation_rows,
@@ -28,31 +28,15 @@ from .posopt import (
     correlation,
     multi_start_sca,
 )
-from .sysmodel import (
-    FEASIBILITY_TOL,
-    SnrPair,
-    SystemConfig,
-    exceeds_span,
-    snr_pair,
-)
+from .sysmodel import SnrPair, snr_pair
 
 APS_MAX_COMBINATIONS = 10_000_000
 # absolute window for treating two grid subsets as tied on the objective
 APS_TIE_TOL = 1e-9
-# Half-wavelength spacing used by the fixed-array and quantized-grid schemes.
-REFERENCE_SPACING = 0.5
 
 
 class InfeasibleSchemeError(ValueError):
     """The configured geometry cannot host this scheme: a bad input, not a fault."""
-
-
-class Scheme(str, Enum):
-    PROPOSED = "proposed"
-    AO = "ao"
-    APS = "aps"
-    MA_MRT = "ma_mrt"
-    FPA = "fpa"
 
 
 @dataclass(frozen=True, eq=False)

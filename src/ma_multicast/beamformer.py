@@ -11,7 +11,8 @@ from enum import Enum
 
 import numpy as np
 
-from .sysmodel import SystemConfig, check_positions
+from .config import SystemConfig
+from .sysmodel import check_positions
 
 # Below this norm the component of user 2's steering vector orthogonal to
 # user 1's is considered numerically absent (channels parallel).

@@ -1,0 +1,304 @@
+"""The system and experiment configuration, and the JSON config reader.
+
+Everything here uses the standard library only, so loading and checking a
+config imports no numpy and none of the solver modules.
+"""
+
+import json
+import math
+import numbers
+from dataclasses import dataclass
+from enum import Enum
+
+# Absolute slack applied to every geometric feasibility check.
+FEASIBILITY_TOL = 1e-9
+# Half-wavelength spacing used by the fixed-array and quantized-grid schemes.
+REFERENCE_SPACING = 0.5
+
+
+def exceeds_span(n: int, spacing: float, span_l: float) -> bool:
+    """Whether n antennas spacing apart overrun span_l by more than FEASIBILITY_TOL."""
+    return (n - 1) * spacing > span_l + FEASIBILITY_TOL
+
+
+def dbm_to_watt(dbm: float) -> float:
+    """Convert a power figure in dBm to watts."""
+    return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+@dataclass(frozen=True)
+class SystemConfig:
+    """Constants of one downlink instance.
+
+    Defaults encode the benchmark setup used throughout the test suite:
+    both users 100 m away at angles pi/4 and 9*pi/10, 25 dBm transmit
+    power, -80 dBm noise, free-space-like path-loss exponent 2, unit
+    wavelength and half-wavelength minimum spacing on a 4-wavelength
+    aperture with five antennas.
+
+    Building the config, or rebuilding it with dataclasses.replace, computes
+    three derived constants once.  They are plain attributes, not fields, so
+    equality, hashing and asdict see only the inputs.
+
+    Domain of the phase rate: 2 pi / wavelength must be finite, and so must
+    the SCA's global curvature bound 2 kappa^2 n_antennas (posopt._sca).
+    Then every kappa_i and kappa is finite, and each SCA round's curvature
+    2 kappa^2 max(|s|, 1) <= 2 kappa^2 n is too.  n_antennas must convert to
+    a finite float, since the geometry and SNR checks multiply by it.
+
+    Attributes
+    ----------
+    kappas : tuple
+        Each user's phase rate (2 pi / wavelength) sin(theta_i).
+    kappa : float
+        Phase rate of the correlation, (2 pi / wavelength)
+        (sin(theta_2) - sin(theta_1)).
+    snr_scales : tuple
+        Each user's SNR prefactor ps / (d^tau * sigma^2).
+    """
+
+    n_antennas: int = 5
+    span_l: float = 4.0
+    d_min: float = 0.5
+    wavelength: float = 1.0
+    tau: float = 2.0
+    ps_dbm: float = 25.0
+    sigma2_dbm: float = -80.0
+    d_su: tuple = (100.0, 100.0)
+    theta_su: tuple = (math.pi / 4.0, 9.0 * math.pi / 10.0)
+
+    def __post_init__(self):
+        d_su = tuple(map(float, self.d_su))
+        theta_su = tuple(map(float, self.theta_su))
+        n = self.n_antennas
+        if not isinstance(n, numbers.Integral) or n < 2:
+            raise ValueError("n_antennas must be an integer >= 2")
+        n = int(n)
+        if not (0.0 < self.span_l < math.inf):
+            raise ValueError("span_l must be positive and finite")
+        if not (0.0 < self.d_min < math.inf):
+            raise ValueError("d_min must be positive and finite")
+        try:
+            overrun = exceeds_span(n, self.d_min, self.span_l)
+        except OverflowError:
+            raise ValueError("n_antennas must convert to a finite float") from None
+        if overrun:
+            raise ValueError(
+                "infeasible geometry: (n_antennas - 1) * d_min = "
+                f"{(n - 1) * self.d_min:g} exceeds span_l = {self.span_l:g}"
+            )
+        if not (0.0 < self.wavelength < math.inf):
+            raise ValueError("wavelength must be positive and finite")
+        if not (0.0 < self.tau < math.inf):
+            raise ValueError("tau must be positive and finite")
+        if not (math.isfinite(self.ps_dbm) and math.isfinite(self.sigma2_dbm)):
+            raise ValueError("ps_dbm and sigma2_dbm must be finite")
+        if len(d_su) != 2 or not (0.0 < d_su[0] < math.inf and 0.0 < d_su[1] < math.inf):
+            raise ValueError("d_su must be a pair of positive finite distances")
+        if len(theta_su) != 2 or not (
+            0.0 <= theta_su[0] <= math.pi and 0.0 <= theta_su[1] <= math.pi
+        ):
+            raise ValueError("theta_su must be a pair of angles in [0, pi]")
+        try:
+            ps_w, sigma2_w = self.ps_w, self.sigma2_w
+            c1 = ps_w / (d_su[0] ** self.tau * sigma2_w)
+            c2 = ps_w / (d_su[1] ** self.tau * sigma2_w)
+        except (OverflowError, ZeroDivisionError):
+            c1 = c2 = math.nan
+        # the largest beam gain is n_antennas, so scale * n is the largest SNR
+        if not (0.0 < c1 and c1 * n < math.inf and 0.0 < c2 and c2 * n < math.inf):
+            raise ValueError(
+                "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive "
+                "SNR scale ps / (d^tau * sigma^2) whose product with n_antennas "
+                "is finite"
+            )
+        rate = 2.0 * math.pi / self.wavelength
+        sin1, sin2 = math.sin(theta_su[0]), math.sin(theta_su[1])
+        kappa = rate * (sin2 - sin1)
+        # products, not kappa ** 2: a float power past the range raises OverflowError
+        if not (math.isfinite(rate) and math.isfinite(2.0 * kappa * kappa * n)):
+            raise ValueError("wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite")
+        object.__setattr__(self, "n_antennas", n)
+        object.__setattr__(self, "d_su", d_su)
+        object.__setattr__(self, "theta_su", theta_su)
+        object.__setattr__(self, "snr_scales", (c1, c2))
+        object.__setattr__(self, "kappas", (rate * sin1, rate * sin2))
+        object.__setattr__(self, "kappa", kappa)
+
+    @property
+    def ps_w(self) -> float:
+        return dbm_to_watt(self.ps_dbm)
+
+    @property
+    def sigma2_w(self) -> float:
+        return dbm_to_watt(self.sigma2_dbm)
+
+
+class Scheme(str, Enum):
+    PROPOSED = "proposed"
+    AO = "ao"
+    APS = "aps"
+    MA_MRT = "ma_mrt"
+    FPA = "fpa"
+
+
+class ConfigError(Exception):
+    """Configuration document rejected; the message carries the field path."""
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    system: SystemConfig = SystemConfig()
+    schemes: tuple = tuple(Scheme)
+    aps_grid_step: float = REFERENCE_SPACING
+    sweep: dict | None = None
+    output_dir: str = "."
+
+
+# ---------------------------------------------------------------------------
+# Config ingestion: one table per config object maps each field to its reader,
+# a check that takes (value, path) and returns the value to keep
+
+
+def _number(value, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
+    return value
+
+
+def _positive(value, path):
+    value = _number(value, path)
+    if value <= 0.0:
+        raise ConfigError(f"{path}: must be positive")
+    return value
+
+
+def _integer(minimum):
+    """The reader of an integer >= minimum."""
+
+    def read(value, path):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer")
+        if value < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}")
+        return value
+
+    return read
+
+
+def _pair(value, path):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path}: expected a pair of numbers")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _string(value, path):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
+    return value
+
+
+def _schemes(value, path):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    schemes = []
+    for i, name in enumerate(value):
+        try:
+            scheme = Scheme(name)
+        except ValueError:
+            valid = ", ".join(s.value for s in Scheme)
+            raise ConfigError(f"{path}[{i}]: unknown scheme {name!r} (valid: {valid})")
+        if scheme in schemes:
+            raise ConfigError(f"{path}[{i}]: duplicate scheme {name!r}")
+        schemes.append(scheme)
+    return tuple(schemes)
+
+
+def _fields(doc, path, table, required):
+    """The fields of one config object, each read by its entry in table.
+
+    An unknown field is refused before any field is read.  The table's fields
+    are then read in table order: the ones present, or every one when
+    required, where a missing field reads as None and its reader refuses it.
+    The top level has the empty path.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'top level'}: expected an object")
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    return {key: read(doc.get(key), prefix + key) for key, read in table.items() if required or key in doc}
+
+
+def _system(doc, path):
+    try:
+        return SystemConfig(**_fields(doc, path, SYSTEM_FIELDS, required=False))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _sweep(doc, path):
+    """A sweep section, read by the table of its kind; null is no sweep."""
+    if doc is None:
+        return None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in SWEEP_FIELDS:
+        raise ConfigError(f"{path}.kind: expected one of {', '.join(SWEEP_FIELDS)}")
+    return _fields(doc, path, {"kind": _string, **SWEEP_FIELDS[kind]}, required=True)
+
+
+SYSTEM_FIELDS = {
+    "n_antennas": _integer(2),
+    "span_l": _positive,
+    "d_min": _positive,
+    "wavelength": _positive,
+    "tau": _positive,
+    "ps_dbm": _number,
+    "sigma2_dbm": _number,
+    "d_su": _pair,
+    "theta_su": _pair,
+}
+
+# one table per sweep kind; its fields are also the dests of its command's flags
+SWEEP_FIELDS = {
+    "over_n": {"n_min": _integer(2), "n_max": _integer(2)},
+    "over_l": {"l_min": _positive, "l_max": _positive, "l_step": _positive},
+    "beam_pattern": {"angle_count": _integer(2)},
+}
+
+CONFIG_FIELDS = {
+    "system": _system,
+    "schemes": _schemes,
+    # retired keys that steered AO's random restarts: still checked, then dropped
+    "seed": _integer(0),
+    "n_starts": _integer(1),
+    "aps_grid_step": _positive,
+    "sweep": _sweep,
+    "output_dir": _string,
+}
+
+
+def config_from_dict(doc) -> ExperimentConfig:
+    read = _fields(doc, "", CONFIG_FIELDS, required=False)
+    read.pop("seed", None)
+    read.pop("n_starts", None)
+    return ExperimentConfig(**read)
+
+
+def load_config(path) -> ExperimentConfig:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    return config_from_dict(doc)

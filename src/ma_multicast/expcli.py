@@ -1,4 +1,6 @@
-"""Experiment harness: JSON config in, JSON/CSV artifacts out, CLI front end.
+"""Experiment harness: runs of a config, JSON/CSV artifacts out, CLI front end.
+
+Configs are read and checked by ma_multicast.config.
 
 Every run is deterministic for a fixed config; only validate draws random
 numbers, from its fixed seed (ma_multicast.validation).  Sweep points are
@@ -13,180 +15,22 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .baselines import REFERENCE_SPACING, InfeasibleSchemeError, Scheme, SchemeResult, run_scheme
+from .baselines import InfeasibleSchemeError, SchemeResult, run_scheme
+from .config import (
+    FEASIBILITY_TOL, SWEEP_FIELDS, ConfigError, ExperimentConfig, Scheme, SystemConfig,
+    config_from_dict, exceeds_span, load_config,
+)
 from .posopt import correlation
-from .sysmodel import FEASIBILITY_TOL, SystemConfig, beam_pattern, exceeds_span
+from .sysmodel import beam_pattern
 
 log = logging.getLogger(__name__)
 
 # most points one sweep lists, or angles one beam pattern samples; past it is a config error
 SWEEP_MAX_POINTS = 100_000
-
-
-class ConfigError(Exception):
-    """Configuration document rejected; the message carries the field path."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    system: SystemConfig = SystemConfig()
-    schemes: tuple = tuple(Scheme)
-    aps_grid_step: float = REFERENCE_SPACING
-    sweep: dict | None = None
-    output_dir: str = "."
-
-
-# ---------------------------------------------------------------------------
-# Config ingestion: one table per config object maps each field to its reader,
-# a check that takes (value, path) and returns the value to keep
-
-
-def _number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite")
-    return value
-
-
-def _positive(value, path):
-    value = _number(value, path)
-    if value <= 0.0:
-        raise ConfigError(f"{path}: must be positive")
-    return value
-
-
-def _integer(minimum):
-    """The reader of an integer >= minimum."""
-
-    def read(value, path):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer")
-        if value < minimum:
-            raise ConfigError(f"{path}: must be >= {minimum}")
-        return value
-
-    return read
-
-
-def _pair(value, path):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}: expected a pair of numbers")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _string(value, path):
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string")
-    return value
-
-
-def _schemes(value, path):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list")
-    schemes = []
-    for i, name in enumerate(value):
-        try:
-            scheme = Scheme(name)
-        except ValueError:
-            valid = ", ".join(s.value for s in Scheme)
-            raise ConfigError(f"{path}[{i}]: unknown scheme {name!r} (valid: {valid})")
-        if scheme in schemes:
-            raise ConfigError(f"{path}[{i}]: duplicate scheme {name!r}")
-        schemes.append(scheme)
-    return tuple(schemes)
-
-
-def _fields(doc, path, table, required):
-    """The fields of one config object, each read by its entry in table.
-
-    An unknown field is refused before any field is read.  The table's fields
-    are then read in table order: the ones present, or every one when
-    required, where a missing field reads as None and its reader refuses it.
-    The top level has the empty path.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'top level'}: expected an object")
-    prefix = f"{path}." if path else ""
-    for key in doc:
-        if key not in table:
-            raise ConfigError(f"{prefix}{key}: unknown field")
-    return {key: read(doc.get(key), prefix + key) for key, read in table.items() if required or key in doc}
-
-
-def _system(doc, path):
-    try:
-        return SystemConfig(**_fields(doc, path, SYSTEM_FIELDS, required=False))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _sweep(doc, path):
-    """A sweep section, read by the table of its kind; null is no sweep."""
-    if doc is None:
-        return None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in SWEEP_FIELDS:
-        raise ConfigError(f"{path}.kind: expected one of {', '.join(SWEEP_FIELDS)}")
-    return _fields(doc, path, {"kind": _string, **SWEEP_FIELDS[kind]}, required=True)
-
-
-SYSTEM_FIELDS = {
-    "n_antennas": _integer(2),
-    "span_l": _positive,
-    "d_min": _positive,
-    "wavelength": _positive,
-    "tau": _positive,
-    "ps_dbm": _number,
-    "sigma2_dbm": _number,
-    "d_su": _pair,
-    "theta_su": _pair,
-}
-
-# one table per sweep kind; its fields are also the dests of its command's flags
-SWEEP_FIELDS = {
-    "over_n": {"n_min": _integer(2), "n_max": _integer(2)},
-    "over_l": {"l_min": _positive, "l_max": _positive, "l_step": _positive},
-    "beam_pattern": {"angle_count": _integer(2)},
-}
-
-CONFIG_FIELDS = {
-    "system": _system,
-    "schemes": _schemes,
-    # retired keys that steered AO's random restarts: still checked, then dropped
-    "seed": _integer(0),
-    "n_starts": _integer(1),
-    "aps_grid_step": _positive,
-    "sweep": _sweep,
-    "output_dir": _string,
-}
-
-
-def config_from_dict(doc) -> ExperimentConfig:
-    read = _fields(doc, "", CONFIG_FIELDS, required=False)
-    read.pop("seed", None)
-    read.pop("n_starts", None)
-    return ExperimentConfig(**read)
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from .beamformer import (
     _theta_from_gains,
     min_snr_from_projections,
 )
+from .config import FEASIBILITY_TOL, SystemConfig
 from .posopt import _grid_combination_chunks
-from .sysmodel import FEASIBILITY_TOL, SystemConfig
 
 MAX_EVALUATIONS = 100_000_000
 # relative window for treating grid candidates as tied on the objective

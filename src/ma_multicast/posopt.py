@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import (
-    FEASIBILITY_TOL, SystemConfig, check_positions, exceeds_span, validate_positions
-)
+from .config import FEASIBILITY_TOL, SystemConfig, exceeds_span
+from .sysmodel import check_positions, validate_positions
 
 log = logging.getLogger(__name__)
 

@@ -9,114 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute slack applied to every geometric feasibility check.
-FEASIBILITY_TOL = 1e-9
+from .config import FEASIBILITY_TOL, SystemConfig
+
 # Allowed deviation of ||w||^2 from 1 for anything used as a beamformer.
 UNIT_NORM_TOL = 1e-12
-
-
-def exceeds_span(n: int, spacing: float, span_l: float) -> bool:
-    """Whether n antennas spacing apart overrun span_l by more than FEASIBILITY_TOL."""
-    return (n - 1) * spacing > span_l + FEASIBILITY_TOL
-
-
-def dbm_to_watt(dbm: float) -> float:
-    """Convert a power figure in dBm to watts."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Constants of one downlink instance.
-
-    Defaults encode the benchmark setup used throughout the test suite:
-    both users 100 m away at angles pi/4 and 9*pi/10, 25 dBm transmit
-    power, -80 dBm noise, free-space-like path-loss exponent 2, unit
-    wavelength and half-wavelength minimum spacing on a 4-wavelength
-    aperture with five antennas.
-
-    Building the config, or rebuilding it with dataclasses.replace, computes
-    three derived constants once.  They are plain attributes, not fields, so
-    equality, hashing and asdict see only the inputs.
-
-    Attributes
-    ----------
-    kappas : tuple
-        Each user's phase rate (2 pi / wavelength) sin(theta_i).
-    kappa : float
-        Phase rate of the correlation, (2 pi / wavelength)
-        (sin(theta_2) - sin(theta_1)).
-    snr_scales : tuple
-        Each user's SNR prefactor ps / (d^tau * sigma^2).
-    """
-
-    n_antennas: int = 5
-    span_l: float = 4.0
-    d_min: float = 0.5
-    wavelength: float = 1.0
-    tau: float = 2.0
-    ps_dbm: float = 25.0
-    sigma2_dbm: float = -80.0
-    d_su: tuple = (100.0, 100.0)
-    theta_su: tuple = (math.pi / 4.0, 9.0 * math.pi / 10.0)
-
-    def __post_init__(self):
-        d_su = tuple(map(float, self.d_su))
-        theta_su = tuple(map(float, self.theta_su))
-        n = self.n_antennas
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise ValueError("n_antennas must be an integer >= 2")
-        n = int(n)
-        if not (0.0 < self.span_l < math.inf):
-            raise ValueError("span_l must be positive and finite")
-        if not (0.0 < self.d_min < math.inf):
-            raise ValueError("d_min must be positive and finite")
-        if exceeds_span(n, self.d_min, self.span_l):
-            raise ValueError(
-                "infeasible geometry: (n_antennas - 1) * d_min = "
-                f"{(n - 1) * self.d_min:g} exceeds span_l = {self.span_l:g}"
-            )
-        if not (0.0 < self.wavelength < math.inf):
-            raise ValueError("wavelength must be positive and finite")
-        if not (0.0 < self.tau < math.inf):
-            raise ValueError("tau must be positive and finite")
-        if not (math.isfinite(self.ps_dbm) and math.isfinite(self.sigma2_dbm)):
-            raise ValueError("ps_dbm and sigma2_dbm must be finite")
-        if len(d_su) != 2 or not (0.0 < d_su[0] < math.inf and 0.0 < d_su[1] < math.inf):
-            raise ValueError("d_su must be a pair of positive finite distances")
-        if len(theta_su) != 2 or not (
-            0.0 <= theta_su[0] <= math.pi and 0.0 <= theta_su[1] <= math.pi
-        ):
-            raise ValueError("theta_su must be a pair of angles in [0, pi]")
-        try:
-            ps_w, sigma2_w = self.ps_w, self.sigma2_w
-            c1 = ps_w / (d_su[0] ** self.tau * sigma2_w)
-            c2 = ps_w / (d_su[1] ** self.tau * sigma2_w)
-        except (OverflowError, ZeroDivisionError):
-            c1 = c2 = math.nan
-        # the largest beam gain is n_antennas, so scale * n is the largest SNR
-        if not (0.0 < c1 and c1 * n < math.inf and 0.0 < c2 and c2 * n < math.inf):
-            raise ValueError(
-                "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive "
-                "SNR scale ps / (d^tau * sigma^2) whose product with n_antennas "
-                "is finite"
-            )
-        rate = 2.0 * math.pi / self.wavelength
-        sin1, sin2 = math.sin(theta_su[0]), math.sin(theta_su[1])
-        object.__setattr__(self, "n_antennas", n)
-        object.__setattr__(self, "d_su", d_su)
-        object.__setattr__(self, "theta_su", theta_su)
-        object.__setattr__(self, "snr_scales", (c1, c2))
-        object.__setattr__(self, "kappas", (rate * sin1, rate * sin2))
-        object.__setattr__(self, "kappa", rate * (sin2 - sin1))
-
-    @property
-    def ps_w(self) -> float:
-        return dbm_to_watt(self.ps_dbm)
-
-    @property
-    def sigma2_w(self) -> float:
-        return dbm_to_watt(self.sigma2_dbm)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ from .beamformer import (
     theta_at,
     theta_coefficients,
 )
+from .config import SystemConfig
 from .oracle import GridSpec, _best_t_rows, joint_vs_decoupled
 from .posopt import _correlation_rows, correlation, random_positions
-from .sysmodel import SystemConfig, validate_position_rows
+from .sysmodel import validate_position_rows
 
 VALIDATION_SEED = 20240517
 # the PCG64 (state, inc) of numpy.random.default_rng(VALIDATION_SEED), as

@@ -26,21 +26,18 @@ from ma_multicast import (
     run_single,
 )
 from ma_multicast import posopt
+from ma_multicast.config import SWEEP_FIELDS, SYSTEM_FIELDS, config_from_dict, exceeds_span
 from ma_multicast.expcli import (
-    SWEEP_FIELDS,
     SWEEP_KINDS,
     SWEEP_MAX_POINTS,
-    SYSTEM_FIELDS,
     _build_parser,
     _db,
-    config_from_dict,
     run_beampattern,
     run_sweep_l,
     run_sweep_n,
     write_csv,
     write_json,
 )
-from ma_multicast.sysmodel import exceeds_span
 
 from correlation_reference import best_t
 
@@ -540,6 +537,31 @@ def test_no_command_imports_numpy_random(tmp_path):
             assert not loaded & validate_only, (argv[0], loaded & validate_only)
 
 
+def test_loading_a_config_imports_no_numpy():
+    # the config module uses the standard library only, so a script that
+    # reads, builds or refuses a config pays for no numpy import
+    code = (
+        "import sys, ma_multicast\n"
+        "from ma_multicast.config import config_from_dict\n"
+        "ma_multicast.load_config(sys.argv[1])\n"
+        "config_from_dict({'sweep': {'kind': 'over_l', 'l_min': 3, 'l_max': 4, 'l_step': 0.5}})\n"
+        "try:\n"
+        "    config_from_dict({'system': {'n_antennas': 10}})\n"
+        "except ma_multicast.ConfigError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit('an infeasible geometry was accepted')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code, str(REPO_ROOT / "configs" / "default.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("config_doc", [SMALL_DOC, {"no_such_key": 1}], ids=["ok", "config-error"])
 def test_main_leaves_the_heap_frozen_and_the_collector_working(tmp_path, capsys, config_doc):
     # main freezes the heap on its way out, so the exit that follows skips
@@ -653,6 +675,37 @@ def test_main_aps_grid_step_far_below_the_span_is_config_error(tmp_path, capsys,
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+WAVELENGTH_MESSAGE = "wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite"
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        # 2 kappa^2 n overflows: the SCA's curvature raised OverflowError
+        ({"wavelength": 1e-300}, WAVELENGTH_MESSAGE),
+        ({"wavelength": 1e-200}, WAVELENGTH_MESSAGE),
+        # 2 pi / wavelength is infinite: the chain-DP start divided by zero
+        ({"wavelength": 5e-324}, WAVELENGTH_MESSAGE),
+        # a 401-digit integer: the span check's float conversion overflowed
+        ({"n_antennas": 10**400}, "n_antennas must convert to a finite float"),
+    ],
+    ids=["wavelength-1e-300", "wavelength-1e-200", "wavelength-5e-324", "n-401-digits"],
+)
+def test_main_system_outside_the_numeric_domain_is_config_error(tmp_path, capsys, system, message):
+    cfg = write_config(tmp_path, {"system": system})
+    out = tmp_path / "result.json"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: system: {message}\n"
+    assert not out.exists()
+
+
+def test_main_wavelength_inside_the_domain_runs(tmp_path, capsys):
+    # kappa^2 = 3.6e300 at n = 5: large but finite, so every scheme runs
+    cfg = write_config(tmp_path, {"system": {"wavelength": 1e-150}})
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_main_unwritable_out_is_config_error(tmp_path, capsys):

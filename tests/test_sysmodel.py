@@ -181,6 +181,7 @@ def test_config_rejects_bad_fields(kwargs):
 
 
 SCALE_MESSAGE = "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive SNR scale"
+WAVELENGTH_MESSAGE = "wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite"
 
 
 @pytest.mark.parametrize(
@@ -208,6 +209,12 @@ SCALE_MESSAGE = "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive
         ({"sigma2_dbm": -4000.0}, SCALE_MESSAGE),  # noise power 0
         ({"ps_dbm": -4000.0}, SCALE_MESSAGE),  # scale 0
         ({"ps_dbm": 3036.0}, SCALE_MESSAGE),  # scale * n_antennas overflows
+        # past the float range, where the span check's (n - 1) * d_min raised OverflowError
+        ({"n_antennas": 10**400, "wavelength": 0.0}, "n_antennas must convert to a finite float"),
+        # an infinite phase rate, or a curvature bound 2 kappa^2 n past the float
+        # range: at wavelength 1e-153 it is finite for n = 5 and not for n = 400
+        ({"wavelength": 5e-324}, WAVELENGTH_MESSAGE),
+        ({"wavelength": 1e-153, "n_antennas": 400, "span_l": 400.0}, WAVELENGTH_MESSAGE),
     ],
 )
 def test_config_rejection_names_the_first_broken_check(kwargs, message):
@@ -221,6 +228,10 @@ def test_config_normalises_its_numeric_fields():
     assert cfg.d_su == (40.0, 80.0) and cfg.theta_su == (1.0, float(np.float32(0.5)))
     assert all(type(v) is float for v in cfg.d_su + cfg.theta_su + cfg.snr_scales + cfg.kappas)
     assert cfg == SystemConfig(n_antennas=4, d_su=(40.0, 80.0), theta_su=(1.0, float(np.float32(0.5))))
+    # numpy registers its integer types as numbers.Integral, and not its floats
+    assert SystemConfig(n_antennas=np.uint8(4)).n_antennas == 4
+    with pytest.raises(ValueError, match="n_antennas must be an integer"):
+        SystemConfig(n_antennas=np.float64(4.0))
 
 
 def test_validate_positions_accepts_feasible():
