@@ -46,6 +46,29 @@ class SystemConfig:
     2 kappa^2 max(|s|, 1) <= 2 kappa^2 n is too.  n_antennas must convert to
     a finite float, since the geometry and SNR checks multiply by it.
 
+    Domain of the aperture phase: the largest phase a steering vector reaches,
+    phi = (2 pi / wavelength) span_l, must leave half the float range free,
+    checked as 2 phi finite (phi <= 9e307); the factor 2 is the margin.  Every
+    product the solve forms then stays finite:
+    - Phases.  Both sines lie in [0, 1], so |kappa_i|, |kappa| and the beam
+      pattern's (2 pi / wavelength) sin(theta) are at most 2 pi / wavelength,
+      and every position lies in [0, span_l + FEASIBILITY_TOL].  Each phase
+      kappa x is then at most phi + 1e-9 * 1.8e308, inside the free half.
+      So are the chain-DP start's kappa u and kappa d_min (i - 1).
+    - The chain-DP step count hi / h_max = max(40 hi, (64 / pi) |kappa| hi).
+      The grid runs only when |kappa| >= posopt.KAPPA_TOL = 1e-12 and the
+      aligned chain, of pitch p < d_min + P with P = 2 pi / |kappa|, overruns
+      span_l.  Then hi = span_l - (n - 1) d_min
+      < (1 + 4 eps) (n - 1) P + 4 eps span_l, with eps = 2^-52 covering the
+      rounding of p, of its product with n - 1 and of hi.  So
+      |kappa| hi < 6.3 (n - 1) + 4 eps phi and
+      40 hi < 2.6e14 (n - 1) + 160 eps span_l, both finite, since the solve
+      allocates arrays of n entries.  Bounding (64 / pi) |kappa| span_l
+      instead would refuse spans that run, such as wavelength 1e-100 with
+      span_l 1e207, whose aligned chain fits and skips the grid.
+    - The SCA step g / delta: |g_i| <= 2 |kappa| |s| and
+      delta = 2 kappa^2 max(|s|, 1), so |g_i| / delta <= 1 / |kappa| <= 1e12.
+
     Attributes
     ----------
     kappas : tuple
@@ -118,6 +141,10 @@ class SystemConfig:
         # products, not kappa ** 2: a float power past the range raises OverflowError
         if not (math.isfinite(rate) and math.isfinite(2.0 * kappa * kappa * n)):
             raise ValueError("wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite")
+        if not math.isfinite(2.0 * rate * self.span_l):
+            raise ValueError(
+                "span_l and wavelength must keep twice the aperture phase, 4 pi span_l / wavelength, finite"
+            )
         object.__setattr__(self, "n_antennas", n)
         object.__setattr__(self, "d_su", d_su)
         object.__setattr__(self, "theta_su", theta_su)

@@ -107,7 +107,7 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
     first such n, and a head of an l sweep: each is one skip, labelled with
     its first and last value (n=10..100001), or its one value (n=10).  A
     value that makes the config invalid otherwise (an SNR that overflows at
-    a larger n) is a config error.
+    a larger n, or an n past the float range) is a config error.
     """
     rows = []
     skips = []
@@ -118,7 +118,11 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
 
     def fits(value):
         geometry = {"n_antennas": exp.system.n_antennas, "span_l": exp.system.span_l, field: value}
-        return not exceeds_span(geometry["n_antennas"], exp.system.d_min, geometry["span_l"])
+        try:
+            return not exceeds_span(geometry["n_antennas"], exp.system.d_min, geometry["span_l"])
+        except OverflowError:
+            # an n past the float range: building its config below names the error
+            return True
 
     def skip_short(short):
         label = f"{key}={_format_cell(short[0])}"

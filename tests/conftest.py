@@ -1,6 +1,7 @@
 """Shared test setup."""
 
 import gc
+import signal
 
 import pytest
 
@@ -18,3 +19,17 @@ def unfreeze_heap():
     """Thaw what a main() call froze, so no test hands frozen objects to the next."""
     yield
     gc.unfreeze()
+
+
+@pytest.fixture(autouse=True)
+def fail_a_test_past_60_s():
+    """Turn a test that hangs, such as a sweep listing 1e15 points, into a failure after 60 s."""
+
+    def hang(_signum, _frame):
+        raise TimeoutError("test ran past 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -1,7 +1,9 @@
 """Tests for config ingestion, experiment runs, artifacts, and the CLI."""
 
+import csv
 import dataclasses
 import gc
+import io
 import json
 import logging
 import math
@@ -58,6 +60,27 @@ def write_config(tmp_path, doc, name="exp.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def default_doc(schemes=None, **system):
+    """configs/default.json with these system fields and, when given, these schemes."""
+    doc = json.loads((REPO_ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
+    doc["system"].update(system)
+    doc["schemes"] = schemes or doc["schemes"]
+    return doc
+
+
+def run_python(*args, **env):
+    """python -X dev -W error args in a fresh interpreter on src, env updated by env.
+
+    The flags are the ones CI runs the suite under, so a warning in the child
+    fails it as one in the suite would.
+    """
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", *args],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), **env),
+    )
 
 
 SMALL_DOC = {
@@ -432,8 +455,7 @@ def test_main_retired_keys_leave_the_artifact_unchanged(tmp_path, capsys):
 def test_main_optimize_far_below_unit_snr_reports_the_left_endpoint(tmp_path, capsys):
     # SNR scales near 1e-12: an absolute floor of 1 in the case analysis's
     # slack reported "crossing" at a min SNR of 4.978e-13
-    doc = json.loads((REPO_ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
-    doc["system"].update(ps_dbm=-170.0, d_su=[60.0, 100.0])
+    doc = default_doc(ps_dbm=-170.0, d_su=[60.0, 100.0])
     out = tmp_path / "r.json"
     assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     proposed = json.loads(out.read_text(encoding="utf-8"))["schemes"]["proposed"]
@@ -449,9 +471,7 @@ def test_main_optimize_far_below_unit_snr_reports_the_left_endpoint(tmp_path, ca
 def test_main_optimize_near_the_float_limit_keeps_the_crossing(tmp_path, capsys):
     # a3 * a3 overflows here, so a crossing norm that squares before scaling
     # reported fpa at t = 0.0 with gamma_u1 = 1.7e273 against gamma_u2 = 1.8e308
-    doc = json.loads((REPO_ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
-    doc["system"].update(ps_dbm=3035.5)
-    doc["schemes"] = ["proposed", "fpa"]
+    doc = default_doc(["proposed", "fpa"], ps_dbm=3035.5)
     out = tmp_path / "r.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -471,9 +491,7 @@ def test_main_optimize_near_the_float_limit_keeps_the_crossing(tmp_path, capsys)
 )
 def test_optimize_reports_the_correlation_of_its_positions(tmp_path, capsys, system, schemes):
     # kappa from the echoed angles and wavelength, x from the report: nothing from the package
-    doc = json.loads((REPO_ROOT / "configs" / "default.json").read_text(encoding="utf-8"))
-    doc["system"].update(system)
-    doc["schemes"] = schemes or doc["schemes"]
+    doc = default_doc(schemes, **system)
     out = tmp_path / "r.json"
     assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
@@ -502,6 +520,63 @@ def test_optimize_report_system_block_parses_back_to_its_config(tmp_path, capsys
     capsys.readouterr()
 
 
+ALIGNED_N2 = dict(n_antennas=2, span_l=2.0, theta_su=[1.8377256686100467, 0.20514194925801882],
+                  d_su=[23.65752314919121, 39.49592992383879])
+# 31 whole periods of the phase difference fit the span: the chain-DP start returns that chain
+ALIGNED_N32 = dict(n_antennas=32, span_l=45.4700347835771, d_min=0.25,
+                   theta_su=[0.16994055233248953, 1.1601471462975412])
+
+
+def parallel_at_t_1(schemes, _logged):
+    # parallel channels: both report t = 1, the t that the separation certificate sees
+    assert [(schemes[k]["case"], schemes[k]["t"]) for k in ("proposed", "ao")] == [("degenerate_parallel", 1.0)] * 2
+
+
+def full_correlation(schemes, _logged):
+    assert schemes["proposed"]["correlation"] >= 32 - 3.2e-8 and schemes["proposed"]["case"] == "degenerate_parallel"
+
+
+def one_rate_without_a_round(schemes, _logged):
+    # kappa = 0: the solve runs no SCA round, the channels are parallel, and all five schemes reach one rate
+    cases = {k: v["case"] for k, v in schemes.items()}
+    assert cases == dict.fromkeys(["proposed", "ao", "aps", "fpa"], "degenerate_parallel") | {"ma_mrt": None}
+    assert schemes["proposed"]["iterations"] == 0
+    rates = [v["min_rate_bps_hz"] for v in schemes.values()]
+    assert max(rates) - min(rates) <= 1e-12
+
+
+def rows_without_warnings(count):
+    # no warning: an unconverged solve logs "without converging", and a point that does not fit a skip
+    def check(rows, logged):
+        assert len(rows) == count and logged == []
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "argv, system, schemes, check",
+    [
+        pytest.param(["optimize"], ALIGNED_N2, ["proposed", "ao"], parallel_at_t_1, id="aligned-n2"),
+        pytest.param(["optimize"], ALIGNED_N32, ["proposed", "ma_mrt"], full_correlation, id="aligned-n32"),
+        pytest.param(["optimize"], dict(theta_su=[0.5, 0.5]), None, one_rate_without_a_round, id="one-angle"),
+        pytest.param(["sweep-n", "--n-min", "64", "--n-max", "64"], dict(span_l=40.0),
+                     ["proposed", "ma_mrt", "fpa"], rows_without_warnings(3), id="n64-span40"),
+        # spans 1e-9 apart: the chain-DP start and the solve stay feasible at every one
+        pytest.param(["sweep-l", "--l-min", "3", "--l-max", "3.000000005", "--l-step", "1e-9"], {},
+                     None, rows_without_warnings(25), id="sweep-l-step-1e-9"),
+    ],
+)
+def test_main_on_a_patched_default_config(tmp_path, capsys, caplog, argv, system, schemes, check):
+    out = tmp_path / "artifact"
+    cfg = write_config(tmp_path, default_doc(schemes, **system))
+    with caplog.at_level(logging.WARNING):
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    artifact = json.loads(text)["schemes"] if argv[0] == "optimize" else list(csv.DictReader(io.StringIO(text)))
+    check(artifact, [r.getMessage() for r in caplog.records])
+    capsys.readouterr()
+
+
 def test_no_command_imports_numpy_random(tmp_path):
     # validate draws from the stdlib PCG64 stream, and no other command draws
     # at all; a fresh interpreter per command shows what each pulls in.  The
@@ -523,12 +598,8 @@ def test_no_command_imports_numpy_random(tmp_path):
         ["sweep-n", "--config", config, "--n-min", "4", "--n-max", "5", "--out", str(tmp_path / "s.csv")],
         ["validate", "--quick"],
     ]
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     for argv in commands:
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python("-c", code, *argv)
         assert proc.returncode == 0, (argv[0], proc.stderr)
         loaded = set(json.loads(proc.stdout.splitlines()[-1]))
         if argv[0] == "validate":
@@ -553,13 +624,39 @@ def test_loading_a_config_imports_no_numpy():
         "    sys.exit('an infeasible geometry was accepted')\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c", code, str(REPO_ROOT / "configs" / "default.json")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python("-c", code, str(REPO_ROOT / "configs" / "default.json"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_full_validate_reports_agree_across_processes(tmp_path):
+    # through the package's entry point, under two fixed and different hash
+    # seeds, so a report that followed set or str-keyed order would differ
+    reports = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"validate_{seed}.json"
+        proc = run_python("-m", "ma_multicast", "validate", "--out", str(out), PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_optimize_at_2048_antennas_peaks_under_100_mb(tmp_path):
+    # the O(n) polytope projection keeps the whole process under 100 MB.  The
+    # child reads its peak from VmHWM: its ru_maxrss would also count the
+    # peak of the pytest process it was started from
+    doc = default_doc(["proposed", "ao", "ma_mrt"], n_antennas=2048, span_l=1.0, d_min=1 / 4096)
+    script = (
+        "import pathlib, sys, ma_multicast\n"
+        "code = ma_multicast.main(sys.argv[1:])\n"
+        "status = pathlib.Path('/proc/self/status').read_text()\n"
+        "print(code, status.split('VmHWM:')[1].split()[0])\n"
+    )
+    argv = ["optimize", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "r.json")]
+    proc = run_python("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split()[-2:])
+    assert code == 0 and peak_kib < 102400, (code, peak_kib)
 
 
 @pytest.mark.parametrize("config_doc", [SMALL_DOC, {"no_such_key": 1}], ids=["ok", "config-error"])
@@ -606,12 +703,15 @@ def test_main_bad_sweep_range_is_config_error(tmp_path, capsys):
         (["sweep-l", "--l-min", "nan", "--l-max", "4", "--l-step", "0.5"], l_range),
         (["sweep-l", "--l-min", "3", "--l-max", "nan", "--l-step", "0.5"], l_range),
         (["sweep-l", "--l-min", "3", "--l-max", "4", "--l-step", "nan"], l_range),
+        # an n past the float range, named as optimize names it
+        (["sweep-n", "--n-min", str(10**400), "--n-max", str(10**400)],
+         f"config error: n={10**400}: n_antennas must convert to a finite float"),
     ]
     out = tmp_path / "s.csv"
     for argv, message in cases:
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 1, argv
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err, argv
+        assert err == message + "\n", argv
         assert not out.exists()
 
 
@@ -628,11 +728,7 @@ def test_main_sweep_l_step_too_small_for_its_range_is_config_error(tmp_path, l_m
     out = tmp_path / "s.csv"
     argv = ["sweep-l", "--config", cfg, "--l-min", l_min, "--l-max", l_max, "--l-step", step,
             "--out", str(out)]
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ma_multicast", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python("-m", "ma_multicast", *argv)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("config error: l_step = ") and "Traceback" not in proc.stderr
     assert not out.exists()
@@ -666,8 +762,10 @@ def test_main_scheme_that_does_not_fit_is_config_error(tmp_path, capsys):
         (1e-300, "schemes: aps: more than 1e18 candidate subsets exceed the cap 10000000; use a coarser grid_step"),
         # 4 / 5e-324 is infinite: no count at all
         (5e-324, "schemes: aps: span_l / step = inf leaves no finite count of grid points"),
+        # 4e8 grid points, refused before any is built
+        (1e-8, "schemes: aps: more than 1e18 candidate subsets exceed the cap 10000000; use a coarser grid_step"),
     ],
-    ids=["1e-300", "5e-324"],
+    ids=["1e-300", "5e-324", "1e-8"],
 )
 def test_main_aps_grid_step_far_below_the_span_is_config_error(tmp_path, capsys, step, message):
     cfg = write_config(tmp_path, {"aps_grid_step": step, "schemes": ["aps"]})
@@ -678,6 +776,9 @@ def test_main_aps_grid_step_far_below_the_span_is_config_error(tmp_path, capsys,
 
 
 WAVELENGTH_MESSAGE = "wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite"
+PHASE_MESSAGE = "span_l and wavelength must keep twice the aperture phase, 4 pi span_l / wavelength, finite"
+# without aps: its grid cap refuses spans this long on its own
+NO_APS = ["proposed", "ao", "ma_mrt", "fpa"]
 
 
 @pytest.mark.parametrize(
@@ -690,20 +791,37 @@ WAVELENGTH_MESSAGE = "wavelength must keep 2 pi / wavelength and 2 kappa^2 n_ant
         ({"wavelength": 5e-324}, WAVELENGTH_MESSAGE),
         # a 401-digit integer: the span check's float conversion overflowed
         ({"n_antennas": 10**400}, "n_antennas must convert to a finite float"),
+        # kappa x overflowed: the solve raised "positions must be finite"
+        ({"wavelength": 1e-150, "span_l": 1e200}, PHASE_MESSAGE),
+        ({"wavelength": 1e-100, "span_l": 1e250}, PHASE_MESSAGE),
+        # just past the bound: 4 pi span_l / wavelength = 1.8096e308
+        ({"wavelength": 1e-100, "span_l": 1.44e207}, PHASE_MESSAGE),
     ],
-    ids=["wavelength-1e-300", "wavelength-1e-200", "wavelength-5e-324", "n-401-digits"],
+    ids=["wavelength-1e-300", "wavelength-1e-200", "wavelength-5e-324", "n-401-digits",
+         "phase-1e-150-1e200", "phase-1e-100-1e250", "phase-1e-100-1.44e207"],
 )
 def test_main_system_outside_the_numeric_domain_is_config_error(tmp_path, capsys, system, message):
-    cfg = write_config(tmp_path, {"system": system})
+    cfg = write_config(tmp_path, {"system": system, "schemes": NO_APS})
     out = tmp_path / "result.json"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: system: {message}\n"
     assert not out.exists()
 
 
-def test_main_wavelength_inside_the_domain_runs(tmp_path, capsys):
-    # kappa^2 = 3.6e300 at n = 5: large but finite, so every scheme runs
-    cfg = write_config(tmp_path, {"system": {"wavelength": 1e-150}})
+@pytest.mark.parametrize(
+    "system, schemes",
+    [
+        # kappa^2 = 3.6e300 at n = 5: large but finite, so every scheme runs
+        ({"wavelength": 1e-150}, None),
+        # the aligned chain fits, so the chain DP forms no step count
+        ({"wavelength": 1e-100, "span_l": 1e207}, NO_APS),
+        # just inside the bound: 4 pi span_l / wavelength = 1.79699e308
+        ({"wavelength": 1e-100, "span_l": 1.43e207}, NO_APS),
+    ],
+    ids=["wavelength-1e-150", "phase-1e-100-1e207", "phase-1e-100-1.43e207"],
+)
+def test_main_wavelength_inside_the_domain_runs(tmp_path, capsys, system, schemes):
+    cfg = write_config(tmp_path, {"system": system, "schemes": schemes or [s.value for s in Scheme]})
     assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
     assert capsys.readouterr().err == ""
 
