@@ -110,12 +110,12 @@ def min_snr_from_projections(t: float, x, cfg: SystemConfig) -> float:
     return float(_theta_from_gains(a, b, c, _clamp_mixing(t), *cfg.snr_scales))
 
 
-def _theta_coefficients(f_max, n: int, scale1, scale2) -> ThetaCoefficients:
-    """theta_coefficients for n antennas; f_max and the SNR scales may be arrays, one per row."""
+def _theta_coefficients(f_max, n, scale1, scale2) -> ThetaCoefficients:
+    """theta_coefficients for n antennas; n, f_max and the SNR scales may be arrays, one per row."""
     if not np.all((-1e-9 <= f_max) & (f_max <= n + 1e-9)):
         raise ValueError(f"correlation f_max = {f_max!r} outside [0, n_antennas]")
-    f_max = np.clip(f_max, 0.0, float(n))
-    a2 = np.sqrt(scale2) * f_max / math.sqrt(n)
+    f_max = np.clip(f_max, 0.0, n)
+    a2 = np.sqrt(scale2) * f_max / np.sqrt(n)
     a3 = np.sqrt(scale2 * np.maximum(n - f_max * f_max / n, 0.0))
     return ThetaCoefficients(a1=scale1 * n, a2=a2, a3=a3, f_max=f_max)
 

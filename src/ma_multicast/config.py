@@ -10,15 +10,35 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-# Absolute slack applied to every geometric feasibility check.
+# Slack of every geometric feasibility check (feasibility_slack): an absolute
+# part, and a relative part of 8 float epsilons.
 FEASIBILITY_TOL = 1e-9
+FEASIBILITY_RTOL = 2.0 ** -49
 # Half-wavelength spacing used by the fixed-array and quantized-grid schemes.
 REFERENCE_SPACING = 0.5
+# Most antennas a config may hold; past it is a config error.  One optimize
+# at the cap, n = 4 098 on span 2 248.5 with the default angles and the
+# proposed scheme, takes about 12 s and peaks at 168 MB of RSS (2-core host,
+# Python 3.11, numpy 2.4.6): the chain-DP start's (n, 4 097) value table
+# alone is 134 MB.  4 098 is the largest array the test suite solves.
+ARRAY_MAX_ANTENNAS = 4_098
+
+
+def feasibility_slack(size):
+    """Slack of a feasibility check on positions up to size in magnitude; size may be an array.
+
+    FEASIBILITY_TOL, plus FEASIBILITY_RTOL times size.  Positions
+    the solver builds, such as u + (i - 1) d_min or i span_l / (n - 1),
+    carry a few roundings of numbers up to the span, so a spacing or an end
+    can miss its bound by a few ulps of the span: far below FEASIBILITY_TOL
+    at unit scale, far above it at a span of 4e30.
+    """
+    return FEASIBILITY_TOL + FEASIBILITY_RTOL * size
 
 
 def exceeds_span(n: int, spacing: float, span_l: float) -> bool:
-    """Whether n antennas spacing apart overrun span_l by more than FEASIBILITY_TOL."""
-    return (n - 1) * spacing > span_l + FEASIBILITY_TOL
+    """Whether n antennas spacing apart overrun span_l by more than its feasibility slack."""
+    return (n - 1) * spacing > span_l + feasibility_slack(span_l)
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -44,7 +64,8 @@ class SystemConfig:
     the SCA's global curvature bound 2 kappa^2 n_antennas (posopt._sca).
     Then every kappa_i and kappa is finite, and each SCA round's curvature
     2 kappa^2 max(|s|, 1) <= 2 kappa^2 n is too.  n_antennas must convert to
-    a finite float, since the geometry and SNR checks multiply by it.
+    a finite float, since the geometry and SNR checks multiply by it, and
+    at most ARRAY_MAX_ANTENNAS, which bounds the solve's time and memory.
 
     Domain of the aperture phase: the largest phase a steering vector reaches,
     phi = (2 pi / wavelength) span_l, must leave half the float range free,
@@ -52,8 +73,9 @@ class SystemConfig:
     product the solve forms then stays finite:
     - Phases.  Both sines lie in [0, 1], so |kappa_i|, |kappa| and the beam
       pattern's (2 pi / wavelength) sin(theta) are at most 2 pi / wavelength,
-      and every position lies in [0, span_l + FEASIBILITY_TOL].  Each phase
-      kappa x is then at most phi + 1e-9 * 1.8e308, inside the free half.
+      and every position lies in [0, span_l + feasibility_slack(span_l)].
+      Each phase kappa x is then at most (1 + 2e-15) phi + 1e-9 * 1.8e308,
+      inside the free half.
       So are the chain-DP start's kappa u and kappa d_min (i - 1).
     - The chain-DP step count hi / h_max = max(40 hi, (64 / pi) |kappa| hi).
       The grid runs only when |kappa| >= posopt.KAPPA_TOL = 1e-12 and the
@@ -105,6 +127,8 @@ class SystemConfig:
             overrun = exceeds_span(n, self.d_min, self.span_l)
         except OverflowError:
             raise ValueError("n_antennas must convert to a finite float") from None
+        if n > ARRAY_MAX_ANTENNAS:
+            raise ValueError(f"n_antennas = {n} exceeds the cap of {ARRAY_MAX_ANTENNAS} antennas")
         if overrun:
             raise ValueError(
                 "infeasible geometry: (n_antennas - 1) * d_min = "
@@ -190,7 +214,11 @@ class ExperimentConfig:
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        # an integer past the float range, such as a 401-digit JSON number
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite")
     return value
@@ -326,6 +354,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past Python's int_max_str_digits
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return config_from_dict(doc)

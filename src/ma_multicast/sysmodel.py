@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FEASIBILITY_TOL, SystemConfig
+from .config import FEASIBILITY_TOL, SystemConfig, feasibility_slack
 
 # Allowed deviation of ||w||^2 from 1 for anything used as a beamformer.
 UNIT_NORM_TOL = 1e-12
@@ -45,12 +45,14 @@ def validate_position_rows(x: np.ndarray, span_l, d_min) -> None:
     keeps the minimum spacing and ends within the span.
 
     span_l and d_min are one value each, or (B, 1) columns of one per row.
-    The message names the first of those constraints that some row breaks.
+    Each row's slack is feasibility_slack of its largest position magnitude,
+    which holds for a span of inf too.  The message names the first of those
+    constraints that some row breaks.
     """
-    tol = FEASIBILITY_TOL
     if not np.isfinite(x).all():
         raise ValueError("infeasible positions: not all finite")
-    if x[:, 0].min() < -tol:
+    tol = feasibility_slack(np.abs(x).max(axis=-1, keepdims=True))
+    if (x[:, :1] < -tol).any():
         raise ValueError("infeasible positions: a first position lies left of the aperture")
     if (x[:, 1:] - x[:, :-1] < d_min - tol).any():
         raise ValueError("infeasible positions: an adjacent spacing is below the minimum")

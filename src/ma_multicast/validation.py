@@ -11,17 +11,17 @@ import numpy as np
 
 from . import _pcg64
 from .beamformer import (
+    ThetaCoefficients,
     _clamp_mixing,
     _projection_gains,
     _theta_coefficients,
     _theta_from_gains,
     optimize_mixing,
     theta_at,
-    theta_coefficients,
 )
 from .config import SystemConfig
 from .oracle import GridSpec, _best_t_rows, joint_vs_decoupled
-from .posopt import _correlation_rows, correlation, random_positions
+from .posopt import _correlation_rows, random_positions
 from .sysmodel import validate_position_rows
 
 VALIDATION_SEED = 20240517
@@ -47,29 +47,40 @@ def _random_validation_config(rng, n=None, span=None) -> SystemConfig:
     )
 
 
-def _sampled_check(rng, samples: int, name: str, tol: float, rel_diffs, draw_t=False) -> dict:
-    """Worst of rel_diffs over samples random configs, each at random positions.
+def _row_table(cfgs, x, t) -> np.ndarray:
+    """The table rows of configs of equal n at positions x, checked as one (B, n) array.
 
-    Each sample draws its config, positions and, with draw_t, a mixing t, in
-    that order.  rel_diffs(cfgs, x, t) then scores each group of equal n: its
-    configs, positions as one checked (B, n) array and t (or None), one value
-    per row.
+    Each row holds one sample's n, correlation f, gains (a, b, c), SNR
+    scales (s1, s2) and mixing t, in that order.
+    """
+    n, kappa, kappa1, kappa2, s1, s2, spans, d_mins = np.array(
+        [[c.n_antennas, c.kappa, *c.kappas, *c.snr_scales, c.span_l, c.d_min] for c in cfgs]
+    ).T[:, :, None]
+    validate_position_rows(x, spans, d_mins)
+    gains = _projection_gains(x, (kappa1, kappa2))
+    return np.column_stack([n, _correlation_rows(x, kappa), *gains, s1, s2, t])
+
+
+def _sampled_check(rng, samples: int, name: str, tol: float, score, draw_t=False) -> dict:
+    """Worst of score over samples random configs, each at random positions.
+
+    Each sample draws its config, positions and, with draw_t, a mixing t
+    (NaN without), in that order.  Each group of equal n gives its rows of
+    the table (_row_table), and score takes the whole table in one call and
+    returns one value per row.
     """
     groups = {}
     for _ in range(samples):
         cfg = _random_validation_config(rng)
         x = random_positions(cfg, rng)
-        t = rng.uniform() if draw_t else None
+        t = rng.uniform() if draw_t else math.nan
         groups.setdefault(cfg.n_antennas, []).append((cfg, x, t))
-    peaks = [0.0]
+    tables = []
     for draws in groups.values():
         cfgs, x, t = zip(*draws)
-        x = np.array(x)
-        spans, d_mins = np.array([[c.span_l, c.d_min] for c in cfgs]).T[:, :, None]
-        validate_position_rows(x, spans, d_mins)
-        peaks.append(np.max(rel_diffs(cfgs, x, np.array(t) if draw_t else None)))
+        tables.append(_row_table(cfgs, np.array(x), t))
     # np.max, unlike Python's max, lets a NaN through, so the check fails on it
-    worst = float(np.max(peaks))
+    worst = float(np.max(score(np.concatenate(tables)), initial=0.0))
     return {
         "name": name,
         "samples": samples,
@@ -78,45 +89,33 @@ def _sampled_check(rng, samples: int, name: str, tol: float, rel_diffs, draw_t=F
     }
 
 
-def _path_equivalence_diffs(cfgs, x, t) -> np.ndarray:
-    # the correlation route (va) and the projection route (vb), kept apart
-    t = _clamp_mixing(t)
-    scales = _row_scales(cfgs)
-    f = _correlation_rows(x, np.array([[c.kappa] for c in cfgs]))
-    va = theta_at(_theta_coefficients(f, x.shape[1], *scales), t)
-    vb = _theta_from_gains(*_projection_gains(x, _row_kappas(cfgs)), t, *scales)
-    return _rel_diffs(va, vb)
-
-
 def _rel_diffs(va, vb) -> np.ndarray:
     return np.abs(va - vb) / np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
 
 
-def _projection_identity_diffs(cfgs, x, t) -> np.ndarray:
-    a, b, c = _projection_gains(x, _row_kappas(cfgs))
-    n = x.shape[1]
-    return np.maximum(np.abs(a - math.sqrt(n)) / math.sqrt(n), np.abs(b * b + c * c - n) / n)
+def _path_equivalence_diffs(rows) -> np.ndarray:
+    # the correlation route (va) and the projection route (vb), kept apart
+    n, f, a, b, c, s1, s2, t = rows.T
+    t = _clamp_mixing(t)
+    va = theta_at(_theta_coefficients(f, n, s1, s2), t)
+    return _rel_diffs(va, _theta_from_gains(a, b, c, t, s1, s2))
 
 
-def _row_kappas(cfgs) -> np.ndarray:
-    """Both users' phase rates per config as a (2, B, 1) array: one column per user."""
-    return np.array([c.kappas for c in cfgs]).T[:, :, None]
+def _projection_identity_diffs(rows) -> np.ndarray:
+    n, _f, a, b, c, *_ = rows.T
+    return np.maximum(np.abs(a - np.sqrt(n)) / np.sqrt(n), np.abs(b * b + c * c - n) / n)
 
 
-def _row_scales(cfgs) -> np.ndarray:
-    """Both users' SNR scales per config as a (2, B) array: one row per user."""
-    return np.array([c.snr_scales for c in cfgs]).T
-
-
-def _mixing_rule_diffs(cfgs, x, t) -> np.ndarray:
+def _mixing_rule_diffs(rows) -> np.ndarray:
     # the closed form, one row at a time, against the grid oracle on all rows at once
+    n, f, a, b, c, s1, s2, _t = rows.T
+    coeffs = _theta_coefficients(f, n, s1, s2)
     theta_closed = []
-    for cfg, row in zip(cfgs, x):
-        coeffs = theta_coefficients(correlation(row, cfg), cfg)
-        t_star, _label = optimize_mixing(coeffs, cfg.n_antennas)
-        theta_closed.append(float(theta_at(coeffs, t_star)))
-    gains = _projection_gains(x, _row_kappas(cfgs))
-    _t_ref, theta_ref = _best_t_rows(*gains, _row_scales(cfgs), t_step=1e-5)
+    # each row's coefficients as Python floats, as theta_coefficients gives them
+    for n_i, *row in np.array([n, coeffs.a1, coeffs.a2, coeffs.a3, coeffs.f_max]).T.tolist():
+        coeffs_i = ThetaCoefficients(*row)
+        theta_closed.append(theta_at(coeffs_i, optimize_mixing(coeffs_i, n_i)[0]))
+    _t_ref, theta_ref = _best_t_rows(a, b, c, (s1, s2), t_step=1e-5)
     return _rel_diffs(np.array(theta_closed), theta_ref)
 
 

@@ -9,6 +9,7 @@ import logging
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import warnings
@@ -28,7 +29,7 @@ from ma_multicast import (
     run_single,
 )
 from ma_multicast import posopt
-from ma_multicast.config import SWEEP_FIELDS, SYSTEM_FIELDS, config_from_dict, exceeds_span
+from ma_multicast.config import CONFIG_FIELDS, SWEEP_FIELDS, SYSTEM_FIELDS, config_from_dict, exceeds_span
 from ma_multicast.expcli import (
     SWEEP_KINDS,
     SWEEP_MAX_POINTS,
@@ -40,6 +41,7 @@ from ma_multicast.expcli import (
     write_csv,
     write_json,
 )
+from ma_multicast.sysmodel import check_positions
 
 from correlation_reference import best_t
 
@@ -136,6 +138,12 @@ def test_config_from_dict_defaults():
         ),
         ({"sweep": {"kind": "beam_pattern", "angle_count": 1}}, "sweep.angle_count: must be >= 2"),
         ({"schemes": ["proposed", "fpa", "proposed"]}, "schemes[2]: duplicate scheme 'proposed'"),
+        # integers past the float range: float() raised OverflowError
+        ({"system": {"span_l": 10**400}}, "system.span_l: must be finite"),
+        ({"system": {"ps_dbm": -(10**400)}}, "system.ps_dbm: must be finite"),
+        ({"system": {"d_su": [100.0, 10**400]}}, "system.d_su[1]: must be finite"),
+        ({"aps_grid_step": 10**400}, "aps_grid_step: must be finite"),
+        ({"sweep": {"kind": "over_l", "l_min": 1.0, "l_max": 10**400, "l_step": 1.0}}, "sweep.l_max: must be finite"),
     ],
 )
 def test_config_from_dict_rejections(doc, fragment):
@@ -192,6 +200,17 @@ def test_load_config_bad_json(tmp_path):
     path.write_text("{nope", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(path))
+
+
+def test_main_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on a
+    # 5 001-digit integer, past Python's default int_max_str_digits of 4 300
+    path = tmp_path / "long.json"
+    path.write_text('{"aps_grid_step": 1' + "0" * 5000 + "}", encoding="utf-8")
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path} is not valid JSON: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
 
 
 def test_load_config_round_trip(tmp_path):
@@ -545,6 +564,11 @@ def one_rate_without_a_round(schemes, _logged):
     assert max(rates) - min(rates) <= 1e-12
 
 
+def feasible_at_4e30(schemes, _logged):
+    # one ulp of the span is about 5e14, so only a slack that scales with it passes these positions
+    check_positions(schemes["proposed"]["x"], SystemConfig(span_l=4e30, d_min=1e30))
+
+
 def rows_without_warnings(count):
     # no warning: an unconverged solve logs "without converging", and a point that does not fit a skip
     def check(rows, logged):
@@ -559,6 +583,8 @@ def rows_without_warnings(count):
         pytest.param(["optimize"], ALIGNED_N2, ["proposed", "ao"], parallel_at_t_1, id="aligned-n2"),
         pytest.param(["optimize"], ALIGNED_N32, ["proposed", "ma_mrt"], full_correlation, id="aligned-n32"),
         pytest.param(["optimize"], dict(theta_su=[0.5, 0.5]), None, one_rate_without_a_round, id="one-angle"),
+        # the array fills the span: _sca's entry check refused the uniform start
+        pytest.param(["optimize"], dict(span_l=4e30, d_min=1e30), ["proposed"], feasible_at_4e30, id="tight-4e30"),
         pytest.param(["sweep-n", "--n-min", "64", "--n-max", "64"], dict(span_l=40.0),
                      ["proposed", "ma_mrt", "fpa"], rows_without_warnings(3), id="n64-span40"),
         # spans 1e-9 apart: the chain-DP start and the solve stay feasible at every one
@@ -796,9 +822,12 @@ NO_APS = ["proposed", "ao", "ma_mrt", "fpa"]
         ({"wavelength": 1e-100, "span_l": 1e250}, PHASE_MESSAGE),
         # just past the bound: 4 pi span_l / wavelength = 1.8096e308
         ({"wavelength": 1e-100, "span_l": 1.44e207}, PHASE_MESSAGE),
+        # uniform_positions asked numpy for 7.28 TiB
+        ({"n_antennas": 10**12, "d_min": 1e-300}, "n_antennas = 1000000000000 exceeds the cap of 4098 antennas"),
+        ({"n_antennas": 4099, "d_min": 1e-6}, "n_antennas = 4099 exceeds the cap of 4098 antennas"),
     ],
     ids=["wavelength-1e-300", "wavelength-1e-200", "wavelength-5e-324", "n-401-digits",
-         "phase-1e-150-1e200", "phase-1e-100-1e250", "phase-1e-100-1.44e207"],
+         "phase-1e-150-1e200", "phase-1e-100-1e250", "phase-1e-100-1.44e207", "n-1e12", "n-past-the-cap"],
 )
 def test_main_system_outside_the_numeric_domain_is_config_error(tmp_path, capsys, system, message):
     cfg = write_config(tmp_path, {"system": system, "schemes": NO_APS})
@@ -824,6 +853,81 @@ def test_main_wavelength_inside_the_domain_runs(tmp_path, capsys, system, scheme
     cfg = write_config(tmp_path, {"system": system, "schemes": schemes or [s.value for s in Scheme]})
     assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
     assert capsys.readouterr().err == ""
+
+
+# edge values for any field or flag: past or at the float range, subnormal,
+# zero and negative, wrong types, and pairs that hold such values
+FUZZ_POOL = [
+    0, -1, 2, 0.5, 5e-324, 1e-300, 1e300, 1.7e308, 10**20, 10**400, -(10**400),
+    "x", "", True, False, None, [1.0, 2.0], [0, 10**400], [1e-300, 1.7e308], ["proposed", "aps"],
+]
+# each command's flags with their argparse types
+FUZZ_FLAGS = {
+    "optimize": {},
+    "beampattern": {"--points": int},
+    "sweep-n": {"--n-min": int, "--n-max": int},
+    "sweep-l": {"--l-min": float, "--l-max": float, "--l-step": float},
+}
+
+
+def fuzz_value(rng, read):
+    """A FUZZ_POOL value, most often one that the field's reader accepts, so the run gets past it."""
+    def accepted(value):
+        try:
+            read(value, "field")
+        except ConfigError:
+            return False
+        return True
+
+    fits = [value for value in FUZZ_POOL if accepted(value)]
+    return rng.choice(fits if fits and rng.random() < 0.8 else FUZZ_POOL)
+
+
+def fuzz_case(rng):
+    """One random (argv, config document) from FUZZ_POOL: a few fields, most flags."""
+    fields = [(None, key, read) for key, read in CONFIG_FIELDS.items()]
+    fields += [("system", key, read) for key, read in SYSTEM_FIELDS.items()]
+    fields += [(kind, key, read) for kind, table in SWEEP_FIELDS.items() for key, read in table.items()]
+    doc = {}
+    for section, key, read in rng.sample(fields, rng.randint(1, 3)):
+        value = fuzz_value(rng, read)
+        if section is None:
+            doc[key] = value
+            continue
+        # a system field, or a field of the sweep kind named by section
+        name, head = ("system", {}) if section == "system" else ("sweep", {"kind": section})
+        if not isinstance(doc.get(name), dict) or doc[name].get("kind") != head.get("kind"):
+            doc[name] = head
+        doc[name][key] = value
+    command = rng.choice(list(FUZZ_FLAGS))
+    argv = [command]
+    for flag, kind in FUZZ_FLAGS[command].items():
+        # a value the flag's type parses, as argparse exits 2 on any other
+        if rng.random() < 0.9:
+            argv += [flag, str(rng.choice([v for v in FUZZ_POOL if type(v) in (int, kind)]))]
+    return argv, doc
+
+
+def test_fuzzed_configs_and_flags_exit_0_or_1_with_one_config_error_line(tmp_path, monkeypatch, capsys):
+    # every input the CLI can be given is either run or refused as a config
+    # error: never an internal error (exit 3), and never more than one error line
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(20261020)
+    touched = set()
+    for _ in range(300):
+        argv, doc = fuzz_case(rng)
+        touched.update(doc)
+        touched.update(key for section in doc.values() if isinstance(section, dict) for key in section)
+        cfg = write_config(tmp_path, doc)
+        code = main(argv + ["--config", cfg, "--out", "artifact"])
+        gc.unfreeze()
+        err = capsys.readouterr().err
+        assert code in (0, 1), (argv, doc, err)
+        if code == 1:
+            errors = [line for line in err.splitlines() if line.startswith("config error:")]
+            assert len(errors) == 1 and err.endswith(errors[0] + "\n"), (argv, doc, err)
+    # every field of every table was drawn at least once
+    assert touched >= set(CONFIG_FIELDS) | set(SYSTEM_FIELDS) | {key for table in SWEEP_FIELDS.values() for key in table}
 
 
 def test_main_unwritable_out_is_config_error(tmp_path, capsys):

@@ -18,6 +18,7 @@ from ma_multicast import (
 )
 from ma_multicast import _pcg64, posopt, validation
 from ma_multicast.beamformer import _projection_gains, _theta_coefficients, _theta_from_gains
+from ma_multicast.oracle import _best_t_rows
 from ma_multicast.posopt import _correlation_rows
 from ma_multicast.validation import VALIDATION_SEED
 
@@ -72,7 +73,7 @@ def per_sample_loop(rng, samples, reference, draw_t):
     for _ in range(samples):
         cfg = validation._random_validation_config(rng)
         x = random_positions(cfg, rng)
-        t = float(rng.uniform()) if draw_t else None
+        t = float(rng.uniform()) if draw_t else math.nan
         rows.append((cfg, x, t, reference(cfg, x, t)))
     return rows
 
@@ -91,7 +92,7 @@ def test_batched_checks_match_the_per_sample_loop_bit_for_bit(samples):
         assert {cfg.n_antennas for cfg, *_ in rows} == set(range(2, 9))
         for n in range(2, 9):
             cfgs, xs, ts, want = zip(*(r for r in rows if r[0].n_antennas == n))
-            got = diffs(cfgs, np.array(xs), np.array(ts) if draw_t else None)
+            got = diffs(validation._row_table(cfgs, np.array(xs), ts))
             assert np.array_equal(bits(got), bits(want)), (name, n)
         report = validation._sampled_check(rng, samples, name, 1e-9, diffs, draw_t)
         # same draws in the same order, and the worst of the same values
@@ -153,8 +154,8 @@ def test_validate_report_is_the_one_numpy_default_rng_gives(monkeypatch, quick):
 
 
 def test_sampled_check_fails_on_a_nan_difference():
-    def diffs(cfgs, x, t):
-        out = np.zeros(len(cfgs))
+    def diffs(rows):
+        out = np.zeros(len(rows))
         out[-1] = math.nan
         return out
 
@@ -179,3 +180,18 @@ def test_sampled_check_rejects_a_group_with_an_infeasible_row(monkeypatch):
             validation._sampled_check(
                 np.random.default_rng(VALIDATION_SEED), 10, "check", 1e-9, diffs, draw_t
             )
+
+
+@pytest.mark.parametrize("quick, samples", [(True, 10), (False, 40)])
+def test_mixing_check_runs_the_grid_oracle_once_over_every_row(monkeypatch, quick, samples):
+    calls = []
+
+    def counted(a, b, c, scales, t_step):
+        calls.append(a.size)
+        return _best_t_rows(a, b, c, scales, t_step)
+
+    monkeypatch.setattr(validation, "_best_t_rows", counted)
+    _report, passed = run_validate(quick)
+    assert passed
+    # one call for the whole check, over the rows of every n it drew
+    assert calls == [samples]
