@@ -46,6 +46,10 @@ def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+class ConfigError(ValueError):
+    """A config value refused; the message names its field, or the check across fields it fails."""
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Constants of one downlink instance.
@@ -56,9 +60,19 @@ class SystemConfig:
     wavelength and half-wavelength minimum spacing on a 4-wavelength
     aperture with five antennas.
 
-    Building the config, or rebuilding it with dataclasses.replace, computes
-    three derived constants once.  They are plain attributes, not fields, so
-    equality, hashing and asdict see only the inputs.
+    Building the config, or rebuilding it with dataclasses.replace, first
+    reads each field through its SYSTEM_FIELDS reader, the same one a JSON
+    config goes through: a bad field raises ConfigError, a ValueError, named
+    after the field as "span_l: must be positive" or "d_su[1]: must be
+    finite", where the JSON path says "system.span_l: ...".  Numbers become
+    floats, n_antennas an int and each pair a tuple; numpy scalars, lists and
+    tuples are accepted.  The checks across fields follow, each a ConfigError
+    too, in this order: (n_antennas - 1) d_min fits in span_l within
+    feasibility_slack(span_l); each user's SNR scale is positive, and finite
+    times n_antennas; then the domains of the phase rate and of the aperture
+    phase below.  Then three derived constants are computed once.  They are
+    plain attributes, not fields, so equality, hashing and asdict see only the
+    inputs.
 
     Domain of the phase rate: 2 pi / wavelength must be finite, and so must
     the SCA's global curvature bound 2 kappa^2 n_antennas (posopt._sca).
@@ -113,68 +127,48 @@ class SystemConfig:
     theta_su: tuple = (math.pi / 4.0, 9.0 * math.pi / 10.0)
 
     def __post_init__(self):
-        d_su = tuple(map(float, self.d_su))
-        theta_su = tuple(map(float, self.theta_su))
-        n = self.n_antennas
-        if not isinstance(n, numbers.Integral) or n < 2:
-            raise ValueError("n_antennas must be an integer >= 2")
-        n = int(n)
-        if not (0.0 < self.span_l < math.inf):
-            raise ValueError("span_l must be positive and finite")
-        if not (0.0 < self.d_min < math.inf):
-            raise ValueError("d_min must be positive and finite")
+        fields = vars(self)
+        for name, read in SYSTEM_FIELDS.items():
+            fields[name] = read(fields[name], name)
+        n, span_l, d_min = self.n_antennas, self.span_l, self.d_min
         try:
-            overrun = exceeds_span(n, self.d_min, self.span_l)
+            overrun = exceeds_span(n, d_min, span_l)
         except OverflowError:
-            raise ValueError("n_antennas must convert to a finite float") from None
+            raise ConfigError("n_antennas must convert to a finite float") from None
         if n > ARRAY_MAX_ANTENNAS:
-            raise ValueError(f"n_antennas = {n} exceeds the cap of {ARRAY_MAX_ANTENNAS} antennas")
+            raise ConfigError(f"n_antennas = {n} exceeds the cap of {ARRAY_MAX_ANTENNAS} antennas")
         if overrun:
-            raise ValueError(
+            raise ConfigError(
                 "infeasible geometry: (n_antennas - 1) * d_min = "
-                f"{(n - 1) * self.d_min:g} exceeds span_l = {self.span_l:g}"
+                f"{(n - 1) * d_min:g} exceeds span_l = {span_l:g}"
             )
-        if not (0.0 < self.wavelength < math.inf):
-            raise ValueError("wavelength must be positive and finite")
-        if not (0.0 < self.tau < math.inf):
-            raise ValueError("tau must be positive and finite")
-        if not (math.isfinite(self.ps_dbm) and math.isfinite(self.sigma2_dbm)):
-            raise ValueError("ps_dbm and sigma2_dbm must be finite")
-        if len(d_su) != 2 or not (0.0 < d_su[0] < math.inf and 0.0 < d_su[1] < math.inf):
-            raise ValueError("d_su must be a pair of positive finite distances")
-        if len(theta_su) != 2 or not (
-            0.0 <= theta_su[0] <= math.pi and 0.0 <= theta_su[1] <= math.pi
-        ):
-            raise ValueError("theta_su must be a pair of angles in [0, pi]")
+        d1, d2 = self.d_su
         try:
             ps_w, sigma2_w = self.ps_w, self.sigma2_w
-            c1 = ps_w / (d_su[0] ** self.tau * sigma2_w)
-            c2 = ps_w / (d_su[1] ** self.tau * sigma2_w)
+            c1 = ps_w / (d1 ** self.tau * sigma2_w)
+            c2 = ps_w / (d2 ** self.tau * sigma2_w)
         except (OverflowError, ZeroDivisionError):
             c1 = c2 = math.nan
         # the largest beam gain is n_antennas, so scale * n is the largest SNR
         if not (0.0 < c1 and c1 * n < math.inf and 0.0 < c2 and c2 * n < math.inf):
-            raise ValueError(
+            raise ConfigError(
                 "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive "
                 "SNR scale ps / (d^tau * sigma^2) whose product with n_antennas "
                 "is finite"
             )
         rate = 2.0 * math.pi / self.wavelength
-        sin1, sin2 = math.sin(theta_su[0]), math.sin(theta_su[1])
+        sin1, sin2 = math.sin(self.theta_su[0]), math.sin(self.theta_su[1])
         kappa = rate * (sin2 - sin1)
         # products, not kappa ** 2: a float power past the range raises OverflowError
         if not (math.isfinite(rate) and math.isfinite(2.0 * kappa * kappa * n)):
-            raise ValueError("wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite")
-        if not math.isfinite(2.0 * rate * self.span_l):
-            raise ValueError(
+            raise ConfigError("wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite")
+        if not math.isfinite(2.0 * rate * span_l):
+            raise ConfigError(
                 "span_l and wavelength must keep twice the aperture phase, 4 pi span_l / wavelength, finite"
             )
-        object.__setattr__(self, "n_antennas", n)
-        object.__setattr__(self, "d_su", d_su)
-        object.__setattr__(self, "theta_su", theta_su)
-        object.__setattr__(self, "snr_scales", (c1, c2))
-        object.__setattr__(self, "kappas", (rate * sin1, rate * sin2))
-        object.__setattr__(self, "kappa", kappa)
+        fields["snr_scales"] = (c1, c2)
+        fields["kappas"] = (rate * sin1, rate * sin2)
+        fields["kappa"] = kappa
 
     @property
     def ps_w(self) -> float:
@@ -193,32 +187,24 @@ class Scheme(str, Enum):
     FPA = "fpa"
 
 
-class ConfigError(Exception):
-    """Configuration document rejected; the message carries the field path."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    system: SystemConfig = SystemConfig()
-    schemes: tuple = tuple(Scheme)
-    aps_grid_step: float = REFERENCE_SPACING
-    sweep: dict | None = None
-    output_dir: str = "."
-
-
 # ---------------------------------------------------------------------------
 # Config ingestion: one table per config object maps each field to its reader,
-# a check that takes (value, path) and returns the value to keep
+# a check that takes (value, path) and returns the value to keep.  These
+# readers are the only statement of each field's type and range: the JSON
+# walker, SystemConfig and the CLI's sweep flags all read through them.
 
 
 def _number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        # an integer past the float range, such as a 401-digit JSON number
-        value = math.inf
+    """A finite float; an int or a numpy scalar converts to one, a bool does not."""
+    # plain floats skip the isinstance checks: SystemConfig reads several per build
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{path}: expected a number")
+        try:
+            value = float(value)
+        except OverflowError:
+            # an integer past the float range, such as a 401-digit JSON number
+            value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite")
     return value
@@ -231,12 +217,21 @@ def _positive(value, path):
     return value
 
 
+def _angle(value, path):
+    value = _number(value, path)
+    if not 0.0 <= value <= math.pi:
+        raise ConfigError(f"{path}: must lie in [0, pi]")
+    return value
+
+
 def _integer(minimum):
-    """The reader of an integer >= minimum."""
+    """The reader of an integer >= minimum; a numpy integer converts to an int, a bool does not."""
 
     def read(value, path):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer")
+        if type(value) is not int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{path}: expected an integer")
+            value = int(value)
         if value < minimum:
             raise ConfigError(f"{path}: must be >= {minimum}")
         return value
@@ -244,10 +239,15 @@ def _integer(minimum):
     return read
 
 
-def _pair(value, path):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}: expected a pair of numbers")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+def _pair(read):
+    """The reader of a list or tuple of two values, each read by read."""
+
+    def read_pair(value, path):
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigError(f"{path}: expected a pair of numbers")
+        return read(value[0], f"{path}[0]"), read(value[1], f"{path}[1]")
+
+    return read_pair
 
 
 def _string(value, path):
@@ -290,9 +290,11 @@ def _fields(doc, path, table, required):
 
 
 def _system(doc, path):
+    fields = _fields(doc, path, SYSTEM_FIELDS, required=False)
     try:
-        return SystemConfig(**_fields(doc, path, SYSTEM_FIELDS, required=False))
-    except ValueError as exc:
+        return SystemConfig(**fields)
+    except ConfigError as exc:
+        # a check across fields: each field alone was read above, under its own path
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -316,8 +318,8 @@ SYSTEM_FIELDS = {
     "tau": _positive,
     "ps_dbm": _number,
     "sigma2_dbm": _number,
-    "d_su": _pair,
-    "theta_su": _pair,
+    "d_su": _pair(_positive),
+    "theta_su": _pair(_angle),
 }
 
 # one table per sweep kind; its fields are also the dests of its command's flags
@@ -326,6 +328,17 @@ SWEEP_FIELDS = {
     "over_l": {"l_min": _positive, "l_max": _positive, "l_step": _positive},
     "beam_pattern": {"angle_count": _integer(2)},
 }
+
+
+# after SYSTEM_FIELDS: the default system is built, and read through it, here
+@dataclass(frozen=True)
+class ExperimentConfig:
+    system: SystemConfig = SystemConfig()
+    schemes: tuple = tuple(Scheme)
+    aps_grid_step: float = REFERENCE_SPACING
+    sweep: dict | None = None
+    output_dir: str = "."
+
 
 CONFIG_FIELDS = {
     "system": _system,
@@ -350,7 +363,8 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # UnicodeDecodeError: a file that is not UTF-8
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)

@@ -82,8 +82,11 @@ def run_single(exp: ExperimentConfig) -> dict:
 
 
 def run_beampattern(exp: ExperimentConfig, angle_count: int):
-    if angle_count < 2:
-        raise ConfigError("angle_count must be >= 2")
+    """Rows (theta, scheme, gain) over angle_count angles in [0, pi].
+
+    angle_count must be a value its SWEEP_FIELDS reader accepts, as main
+    ensures; only the cap on the points is checked here.
+    """
     if angle_count > SWEEP_MAX_POINTS:
         raise ConfigError(f"angle_count = {angle_count} lists more than {SWEEP_MAX_POINTS} points")
     thetas = np.linspace(0.0, math.pi, angle_count)
@@ -142,7 +145,7 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
         label = f"{key}={_format_cell(value)}"
         try:
             cfg = replace(exp.system, **{field: value})
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{label}: {exc}") from exc
         for scheme in exp.schemes:
             try:
@@ -157,8 +160,13 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
 
 
 def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
-    if n_min < 2 or n_max < n_min:
-        raise ConfigError("need 2 <= n_min <= n_max")
+    """Rows and skips of _run_sweep over n = n_min .. n_max.
+
+    Each bound must be a value its SWEEP_FIELDS reader accepts, as main
+    ensures; only their order and the cap on the points are checked here.
+    """
+    if n_max < n_min:
+        raise ConfigError(f"n_min = {n_min} exceeds n_max = {n_max}")
     if n_max - n_min >= SWEEP_MAX_POINTS:
         raise ConfigError(
             f"n_min = {n_min} to n_max = {n_max} lists more than {SWEEP_MAX_POINTS} points"
@@ -169,8 +177,13 @@ def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
 
 
 def run_sweep_l(exp: ExperimentConfig, l_min: float, l_max: float, l_step: float):
-    if not (0.0 < l_min <= l_max < math.inf and 0.0 < l_step < math.inf):
-        raise ConfigError("need finite 0 < l_min <= l_max and l_step > 0")
+    """Rows and skips of _run_sweep over l = l_min, l_min + l_step, ... up to l_max.
+
+    Each value must be one its SWEEP_FIELDS reader accepts, as main ensures;
+    only the order of the bounds and the step size are checked here.
+    """
+    if l_max < l_min:
+        raise ConfigError(f"l_min = {l_min!r} exceeds l_max = {l_max!r}")
     steps = (l_max - l_min) / l_step + FEASIBILITY_TOL
     # a step is too small when the sweep lists more than SWEEP_MAX_POINTS
     # points (an overflowing count among them) or two points whose CSV cells
@@ -302,15 +315,19 @@ def main(argv=None) -> int:
             if not passed:
                 return 2
         else:
-            # each sweep value: its flag, else the config's sweep section of the command's kind
+            # each sweep value: its flag, read by the field's reader under the flag's
+            # name, else the config's sweep section of the command's kind, read on load
             kind = SWEEP_KINDS[args.command]
             section = exp.sweep if exp.sweep is not None and exp.sweep["kind"] == kind else {}
             values = {}
-            for key in SWEEP_FIELDS[kind]:
+            for key, read in SWEEP_FIELDS[kind].items():
+                flag = "--points" if key == "angle_count" else "--" + key.replace("_", "-")
                 value = getattr(args, key)
-                values[key] = section.get(key, SWEEP_DEFAULTS.get(key)) if value is None else value
+                if value is not None:
+                    values[key] = read(value, flag)
+                    continue
+                values[key] = section.get(key, SWEEP_DEFAULTS.get(key))
                 if values[key] is None:
-                    flag = "--" + key.replace("_", "-")
                     raise ConfigError(f"{flag} is required (flag or sweep section of the config)")
             if args.command == "beampattern":
                 rows = run_beampattern(exp, **values)

@@ -75,6 +75,13 @@ def check_positions(x, cfg: SystemConfig) -> np.ndarray:
     return x
 
 
+def _phase_rate(wavelength) -> float:
+    """2 pi / wavelength, after refusing a wavelength that is not positive."""
+    if not (wavelength > 0.0):
+        raise ValueError("wavelength must be positive")
+    return 2.0 * math.pi / wavelength
+
+
 def steering_vector(x, theta: float, wavelength: float = 1.0) -> np.ndarray:
     """Unit-modulus steering vector of the array seen from direction theta.
 
@@ -88,11 +95,10 @@ def steering_vector(x, theta: float, wavelength: float = 1.0) -> np.ndarray:
         Carrier wavelength in the same unit as ``x``.
     """
     x = validate_positions(x, math.inf, 0.0)
-    if not (wavelength > 0.0):
-        raise ValueError("wavelength must be positive")
+    rate = _phase_rate(wavelength)
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
-    phase = (2.0 * math.pi / wavelength) * math.sin(theta)
+    phase = rate * math.sin(theta)
     return np.exp(1j * phase * x)
 
 
@@ -121,7 +127,7 @@ def beam_pattern(w, x, thetas, wavelength: float = 1.0) -> np.ndarray:
     w = _check_unit_norm(w)
     x = _as_position_array(x)
     thetas = np.asarray(thetas, dtype=float)
-    phases = (2.0 * math.pi / wavelength) * np.sin(thetas)
+    phases = _phase_rate(wavelength) * np.sin(thetas)
     ent = np.exp(1j * np.outer(phases, x))
     return np.abs(ent @ w) ** 2
 

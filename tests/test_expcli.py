@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -267,8 +268,6 @@ def test_run_beampattern_rows():
     assert thetas[-1] == pytest.approx(math.pi)
     assert all(row[1] == "fpa" for row in rows)
     assert all(0.0 <= row[2] <= 3.0 + 1e-9 for row in rows)
-    with pytest.raises(ConfigError):
-        run_beampattern(exp, angle_count=1)
 
 
 def test_run_sweep_n_skips_infeasible_points():
@@ -280,7 +279,7 @@ def test_run_sweep_n_skips_infeasible_points():
     assert len(skips) == 1 and "n=6" in skips[0]
     with pytest.raises(ConfigError):
         run_sweep_n(exp, 1, 3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^n_min = 4 exceeds n_max = 3$"):
         run_sweep_n(exp, 4, 3)
 
 
@@ -342,9 +341,7 @@ def test_run_sweep_l_skips_infeasible_schemes():
         (1.8, "fpa"),
     ]
     assert len(skips) == 1 and "scheme=fpa" in skips[0]
-    with pytest.raises(ConfigError):
-        run_sweep_l(exp, 0.0, 1.0, 0.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^l_min = 2.0 exceeds l_max = 1.0$"):
         run_sweep_l(exp, 2.0, 1.0, 0.5)
 
 
@@ -429,6 +426,13 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert main(["optimize", "--config", bad]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
+    # a file that is not UTF-8: reading it raised UnicodeDecodeError, an internal error
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'\xff\xfe{"system": {}}')
+    assert main(["optimize", "--config", str(not_utf8), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot read {not_utf8}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
 
 
 def test_main_snr_scale_overflow_is_config_error(tmp_path, capsys):
@@ -717,24 +721,34 @@ def test_main_sweep_requires_range(tmp_path, capsys):
 
 
 def test_main_bad_sweep_range_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, SMALL_DOC)
-    l_range = "config error: need finite 0 < l_min <= l_max and l_step > 0"
+    # each row: argv, the config's sweep section, and the one error line; a flag is
+    # read by its sweep field's reader under the flag's name
     cases = [
-        (["sweep-n", "--n-min", "1", "--n-max", "3"], "config error: need 2 <= n_min <= n_max"),
-        (["sweep-l", "--l-min", "0", "--l-max", "3", "--l-step", "0.5"], l_range),
+        (["sweep-n", "--n-min", "1", "--n-max", "3"], None, "config error: --n-min: must be >= 2"),
+        (["sweep-l", "--l-min", "0", "--l-max", "3", "--l-step", "0.5"], None, "config error: --l-min: must be positive"),
         # argparse reads inf and nan as floats; none of them is a sweep range
-        (["sweep-l", "--l-min", "3", "--l-max", "inf", "--l-step", "0.5"], l_range),
-        (["sweep-l", "--l-min", "inf", "--l-max", "inf", "--l-step", "0.5"], l_range),
-        (["sweep-l", "--l-min", "3", "--l-max", "4", "--l-step", "inf"], l_range),
-        (["sweep-l", "--l-min", "nan", "--l-max", "4", "--l-step", "0.5"], l_range),
-        (["sweep-l", "--l-min", "3", "--l-max", "nan", "--l-step", "0.5"], l_range),
-        (["sweep-l", "--l-min", "3", "--l-max", "4", "--l-step", "nan"], l_range),
+        (["sweep-l", "--l-min", "3", "--l-max", "inf", "--l-step", "0.5"], None, "config error: --l-max: must be finite"),
+        (["sweep-l", "--l-min", "inf", "--l-max", "inf", "--l-step", "0.5"], None, "config error: --l-min: must be finite"),
+        (["sweep-l", "--l-min", "3", "--l-max", "4", "--l-step", "inf"], None, "config error: --l-step: must be finite"),
+        (["sweep-l", "--l-min", "nan", "--l-max", "4", "--l-step", "0.5"], None, "config error: --l-min: must be finite"),
+        (["sweep-l", "--l-min", "3", "--l-max", "nan", "--l-step", "0.5"], None, "config error: --l-max: must be finite"),
+        (["sweep-l", "--l-min", "3", "--l-max", "4", "--l-step", "nan"], None, "config error: --l-step: must be finite"),
         # an n past the float range, named as optimize names it
-        (["sweep-n", "--n-min", str(10**400), "--n-max", str(10**400)],
+        (["sweep-n", "--n-min", str(10**400), "--n-max", str(10**400)], None,
          f"config error: n={10**400}: n_antennas must convert to a finite float"),
+        # the same value as a flag and in a sweep section gives the same reason
+        (["sweep-n"], {"kind": "over_n", "n_min": 1, "n_max": 3}, "config error: sweep.n_min: must be >= 2"),
+        (["beampattern", "--points", "1"], None, "config error: --points: must be >= 2"),
+        (["beampattern"], {"kind": "beam_pattern", "angle_count": 1}, "config error: sweep.angle_count: must be >= 2"),
+        (["sweep-l", "--l-min", "3", "--l-max", "4", "--l-step", "-0.5"], None, "config error: --l-step: must be positive"),
+        # two bounds out of order: no single field's reader sees that
+        (["sweep-n", "--n-min", "4", "--n-max", "3"], None, "config error: n_min = 4 exceeds n_max = 3"),
+        (["sweep-l", "--l-max", "2"], {"kind": "over_l", "l_min": 3.0, "l_max": 4.0, "l_step": 0.5},
+         "config error: l_min = 3.0 exceeds l_max = 2.0"),
     ]
     out = tmp_path / "s.csv"
-    for argv, message in cases:
+    for argv, sweep, message in cases:
+        cfg = write_config(tmp_path, dict(SMALL_DOC, sweep=sweep))
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 1, argv
         err = capsys.readouterr().err
         assert err == message + "\n", argv
@@ -923,9 +937,20 @@ def test_fuzzed_configs_and_flags_exit_0_or_1_with_one_config_error_line(tmp_pat
         gc.unfreeze()
         err = capsys.readouterr().err
         assert code in (0, 1), (argv, doc, err)
+        errors = [line for line in err.splitlines() if line.startswith("config error:")]
         if code == 1:
-            errors = [line for line in err.splitlines() if line.startswith("config error:")]
             assert len(errors) == 1 and err.endswith(errors[0] + "\n"), (argv, doc, err)
+        # the API refuses a system section as the CLI does, with the same reason: the
+        # system section is the first field read, and a TypeError or OverflowError fails here
+        if isinstance(doc.get("system"), dict):
+            try:
+                built = SystemConfig(**doc["system"])
+            except ValueError as exc:
+                # a field's reason goes under system.field, a check across fields under system
+                prefix = "system." if re.match(r"\w+[:\[]", str(exc)) else "system: "
+                assert errors == [f"config error: {prefix}{exc}"], (doc, err)
+            else:
+                assert built == config_from_dict({"system": doc["system"]}).system, doc
     # every field of every table was drawn at least once
     assert touched >= set(CONFIG_FIELDS) | set(SYSTEM_FIELDS) | {key for table in SWEEP_FIELDS.values() for key in table}
 

@@ -184,37 +184,68 @@ SCALE_MESSAGE = "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive
 WAVELENGTH_MESSAGE = "wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite"
 
 
+def first_written(row, row_id):
+    """A row whose message has changed wording, under the id it was written with, so that it keeps its name."""
+    return pytest.param(*row, id=row_id)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        # fields that break two checks name the first, in the constructor's order
-        ({"d_su": ("far", 1.0), "n_antennas": 1}, "could not convert string to float"),
-        ({"n_antennas": 1, "span_l": -1.0}, "n_antennas must be an integer >= 2"),
-        ({"n_antennas": 2.0}, "n_antennas must be an integer >= 2"),
-        ({"span_l": math.nan, "d_min": -1.0}, "span_l must be positive and finite"),
-        ({"d_min": 0.0, "wavelength": 0.0}, "d_min must be positive and finite"),
-        (
-            {"n_antennas": 10, "wavelength": 0.0},
-            "infeasible geometry: (n_antennas - 1) * d_min = 4.5 exceeds span_l = 4",
-        ),
-        ({"wavelength": math.inf, "tau": 0.0}, "wavelength must be positive and finite"),
-        ({"tau": -2.0, "ps_dbm": math.inf}, "tau must be positive and finite"),
-        ({"sigma2_dbm": math.nan, "d_su": (0.0, 1.0)}, "ps_dbm and sigma2_dbm must be finite"),
-        ({"d_su": (1.0, 2.0, 3.0), "theta_su": (4.0, 5.0)}, "d_su must be a pair"),
-        ({"d_su": (100.0, math.nan), "ps_dbm": 4000.0}, "d_su must be a pair"),
-        ({"theta_su": (0.5,), "ps_dbm": 4000.0}, "theta_su must be a pair of angles in [0, pi]"),
-        ({"theta_su": (0.5, math.nan)}, "theta_su must be a pair of angles in [0, pi]"),
+        # fields that break two checks name the first: each field is read in
+        # the table order of config.SYSTEM_FIELDS, then come the checks across fields
+        first_written(({"d_su": ("far", 1.0), "n_antennas": 1}, "n_antennas: must be >= 2"),
+                      "kwargs0-could not convert string to float"),
+        first_written(({"n_antennas": 1, "span_l": -1.0}, "n_antennas: must be >= 2"),
+                      "kwargs1-n_antennas must be an integer >= 2"),
+        first_written(({"n_antennas": 2.0}, "n_antennas: expected an integer"),
+                      "kwargs2-n_antennas must be an integer >= 2"),
+        first_written(({"span_l": math.nan, "d_min": -1.0}, "span_l: must be finite"),
+                      "kwargs3-span_l must be positive and finite"),
+        first_written(({"d_min": 0.0, "wavelength": 0.0}, "d_min: must be positive"),
+                      "kwargs4-d_min must be positive and finite"),
+        first_written(({"n_antennas": 10, "wavelength": 0.0}, "wavelength: must be positive"),
+                      "kwargs5-infeasible geometry: (n_antennas - 1) * d_min = 4.5 exceeds span_l = 4"),
+        first_written(({"wavelength": math.inf, "tau": 0.0}, "wavelength: must be finite"),
+                      "kwargs6-wavelength must be positive and finite"),
+        first_written(({"tau": -2.0, "ps_dbm": math.inf}, "tau: must be positive"),
+                      "kwargs7-tau must be positive and finite"),
+        first_written(({"sigma2_dbm": math.nan, "d_su": (0.0, 1.0)}, "sigma2_dbm: must be finite"),
+                      "kwargs8-ps_dbm and sigma2_dbm must be finite"),
+        first_written(({"d_su": (1.0, 2.0, 3.0), "theta_su": (4.0, 5.0)}, "d_su: expected a pair of numbers"),
+                      "kwargs9-d_su must be a pair"),
+        first_written(({"d_su": (100.0, math.nan), "ps_dbm": 4000.0}, "d_su[1]: must be finite"),
+                      "kwargs10-d_su must be a pair"),
+        first_written(({"theta_su": (0.5,), "ps_dbm": 4000.0}, "theta_su: expected a pair of numbers"),
+                      "kwargs11-theta_su must be a pair of angles in [0, pi]"),
+        first_written(({"theta_su": (0.5, math.nan)}, "theta_su[1]: must be finite"),
+                      "kwargs12-theta_su must be a pair of angles in [0, pi]"),
         ({"ps_dbm": 4000.0}, SCALE_MESSAGE),  # dBm to watts overflows
         ({"d_su": (1e300, 100.0)}, SCALE_MESSAGE),  # d^tau overflows
         ({"sigma2_dbm": -4000.0}, SCALE_MESSAGE),  # noise power 0
         ({"ps_dbm": -4000.0}, SCALE_MESSAGE),  # scale 0
         ({"ps_dbm": 3036.0}, SCALE_MESSAGE),  # scale * n_antennas overflows
-        # past the float range, where the span check's (n - 1) * d_min raised OverflowError
-        ({"n_antennas": 10**400, "wavelength": 0.0}, "n_antennas must convert to a finite float"),
+        first_written(({"n_antennas": 10**400, "wavelength": 0.0}, "wavelength: must be positive"),
+                      "kwargs18-n_antennas must convert to a finite float"),
         # an infinite phase rate, or a curvature bound 2 kappa^2 n past the float
         # range: at wavelength 1e-153 it is finite for n = 5 and not for n = 400
         ({"wavelength": 5e-324}, WAVELENGTH_MESSAGE),
         ({"wavelength": 1e-153, "n_antennas": 400, "span_l": 400.0}, WAVELENGTH_MESSAGE),
+        # integers past the float range name their own field, as the JSON path does
+        ({"span_l": 10**400}, "span_l: must be finite"),
+        ({"d_min": 10**400}, "d_min: must be finite"),
+        ({"wavelength": 10**400}, "wavelength: must be finite"),
+        ({"tau": 10**400}, "tau: must be finite"),
+        ({"ps_dbm": 10**400}, "ps_dbm: must be finite"),
+        ({"span_l": True}, "span_l: expected a number"),
+        ({"span_l": "4"}, "span_l: expected a number"),
+        # an n past the float range: the span check's (n - 1) * d_min raised OverflowError
+        ({"n_antennas": 10**400}, "n_antennas must convert to a finite float"),
+        # each element of a pair is read on its own
+        ({"d_su": (0.0, 1.0)}, "d_su[0]: must be positive"),
+        ({"theta_su": (0.5, 4.0)}, "theta_su[1]: must lie in [0, pi]"),
+        # the geometry is the first check across fields
+        ({"n_antennas": 10, "ps_dbm": 4000.0}, "infeasible geometry: (n_antennas - 1) * d_min = 4.5 exceeds span_l = 4"),
     ],
 )
 def test_config_rejection_names_the_first_broken_check(kwargs, message):
@@ -230,7 +261,7 @@ def test_config_normalises_its_numeric_fields():
     assert cfg == SystemConfig(n_antennas=4, d_su=(40.0, 80.0), theta_su=(1.0, float(np.float32(0.5))))
     # numpy registers its integer types as numbers.Integral, and not its floats
     assert SystemConfig(n_antennas=np.uint8(4)).n_antennas == 4
-    with pytest.raises(ValueError, match="n_antennas must be an integer"):
+    with pytest.raises(ValueError, match="n_antennas: expected an integer"):
         SystemConfig(n_antennas=np.float64(4.0))
 
 
@@ -376,6 +407,17 @@ def test_beam_pattern_matches_pointwise_gain():
     pat = beam_pattern(w, x, thetas)
     for th, g in zip(thetas, pat):
         assert g == pytest.approx(beam_gain(w, x, float(th)), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("wavelength", [0.0, -1.0, math.nan])
+def test_steering_vector_and_beam_pattern_refuse_a_wavelength_that_is_not_positive(wavelength):
+    # beam_pattern divided by zero at 0, and mirrored the pattern below it
+    for call in (
+        lambda: steering_vector([0.0, 0.5], 0.3, wavelength),
+        lambda: beam_pattern([1.0, 0.0], [0.0, 0.5], [0.3, 1.2], wavelength),
+    ):
+        with pytest.raises(ValueError, match="^wavelength must be positive$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
