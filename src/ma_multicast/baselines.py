@@ -20,7 +20,7 @@ from .beamformer import (
     optimize_mixing,
     theta_coefficients,
 )
-from .config import FEASIBILITY_TOL, REFERENCE_SPACING, Scheme, SystemConfig, exceeds_span
+from .config import REFERENCE_SPACING, Scheme, SystemConfig, exceeds_span
 from .posopt import (
     ScaTrace,
     _correlation_rows,
@@ -161,7 +161,8 @@ def fpa_scheme(cfg: SystemConfig) -> SchemeResult:
     n = cfg.n_antennas
     if exceeds_span(n, REFERENCE_SPACING, cfg.span_l):
         raise InfeasibleSchemeError("fixed half-wavelength array does not fit the aperture")
-    if cfg.d_min > REFERENCE_SPACING + FEASIBILITY_TOL:
+    # two antennas d_min apart overrun a span of one fixed spacing
+    if exceeds_span(2, cfg.d_min, REFERENCE_SPACING):
         raise InfeasibleSchemeError("fixed half-wavelength spacing violates d_min")
     x = REFERENCE_SPACING * np.arange(n, dtype=float)
     return _closed_form_result(Scheme.FPA, x, cfg)

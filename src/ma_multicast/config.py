@@ -77,9 +77,10 @@ class SystemConfig:
     Domain of the phase rate: 2 pi / wavelength must be finite, and so must
     the SCA's global curvature bound 2 kappa^2 n_antennas (posopt._sca).
     Then every kappa_i and kappa is finite, and each SCA round's curvature
-    2 kappa^2 max(|s|, 1) <= 2 kappa^2 n is too.  n_antennas must convert to
-    a finite float, since the geometry and SNR checks multiply by it, and
-    at most ARRAY_MAX_ANTENNAS, which bounds the solve's time and memory.
+    2 kappa^2 max(|s|, 1) <= 2 kappa^2 n is too.  The cap on n_antennas,
+    ARRAY_MAX_ANTENNAS, is a check of that field alone, made by its reader:
+    it bounds the solve's time and memory, and keeps n a small float for the
+    geometry and SNR checks, which multiply by it.
 
     Domain of the aperture phase: the largest phase a steering vector reaches,
     phi = (2 pi / wavelength) span_l, must leave half the float range free,
@@ -131,13 +132,7 @@ class SystemConfig:
         for name, read in SYSTEM_FIELDS.items():
             fields[name] = read(fields[name], name)
         n, span_l, d_min = self.n_antennas, self.span_l, self.d_min
-        try:
-            overrun = exceeds_span(n, d_min, span_l)
-        except OverflowError:
-            raise ConfigError("n_antennas must convert to a finite float") from None
-        if n > ARRAY_MAX_ANTENNAS:
-            raise ConfigError(f"n_antennas = {n} exceeds the cap of {ARRAY_MAX_ANTENNAS} antennas")
-        if overrun:
+        if exceeds_span(n, d_min, span_l):
             raise ConfigError(
                 "infeasible geometry: (n_antennas - 1) * d_min = "
                 f"{(n - 1) * d_min:g} exceeds span_l = {span_l:g}"
@@ -224,8 +219,8 @@ def _angle(value, path):
     return value
 
 
-def _integer(minimum):
-    """The reader of an integer >= minimum; a numpy integer converts to an int, a bool does not."""
+def _integer(minimum, maximum=math.inf):
+    """The reader of an integer in [minimum, maximum]; a numpy integer converts to an int, a bool does not."""
 
     def read(value, path):
         if type(value) is not int:
@@ -234,6 +229,9 @@ def _integer(minimum):
             value = int(value)
         if value < minimum:
             raise ConfigError(f"{path}: must be >= {minimum}")
+        # an int compares with math.inf exactly, however many digits it has
+        if value > maximum:
+            raise ConfigError(f"{path}: must be <= {maximum}")
         return value
 
     return read
@@ -311,7 +309,7 @@ def _sweep(doc, path):
 
 
 SYSTEM_FIELDS = {
-    "n_antennas": _integer(2),
+    "n_antennas": _integer(2, ARRAY_MAX_ANTENNAS),
     "span_l": _positive,
     "d_min": _positive,
     "wavelength": _positive,

@@ -81,12 +81,18 @@ def run_single(exp: ExperimentConfig) -> dict:
     return report
 
 
+def _read_sweep_args(kind: str, *values):
+    """values, in the order of the SWEEP_FIELDS table of kind, each read by its field's reader under the field's name."""
+    return [read(value, key) for (key, read), value in zip(SWEEP_FIELDS[kind].items(), values)]
+
+
 def run_beampattern(exp: ExperimentConfig, angle_count: int):
     """Rows (theta, scheme, gain) over angle_count angles in [0, pi].
 
-    angle_count must be a value its SWEEP_FIELDS reader accepts, as main
-    ensures; only the cap on the points is checked here.
+    angle_count is read by its SWEEP_FIELDS reader, then checked against the
+    cap on the points.
     """
+    [angle_count] = _read_sweep_args("beam_pattern", angle_count)
     if angle_count > SWEEP_MAX_POINTS:
         raise ConfigError(f"angle_count = {angle_count} lists more than {SWEEP_MAX_POINTS} points")
     thetas = np.linspace(0.0, math.pi, angle_count)
@@ -110,7 +116,7 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
     first such n, and a head of an l sweep: each is one skip, labelled with
     its first and last value (n=10..100001), or its one value (n=10).  A
     value that makes the config invalid otherwise (an SNR that overflows at
-    a larger n, or an n past the float range) is a config error.
+    a larger n, or an n past the antenna cap) is a config error.
     """
     rows = []
     skips = []
@@ -162,9 +168,10 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
 def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
     """Rows and skips of _run_sweep over n = n_min .. n_max.
 
-    Each bound must be a value its SWEEP_FIELDS reader accepts, as main
-    ensures; only their order and the cap on the points are checked here.
+    Each bound is read by its SWEEP_FIELDS reader, then their order and the
+    cap on the points are checked.
     """
+    n_min, n_max = _read_sweep_args("over_n", n_min, n_max)
     if n_max < n_min:
         raise ConfigError(f"n_min = {n_min} exceeds n_max = {n_max}")
     if n_max - n_min >= SWEEP_MAX_POINTS:
@@ -179,9 +186,10 @@ def run_sweep_n(exp: ExperimentConfig, n_min: int, n_max: int):
 def run_sweep_l(exp: ExperimentConfig, l_min: float, l_max: float, l_step: float):
     """Rows and skips of _run_sweep over l = l_min, l_min + l_step, ... up to l_max.
 
-    Each value must be one its SWEEP_FIELDS reader accepts, as main ensures;
-    only the order of the bounds and the step size are checked here.
+    Each value is read by its SWEEP_FIELDS reader, then the order of the
+    bounds and the step size are checked.
     """
+    l_min, l_max, l_step = _read_sweep_args("over_l", l_min, l_max, l_step)
     if l_max < l_min:
         raise ConfigError(f"l_min = {l_min!r} exceeds l_max = {l_max!r}")
     steps = (l_max - l_min) / l_step + FEASIBILITY_TOL

@@ -12,7 +12,7 @@ from .beamformer import (
     _theta_from_gains,
     min_snr_from_projections,
 )
-from .config import FEASIBILITY_TOL, SystemConfig
+from .config import SystemConfig, feasibility_slack
 from .posopt import _grid_combination_chunks
 
 MAX_EVALUATIONS = 100_000_000
@@ -221,8 +221,8 @@ def snap_positions_to_grid(x, cfg: SystemConfig, step: float) -> np.ndarray:
     offsets = cfg.d_min * np.arange(n)
     # rounding each slack half to even can make it decrease: the running max keeps d_min
     u = np.maximum.accumulate(np.round((x - offsets) / step)) * step
-    hi = cfg.span_l - (n - 1) * cfg.d_min
-    hi_grid = math.floor(hi / step + FEASIBILITY_TOL) * step
+    # the top slack grid point, within the slack validate_positions allows
+    hi_grid = math.floor((cfg.span_l - (n - 1) * cfg.d_min + feasibility_slack(cfg.span_l)) / step) * step
     np.clip(u, 0.0, max(hi_grid, 0.0), out=u)
     return u + offsets
 

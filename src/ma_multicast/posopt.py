@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FEASIBILITY_TOL, SystemConfig, exceeds_span
+from .config import SystemConfig, exceeds_span, feasibility_slack
 from .sysmodel import check_positions, validate_positions
 
 log = logging.getLogger(__name__)
@@ -163,16 +163,19 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
     grid.
 
     Returns (count, chunks): the number of anchored subsets whose consecutive
-    spacings are at least d_min, mirrors included, which is what the callers'
-    caps count; and an iterator over the kept subsets in lexicographic order
-    as float position arrays of at most chunk rows (never empty).
+    spacings are at least d_min and whose last point is at most span_l, each
+    within feasibility_slack(span_l), mirrors included, which is what the
+    callers' caps count; and an iterator over the kept subsets in
+    lexicographic order as float position arrays of at most chunk rows
+    (never empty).
     """
-    ratio = span_l / step
-    if not math.isfinite(ratio):
-        raise ValueError(f"span_l / step = {ratio} leaves no finite count of grid points")
+    # the last grid point and the gap allow validate_positions' slack for positions up to span_l
+    last = (span_l + feasibility_slack(span_l)) / step
+    if not math.isfinite(last):
+        raise ValueError(f"span_l / step = {last} leaves no finite count of grid points")
     # Python ints: at a step far below span_l the counts pass any fixed-width integer
-    m = int(math.floor(ratio + FEASIBILITY_TOL)) + 1
-    gap = max(1, math.ceil((d_min - FEASIBILITY_TOL) / step))
+    m = math.floor(last) + 1
+    gap = max(1, math.ceil((d_min - feasibility_slack(span_l)) / step))
     reduced = m - (n - 1) * (gap - 1)
     if reduced < n:
         raise ValueError("no feasible antenna subset on this grid")

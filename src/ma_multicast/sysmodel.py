@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FEASIBILITY_TOL, SystemConfig, feasibility_slack
+from .config import SystemConfig, feasibility_slack
 
 # Allowed deviation of ||w||^2 from 1 for anything used as a beamformer.
 UNIT_NORM_TOL = 1e-12

@@ -18,6 +18,7 @@ Oracles used here:
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -528,6 +529,9 @@ def test_aps_guard_refuses_blow_up():
     cfg = SystemConfig(n_antennas=5, span_l=4.0)
     with pytest.raises(ValueError, match="coarser"):
         aps_search(cfg, grid_step=0.001)
+    for step in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="^grid_step must be positive$"):
+            aps_search(cfg, grid_step=step)
 
 
 def test_aps_guard_refuses_before_building_the_grid():
@@ -586,10 +590,10 @@ def test_fpa_positions_and_errors():
     res2 = fpa_scheme(SystemConfig(n_antennas=2, span_l=4.0))
     assert np.allclose(res2.x, [0.0, 0.5])
     # config is feasible (4 * 0.4 = 1.6 fits) but the 0.5-spaced array is not
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^fixed half-wavelength array does not fit the aperture$"):
         fpa_scheme(SystemConfig(n_antennas=5, span_l=1.9, d_min=0.4))
     # spacing below the separation floor is also rejected
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^fixed half-wavelength spacing violates d_min$"):
         fpa_scheme(SystemConfig(n_antennas=3, span_l=4.0, d_min=0.7))
 
 
@@ -598,6 +602,61 @@ def test_fpa_independent_of_span():
     rb = fpa_scheme(SystemConfig(span_l=9.0))
     assert np.array_equal(ra.x, rb.x)
     assert ra.snr.min_rate == rb.snr.min_rate
+
+
+# ---------------------------------------------------------------------------
+# Length units
+
+
+def length_unit_row(row_id, *row, xfail=None):
+    """A row of the length-unit test; xfail names the measured cause of a strict xfail."""
+    marks = pytest.mark.xfail(strict=True, reason=xfail) if xfail else ()
+    return pytest.param(*row, marks=marks, id=row_id)
+
+
+# grid systems whose d_min and span_l sit an ulp off a grid point of step 0.1
+GRID_N3 = {"n_antennas": 3, "span_l": 0.7000000000000001, "d_min": 0.30000000000000004}
+GRID_N4 = {"n_antennas": 4, "span_l": 1.2, "d_min": 0.30000000000000004}
+JOINT_N3 = {"n_antennas": 3, "span_l": 1.0, "d_min": 0.30000000000000004}
+
+
+@pytest.mark.parametrize(
+    "scheme, system, step, unit",
+    [
+        # with an absolute slack the enumerator wanted 4 grid steps for d_min: no
+        # subset fit on GRID_N3, and GRID_N4 and the joint grid lost the 0.3 spacing
+        length_unit_row("aps-n3-1e20", "aps", GRID_N3, 0.1, 1e20),
+        length_unit_row("aps-n4-1e20", "aps", GRID_N4, 0.1, 1e20),
+        length_unit_row("joint-n3-1e20", "joint", JOINT_N3, 0.1, 1e20),
+        length_unit_row("proposed-1e13", "proposed", {}, 0.5, 1e13, xfail=(
+            "posopt.KAPPA_TOL = 1e-12 is absolute: |kappa| = 2.5e-13 reads as matching sine angles, "
+            "so no ascent runs (22.9236 instead of 23.6371 bps/Hz)")),
+        length_unit_row("proposed-1e-12", "proposed", {}, 0.5, 1e-12, xfail=(
+            "chain_dp_start's aligned chain ends at 10.05 units on a 4-unit span, and the absolute "
+            "1e-9 part of feasibility_slack accepts it (23.4491 instead of 23.6371 bps/Hz)")),
+        length_unit_row("aps-n4-1e-12", "aps", {**GRID_N4, "d_min": 0.3}, 0.1, 1e-12, xfail=(
+            "the absolute 1e-9 part of feasibility_slack is 1e4 grid steps: the grid runs past "
+            "span_l and the minimum gap falls to one step, d_min / 3, so the count passes the cap")),
+        length_unit_row("fpa-1e20", "fpa", {}, 0.5, 1e20, xfail=(
+            "fpa spaces its array by the absolute REFERENCE_SPACING = 0.5, not half a wavelength")),
+    ],
+)
+def test_schemes_keep_their_rate_in_any_length_unit(scheme, system, step, unit):
+    """Scaling span_l, d_min, wavelength and the grid step by unit scales the positions by unit and keeps the rate."""
+
+    def solve(scale):
+        cfg = SystemConfig(**system)
+        cfg = replace(cfg, span_l=cfg.span_l * scale, d_min=cfg.d_min * scale, wavelength=cfg.wavelength * scale)
+        if scheme == "joint":
+            joint = brute_force_joint(cfg, GridSpec(step * scale, 1e-3))
+            return joint.x, joint.min_rate
+        res = run_scheme(scheme, cfg, step * scale)
+        return res.x, res.snr.min_rate
+
+    x_unit, rate_unit = solve(1.0)
+    x, rate = solve(unit)
+    assert rate == pytest.approx(rate_unit, rel=1e-9)
+    assert np.allclose(x / unit, x_unit, rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

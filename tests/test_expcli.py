@@ -145,6 +145,8 @@ def test_config_from_dict_defaults():
         ({"system": {"d_su": [100.0, 10**400]}}, "system.d_su[1]: must be finite"),
         ({"aps_grid_step": 10**400}, "aps_grid_step: must be finite"),
         ({"sweep": {"kind": "over_l", "l_min": 1.0, "l_max": 10**400, "l_step": 1.0}}, "sweep.l_max: must be finite"),
+        # the antenna cap is read with the field, before any check across fields
+        ({"system": {"n_antennas": 4099, "span_l": 1.0}}, "system.n_antennas: must be <= 4098"),
     ],
 )
 def test_config_from_dict_rejections(doc, fragment):
@@ -268,6 +270,10 @@ def test_run_beampattern_rows():
     assert thetas[-1] == pytest.approx(math.pi)
     assert all(row[1] == "fpa" for row in rows)
     assert all(0.0 <= row[2] <= 3.0 + 1e-9 for row in rows)
+    # a direct call reads its argument as main reads the flag, under the field's name
+    for count, message in [(2.5, "angle_count: expected an integer"), (1, "angle_count: must be >= 2")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_beampattern(exp, count)
 
 
 def test_run_sweep_n_skips_infeasible_points():
@@ -277,10 +283,15 @@ def test_run_sweep_n_skips_infeasible_points():
     assert [row[0] for row in rows] == [2, 3, 4, 5]
     assert all(row[1] == "fpa" for row in rows)
     assert len(skips) == 1 and "n=6" in skips[0]
-    with pytest.raises(ConfigError):
-        run_sweep_n(exp, 1, 3)
-    with pytest.raises(ConfigError, match="^n_min = 4 exceeds n_max = 3$"):
-        run_sweep_n(exp, 4, 3)
+    # each bound is read by its field's reader, under the field's name
+    for bounds, message in [
+        ((1, 3), "n_min: must be >= 2"),
+        ((True, 3), "n_min: expected an integer"),
+        ((2, 2.5), "n_max: expected an integer"),
+        ((4, 3), "n_min = 4 exceeds n_max = 3"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_sweep_n(exp, *bounds)
 
 
 def test_sweep_n_ends_at_the_first_n_the_span_cannot_hold(tmp_path, monkeypatch, capsys, caplog):
@@ -341,8 +352,18 @@ def test_run_sweep_l_skips_infeasible_schemes():
         (1.8, "fpa"),
     ]
     assert len(skips) == 1 and "scheme=fpa" in skips[0]
-    with pytest.raises(ConfigError, match=r"^l_min = 2.0 exceeds l_max = 1.0$"):
-        run_sweep_l(exp, 2.0, 1.0, 0.5)
+    # each value is read by its field's reader, under the field's name; a zero
+    # step divided by zero, a negative one swept nothing, an infinite one swept l = nan
+    for args, message in [
+        ((3.0, 4.0, 0.0), "l_step: must be positive"),
+        ((3.0, 4.0, -0.5), "l_step: must be positive"),
+        ((3.0, 4.0, math.inf), "l_step: must be finite"),
+        ((3.0, math.nan, 0.5), "l_max: must be finite"),
+        ((0.0, 1.0, 0.5), "l_min: must be positive"),
+        ((2.0, 1.0, 0.5), "l_min = 2.0 exceeds l_max = 1.0"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_sweep_l(exp, *args)
 
 
 def test_sweep_rates_match_run_single():
@@ -735,7 +756,7 @@ def test_main_bad_sweep_range_is_config_error(tmp_path, capsys):
         (["sweep-l", "--l-min", "3", "--l-max", "4", "--l-step", "nan"], None, "config error: --l-step: must be finite"),
         # an n past the float range, named as optimize names it
         (["sweep-n", "--n-min", str(10**400), "--n-max", str(10**400)], None,
-         f"config error: n={10**400}: n_antennas must convert to a finite float"),
+         f"config error: n={10**400}: n_antennas: must be <= 4098"),
         # the same value as a flag and in a sweep section gives the same reason
         (["sweep-n"], {"kind": "over_n", "n_min": 1, "n_max": 3}, "config error: sweep.n_min: must be >= 2"),
         (["beampattern", "--points", "1"], None, "config error: --points: must be >= 2"),
@@ -825,20 +846,21 @@ NO_APS = ["proposed", "ao", "ma_mrt", "fpa"]
     "system, message",
     [
         # 2 kappa^2 n overflows: the SCA's curvature raised OverflowError
-        ({"wavelength": 1e-300}, WAVELENGTH_MESSAGE),
-        ({"wavelength": 1e-200}, WAVELENGTH_MESSAGE),
+        ({"wavelength": 1e-300}, f"system: {WAVELENGTH_MESSAGE}"),
+        ({"wavelength": 1e-200}, f"system: {WAVELENGTH_MESSAGE}"),
         # 2 pi / wavelength is infinite: the chain-DP start divided by zero
-        ({"wavelength": 5e-324}, WAVELENGTH_MESSAGE),
-        # a 401-digit integer: the span check's float conversion overflowed
-        ({"n_antennas": 10**400}, "n_antennas must convert to a finite float"),
+        ({"wavelength": 5e-324}, f"system: {WAVELENGTH_MESSAGE}"),
+        # a 401-digit integer: the span check's float conversion overflowed;
+        # the cap is a check of the field alone, so it names the field's path
+        ({"n_antennas": 10**400}, "system.n_antennas: must be <= 4098"),
         # kappa x overflowed: the solve raised "positions must be finite"
-        ({"wavelength": 1e-150, "span_l": 1e200}, PHASE_MESSAGE),
-        ({"wavelength": 1e-100, "span_l": 1e250}, PHASE_MESSAGE),
+        ({"wavelength": 1e-150, "span_l": 1e200}, f"system: {PHASE_MESSAGE}"),
+        ({"wavelength": 1e-100, "span_l": 1e250}, f"system: {PHASE_MESSAGE}"),
         # just past the bound: 4 pi span_l / wavelength = 1.8096e308
-        ({"wavelength": 1e-100, "span_l": 1.44e207}, PHASE_MESSAGE),
+        ({"wavelength": 1e-100, "span_l": 1.44e207}, f"system: {PHASE_MESSAGE}"),
         # uniform_positions asked numpy for 7.28 TiB
-        ({"n_antennas": 10**12, "d_min": 1e-300}, "n_antennas = 1000000000000 exceeds the cap of 4098 antennas"),
-        ({"n_antennas": 4099, "d_min": 1e-6}, "n_antennas = 4099 exceeds the cap of 4098 antennas"),
+        ({"n_antennas": 10**12, "d_min": 1e-300}, "system.n_antennas: must be <= 4098"),
+        ({"n_antennas": 4099, "d_min": 1e-6}, "system.n_antennas: must be <= 4098"),
     ],
     ids=["wavelength-1e-300", "wavelength-1e-200", "wavelength-5e-324", "n-401-digits",
          "phase-1e-150-1e200", "phase-1e-100-1e250", "phase-1e-100-1.44e207", "n-1e12", "n-past-the-cap"],
@@ -847,7 +869,7 @@ def test_main_system_outside_the_numeric_domain_is_config_error(tmp_path, capsys
     cfg = write_config(tmp_path, {"system": system, "schemes": NO_APS})
     out = tmp_path / "result.json"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"config error: system: {message}\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -27,9 +27,9 @@ from ma_multicast import (
 )
 from ma_multicast import baselines, beamformer, oracle
 from ma_multicast.beamformer import PARALLEL_TOL, _projection_gains, _theta_from_gains
+from ma_multicast.config import FEASIBILITY_TOL
 from ma_multicast.oracle import JOINT_TIE_RTOL, JointOptimum
 from ma_multicast.posopt import ScaTrace, _grid_combination_chunks, correlation
-from ma_multicast.sysmodel import FEASIBILITY_TOL
 
 from correlation_reference import best_t
 
@@ -730,6 +730,46 @@ def test_grid_chunks_preserve_order():
         parts = list(parts)
         assert [len(p) for p in parts] == sizes
         assert np.array_equal(np.vstack(parts), whole)
+
+
+@pytest.mark.parametrize("unit", [1.0, 1e20])
+def test_grid_enumerator_yields_the_anchored_subsets_validate_positions_accepts(unit):
+    """The enumerator counts the x_1 = 0 grid subsets validate_positions accepts, and yields only such subsets.
+
+    Lengths are written as a config writes them: a decimal such as 0.3, a
+    product such as 3 * 0.1 = 0.30000000000000004, or one of those an ulp off,
+    so that d_min and span_l sit within ulps of a grid point, on either
+    side of it, in the given length unit.
+    """
+    rng = np.random.default_rng(2026)
+
+    def length(multiple, base):
+        value = rng.choice([multiple * base, float(f"{multiple * base:.12g}")]) * unit
+        return float(np.nextafter(value, rng.choice([-np.inf, np.inf])) if rng.random() < 0.3 else value)
+
+    for _ in range(150):
+        base = float(rng.choice([0.05, 0.1, 0.3, 0.7]))
+        n = int(rng.integers(2, 5))
+        step = base * unit
+        d_min = length(int(rng.integers(1, 4)) + float(rng.choice([0.0, 0.5])), base)
+        span_l = length(int(rng.integers(2, 12)), base)
+        # the enumerator's grid points, with a few past the span
+        values = step * np.arange(int(span_l / step) + 3)
+        accepted = set()
+        for combo in itertools.combinations(range(1, values.size), n - 1):
+            x = values[[0, *combo]]
+            try:
+                validate_positions(x, span_l, d_min)
+            except ValueError:
+                continue
+            accepted.add(tuple(x))
+        try:
+            count, chunks = _grid_combination_chunks(span_l, d_min, step, n, chunk=64)
+        except ValueError:
+            count, chunks = 0, []
+        case = (n, span_l, d_min, step)
+        assert count == len(accepted), case
+        assert {tuple(row) for block in chunks for row in block} <= accepted, case
 
 
 # span 2 and d_min 0.5 are the grids `validate` hands the joint oracle; each id

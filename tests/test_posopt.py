@@ -51,7 +51,8 @@ from ma_multicast.posopt import (
     chain_dp_start,
     random_positions,
 )
-from ma_multicast.sysmodel import FEASIBILITY_TOL, validate_positions
+from ma_multicast.config import FEASIBILITY_TOL
+from ma_multicast.sysmodel import validate_positions
 
 from correlation_reference import (
     correlation_excess,

@@ -225,7 +225,7 @@ def first_written(row, row_id):
         ({"sigma2_dbm": -4000.0}, SCALE_MESSAGE),  # noise power 0
         ({"ps_dbm": -4000.0}, SCALE_MESSAGE),  # scale 0
         ({"ps_dbm": 3036.0}, SCALE_MESSAGE),  # scale * n_antennas overflows
-        first_written(({"n_antennas": 10**400, "wavelength": 0.0}, "wavelength: must be positive"),
+        first_written(({"n_antennas": 10**400, "wavelength": 0.0}, "n_antennas: must be <= 4098"),
                       "kwargs18-n_antennas must convert to a finite float"),
         # an infinite phase rate, or a curvature bound 2 kappa^2 n past the float
         # range: at wavelength 1e-153 it is finite for n = 5 and not for n = 400
@@ -239,13 +239,16 @@ def first_written(row, row_id):
         ({"ps_dbm": 10**400}, "ps_dbm: must be finite"),
         ({"span_l": True}, "span_l: expected a number"),
         ({"span_l": "4"}, "span_l: expected a number"),
-        # an n past the float range: the span check's (n - 1) * d_min raised OverflowError
-        ({"n_antennas": 10**400}, "n_antennas must convert to a finite float"),
+        # an n past the float range is past the cap, which its reader checks as an int
+        first_written(({"n_antennas": 10**400}, "n_antennas: must be <= 4098"),
+                      "kwargs28-n_antennas must convert to a finite float"),
         # each element of a pair is read on its own
         ({"d_su": (0.0, 1.0)}, "d_su[0]: must be positive"),
         ({"theta_su": (0.5, 4.0)}, "theta_su[1]: must lie in [0, pi]"),
         # the geometry is the first check across fields
         ({"n_antennas": 10, "ps_dbm": 4000.0}, "infeasible geometry: (n_antennas - 1) * d_min = 4.5 exceeds span_l = 4"),
+        # the cap is a check of n_antennas alone: it comes before the geometry
+        ({"n_antennas": 4099, "span_l": 1.0}, "n_antennas: must be <= 4098"),
     ],
 )
 def test_config_rejection_names_the_first_broken_check(kwargs, message):
@@ -282,6 +285,9 @@ def test_validate_positions_rejects_violations():
         validate_positions([1.0, 0.0], 4.0, 0.5)  # unsorted
     with pytest.raises(ValueError):
         validate_positions([[0.0, 1.0]], 4.0, 0.5)  # not 1-D
+    for x in ([0.0, math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            validate_positions(x, 4.0, 0.5)
 
 
 def test_validate_positions_tolerates_boundary_noise():
@@ -310,6 +316,9 @@ def test_row_check_holds_each_row_to_its_own_bounds_as_validate_positions_does()
     # the first row fits a span of 1 but not the second row's
     with pytest.raises(ValueError, match="feasible"):
         validate_position_rows(np.array([[0.0, 0.5, 1.0], [0.0, 0.5, 2.0]]), np.array([[2.0], [1.0]]), 0.5)
+    # the row check does not go through validate_positions' finiteness check
+    with pytest.raises(ValueError, match="^infeasible positions: not all finite$"):
+        validate_position_rows(np.array([[0.0, 0.5, 1.0], [0.0, 0.5, math.nan]]), 4.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +352,8 @@ def test_steering_vector_needs_only_sorted_nonnegative_positions():
         steering_vector([0.0, 1.0, 0.5], 0.7)
     with pytest.raises(ValueError, match="infeasible.*left of the aperture"):
         steering_vector([-0.1, 0.5], 0.7)
+    with pytest.raises(ValueError, match="^theta must be finite$"):
+        steering_vector([0.0, 0.5], math.nan)
 
 
 def test_steering_translation_is_global_phase():
@@ -397,6 +408,10 @@ def test_beam_gain_rejects_unnormalized():
     x = np.array([0.0, 0.5])
     with pytest.raises(ValueError):
         beam_gain(np.array([1.0, 1.0]), x, 0.5)
+    with pytest.raises(ValueError, match="^beamformer must be a 1-D vector$"):
+        beam_gain(np.array([[1.0, 0.0]]), x, 0.5)
+    with pytest.raises(ValueError, match="^beamformer length does not match the number of antennas$"):
+        beam_gain(np.array([1.0]), x, 0.5)
 
 
 def test_beam_pattern_matches_pointwise_gain():
@@ -451,6 +466,8 @@ def test_snr_pair_rejects_bad_norm():
     x = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
         snr_pair(np.array([0.9, 0.1j]), x, cfg)
+    with pytest.raises(ValueError, match="^beamformer length does not match the number of antennas$"):
+        snr_pair(np.array([1.0, 0.0, 0.0]), x, cfg)
 
 
 # a NaN entry gives a NaN norm^2, which a test for |norm^2 - 1| > tol lets pass
