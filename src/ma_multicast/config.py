@@ -18,9 +18,10 @@ FEASIBILITY_RTOL = 2.0 ** -49
 REFERENCE_SPACING = 0.5
 # Most antennas a config may hold; past it is a config error.  One optimize
 # at the cap, n = 4 098 on span 2 248.5 with the default angles and the
-# proposed scheme, takes about 12 s and peaks at 168 MB of RSS (2-core host,
-# Python 3.11, numpy 2.4.6): the chain-DP start's (n, 4 097) value table
-# alone is 134 MB.  4 098 is the largest array the test suite solves.
+# proposed scheme, takes about 9-10 s and peaks at about 35.5 MB of RSS
+# (2-core host, Python 3.11, numpy 2.4.6), most of the time in the chain-DP
+# start, whose memory stays flat in n.  4 098 is the largest array the test
+# suite solves.
 ARRAY_MAX_ANTENNAS = 4_098
 
 
@@ -92,19 +93,24 @@ class SystemConfig:
       Each phase kappa x is then at most (1 + 2e-15) phi + 1e-9 * 1.8e308,
       inside the free half.
       So are the chain-DP start's kappa u and kappa d_min (i - 1).
-    - The chain-DP step count hi / h_max = max(40 hi, (64 / pi) |kappa| hi).
-      The grid runs only when |kappa| >= posopt.KAPPA_TOL = 1e-12 and the
-      aligned chain, of pitch p < d_min + P with P = 2 pi / |kappa|, overruns
-      span_l.  Then hi = span_l - (n - 1) d_min
+    - The chain-DP step count
+      hi / h_max = max(40 hi / wavelength, (64 / pi) |kappa| hi).  The grid
+      runs only when |kappa| wavelength >= posopt.KAPPA_TOL = 1e-12
+      (posopt._ascends) and the aligned chain, of pitch p < d_min + P with
+      P = 2 pi / |kappa|, overruns span_l.  Then hi = span_l - (n - 1) d_min
       < (1 + 4 eps) (n - 1) P + 4 eps span_l, with eps = 2^-52 covering the
-      rounding of p, of its product with n - 1 and of hi.  So
-      |kappa| hi < 6.3 (n - 1) + 4 eps phi and
-      40 hi < 2.6e14 (n - 1) + 160 eps span_l, both finite, since the solve
-      allocates arrays of n entries.  Bounding (64 / pi) |kappa| span_l
-      instead would refuse spans that run, such as wavelength 1e-100 with
-      span_l 1e207, whose aligned chain fits and skips the grid.
+      rounding of p, of its product with n - 1 and of hi.  Since
+      P / wavelength = 2 pi / (|kappa| wavelength) <= 6.3e12 and
+      span_l / wavelength = phi / (2 pi), |kappa| hi < 6.3 (n - 1) + 4 eps phi
+      and 40 hi / wavelength < 2.6e14 (n - 1) + 26 eps phi, both finite, since
+      the solve allocates arrays of n entries.  Bounding
+      (64 / pi) |kappa| span_l instead would refuse spans that run, such as
+      wavelength 1e-100 with span_l 1e207, whose aligned chain fits and skips
+      the grid.
     - The SCA step g / delta: |g_i| <= 2 |kappa| |s| and
-      delta = 2 kappa^2 max(|s|, 1), so |g_i| / delta <= 1 / |kappa| <= 1e12.
+      delta = 2 kappa^2 max(|s|, 1), so |g_i| / delta <= 1 / |kappa|
+      <= 1e12 wavelength, and below 6.7e153, since posopt._ascends also
+      needs kappa^2 to be a normal float.
 
     Attributes
     ----------

@@ -13,16 +13,11 @@ from .beamformer import (
     min_snr_from_projections,
 )
 from .config import SystemConfig, feasibility_slack
-from .posopt import _grid_combination_chunks
+from .posopt import _PASS_BUDGET, _grid_combination_chunks
 
 MAX_EVALUATIONS = 100_000_000
 # relative window for treating grid candidates as tied on the objective
 JOINT_TIE_RTOL = 1e-12
-# Most (row, t) points that one pass of the mixing-grid search scores at
-# once: rows go in blocks under it and the whole-grid rescan in runs of it,
-# so memory stays flat in the grid size and the row count.  Neither the
-# per-element arithmetic nor any result depends on it.
-_PASS_BUDGET = 4096
 # points per round of _best_t_rows' zoom, which shrinks the bracket 16-fold
 _ZOOM_POINTS = 33
 

@@ -24,6 +24,7 @@ import functools
 import itertools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ from .sysmodel import check_positions, validate_positions
 
 log = logging.getLogger(__name__)
 
-# |kappa| below this means the users are angularly indistinguishable and the
-# objective is constant in x.
+# |kappa| times the wavelength, 2 pi |sin theta_2 - sin theta_1|, below this
+# means the users are angularly indistinguishable and the objective is
+# constant in x.
 KAPPA_TOL = 1e-12
 # f1 ties closer than this are broken lexicographically on x.
 TIE_TOL = 1e-12
@@ -42,9 +44,14 @@ TIE_TOL = 1e-12
 SOLVE_CACHE_SIZE = 8
 # Phases psi = 2 pi p / DP_PHASES tried by the chain-DP start.
 DP_PHASES = 64
-# Most grid steps across the slack range of the chain-DP start; bounds its
-# (DP_MAX_STEPS + 1, DP_PHASES) tables at a few MB.
+# Most grid steps across the slack range of the chain-DP start; bounds each
+# of its value rows at DP_MAX_STEPS + 1 entries.
 DP_MAX_STEPS = 4096
+# Most points that one pass of a grid search holds at once: the chain DP's
+# phase blocks, and oracle's mixing-grid blocks, rescans and enumerator
+# chunks, stay under it, so memory stays flat in the grid size and the row
+# count.  Neither the per-element arithmetic nor any result depends on it.
+_PASS_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,18 +205,19 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
     return math.comb(reduced - 1, n - 1), chunks()
 
 
-def _chain_dp(wave: np.ndarray, turn: np.ndarray, rows=None) -> np.ndarray:
-    """Last value row of the chain DP; each antenna's row goes to rows when given.
+def _chain_dp(wave: np.ndarray, turn: np.ndarray, best=None) -> np.ndarray:
+    """Value row of the chain DP after the antennas whose turns are given.
 
-    Row i holds, at each grid point, the best gain sum of antennas 0..i with
-    antenna i there; antenna i's gains on the grid are Re(wave turn[i]).
+    The row holds, at each grid point, the best gain sum of the antennas so
+    far with the last of them there; antenna i's gains on the grid are
+    Re(wave turn[i]).  best is the row entering the first of them, zeros
+    (no antenna yet) when not given; a given row is updated in place.
     """
-    best = np.zeros(wave.shape)
-    for i, r in enumerate(turn):
+    if best is None:
+        best = np.zeros(wave.shape)
+    for r in turn:
         np.maximum.accumulate(best, axis=0, out=best)
         best += (wave * r).real
-        if rows is not None:
-            rows[i] = best
     return best
 
 
@@ -223,13 +231,19 @@ def chain_dp_start(cfg: SystemConfig) -> np.ndarray:
     <= H = span_l - (n - 1) d_min, and for a fixed phase psi the sum is
     maximized exactly on the grid linspace(0, H, M + 1) by a prefix-max
     dynamic program in O(n M).  The step H / M moves the phase kappa u by at
-    most pi / 64 and u by at most 0.025, unless M reaches DP_MAX_STEPS.
-    Each such sum is a lower bound of the correlation
-    |sum_i exp(j kappa x_i)| at the same positions.  A first pass runs every
-    phase psi = 2 pi p / DP_PHASES at once and keeps only the current
-    antenna's values; a second pass reruns the winning phase and keeps every
-    antenna's value row, walked back from the last antenna.  Ties go to the
-    first phase and the smallest u.  Needs kappa != 0.
+    most pi / 64 and u by at most 0.025 wavelengths, unless M reaches
+    DP_MAX_STEPS.  Each such sum is a lower bound of the correlation
+    |sum_i exp(j kappa x_i)| at the same positions.
+
+    A first pass runs the phases psi = 2 pi p / DP_PHASES in blocks of
+    _PASS_BUDGET // (M + 1) at once, keeping only the current antenna's
+    values.  A second pass reruns the winning phase and keeps only the row
+    entering every k-th antenna, k = isqrt(n) + 1.  The walk back from the
+    last antenna recomputes each run of at most k rows from its entering
+    row and picks each antenna's point as the first argmax of its row up to
+    the next antenna's point.  So memory stays at O(_PASS_BUDGET + sqrt(n) M)
+    floats, flat in n, for about twice the single-phase work.  Ties go to
+    the first phase and the smallest u.  Needs _ascends(cfg).
     """
     kappa, n, d_min = cfg.kappa, cfg.n_antennas, cfg.d_min
     period = 2.0 * math.pi / abs(kappa)
@@ -237,19 +251,44 @@ def chain_dp_start(cfg: SystemConfig) -> np.ndarray:
     if not exceeds_span(n, pitch, cfg.span_l):
         return pitch * np.arange(n)
     hi = max(cfg.span_l - (n - 1) * d_min, 0.0)
-    h_max = min(0.025, (math.pi / 64.0) / abs(kappa))
+    h_max = min(0.025 * cfg.wavelength, (math.pi / 64.0) / abs(kappa))
     u = np.linspace(0.0, hi, min(math.ceil(hi / h_max), DP_MAX_STEPS) + 1)
     psi = (2.0 * math.pi / DP_PHASES) * np.arange(DP_PHASES)
-    wave = np.exp(1j * (kappa * u[:, None] - psi))
     # antenna i sits at u + (i - 1) d_min, which turns its phasor by kappa (i - 1) d_min
     turn = np.exp(1j * kappa * d_min * np.arange(n))
-    wave = wave[:, int(np.argmax(_chain_dp(wave, turn).max(axis=0)))]
-    value = np.empty((n, wave.size))
-    _chain_dp(wave, turn, value)
-    chosen = [int(np.argmax(value[-1]))]
-    for row in value[-2::-1]:
-        chosen.append(int(np.argmax(row[: chosen[-1] + 1])))
+    # first pass: the phases in blocks under the pass budget, each keeping its best end value
+    block = max(1, _PASS_BUDGET // u.size)
+    peaks = [
+        _chain_dp(np.exp(1j * (kappa * u[:, None] - psi[p : p + block])), turn).max(axis=0)
+        for p in range(0, DP_PHASES, block)
+    ]
+    wave = np.exp(1j * (kappa * u - psi[int(np.argmax(np.concatenate(peaks)))]))
+    # second pass: the winning phase, keeping the row entering antennas 0, k, 2k, ...
+    k = math.isqrt(n) + 1
+    entering = [np.zeros(u.size)]
+    for i in range(k, n, k):
+        entering.append(_chain_dp(wave, turn[i - k : i], entering[-1].copy()))
+    # walk back: each run of k rows is recomputed from its entering row
+    chosen, end = [], u.size
+    for i in reversed(range(0, n, k)):
+        best = entering.pop()
+        rows = [_chain_dp(wave, (r,), best).copy() for r in turn[i : i + k]]
+        for row in reversed(rows):
+            end = int(np.argmax(row[:end])) + 1
+            chosen.append(end - 1)
     return u[chosen[::-1]] + d_min * np.arange(n)
+
+
+def _ascends(cfg: SystemConfig) -> bool:
+    """Whether the position solve runs: the users' sine angles differ, |kappa| wavelength >= KAPPA_TOL.
+
+    kappa^2 must also be a normal float, so that the ascent's curvature is
+    positive and the chain-DP period 2 pi / |kappa| finite.  Only a
+    wavelength above KAPPA_TOL / 1.5e-154, about 6.7e141, can fail that;
+    its users then read as matching sine angles, as every |kappa| below
+    1e-12 did when KAPPA_TOL bounded |kappa| itself.
+    """
+    return abs(cfg.kappa) * cfg.wavelength >= KAPPA_TOL and cfg.kappa * cfg.kappa >= sys.float_info.min
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -275,8 +314,9 @@ def _sca(cfg: SystemConfig, start, tol: float = 1e-8, max_iter: int = 500) -> Sc
     rounds.
 
     The round loop re-checks neither feasibility nor delta_k.  Rounds run
-    only when |kappa| >= KAPPA_TOL, so delta_k >= 2 KAPPA_TOL^2 > 0, and each
-    anchor is either the start or the previous round's polytope projection.
+    only when _ascends(cfg), so delta_k >= 2 kappa^2 > 0 with kappa^2 a
+    normal float, and each anchor is either the start or the previous
+    round's polytope projection.
     The start is checked once on entry and the last iterate once on exit.
     """
     kappa = cfg.kappa
@@ -286,7 +326,7 @@ def _sca(cfg: SystemConfig, start, tol: float = 1e-8, max_iter: int = 500) -> Sc
     s = e.sum()
     history = [np.abs(s) ** 2 - n]
     # users at matching sine angles: f is constant, nothing to move
-    converged = abs(kappa) < KAPPA_TOL
+    converged = not _ascends(cfg)
     while not converged and len(history) <= max_iter:
         g = 2.0 * kappa * np.imag(s * np.conj(e))
         delta = 2.0 * kappa ** 2 * max(np.abs(s), 1.0)
@@ -319,7 +359,7 @@ def multi_start_sca(cfg: SystemConfig) -> ScaTrace:
     read-only trace.x.
     """
     starts = [uniform_positions(cfg)]
-    if abs(cfg.kappa) >= KAPPA_TOL:
+    if _ascends(cfg):
         # with kappa = 0 every x is optimal and the uniform start stays
         starts.append(chain_dp_start(cfg))
     best, best_f1 = None, -math.inf

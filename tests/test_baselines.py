@@ -628,9 +628,10 @@ JOINT_N3 = {"n_antennas": 3, "span_l": 1.0, "d_min": 0.30000000000000004}
         length_unit_row("aps-n3-1e20", "aps", GRID_N3, 0.1, 1e20),
         length_unit_row("aps-n4-1e20", "aps", GRID_N4, 0.1, 1e20),
         length_unit_row("joint-n3-1e20", "joint", JOINT_N3, 0.1, 1e20),
-        length_unit_row("proposed-1e13", "proposed", {}, 0.5, 1e13, xfail=(
-            "posopt.KAPPA_TOL = 1e-12 is absolute: |kappa| = 2.5e-13 reads as matching sine angles, "
-            "so no ascent runs (22.9236 instead of 23.6371 bps/Hz)")),
+        # with an absolute KAPPA_TOL, |kappa| = 2.5e-13 at 1e13 and 2.5e-20 at 1e20 read as
+        # matching sine angles, so no ascent ran (22.9236 instead of 23.6371 bps/Hz at 1e13)
+        length_unit_row("proposed-1e13", "proposed", {}, 0.5, 1e13),
+        length_unit_row("proposed-n3-1e20", "proposed", {"n_antennas": 3, "span_l": 2.0}, 0.5, 1e20),
         length_unit_row("proposed-1e-12", "proposed", {}, 0.5, 1e-12, xfail=(
             "chain_dp_start's aligned chain ends at 10.05 units on a 4-unit span, and the absolute "
             "1e-9 part of feasibility_slack accepts it (23.4491 instead of 23.6371 bps/Hz)")),

@@ -710,6 +710,24 @@ def test_optimize_at_2048_antennas_peaks_under_100_mb(tmp_path):
     assert code == 0 and peak_kib < 102400, (code, peak_kib)
 
 
+def test_optimize_at_1024_antennas_on_span_640_peaks_under_48_mb(tmp_path):
+    # the chain-DP start runs its 4 097-point grid in phase blocks and keeps
+    # only sqrt(n) entering rows, where a (n, M + 1) value table took the
+    # process to 71.5 MB; VmHWM as in the 2 048-antenna case above
+    doc = default_doc(["proposed"], n_antennas=1024, span_l=640.0)
+    script = (
+        "import pathlib, sys, ma_multicast\n"
+        "code = ma_multicast.main(sys.argv[1:])\n"
+        "status = pathlib.Path('/proc/self/status').read_text()\n"
+        "print(code, status.split('VmHWM:')[1].split()[0])\n"
+    )
+    argv = ["optimize", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "r.json")]
+    proc = run_python("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split()[-2:])
+    assert code == 0 and peak_kib < 48 * 1024, (code, peak_kib)
+
+
 @pytest.mark.parametrize("config_doc", [SMALL_DOC, {"no_such_key": 1}], ids=["ok", "config-error"])
 def test_main_leaves_the_heap_frozen_and_the_collector_working(tmp_path, capsys, config_doc):
     # main freezes the heap on its way out, so the exit that follows skips
@@ -882,8 +900,12 @@ def test_main_system_outside_the_numeric_domain_is_config_error(tmp_path, capsys
         ({"wavelength": 1e-100, "span_l": 1e207}, NO_APS),
         # just inside the bound: 4 pi span_l / wavelength = 1.79699e308
         ({"wavelength": 1e-100, "span_l": 1.43e207}, NO_APS),
+        # |kappa| wavelength passes KAPPA_TOL but kappa^2 underflows, which would zero the
+        # SCA curvature, and at 1.7e308 the chain period 2 pi / |kappa| overflows
+        ({"wavelength": 1e163, "span_l": 1000.0}, NO_APS),
+        ({"wavelength": 1.7e308}, NO_APS),
     ],
-    ids=["wavelength-1e-150", "phase-1e-100-1e207", "phase-1e-100-1.43e207"],
+    ids=["wavelength-1e-150", "phase-1e-100-1e207", "phase-1e-100-1.43e207", "wavelength-1e163", "wavelength-1.7e308"],
 )
 def test_main_wavelength_inside_the_domain_runs(tmp_path, capsys, system, schemes):
     cfg = write_config(tmp_path, {"system": system, "schemes": schemes or [s.value for s in Scheme]})

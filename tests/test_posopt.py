@@ -626,12 +626,37 @@ def aligned_chain(cfg):
 
 def dp_reference_grid(cfg, steps=None):
     """Slack values k H / M, k = 0..M, with H = span_l - (n - 1) d_min and M the fewest
-    steps of at most min(0.025, (pi / 64) / |kappa|), but at most DP_MAX_STEPS."""
+    steps of at most min(0.025 wavelength, (pi / 64) / |kappa|), but at most DP_MAX_STEPS."""
     hi = max(cfg.span_l - (cfg.n_antennas - 1) * cfg.d_min, 0.0)
     if steps is None:
-        h = min(0.025, (math.pi / 64.0) / abs(reference_kappa(cfg)))
+        h = min(0.025 * cfg.wavelength, (math.pi / 64.0) / abs(reference_kappa(cfg)))
         steps = min(math.ceil(hi / h), DP_MAX_STEPS)
-    return hi * np.arange(steps + 1) / max(steps, 1)
+    return np.linspace(0.0, hi, steps + 1)
+
+
+def reference_chain_dp(cfg, phases=64):
+    """The chain-DP start computed in one table: the aligned chain when it fits within
+    the feasibility slack, else every phase at once, the whole (n, M + 1) value table of
+    the winning phase, and the walk back by the first argmax over each row's prefix."""
+    n, d_min, kappa = cfg.n_antennas, cfg.d_min, reference_kappa(cfg)
+    period = 2.0 * math.pi / abs(kappa)
+    pitch = math.ceil(d_min / period) * period
+    if (n - 1) * pitch <= cfg.span_l + FEASIBILITY_TOL + 2.0 ** -49 * cfg.span_l:
+        return pitch * np.arange(n)
+    u = dp_reference_grid(cfg)
+    turn = np.exp(1j * kappa * d_min * np.arange(n))
+    wave = np.exp(1j * (kappa * u[:, None] - (2.0 * math.pi / phases) * np.arange(phases)))
+    best = np.zeros(wave.shape)
+    for r in turn:
+        best = np.maximum.accumulate(best, axis=0) + (wave * r).real
+    wave = wave[:, np.argmax(best.max(axis=0))]
+    value = np.zeros((n + 1, u.size))
+    for i, r in enumerate(turn):
+        value[i + 1] = np.maximum.accumulate(value[i]) + (wave * r).real
+    chosen = [u.size - 1]
+    for row in value[:0:-1]:
+        chosen.append(int(np.argmax(row[: chosen[-1] + 1])))
+    return u[chosen[:0:-1]] + d_min * np.arange(n)
 
 
 def brute_force_dp_argmax(cfg, phases=64):
@@ -800,6 +825,47 @@ def test_chain_dp_start_returns_the_aligned_chain_exactly_when_it_fits():
             x = chain_dp_start(cfg)
             validate_positions(x, cfg.span_l, cfg.d_min)
             assert np.max(np.abs(x - chain)) > FEASIBILITY_TOL
+
+
+def test_chain_dp_start_matches_the_one_table_reference():
+    # phase blocks, entering rows and the recomputed walk give the positions of
+    # the one-table DP bit for bit, including where DP_MAX_STEPS binds, where
+    # the slack grid is a single point and where M + 1 passes the pass budget
+    rng = np.random.default_rng(64)
+    cfgs = [
+        SystemConfig(n_antennas=28, span_l=20.0),
+        SystemConfig(n_antennas=64, span_l=40.0),
+        SystemConfig(n_antennas=5, span_l=200.0, theta_su=(0.7, 0.71)),
+        SystemConfig(n_antennas=37, span_l=240.0, theta_su=(0.7, 0.71)),
+        SystemConfig(n_antennas=5, span_l=2.0 - 1e-9),
+    ]
+    for _ in range(520):
+        n = int(rng.integers(2, 65))
+        d_min = float(rng.uniform(0.1, 1.0))
+        cfgs.append(SystemConfig(
+            n_antennas=n,
+            d_min=d_min,
+            span_l=(n - 1) * d_min + float(rng.uniform(0.0, 4.0)),
+            wavelength=float(rng.choice([0.5, 1.0, 1.0, 1.0, 2.0])),
+            theta_su=tuple(float(t) for t in np.sort(rng.uniform(0.0, math.pi, 2))),
+        ))
+    for cfg in cfgs:
+        assert np.array_equal(chain_dp_start(cfg), reference_chain_dp(cfg)), cfg
+    assert dp_reference_grid(cfgs[2]).size == dp_reference_grid(cfgs[3]).size == DP_MAX_STEPS + 1
+
+
+def test_chain_dp_start_memory_is_flat_in_n():
+    # one (n, M + 1) value table at n = 256 on span 160 is 5.2 MB; the phase
+    # blocks and the sqrt(n) entering rows stay near 0.7 MB
+    cfg = SystemConfig(n_antennas=256, span_l=160.0)
+    tracemalloc.start()
+    try:
+        x = chain_dp_start(cfg)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    validate_positions(x, cfg.span_l, cfg.d_min)
 
 
 # ---------------------------------------------------------------------------
