@@ -24,6 +24,7 @@ from .config import REFERENCE_SPACING, Scheme, SystemConfig, exceeds_span
 from .posopt import (
     ScaTrace,
     _correlation_rows,
+    _first_best,
     _grid_combination_chunks,
     correlation,
     multi_start_sca,
@@ -112,17 +113,19 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
     the minimum spacing.  The correlation depends only on the spacings and is
     unchanged by reversing them, so only subsets with x_1 = 0 and spacings no
     greater than their reverse are scored; every other subset is a translate
-    or a mirror of one of them.  Exact ties go to the lexicographically
-    smallest subset, the same one a search over every subset would pick.
-    Refuses blow-ups beyond APS_MAX_COMBINATIONS anchored candidates, mirrors
-    included.
+    or a mirror of one of them.  Other subsets can still tie up to summation
+    rounding (any two with the same inter-element difference multiset do),
+    so the winner is the first subset, in lexicographic order, whose
+    correlation lies within APS_TIE_TOL of the best: the same one a search
+    over every subset would pick.  The subsets are scored in the
+    enumerator's chunks, under the pass budget, and the winner does not
+    depend on where they end (posopt._first_best).  Refuses blow-ups beyond
+    APS_MAX_COMBINATIONS anchored candidates, mirrors included.
     """
     if not (grid_step > 0.0):
         raise ValueError("grid_step must be positive")
     try:
-        count, chunks = _grid_combination_chunks(
-            cfg.span_l, cfg.d_min, grid_step, cfg.n_antennas, chunk=100_000
-        )
+        count, chunks = _grid_combination_chunks(cfg.span_l, cfg.d_min, grid_step, cfg.n_antennas)
     except ValueError as exc:
         raise InfeasibleSchemeError(str(exc)) from exc
     if count > APS_MAX_COMBINATIONS:
@@ -132,19 +135,8 @@ def aps_search(cfg: SystemConfig, grid_step: float = REFERENCE_SPACING) -> Schem
             f"{shown} candidate subsets exceed the cap {APS_MAX_COMBINATIONS}; "
             "use a coarser grid_step"
         )
-    best_f = -math.inf
-    best_x = None
-    # Translates and mirrors are not enumerated, but other subsets can still
-    # tie up to summation rounding (any two with the same inter-element
-    # difference multiset do), so ties are resolved within a small absolute
-    # window; enumeration order is lexicographic and the first hit wins.
-    for pos in chunks:
-        f = _correlation_rows(pos, cfg.kappa)
-        j = int(np.flatnonzero(f >= f.max() - APS_TIE_TOL)[0])
-        if f[j] > best_f + APS_TIE_TOL:
-            best_f = float(f[j])
-            best_x = pos[j].copy()
-    return _closed_form_result(Scheme.APS, best_x, cfg)
+    _, x = _first_best(chunks, lambda pos: (_correlation_rows(pos, cfg.kappa), pos), lambda best: APS_TIE_TOL)
+    return _closed_form_result(Scheme.APS, x, cfg)
 
 
 def ma_mrt(cfg: SystemConfig) -> SchemeResult:

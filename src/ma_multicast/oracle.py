@@ -13,7 +13,7 @@ from .beamformer import (
     min_snr_from_projections,
 )
 from .config import SystemConfig, feasibility_slack
-from .posopt import _PASS_BUDGET, _grid_combination_chunks
+from .posopt import _PASS_BUDGET, _first_best, _grid_combination_chunks
 
 MAX_EVALUATIONS = 100_000_000
 # relative window for treating grid candidates as tied on the objective
@@ -61,15 +61,16 @@ def _gain_columns(a, b, c, scales) -> list:
 
 
 def _scan_grid(a, b, c, s1, s2, size: int) -> tuple:
-    """Index and value of one row's first highest theta on the grid, _PASS_BUDGET points at a time."""
-    best_j, best = 0, None
-    for start in range(0, size, _PASS_BUDGET):
-        j = np.arange(start, min(start + _PASS_BUDGET, size))
-        theta = _theta_from_gains(a, b, c, _grid_t(j, size), s1, s2)
-        k = int(np.argmax(theta))
-        if best is None or theta[k] > best:
-            best_j, best = start + k, theta[k]
-    return best_j, best
+    """Index and value of one row's first highest theta on the grid, _PASS_BUDGET points at a time.
+
+    posopt._first_best with a window of zero keeps the first grid point that
+    reaches the highest theta.
+    """
+    blocks = (np.arange(start, min(start + _PASS_BUDGET, size)) for start in range(0, size, _PASS_BUDGET))
+    theta, j = _first_best(
+        blocks, lambda j: (_theta_from_gains(a, b, c, _grid_t(j, size), s1, s2), j), lambda best: 0.0
+    )
+    return j, theta
 
 
 def _grid_peaks(a, b, c, scales, t_step: float) -> tuple:
@@ -126,41 +127,31 @@ def brute_force_joint(cfg: SystemConfig, grid: GridSpec = GridSpec()) -> JointOp
     are unchanged by mirroring, so only tuples with x_1 = 0 whose spacings
     are no greater than their reverse are scored: every other feasible tuple
     is a translate or a mirror of one of them with the same objective, up to
-    summation rounding.  The tuples come in chunks of at most _PASS_BUDGET
-    positions, and each gets its peak over the mixing grid from _grid_peaks:
-    a coarse pass over the grid, then the bracket around each row's best
-    coarse point, which holds the row's first maximizer because theta is
-    quasi-concave in t.  The winner is the first tuple, in lexicographic
-    order, whose peak lies within JOINT_TIE_RTOL of the overall maximum, and
-    t is its first highest grid value, the one _grid_peaks returned for it.
-    That tuple beats every tuple before it, so only such record tuples are
-    kept, and of them only those inside the tie window of the best peak so
-    far: memory stays flat in the tuple count.  The anchored tuple kept of
-    each mirror pair is the one a search over every tuple would pick too.
+    summation rounding.  The tuples come in the enumerator's chunks of at
+    most _PASS_BUDGET positions, and each gets its peak over the mixing grid
+    from _grid_peaks: a coarse pass over the grid, then the bracket around
+    each row's best coarse point, which holds the row's first maximizer
+    because theta is quasi-concave in t.  The winner is the first tuple, in
+    lexicographic order, whose peak lies within JOINT_TIE_RTOL of the
+    overall maximum (posopt._first_best, which keeps memory flat in the
+    tuple count), and t is its first highest grid value, the one _grid_peaks
+    returned for it.  The anchored tuple kept of each mirror pair is the one
+    a search over every tuple would pick too.
     The cap counts anchored tuples, mirrors included, times the grid size,
     as the full scan did, so the refused sizes stay the same.
     """
     size = _grid_size(grid.t_step)
-    count, chunks = _grid_combination_chunks(
-        cfg.span_l,
-        cfg.d_min,
-        grid.position_step,
-        cfg.n_antennas,
-        chunk=max(1, _PASS_BUDGET // cfg.n_antennas),
-    )
+    count, chunks = _grid_combination_chunks(cfg.span_l, cfg.d_min, grid.position_step, cfg.n_antennas)
     if count * size > MAX_EVALUATIONS:
         raise ValueError(
             "grid search would exceed the evaluation cap; coarsen the grid"
         )
-    best, records = -math.inf, []
-    for pos in chunks:
+
+    def score(pos):
         j, peak = _grid_peaks(*_projection_gains(pos, cfg.kappas), cfg.snr_scales, grid.t_step)
-        # the best peak before each tuple: a tuple that does not beat it never wins
-        ahead = np.maximum.accumulate(np.concatenate(([best], peak[:-1])))
-        records += [(float(peak[k]), pos[k].copy(), int(j[k])) for k in np.flatnonzero(peak > ahead)]
-        best = records[-1][0]
-        records = [rec for rec in records if rec[0] >= best - JOINT_TIE_RTOL * best]
-    theta, x, j = records[0]
+        return peak, pos, j
+
+    theta, x, j = _first_best(chunks, score, lambda best: JOINT_TIE_RTOL * best)
     return JointOptimum(x=x, t=float(_grid_t(j, size)), min_rate=math.log2(1.0 + theta))
 
 

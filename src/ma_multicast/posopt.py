@@ -48,9 +48,10 @@ DP_PHASES = 64
 # of its value rows at DP_MAX_STEPS + 1 entries.
 DP_MAX_STEPS = 4096
 # Most points that one pass of a grid search holds at once: the chain DP's
-# phase blocks, and oracle's mixing-grid blocks, rescans and enumerator
-# chunks, stay under it, so memory stays flat in the grid size and the row
-# count.  Neither the per-element arithmetic nor any result depends on it.
+# phase blocks, the enumerator's chunks of grid subsets (which APS and the
+# joint oracle score), and oracle's mixing-grid blocks and rescans stay under
+# it, so memory stays flat in the grid size and the row count.  Neither the
+# per-element arithmetic nor any result depends on it.
 _PASS_BUDGET = 4096
 
 
@@ -154,7 +155,7 @@ def random_positions(cfg: SystemConfig, rng) -> np.ndarray:
     return u + cfg.d_min * np.arange(cfg.n_antennas)
 
 
-def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, chunk: int):
+def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int):
     """Feasible x_1 = 0 subsets of the grid {0, step, ...}, one per mirror pair.
 
     Correlation and both projection gains depend only on the spacings, and
@@ -173,8 +174,8 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
     spacings are at least d_min and whose last point is at most span_l, each
     within feasibility_slack(span_l), mirrors included, which is what the
     callers' caps count; and an iterator over the kept subsets in
-    lexicographic order as float position arrays of at most chunk rows
-    (never empty).
+    lexicographic order as float position arrays, never empty, each from a
+    block of max(1, _PASS_BUDGET // n) anchored subsets.
     """
     # the last grid point and the gap allow validate_positions' slack for positions up to span_l
     last = (span_l + feasibility_slack(span_l)) / step
@@ -192,7 +193,7 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
         values = step * np.arange(m)
         shift = (gap - 1) * np.arange(n)
         combos = ((0,) + c for c in itertools.combinations(range(1, reduced), n - 1))
-        while block := list(itertools.islice(combos, chunk)):
+        while block := list(itertools.islice(combos, max(1, _PASS_BUDGET // n))):
             idx = np.asarray(block, dtype=int)
             # the spacings of idx + shift differ from these by a constant
             d = np.diff(idx, axis=1)
@@ -203,6 +204,32 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int, c
                 yield values[kept + shift]
 
     return math.comb(reduced - 1, n - 1), chunks()
+
+
+def _first_best(chunks, score, window) -> tuple:
+    """The first row, over all chunks in order, whose score lies within window(best) of the best score.
+
+    score(chunk) returns (values, *columns): one float score per row of the
+    chunk, then arrays indexed by row.  The result is the winning row's
+    (value, *column entries), each entry copied.  A row that does not beat
+    every row before it never wins, so only such record rows are kept, and
+    of them only those inside the window of the best score so far: memory
+    stays flat in the row count, and the winner does not depend on where
+    the chunks end.  Pruning is safe when best - window(best) never
+    decreases as best grows, so that a record outside the window now stays
+    outside it.
+    """
+    best, records = -math.inf, []
+    for chunk in chunks:
+        values, *columns = score(chunk)
+        # the best score before each row: a row that does not beat it never wins
+        ahead = np.maximum.accumulate(np.concatenate(([best], values[:-1])))
+        records += [
+            (float(values[k]), *(np.copy(col[k]) for col in columns)) for k in np.flatnonzero(values > ahead)
+        ]
+        best = records[-1][0]
+        records = [rec for rec in records if rec[0] >= best - window(best)]
+    return records[0]
 
 
 def _chain_dp(wave: np.ndarray, turn: np.ndarray, best=None) -> np.ndarray:

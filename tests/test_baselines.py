@@ -509,6 +509,45 @@ def test_aps_matches_unfiltered_anchored_search(cfg, step):
     assert np.array_equal(aps_search(cfg, grid_step=step).x, unfiltered_aps_x(cfg, step))
 
 
+def pass_budget_configs():
+    """(cfg, step) pairs for APS: the default system, 60 seeded random ones, and one where every subset ties."""
+    rng = np.random.default_rng(39)
+    cases = [(SystemConfig(), 0.25)]
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        step = float(rng.choice([0.25, 0.5]))
+        d_min = step * int(rng.integers(1, 4))
+        span_l = (n - 1) * d_min + step * int(rng.integers(0, 9))
+        angles = tuple(float(a) for a in rng.uniform(0.0, math.pi, 2))
+        cases.append((SystemConfig(n_antennas=n, span_l=span_l, d_min=d_min, theta_su=angles), step))
+    # matching sine angles: every subset ties at f = n, so the first one must win across every chunk
+    cases.append((SystemConfig(n_antennas=4, span_l=3.0, theta_su=(0.8, math.pi - 0.8)), 0.25))
+    return cases
+
+
+@pytest.mark.parametrize("budget", ["n", "2n+1", 4096])
+def test_aps_winner_does_not_depend_on_the_pass_budget(monkeypatch, budget):
+    # the enumerator yields chunks of budget // n anchored subsets: one, two
+    # (less the dropped mirrors) or over 800 at a time
+    for cfg, step in pass_budget_configs():
+        n = cfg.n_antennas
+        monkeypatch.setattr(posopt, "_PASS_BUDGET", {"n": n, "2n+1": 2 * n + 1}.get(budget, budget))
+        assert np.array_equal(aps_search(cfg, grid_step=step).x, unfiltered_aps_x(cfg, step)), (cfg, step)
+
+
+def test_aps_memory_is_flat_in_the_candidate_count():
+    # 204 156 anchored candidates: scored in chunks under the pass budget,
+    # keeping only the records inside the tie window
+    cfg = SystemConfig(n_antennas=4, span_l=12.0, d_min=0.5)
+    tracemalloc.start()
+    try:
+        aps_search(cfg, grid_step=0.1)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_aps_single_candidate():
     cfg = SystemConfig(n_antennas=3, span_l=1.0)
     res = aps_search(cfg, grid_step=0.5)

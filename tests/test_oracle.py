@@ -25,11 +25,11 @@ from ma_multicast import (
     uniform_positions,
     validate_positions,
 )
-from ma_multicast import baselines, beamformer, oracle
+from ma_multicast import baselines, beamformer, oracle, posopt
 from ma_multicast.beamformer import PARALLEL_TOL, _projection_gains, _theta_from_gains
 from ma_multicast.config import FEASIBILITY_TOL
 from ma_multicast.oracle import JOINT_TIE_RTOL, JointOptimum
-from ma_multicast.posopt import ScaTrace, _grid_combination_chunks, correlation
+from ma_multicast.posopt import ScaTrace, _first_best, _grid_combination_chunks, correlation
 
 from correlation_reference import best_t
 
@@ -107,30 +107,21 @@ def mirror_kept(tuples, step):
 def unfiltered_joint(cfg, grid):
     """The joint search scoring every anchored tuple, mirrors included.
 
-    Same arithmetic and tie rule as brute_force_joint, in 128-row chunks of
-    all x_1 = 0 tuples, as the search ran before mirrors were dropped; t is
-    the winner's first highest grid value.
+    Same arithmetic as brute_force_joint over all x_1 = 0 tuples, as the
+    search ran before mirrors were dropped, and its one tie rule: the winner
+    is the first tuple whose peak lies within JOINT_TIE_RTOL of the overall
+    maximum, and t its first highest grid value.
     """
-    pos_all = np.asarray(
+    pos = np.asarray(
         [c for c in reference_tuples(cfg.span_l, cfg.d_min, grid.position_step, cfg.n_antennas)
          if c[0] == 0.0]
     )
     t_grid = np.linspace(0.0, 1.0, int(round(1.0 / grid.t_step)) + 1)
-    best_theta, best_x, best_t = -math.inf, None, None
-    for start in range(0, len(pos_all), 128):
-        pos = pos_all[start:start + 128]
-        a, b, c = _projection_gains(pos, cfg.kappas)
-        theta = _theta_from_gains(
-            a[:, None], b[:, None], c[:, None], t_grid, *cfg.snr_scales
-        )
-        row_best = theta.max(axis=1)
-        tol = JOINT_TIE_RTOL * float(row_best.max())
-        j = int(np.flatnonzero(row_best >= row_best.max() - tol)[0])
-        if row_best[j] > best_theta + JOINT_TIE_RTOL * best_theta:
-            best_theta = float(row_best[j])
-            best_x = pos[j].copy()
-            best_t = float(t_grid[int(np.argmax(theta[j]))])
-    return JointOptimum(x=best_x, t=best_t, min_rate=math.log2(1.0 + best_theta))
+    a, b, c = _projection_gains(pos, cfg.kappas)
+    theta = _theta_from_gains(a[:, None], b[:, None], c[:, None], t_grid, *cfg.snr_scales)
+    peak = theta.max(axis=1)
+    i = int(np.flatnonzero(peak >= peak.max() - JOINT_TIE_RTOL * peak.max())[0])
+    return JointOptimum(x=pos[i], t=float(t_grid[int(np.argmax(theta[i]))]), min_rate=math.log2(1.0 + peak[i]))
 
 
 def theta_reference(a, b, c, t, scale1, scale2):
@@ -291,6 +282,7 @@ def test_brute_force_matches_unfiltered_reference_on_validate_configs(
     for cfg, grid, want in validate_oracle_cases:
         width = 2 * math.isqrt(int(round(1.0 / grid.t_step)) + 1) + 1
         monkeypatch.setattr(oracle, "_PASS_BUDGET", rows * width)
+        monkeypatch.setattr(posopt, "_PASS_BUDGET", rows * width)
         assert_same_optimum(brute_force_joint(cfg, grid), want)
 
 
@@ -704,32 +696,47 @@ def test_joint_vs_decoupled_fails_a_solve_that_stops_at_the_uniform_spread(monke
 
 
 def test_feasible_tuple_count_matches_binomial():
-    count, chunks = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=128)
+    count, chunks = _grid_combination_chunks(3.0, 1.0, 0.5, 3)
     tuples = [tuple(row) for block in chunks for row in block]
     # x_1 = 0 and a two-slot gap per adjacent pair leave C(4, 2) anchored
     # choices; spacings (1, 1.5) and (1, 2) are kept and their mirrors dropped
     assert count == math.comb(4, 2)
     assert tuples == [(0.0, 1.0, 2.0), (0.0, 1.0, 2.5), (0.0, 1.0, 3.0), (0.0, 1.5, 3.0)]
     assert tuples == mirror_kept(reference_tuples(3.0, 1.0, 0.5, 3), 0.5)
-    loose_count, loose = _grid_combination_chunks(3.0, 0.5, 0.5, 3, chunk=128)
+    loose_count, loose = _grid_combination_chunks(3.0, 0.5, 0.5, 3)
     loose = [tuple(row) for block in loose for row in block]
     assert loose_count == math.comb(6, 2)
     assert loose == mirror_kept(reference_tuples(3.0, 0.5, 0.5, 3), 0.5)
     assert len(loose) == 9
     with pytest.raises(ValueError, match="no feasible"):
-        _grid_combination_chunks(1.0, 0.5, 0.5, 4, chunk=128)
+        _grid_combination_chunks(1.0, 0.5, 0.5, 4)
 
 
-def test_grid_chunks_preserve_order():
-    _, whole = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=128)
+def test_grid_chunks_preserve_order(monkeypatch):
+    _, whole = _grid_combination_chunks(3.0, 1.0, 0.5, 3)
     whole = np.vstack(list(whole))
-    # mirrors are dropped within each block of chunk anchored tuples, and a
-    # block left empty is not yielded
-    for chunk, sizes in [(4, [3, 1]), (1, [1, 1, 1, 1])]:
-        _, parts = _grid_combination_chunks(3.0, 1.0, 0.5, 3, chunk=chunk)
+    # mirrors are dropped within each block of budget // n anchored tuples,
+    # and a block left empty is not yielded
+    for budget, sizes in [(12, [3, 1]), (3, [1, 1, 1, 1]), (2, [1, 1, 1, 1])]:
+        monkeypatch.setattr(posopt, "_PASS_BUDGET", budget)
+        _, parts = _grid_combination_chunks(3.0, 1.0, 0.5, 3)
         parts = list(parts)
         assert [len(p) for p in parts] == sizes
         assert np.array_equal(np.vstack(parts), whole)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_first_best_takes_the_first_row_inside_the_window_of_the_overall_best(size):
+    # a window relative to each chunk picks the third row from one-row
+    # chunks; the first row within 1e-9 of the overall best is the second
+    scores = np.array([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9])
+    chunks = (np.arange(start, min(start + size, 3)) for start in range(0, 3, size))
+    got = _first_best(chunks, lambda k: (scores[k], k), lambda best: 1e-9)
+    assert got == (scores[1], 1)
+    # a window of zero keeps the first row that reaches the maximum
+    ties = np.array([0.0, 2.0, 1.0, 2.0])
+    chunks = (np.arange(start, min(start + size, 4)) for start in range(0, 4, size))
+    assert _first_best(chunks, lambda k: (ties[k], k), lambda best: 0.0) == (2.0, 1)
 
 
 @pytest.mark.parametrize("unit", [1.0, 1e20])
@@ -764,7 +771,7 @@ def test_grid_enumerator_yields_the_anchored_subsets_validate_positions_accepts(
                 continue
             accepted.add(tuple(x))
         try:
-            count, chunks = _grid_combination_chunks(span_l, d_min, step, n, chunk=64)
+            count, chunks = _grid_combination_chunks(span_l, d_min, step, n)
         except ValueError:
             count, chunks = 0, []
         case = (n, span_l, d_min, step)
@@ -786,7 +793,7 @@ VALIDATION_GRIDS = [
 @pytest.mark.parametrize("n, step, full, anchored, kept", VALIDATION_GRIDS)
 def test_grid_enumerator_matches_itertools_on_validation_grids(n, step, full, anchored, kept):
     want = reference_tuples(2.0, 0.5, step, n)
-    count, chunks = _grid_combination_chunks(2.0, 0.5, step, n, chunk=128)
+    count, chunks = _grid_combination_chunks(2.0, 0.5, step, n)
     got = np.vstack(list(chunks))
     assert len(want) == full
     assert count == sum(c[0] == 0.0 for c in want) == anchored
@@ -796,7 +803,7 @@ def test_grid_enumerator_matches_itertools_on_validation_grids(n, step, full, an
 
 @pytest.mark.parametrize("n, step, full, anchored, kept", VALIDATION_GRIDS)
 def test_anchored_tuples_cover_each_spacing_once(n, step, full, anchored, kept):
-    _, chunks = _grid_combination_chunks(2.0, 0.5, step, n, chunk=128)
+    _, chunks = _grid_combination_chunks(2.0, 0.5, step, n)
     yielded = [spacing_indices(row, step) for row in np.vstack(list(chunks))]
     spacings = set(yielded)
     assert len(spacings) == len(yielded) == kept
