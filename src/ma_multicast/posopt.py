@@ -38,8 +38,13 @@ log = logging.getLogger(__name__)
 # means the users are angularly indistinguishable and the objective is
 # constant in x.
 KAPPA_TOL = 1e-12
-# f1 ties closer than this are broken lexicographically on x.
+# The position solve's window: of the starts whose f1 lies within it of the
+# best, the lexicographically first x wins (_first_best).
 TIE_TOL = 1e-12
+# The ascent stops once a round gains less than SCA_TOL in f1, or after
+# SCA_MAX_ITER rounds.
+SCA_TOL = 1e-8
+SCA_MAX_ITER = 500
 # Distinct configs whose position solve is kept for reuse.
 SOLVE_CACHE_SIZE = 8
 # Phases psi = 2 pi p / DP_PHASES tried by the chain-DP start.
@@ -324,7 +329,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sca(cfg: SystemConfig, start, tol: float = 1e-8, max_iter: int = 500) -> ScaTrace:
+def _sca(cfg: SystemConfig, start) -> ScaTrace:
     """Ascend the correlation excess from one start; returns its ScaTrace.
 
     With s = sum_n exp(j kappa x_n), f1 = |s|^2 - n and its gradient
@@ -337,8 +342,8 @@ def _sca(cfg: SystemConfig, start, tol: float = 1e-8, max_iter: int = 500) -> Sc
     slope at y = x_k, and each cosine has curvature at most kappa^2.  Since
     |s_k| <= n, delta_k never exceeds the global curvature 2 kappa^2 n; the
     floor only keeps it positive at s_k = 0, where the slope is zero.  The
-    ascent stops once the improvement falls below tol or after max_iter
-    rounds.
+    ascent stops once the improvement falls below SCA_TOL or after
+    SCA_MAX_ITER rounds.
 
     The round loop re-checks neither feasibility nor delta_k.  Rounds run
     only when _ascends(cfg), so delta_k >= 2 kappa^2 > 0 with kappa^2 a
@@ -354,23 +359,23 @@ def _sca(cfg: SystemConfig, start, tol: float = 1e-8, max_iter: int = 500) -> Sc
     history = [np.abs(s) ** 2 - n]
     # users at matching sine angles: f is constant, nothing to move
     converged = not _ascends(cfg)
-    while not converged and len(history) <= max_iter:
+    while not converged and len(history) <= SCA_MAX_ITER:
         g = 2.0 * kappa * np.imag(s * np.conj(e))
         delta = 2.0 * kappa ** 2 * max(np.abs(s), 1.0)
         x = _surrogate_step(x, g, delta, cfg.span_l, cfg.d_min)
         e = np.exp(1j * kappa * x)
         s = e.sum()
         history.append(np.abs(s) ** 2 - n)
-        converged = history[-1] - history[-2] < tol
+        converged = history[-1] - history[-2] < SCA_TOL
     validate_positions(x, cfg.span_l, cfg.d_min)
     return ScaTrace(
         f1_history=_frozen(history), x=_frozen(x), converged=bool(converged), iterations=len(history) - 1
     )
 
 
-def sca_optimize(cfg: SystemConfig, init, tol: float = 1e-8, max_iter: int = 500):
-    """Ascend the correlation excess from init; returns (x, ScaTrace)."""
-    trace = _sca(cfg, check_positions(init, cfg), tol, max_iter)
+def sca_optimize(cfg: SystemConfig, init):
+    """Ascend the correlation excess from init, under SCA_TOL and SCA_MAX_ITER; returns (x, ScaTrace)."""
+    trace = _sca(cfg, check_positions(init, cfg))
     return trace.x.copy(), trace
 
 
@@ -378,9 +383,11 @@ def sca_optimize(cfg: SystemConfig, init, tol: float = 1e-8, max_iter: int = 500
 def multi_start_sca(cfg: SystemConfig) -> ScaTrace:
     """Best SCA run from the uniform start and the chain-DP start.
 
-    Deterministic: starts are ranked by the last f1 = |s|^2 - n their ascent
-    computed, and exact f1 ties go to the lexicographically smaller position
-    vector.  Returns the winning run's ScaTrace.  The solve is memoised on
+    Deterministic: the runs, sorted by their final x (stably, so the
+    uniform start stays first on equal x), are ranked by _first_best on the
+    last f1 = |s|^2 - n each ascent computed, with the window TIE_TOL: the
+    lexicographically first x whose f1 lies within TIE_TOL of the best
+    wins.  Returns the winning run's ScaTrace.  The solve is memoised on
     cfg, so the schemes that share these positions share one solve and an
     unconverged solve warns once per config; every caller reads the same
     read-only trace.x.
@@ -389,16 +396,10 @@ def multi_start_sca(cfg: SystemConfig) -> ScaTrace:
     if _ascends(cfg):
         # with kappa = 0 every x is optimal and the uniform start stays
         starts.append(chain_dp_start(cfg))
-    best, best_f1 = None, -math.inf
-    for start in starts:
-        trace = _sca(cfg, start)
-        f1 = trace.f1_history[-1]
-        if (
-            best is None
-            or f1 > best_f1 + TIE_TOL
-            or (f1 >= best_f1 - TIE_TOL and tuple(trace.x) < tuple(best.x))
-        ):
-            best, best_f1 = trace, f1
+    traces = sorted((_sca(cfg, start) for start in starts), key=lambda trace: tuple(trace.x))
+    f1 = np.array([trace.f1_history[-1] for trace in traces])
+    _, k = _first_best([np.arange(len(traces))], lambda k: (f1[k], k), lambda best: TIE_TOL)
+    best = traces[int(k)]
     if not best.converged:
         log.warning(
             "position solve n=%d span_l=%g: the winning SCA start stopped at "

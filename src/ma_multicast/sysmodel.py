@@ -135,14 +135,12 @@ def beam_pattern(w, x, thetas, wavelength: float = 1.0) -> np.ndarray:
 def snr_pair(w, x, cfg: SystemConfig) -> SnrPair:
     """Receive SNRs of both users under beamformer w and positions x.
 
-    Each user's gain is beam_gain's, bit for bit: the steering vector is
-    exp(1j * kappa_i * x) with the config's phase rate kappa_i.
+    Each user's gain is beam_gain's, bit for bit by construction: after
+    check_positions, snr_pair calls beam_gain at the user's angle and
+    cfg.wavelength and scales it by the user's SNR scale.  beam_gain's phase
+    rate (2 pi / wavelength) sin theta_i is the same float as cfg.kappas[i],
+    which the correlation and projection routes use.
     """
     x = check_positions(x, cfg)
-    w = _check_unit_norm(w)
-    if w.size != x.size:
-        raise ValueError("beamformer length does not match the number of antennas")
-    gamma = tuple(
-        c * float(abs(np.exp(1j * k * x) @ w) ** 2) for c, k in zip(cfg.snr_scales, cfg.kappas)
-    )
+    gamma = tuple(c * beam_gain(w, x, theta, cfg.wavelength) for c, theta in zip(cfg.snr_scales, cfg.theta_su))
     return SnrPair.from_gammas(*gamma)

@@ -679,6 +679,9 @@ JOINT_N3 = {"n_antennas": 3, "span_l": 1.0, "d_min": 0.30000000000000004}
             "span_l and the minimum gap falls to one step, d_min / 3, so the count passes the cap")),
         length_unit_row("fpa-1e20", "fpa", {}, 0.5, 1e20, xfail=(
             "fpa spaces its array by the absolute REFERENCE_SPACING = 0.5, not half a wavelength")),
+        length_unit_row("proposed-1e163", "proposed", {}, 0.5, 1e163, xfail=(
+            "past a wavelength of about 6.7e141, kappa^2 is not a normal float, so _ascends reads the "
+            "users as matching sine angles and the uniform spread stays")),
     ],
 )
 def test_schemes_keep_their_rate_in_any_length_unit(scheme, system, step, unit):

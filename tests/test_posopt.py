@@ -19,7 +19,6 @@ Oracles used here:
     the chain-DP start, and the whole-period chain checks its aligned case.
 """
 
-import functools
 import itertools
 import logging
 import math
@@ -440,11 +439,14 @@ def test_position_solve_breaks_f1_ties_on_the_smaller_x(monkeypatch):
         return posopt.ScaTrace(f1_history=np.array([f1]), x=np.array(x), converged=True, iterations=0)
 
     low = trace(3.0, [0.0, 1.0, 2.0, 3.0, 4.0])
+    # equal f1 and equal x: the first start wins
+    twin = trace(3.0, [0.0, 1.0, 2.0, 3.0, 4.0])
     tied = trace(3.0 + 0.5 * posopt.TIE_TOL, [0.0, 1.0, 2.0, 3.5, 4.0])
     better = trace(3.0 + 2.0 * posopt.TIE_TOL, [0.0, 1.0, 2.5, 3.0, 4.0])
     for runs, winner in (
         ([low, tied], low), ([tied, low], low),
         ([better, low], better), ([low, better], better),
+        ([low, twin], low), ([twin, low], twin),
     ):
         # one ascent per start, handed out in start order
         monkeypatch.setattr(posopt, "_sca", lambda cfg, start, runs=iter(runs): next(runs))
@@ -914,7 +916,7 @@ def test_shared_solve_is_keyed_on_the_config_alone(kernel_calls):
 
 def test_unconverged_solve_warns_once_per_distinct_solve(caplog, monkeypatch):
     # a 20-round cap: both starts at n = 28 need more, the default n = 5 fewer
-    monkeypatch.setattr(posopt, "_sca", functools.partial(posopt._sca, max_iter=20))
+    monkeypatch.setattr(posopt, "SCA_MAX_ITER", 20)
     cfg = SystemConfig(n_antennas=28, span_l=20.0, theta_su=(0.3, 2.0))
     with caplog.at_level(logging.WARNING, logger="ma_multicast.posopt"):
         trace = multi_start_sca(cfg)
