@@ -14,7 +14,8 @@ from enum import Enum
 # part, and a relative part of 8 float epsilons.
 FEASIBILITY_TOL = 1e-9
 FEASIBILITY_RTOL = 2.0 ** -49
-# Half-wavelength spacing used by the fixed-array and quantized-grid schemes.
+# Spacing of the fixed array and the default APS grid step: 0.5 length units,
+# which is half a wavelength only at wavelength 1.
 REFERENCE_SPACING = 0.5
 # Most antennas a config may hold; past it is a config error.  One optimize
 # at the cap, n = 4 098 on span 2 248.5 with the default angles and the
@@ -25,21 +26,37 @@ REFERENCE_SPACING = 0.5
 ARRAY_MAX_ANTENNAS = 4_098
 
 
-def feasibility_slack(size):
-    """Slack of a feasibility check on positions up to size in magnitude; size may be an array.
+def feasibility_slack(size, unit=1.0):
+    """Slack of a feasibility check on lengths up to size in magnitude; size may be an array.
 
-    FEASIBILITY_TOL, plus FEASIBILITY_RTOL times size.  Positions
-    the solver builds, such as u + (i - 1) d_min or i span_l / (n - 1),
-    carry a few roundings of numbers up to the span, so a spacing or an end
-    can miss its bound by a few ulps of the span: far below FEASIBILITY_TOL
-    at unit scale, far above it at a span of 4e30.
+    The lengths compared are counted in unit, itself measured in user
+    lengths: wavelengths in the position solve, grid steps in the grid
+    searches, 1 everywhere else.  The slack is FEASIBILITY_TOL times
+    min(1, 1 / unit), that is 1e-9 user lengths or 1e-9 units, whichever is
+    smaller, plus FEASIBILITY_RTOL times size.  Positions the solver builds,
+    such as u + (i - 1) d_min or i span_l / (n - 1), carry a few roundings of
+    numbers up to the span, so a spacing or an end can miss its bound by a
+    few ulps of the span: far below FEASIBILITY_TOL at unit scale, far above
+    it at a span of 4e30.
+
+    Converted to user lengths, the slack is at most FEASIBILITY_TOL plus
+    FEASIBILITY_RTOL times the size in user lengths: never looser than the
+    slack validate_positions allows the same lengths in user units, the
+    check that every kernel's output meets on exit.  So a kernel that
+    accepts a length within this slack in its own unit never hands back a
+    position that check refuses.  At unit 1 it is the user-unit slack, bit
+    for bit.
     """
-    return FEASIBILITY_TOL + FEASIBILITY_RTOL * size
+    return FEASIBILITY_TOL * min(1.0, 1.0 / unit) + FEASIBILITY_RTOL * size
 
 
-def exceeds_span(n: int, spacing: float, span_l: float) -> bool:
-    """Whether n antennas spacing apart overrun span_l by more than its feasibility slack."""
-    return (n - 1) * spacing > span_l + feasibility_slack(span_l)
+def exceeds_span(n: int, spacing: float, span_l: float, unit=1.0) -> bool:
+    """Whether n antennas spacing apart overrun span_l by more than its feasibility slack.
+
+    spacing and span_l are counted in unit, measured in user lengths, as in
+    feasibility_slack.
+    """
+    return (n - 1) * spacing > span_l + feasibility_slack(span_l, unit)
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -68,20 +85,27 @@ class SystemConfig:
     finite", where the JSON path says "system.span_l: ...".  Numbers become
     floats, n_antennas an int and each pair a tuple; numpy scalars, lists and
     tuples are accepted.  The checks across fields follow, each a ConfigError
-    too, in this order: (n_antennas - 1) d_min fits in span_l within
-    feasibility_slack(span_l); each user's SNR scale is positive, and finite
+    too, in this order: (n_antennas - 1) d_min fits in span_l, compared in
+    wavelengths, the unit of the position solve (posopt._sca), within
+    feasibility_slack(span_l / wavelength, wavelength), and named in user
+    lengths if not; each user's SNR scale is positive, and finite
     times n_antennas; then the domains of the phase rate and of the aperture
     phase below.  Then three derived constants are computed once.  They are
     plain attributes, not fields, so equality, hashing and asdict see only the
     inputs.
 
-    Domain of the phase rate: 2 pi / wavelength must be finite, and so must
-    the SCA's global curvature bound 2 kappa^2 n_antennas (posopt._sca).
-    Then every kappa_i and kappa is finite, and each SCA round's curvature
-    2 kappa^2 max(|s|, 1) <= 2 kappa^2 n is too.  The cap on n_antennas,
-    ARRAY_MAX_ANTENNAS, is a check of that field alone, made by its reader:
-    it bounds the solve's time and memory, and keeps n a small float for the
-    geometry and SNR checks, which multiply by it.
+    Domain of the phase rate: 2 pi / wavelength must be finite.  Then every
+    kappa_i and kappa is finite.  The position solve forms kappa^2 only in
+    wavelengths (posopt._sca), with the phase rate per wavelength
+    kappa_w = kappa wavelength, |kappa_w| <= 2 pi, and ascends only when
+    |kappa_w| >= posopt.KAPPA_TOL = 1e-12.  Each round's curvature
+    2 kappa_w^2 max(|s|, 1) then lies between 2e-24 and
+    2 kappa_w^2 n <= 8 pi^2 * 4 098 < 3.3e5, a normal float at every
+    wavelength, and each step g / delta is at most 1 / |kappa_w| <= 1e12
+    wavelengths.  The cap on n_antennas, ARRAY_MAX_ANTENNAS, is a check of
+    that field alone, made by its reader: it bounds the solve's time and
+    memory, and keeps n a small float for the geometry and SNR checks,
+    which multiply by it.
 
     Domain of the aperture phase: the largest phase a steering vector reaches,
     phi = (2 pi / wavelength) span_l, must leave half the float range free,
@@ -91,26 +115,24 @@ class SystemConfig:
       pattern's (2 pi / wavelength) sin(theta) are at most 2 pi / wavelength,
       and every position lies in [0, span_l + feasibility_slack(span_l)].
       Each phase kappa x is then at most (1 + 2e-15) phi + 1e-9 * 1.8e308,
-      inside the free half.
-      So are the chain-DP start's kappa u and kappa d_min (i - 1).
-    - The chain-DP step count
-      hi / h_max = max(40 hi / wavelength, (64 / pi) |kappa| hi).  The grid
-      runs only when |kappa| wavelength >= posopt.KAPPA_TOL = 1e-12
-      (posopt._ascends) and the aligned chain, of pitch p < d_min + P with
-      P = 2 pi / |kappa|, overruns span_l.  Then hi = span_l - (n - 1) d_min
-      < (1 + 4 eps) (n - 1) P + 4 eps span_l, with eps = 2^-52 covering the
+      inside the free half.  The solve's phases kappa_w x_w, with
+      x_w = x / wavelength in [0, span_l / wavelength + 1e-9 + 2e-15 phi]
+      and span_l / wavelength = phi / (2 pi), are at most
+      (1 + 2e-15) phi + 6.3e-9.  So are the chain-DP start's kappa_w u and
+      kappa_w (i - 1) d_min / wavelength.
+    - The chain-DP step count, in wavelengths, is
+      hi / h_max = max(40 hi, (64 / pi) |kappa_w| hi), with
+      hi = span - (n - 1) d and span = span_l / wavelength,
+      d = d_min / wavelength.  The grid runs only when
+      |kappa_w| >= KAPPA_TOL and the aligned chain, of pitch p < d + P with
+      P = 2 pi / |kappa_w| <= 6.3e12, overruns the span.  Then
+      hi < (1 + 4 eps) (n - 1) P + 4 eps span, with eps = 2^-52 covering the
       rounding of p, of its product with n - 1 and of hi.  Since
-      P / wavelength = 2 pi / (|kappa| wavelength) <= 6.3e12 and
-      span_l / wavelength = phi / (2 pi), |kappa| hi < 6.3 (n - 1) + 4 eps phi
-      and 40 hi / wavelength < 2.6e14 (n - 1) + 26 eps phi, both finite, since
-      the solve allocates arrays of n entries.  Bounding
-      (64 / pi) |kappa| span_l instead would refuse spans that run, such as
-      wavelength 1e-100 with span_l 1e207, whose aligned chain fits and skips
-      the grid.
-    - The SCA step g / delta: |g_i| <= 2 |kappa| |s| and
-      delta = 2 kappa^2 max(|s|, 1), so |g_i| / delta <= 1 / |kappa|
-      <= 1e12 wavelength, and below 6.7e153, since posopt._ascends also
-      needs kappa^2 to be a normal float.
+      span = phi / (2 pi), |kappa_w| hi < 6.3 (n - 1) + 4 eps phi and
+      40 hi < 2.6e14 (n - 1) + 26 eps phi, both finite, since the solve
+      allocates arrays of n entries.  Bounding (64 / pi) |kappa_w| span
+      instead would refuse spans that run, such as wavelength 1e-100 with
+      span_l 1e207, whose aligned chain fits and skips the grid.
 
     Attributes
     ----------
@@ -137,8 +159,8 @@ class SystemConfig:
         fields = vars(self)
         for name, read in SYSTEM_FIELDS.items():
             fields[name] = read(fields[name], name)
-        n, span_l, d_min = self.n_antennas, self.span_l, self.d_min
-        if exceeds_span(n, d_min, span_l):
+        n, span_l, d_min, wavelength = self.n_antennas, self.span_l, self.d_min, self.wavelength
+        if exceeds_span(n, d_min / wavelength, span_l / wavelength, wavelength):
             raise ConfigError(
                 "infeasible geometry: (n_antennas - 1) * d_min = "
                 f"{(n - 1) * d_min:g} exceeds span_l = {span_l:g}"
@@ -157,19 +179,17 @@ class SystemConfig:
                 "SNR scale ps / (d^tau * sigma^2) whose product with n_antennas "
                 "is finite"
             )
-        rate = 2.0 * math.pi / self.wavelength
-        sin1, sin2 = math.sin(self.theta_su[0]), math.sin(self.theta_su[1])
-        kappa = rate * (sin2 - sin1)
-        # products, not kappa ** 2: a float power past the range raises OverflowError
-        if not (math.isfinite(rate) and math.isfinite(2.0 * kappa * kappa * n)):
-            raise ConfigError("wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite")
+        rate = 2.0 * math.pi / wavelength
+        if not math.isfinite(rate):
+            raise ConfigError("wavelength must keep 2 pi / wavelength finite")
         if not math.isfinite(2.0 * rate * span_l):
             raise ConfigError(
                 "span_l and wavelength must keep twice the aperture phase, 4 pi span_l / wavelength, finite"
             )
+        sin1, sin2 = math.sin(self.theta_su[0]), math.sin(self.theta_su[1])
         fields["snr_scales"] = (c1, c2)
         fields["kappas"] = (rate * sin1, rate * sin2)
-        fields["kappa"] = kappa
+        fields["kappa"] = rate * (sin2 - sin1)
 
     @property
     def ps_w(self) -> float:

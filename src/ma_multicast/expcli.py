@@ -127,8 +127,10 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
 
     def fits(value):
         geometry = {"n_antennas": exp.system.n_antennas, "span_l": exp.system.span_l, field: value}
+        lam = exp.system.wavelength
         try:
-            return not exceeds_span(geometry["n_antennas"], exp.system.d_min, geometry["span_l"])
+            # in wavelengths, as SystemConfig checks the geometry
+            return not exceeds_span(geometry["n_antennas"], exp.system.d_min / lam, geometry["span_l"] / lam, lam)
         except OverflowError:
             # an n past the float range: building its config below names the error
             return True

@@ -198,7 +198,13 @@ def _best_t_rows(a, b, c, scales, t_step: float) -> tuple:
 
 
 def snap_positions_to_grid(x, cfg: SystemConfig, step: float) -> np.ndarray:
-    """Nearest feasible grid positions; requires d_min to sit on the grid."""
+    """Nearest feasible grid positions; requires d_min to sit on the grid.
+
+    The top grid point is counted in grid steps, within
+    feasibility_slack(span_l / step, step), as in the grid enumerator
+    (posopt._grid_combination_chunks), so the snapped positions meet
+    validate_positions' user-unit check at any length unit.
+    """
     ratio = cfg.d_min / step
     if abs(ratio - round(ratio)) > 1e-6:
         raise ValueError("d_min must be an integer multiple of the grid step")
@@ -207,9 +213,9 @@ def snap_positions_to_grid(x, cfg: SystemConfig, step: float) -> np.ndarray:
     offsets = cfg.d_min * np.arange(n)
     # rounding each slack half to even can make it decrease: the running max keeps d_min
     u = np.maximum.accumulate(np.round((x - offsets) / step)) * step
-    # the top slack grid point, within the slack validate_positions allows
-    hi_grid = math.floor((cfg.span_l - (n - 1) * cfg.d_min + feasibility_slack(cfg.span_l)) / step) * step
-    np.clip(u, 0.0, max(hi_grid, 0.0), out=u)
+    # the top slack grid point, counted in grid steps as the grid enumerator counts its last point
+    top = math.floor(cfg.span_l / step - (n - 1) * ratio + feasibility_slack(cfg.span_l / step, step))
+    np.clip(u, 0.0, max(top, 0) * step, out=u)
     return u + offsets
 
 

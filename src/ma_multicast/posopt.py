@@ -18,13 +18,19 @@ exactly on a grid of the slack coordinates, for the best of a few phases
 psi.  multi_start_sca memoises the winning trace per config, so every
 scheme that needs the correlation-optimal positions shares one solve and
 reads its read-only positions.
+
+Each kernel counts lengths in its own unit, converted on entry and back on
+exit: the ascent and the chain-DP start work in wavelengths, with the phase
+rate kappa wavelength, and the grid-subset enumerator in grid steps.  So
+every constant a kernel compares a length with is a number of wavelengths
+or grid steps, and its slack, feasibility_slack in that unit, is never
+looser than the user-unit check its output meets.
 """
 
 import functools
 import itertools
 import logging
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +40,9 @@ from .sysmodel import check_positions, validate_positions
 
 log = logging.getLogger(__name__)
 
-# |kappa| times the wavelength, 2 pi |sin theta_2 - sin theta_1|, below this
-# means the users are angularly indistinguishable and the objective is
-# constant in x.
+# The phase rate per wavelength, |kappa| wavelength = 2 pi |sin theta_2 -
+# sin theta_1|, the one the position solve uses: below this the users are
+# angularly indistinguishable and the objective is constant in x.
 KAPPA_TOL = 1e-12
 # The position solve's window: of the starts whose f1 lies within it of the
 # best, the lexicographically first x wins (_first_best).
@@ -177,18 +183,21 @@ def _grid_combination_chunks(span_l: float, d_min: float, step: float, n: int):
 
     Returns (count, chunks): the number of anchored subsets whose consecutive
     spacings are at least d_min and whose last point is at most span_l, each
-    within feasibility_slack(span_l), mirrors included, which is what the
-    callers' caps count; and an iterator over the kept subsets in
-    lexicographic order as float position arrays, never empty, each from a
-    block of max(1, _PASS_BUDGET // n) anchored subsets.
+    within feasibility_slack(span_l / step, step), mirrors included, which
+    is what the callers' caps count; and an iterator over the kept subsets
+    in lexicographic order as float position arrays, never empty, each from
+    a block of max(1, _PASS_BUDGET // n) anchored subsets.  The bounds are
+    counted in grid steps, so the slack is 1e-9 grid steps or 1e-9 user
+    lengths, whichever is smaller: never looser than validate_positions'
+    slack on the positions step k.
     """
-    # the last grid point and the gap allow validate_positions' slack for positions up to span_l
-    last = (span_l + feasibility_slack(span_l)) / step
+    span = span_l / step
+    last = span + feasibility_slack(span, step)
     if not math.isfinite(last):
         raise ValueError(f"span_l / step = {last} leaves no finite count of grid points")
     # Python ints: at a step far below span_l the counts pass any fixed-width integer
     m = math.floor(last) + 1
-    gap = max(1, math.ceil((d_min - feasibility_slack(span_l)) / step))
+    gap = max(1, math.ceil(d_min / step - feasibility_slack(span, step)))
     reduced = m - (n - 1) * (gap - 1)
     if reduced < n:
         raise ValueError("no feasible antenna subset on this grid")
@@ -267,6 +276,13 @@ def chain_dp_start(cfg: SystemConfig) -> np.ndarray:
     DP_MAX_STEPS.  Each such sum is a lower bound of the correlation
     |sum_i exp(j kappa x_i)| at the same positions.
 
+    It works in wavelengths, as _sca does: on entry it takes the phase rate
+    kappa wavelength, span_l / wavelength and d_min / wavelength, and on exit
+    it multiplies the positions by the wavelength.  The aligned chain fits
+    when exceeds_span in wavelengths, with the wavelength as its unit, says
+    so, which is never looser than the user-unit check the positions meet
+    in _sca.
+
     A first pass runs the phases psi = 2 pi p / DP_PHASES in blocks of
     _PASS_BUDGET // (M + 1) at once, keeping only the current antenna's
     values.  A second pass reruns the winning phase and keeps only the row
@@ -275,15 +291,18 @@ def chain_dp_start(cfg: SystemConfig) -> np.ndarray:
     row and picks each antenna's point as the first argmax of its row up to
     the next antenna's point.  So memory stays at O(_PASS_BUDGET + sqrt(n) M)
     floats, flat in n, for about twice the single-phase work.  Ties go to
-    the first phase and the smallest u.  Needs _ascends(cfg).
+    the first phase and the smallest u.  Needs |kappa| wavelength >=
+    KAPPA_TOL, so that the period, at most 2 pi / KAPPA_TOL = 6.3e12
+    wavelengths, is finite.
     """
-    kappa, n, d_min = cfg.kappa, cfg.n_antennas, cfg.d_min
+    lam, n = cfg.wavelength, cfg.n_antennas
+    kappa, span, d_min = cfg.kappa * lam, cfg.span_l / lam, cfg.d_min / lam
     period = 2.0 * math.pi / abs(kappa)
     pitch = math.ceil(d_min / period) * period
-    if not exceeds_span(n, pitch, cfg.span_l):
-        return pitch * np.arange(n)
-    hi = max(cfg.span_l - (n - 1) * d_min, 0.0)
-    h_max = min(0.025 * cfg.wavelength, (math.pi / 64.0) / abs(kappa))
+    if not exceeds_span(n, pitch, span, lam):
+        return lam * (pitch * np.arange(n))
+    hi = max(span - (n - 1) * d_min, 0.0)
+    h_max = min(0.025, (math.pi / 64.0) / abs(kappa))
     u = np.linspace(0.0, hi, min(math.ceil(hi / h_max), DP_MAX_STEPS) + 1)
     psi = (2.0 * math.pi / DP_PHASES) * np.arange(DP_PHASES)
     # antenna i sits at u + (i - 1) d_min, which turns its phasor by kappa (i - 1) d_min
@@ -308,19 +327,7 @@ def chain_dp_start(cfg: SystemConfig) -> np.ndarray:
         for row in reversed(rows):
             end = int(np.argmax(row[:end])) + 1
             chosen.append(end - 1)
-    return u[chosen[::-1]] + d_min * np.arange(n)
-
-
-def _ascends(cfg: SystemConfig) -> bool:
-    """Whether the position solve runs: the users' sine angles differ, |kappa| wavelength >= KAPPA_TOL.
-
-    kappa^2 must also be a normal float, so that the ascent's curvature is
-    positive and the chain-DP period 2 pi / |kappa| finite.  Only a
-    wavelength above KAPPA_TOL / 1.5e-154, about 6.7e141, can fail that;
-    its users then read as matching sine angles, as every |kappa| below
-    1e-12 did when KAPPA_TOL bounded |kappa| itself.
-    """
-    return abs(cfg.kappa) * cfg.wavelength >= KAPPA_TOL and cfg.kappa * cfg.kappa >= sys.float_info.min
+    return lam * (u[chosen[::-1]] + d_min * np.arange(n))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -345,29 +352,40 @@ def _sca(cfg: SystemConfig, start) -> ScaTrace:
     ascent stops once the improvement falls below SCA_TOL or after
     SCA_MAX_ITER rounds.
 
+    The ascent works in wavelengths: after the start's check in user units,
+    it takes x / wavelength, span_l / wavelength, d_min / wavelength and the
+    phase rate per wavelength kappa_w = kappa wavelength, and it multiplies
+    the last iterate by the wavelength before that iterate's check in user
+    units.  Each projection ends, up to rounding, at most at the larger of
+    the span and (n - 1) d_min in wavelengths, and SystemConfig has checked
+    the latter against the span in wavelengths, with the wavelength as the
+    unit of feasibility_slack: no looser than that exit check.
+
     The round loop re-checks neither feasibility nor delta_k.  Rounds run
-    only when _ascends(cfg), so delta_k >= 2 kappa^2 > 0 with kappa^2 a
-    normal float, and each anchor is either the start or the previous
-    round's polytope projection.
+    only when |kappa_w| >= KAPPA_TOL, and |kappa_w| <= 2 pi, so
+    delta_k = 2 kappa_w^2 max(|s_k|, 1) lies in [2e-24, 8 pi^2 n]: a
+    positive normal float at every wavelength.  Each anchor is either the
+    start or the previous round's polytope projection.
     The start is checked once on entry and the last iterate once on exit.
     """
-    kappa = cfg.kappa
-    x = validate_positions(start, cfg.span_l, cfg.d_min)
+    lam = cfg.wavelength
+    kappa, span, d_min = cfg.kappa * lam, cfg.span_l / lam, cfg.d_min / lam
+    x = validate_positions(start, cfg.span_l, cfg.d_min) / lam
     n = x.size
     e = np.exp(1j * kappa * x)
     s = e.sum()
     history = [np.abs(s) ** 2 - n]
     # users at matching sine angles: f is constant, nothing to move
-    converged = not _ascends(cfg)
+    converged = abs(kappa) < KAPPA_TOL
     while not converged and len(history) <= SCA_MAX_ITER:
         g = 2.0 * kappa * np.imag(s * np.conj(e))
         delta = 2.0 * kappa ** 2 * max(np.abs(s), 1.0)
-        x = _surrogate_step(x, g, delta, cfg.span_l, cfg.d_min)
+        x = _surrogate_step(x, g, delta, span, d_min)
         e = np.exp(1j * kappa * x)
         s = e.sum()
         history.append(np.abs(s) ** 2 - n)
         converged = history[-1] - history[-2] < SCA_TOL
-    validate_positions(x, cfg.span_l, cfg.d_min)
+    x = validate_positions(lam * x, cfg.span_l, cfg.d_min)
     return ScaTrace(
         f1_history=_frozen(history), x=_frozen(x), converged=bool(converged), iterations=len(history) - 1
     )
@@ -393,7 +411,7 @@ def multi_start_sca(cfg: SystemConfig) -> ScaTrace:
     read-only trace.x.
     """
     starts = [uniform_positions(cfg)]
-    if _ascends(cfg):
+    if abs(cfg.kappa * cfg.wavelength) >= KAPPA_TOL:
         # with kappa = 0 every x is optimal and the uniform start stays
         starts.append(chain_dp_start(cfg))
     traces = sorted((_sca(cfg, start) for start in starts), key=lambda trace: tuple(trace.x))

@@ -659,31 +659,55 @@ GRID_N4 = {"n_antennas": 4, "span_l": 1.2, "d_min": 0.30000000000000004}
 JOINT_N3 = {"n_antennas": 3, "span_l": 1.0, "d_min": 0.30000000000000004}
 
 
-@pytest.mark.parametrize(
-    "scheme, system, step, unit",
-    [
-        # with an absolute slack the enumerator wanted 4 grid steps for d_min: no
-        # subset fit on GRID_N3, and GRID_N4 and the joint grid lost the 0.3 spacing
-        length_unit_row("aps-n3-1e20", "aps", GRID_N3, 0.1, 1e20),
-        length_unit_row("aps-n4-1e20", "aps", GRID_N4, 0.1, 1e20),
-        length_unit_row("joint-n3-1e20", "joint", JOINT_N3, 0.1, 1e20),
-        # with an absolute KAPPA_TOL, |kappa| = 2.5e-13 at 1e13 and 2.5e-20 at 1e20 read as
-        # matching sine angles, so no ascent ran (22.9236 instead of 23.6371 bps/Hz at 1e13)
-        length_unit_row("proposed-1e13", "proposed", {}, 0.5, 1e13),
-        length_unit_row("proposed-n3-1e20", "proposed", {"n_antennas": 3, "span_l": 2.0}, 0.5, 1e20),
-        length_unit_row("proposed-1e-12", "proposed", {}, 0.5, 1e-12, xfail=(
-            "chain_dp_start's aligned chain ends at 10.05 units on a 4-unit span, and the absolute "
-            "1e-9 part of feasibility_slack accepts it (23.4491 instead of 23.6371 bps/Hz)")),
-        length_unit_row("aps-n4-1e-12", "aps", {**GRID_N4, "d_min": 0.3}, 0.1, 1e-12, xfail=(
-            "the absolute 1e-9 part of feasibility_slack is 1e4 grid steps: the grid runs past "
-            "span_l and the minimum gap falls to one step, d_min / 3, so the count passes the cap")),
-        length_unit_row("fpa-1e20", "fpa", {}, 0.5, 1e20, xfail=(
-            "fpa spaces its array by the absolute REFERENCE_SPACING = 0.5, not half a wavelength")),
-        length_unit_row("proposed-1e163", "proposed", {}, 0.5, 1e163, xfail=(
-            "past a wavelength of about 6.7e141, kappa^2 is not a normal float, so _ascends reads the "
-            "users as matching sine angles and the uniform spread stays")),
-    ],
-)
+LENGTH_UNIT_ROWS = [
+    # with an absolute slack the enumerator wanted 4 grid steps for d_min: no
+    # subset fit on GRID_N3, and GRID_N4 and the joint grid lost the 0.3 spacing
+    length_unit_row("aps-n3-1e20", "aps", GRID_N3, 0.1, 1e20),
+    length_unit_row("aps-n4-1e20", "aps", GRID_N4, 0.1, 1e20),
+    length_unit_row("joint-n3-1e20", "joint", JOINT_N3, 0.1, 1e20),
+    # with an absolute KAPPA_TOL, |kappa| = 2.5e-13 at 1e13 and 2.5e-20 at 1e20 read as
+    # matching sine angles, so no ascent ran (22.9236 instead of 23.6371 bps/Hz at 1e13)
+    length_unit_row("proposed-1e13", "proposed", {}, 0.5, 1e13),
+    length_unit_row("proposed-n3-1e20", "proposed", {"n_antennas": 3, "span_l": 2.0}, 0.5, 1e20),
+    # with the slack's absolute 1e-9 in user lengths, chain_dp_start's aligned chain
+    # ended at 10.05 units on a 4-unit span and the slack accepted it (23.4491
+    # instead of 23.6371 bps/Hz)
+    length_unit_row("proposed-1e-12", "proposed", {}, 0.5, 1e-12),
+    # the same 1e-9 was 1e4 grid steps: the grid ran past span_l and the minimum
+    # gap fell to one step, d_min / 3, so the count passed the cap
+    length_unit_row("aps-n4-1e-12", "aps", {**GRID_N4, "d_min": 0.3}, 0.1, 1e-12),
+    length_unit_row("fpa-1e20", "fpa", {}, 0.5, 1e20, xfail=(
+        "fpa spaces its array by the absolute REFERENCE_SPACING = 0.5, not half a wavelength")),
+    # past a wavelength of about 6.7e141 kappa^2 in user units was not a normal
+    # float, so the users read as matching sine angles and the uniform spread stayed
+    length_unit_row("proposed-1e163", "proposed", {}, 0.5, 1e163),
+]
+# The scheme x unit matrix: every case at every unit, a cell that a row above
+# already holds under that row's id.  With lengths compared in user units, 24
+# cells failed: all six cases at 1e-300, where SystemConfig refused the scaled
+# system since 2 kappa^2 n overflowed; all but the n = 28 case at 1e-150 and
+# 1e-12; and the four position-solve cases at 1e163 and 1e300.
+LENGTH_UNITS = {
+    "1e-300": 1e-300, "1e-150": 1e-150, "1e-12": 1e-12, "1e-6": 1e-6, "0.5": 0.5, "3": 3.0,
+    "1e3": 1e3, "1e13": 1e13, "1e20": 1e20, "1e100": 1e100, "1e163": 1e163, "1e300": 1e300,
+}
+LENGTH_UNIT_CASES = {
+    "proposed": ("proposed", {}, 0.5),
+    "ao": ("ao", {}, 0.5),
+    "ma_mrt": ("ma_mrt", {}, 0.5),
+    "aps-n4-d0.3": ("aps", {**GRID_N4, "d_min": 0.3}, 0.1),
+    "joint-n3-d0.3": ("joint", {**JOINT_N3, "d_min": 0.3}, 0.1),
+    "proposed-n28": ("proposed", {"n_antennas": 28, "span_l": 20.0}, 0.5),
+}
+LENGTH_UNIT_ROWS += [
+    length_unit_row(f"{case}-{unit_id}", *row, unit)
+    for case, row in LENGTH_UNIT_CASES.items()
+    for unit_id, unit in LENGTH_UNITS.items()
+    if (*row, unit) not in [tuple(r.values) for r in LENGTH_UNIT_ROWS]
+]
+
+
+@pytest.mark.parametrize("scheme, system, step, unit", LENGTH_UNIT_ROWS)
 def test_schemes_keep_their_rate_in_any_length_unit(scheme, system, step, unit):
     """Scaling span_l, d_min, wavelength and the grid step by unit scales the positions by unit and keeps the rate."""
 
@@ -700,6 +724,32 @@ def test_schemes_keep_their_rate_in_any_length_unit(scheme, system, step, unit):
     x, rate = solve(unit)
     assert rate == pytest.approx(rate_unit, rel=1e-9)
     assert np.allclose(x / unit, x_unit, rtol=1e-9, atol=1e-9)
+
+
+# the period of the default phase difference, in wavelengths
+DEFAULT_PERIOD = 2.0 * math.pi / abs(SystemConfig().kappa)
+
+
+@pytest.mark.parametrize(
+    "scheme, system, step, rate",
+    [
+        # span_l is 5e-10 wavelengths short of the aligned chain, two periods long: a
+        # slack of a plain 1e-9 wavelengths would take the chain, 5e-7 past span_l
+        pytest.param("proposed", {"n_antennas": 3, "d_min": 500.0, "wavelength": 1e3,
+                                  "span_l": 2.0 * DEFAULT_PERIOD * 1e3 - 5e-7},
+                     0.5, 23.177495269562414, id="chain-wavelength-1e3"),
+        # span_l is 5e-10 grid steps short of the fifth grid point: a slack of a plain
+        # 1e-9 grid steps would let a subset end there, 5e-7 past span_l
+        pytest.param("aps", {"n_antennas": 4, "d_min": 1e3, "wavelength": 1e3, "span_l": 4e3 - 5e-7},
+                     1e3, 22.91719861856253, id="grid-step-1e3"),
+    ],
+)
+def test_slack_in_wavelengths_or_grid_steps_is_no_looser_than_in_user_lengths(scheme, system, step, rate):
+    """At a unit above one length, the kernels allow 1e-9 user lengths, not 1e-9 units: the rate keeps its bits."""
+    cfg = SystemConfig(**system)
+    res = run_scheme(scheme, cfg, step)
+    assert res.x[-1] <= cfg.span_l
+    assert res.snr.min_rate == rate
 
 
 # ---------------------------------------------------------------------------

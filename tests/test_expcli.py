@@ -299,7 +299,7 @@ def test_sweep_n_ends_at_the_first_n_the_span_cannot_hold(tmp_path, monkeypatch,
     # n = 10 to 100 001 is one skip line, not 99 992
     checked = []
     monkeypatch.setattr(
-        "ma_multicast.expcli.exceeds_span", lambda n, d, span: checked.append(n) or exceeds_span(n, d, span)
+        "ma_multicast.expcli.exceeds_span", lambda n, *args: checked.append(n) or exceeds_span(n, *args)
     )
     cfg = write_config(tmp_path, {"schemes": ["fpa"]})
     out = tmp_path / "sweep_n.csv"
@@ -602,6 +602,13 @@ def rows_without_warnings(count):
     return check
 
 
+def head_skipped_in_wavelengths(rows, logged):
+    # l = 1.9e-12 is 0.1 wavelengths short of the 2e-12 the array needs: a skip, as
+    # SystemConfig compares in wavelengths, though 1e-13 lies inside 1e-9 user lengths
+    assert [row["l"] for row in rows] == ["2e-12", "2.1e-12", "2.2e-12", "2.3e-12", "2.4e-12", "2.5e-12"]
+    assert logged == ["sweep-l skip: l=1.5e-12..1.9e-12: smaller than (n - 1) * d_min"]
+
+
 @pytest.mark.parametrize(
     "argv, system, schemes, check",
     [
@@ -615,6 +622,9 @@ def rows_without_warnings(count):
         # spans 1e-9 apart: the chain-DP start and the solve stay feasible at every one
         pytest.param(["sweep-l", "--l-min", "3", "--l-max", "3.000000005", "--l-step", "1e-9"], {},
                      None, rows_without_warnings(25), id="sweep-l-step-1e-9"),
+        pytest.param(["sweep-l", "--l-min", "1.5e-12", "--l-max", "2.5e-12", "--l-step", "1e-13"],
+                     dict(span_l=4e-12, d_min=5e-13, wavelength=1e-12), ["proposed"],
+                     head_skipped_in_wavelengths, id="sweep-l-wavelength-1e-12"),
     ],
 )
 def test_main_on_a_patched_default_config(tmp_path, capsys, caplog, argv, system, schemes, check):
@@ -854,7 +864,7 @@ def test_main_aps_grid_step_far_below_the_span_is_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
-WAVELENGTH_MESSAGE = "wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite"
+WAVELENGTH_MESSAGE = "wavelength must keep 2 pi / wavelength finite"
 PHASE_MESSAGE = "span_l and wavelength must keep twice the aperture phase, 4 pi span_l / wavelength, finite"
 # without aps: its grid cap refuses spans this long on its own
 NO_APS = ["proposed", "ao", "ma_mrt", "fpa"]
@@ -863,9 +873,6 @@ NO_APS = ["proposed", "ao", "ma_mrt", "fpa"]
 @pytest.mark.parametrize(
     "system, message",
     [
-        # 2 kappa^2 n overflows: the SCA's curvature raised OverflowError
-        ({"wavelength": 1e-300}, f"system: {WAVELENGTH_MESSAGE}"),
-        ({"wavelength": 1e-200}, f"system: {WAVELENGTH_MESSAGE}"),
         # 2 pi / wavelength is infinite: the chain-DP start divided by zero
         ({"wavelength": 5e-324}, f"system: {WAVELENGTH_MESSAGE}"),
         # a 401-digit integer: the span check's float conversion overflowed;
@@ -880,7 +887,7 @@ NO_APS = ["proposed", "ao", "ma_mrt", "fpa"]
         ({"n_antennas": 10**12, "d_min": 1e-300}, "system.n_antennas: must be <= 4098"),
         ({"n_antennas": 4099, "d_min": 1e-6}, "system.n_antennas: must be <= 4098"),
     ],
-    ids=["wavelength-1e-300", "wavelength-1e-200", "wavelength-5e-324", "n-401-digits",
+    ids=["wavelength-5e-324", "n-401-digits",
          "phase-1e-150-1e200", "phase-1e-100-1e250", "phase-1e-100-1.44e207", "n-1e12", "n-past-the-cap"],
 )
 def test_main_system_outside_the_numeric_domain_is_config_error(tmp_path, capsys, system, message):
@@ -894,18 +901,23 @@ def test_main_system_outside_the_numeric_domain_is_config_error(tmp_path, capsys
 @pytest.mark.parametrize(
     "system, schemes",
     [
-        # kappa^2 = 3.6e300 at n = 5: large but finite, so every scheme runs
+        # the solve squares only the phase rate per wavelength, at most 2 pi, so every
+        # scheme runs where kappa^2 n in user units is 3.6e300 or overflows: when
+        # SystemConfig bounded 2 kappa^2 n, it refused 1e-200 and 1e-300
         ({"wavelength": 1e-150}, None),
+        ({"wavelength": 1e-200}, None),
+        ({"wavelength": 1e-300}, None),
         # the aligned chain fits, so the chain DP forms no step count
         ({"wavelength": 1e-100, "span_l": 1e207}, NO_APS),
         # just inside the bound: 4 pi span_l / wavelength = 1.79699e308
         ({"wavelength": 1e-100, "span_l": 1.43e207}, NO_APS),
-        # |kappa| wavelength passes KAPPA_TOL but kappa^2 underflows, which would zero the
-        # SCA curvature, and at 1.7e308 the chain period 2 pi / |kappa| overflows
+        # in user units kappa^2 underflows, which would zero the SCA curvature, and at
+        # 1.7e308 the chain period 2 pi / |kappa| overflows; in wavelengths neither does
         ({"wavelength": 1e163, "span_l": 1000.0}, NO_APS),
         ({"wavelength": 1.7e308}, NO_APS),
     ],
-    ids=["wavelength-1e-150", "phase-1e-100-1e207", "phase-1e-100-1.43e207", "wavelength-1e163", "wavelength-1.7e308"],
+    ids=["wavelength-1e-150", "wavelength-1e-200", "wavelength-1e-300", "phase-1e-100-1e207",
+         "phase-1e-100-1.43e207", "wavelength-1e163", "wavelength-1.7e308"],
 )
 def test_main_wavelength_inside_the_domain_runs(tmp_path, capsys, system, schemes):
     cfg = write_config(tmp_path, {"system": system, "schemes": schemes or [s.value for s in Scheme]})

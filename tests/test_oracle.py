@@ -608,6 +608,17 @@ def test_snap_positions_keep_d_min_when_rounding_breaks_a_spacing():
     assert joint_vs_decoupled(cfg, GridSpec(position_step=0.1, t_step=1e-3))["passed"]
 
 
+@pytest.mark.parametrize("unit", [1.0, 1e-12])
+def test_snap_positions_keep_the_last_antenna_inside_the_span_in_any_length_unit(unit):
+    # the top grid point is counted in grid steps: with an absolute 1e-9 of user
+    # lengths it lay 1e4 steps past span_l at unit 1e-12, and the last antenna
+    # snapped a whole step, a tenth of the span, past it to 1.1e-12
+    cfg = SystemConfig(n_antennas=3, span_l=unit, d_min=0.3 * unit, wavelength=unit)
+    snapped = snap_positions_to_grid(np.array([0.09, 0.39, 1.09]) * unit, cfg, 0.1 * unit)
+    assert np.allclose(snapped / unit, [0.1, 0.4, 1.0], rtol=0.0, atol=1e-12)
+    validate_positions(snapped, cfg.span_l, cfg.d_min)
+
+
 def test_snap_positions_requires_commensurate_grid():
     cfg = SystemConfig()
     with pytest.raises(ValueError, match="multiple"):

@@ -181,7 +181,7 @@ def test_config_rejects_bad_fields(kwargs):
 
 
 SCALE_MESSAGE = "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive SNR scale"
-WAVELENGTH_MESSAGE = "wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite"
+WAVELENGTH_MESSAGE = "wavelength must keep 2 pi / wavelength finite"
 
 
 def first_written(row, row_id):
@@ -227,10 +227,14 @@ def first_written(row, row_id):
         ({"ps_dbm": 3036.0}, SCALE_MESSAGE),  # scale * n_antennas overflows
         first_written(({"n_antennas": 10**400, "wavelength": 0.0}, "n_antennas: must be <= 4098"),
                       "kwargs18-n_antennas must convert to a finite float"),
-        # an infinite phase rate, or a curvature bound 2 kappa^2 n past the float
-        # range: at wavelength 1e-153 it is finite for n = 5 and not for n = 400
-        ({"wavelength": 5e-324}, WAVELENGTH_MESSAGE),
-        ({"wavelength": 1e-153, "n_antennas": 400, "span_l": 400.0}, WAVELENGTH_MESSAGE),
+        # an infinite phase rate; the solve squares only the phase rate per
+        # wavelength, so no bound on 2 kappa^2 n_antennas is left to check
+        first_written(({"wavelength": 5e-324}, WAVELENGTH_MESSAGE),
+                      "kwargs19-wavelength must keep 2 pi / wavelength and 2 kappa^2 n_antennas finite"),
+        # the geometry is compared in wavelengths: 4.5 wavelengths do not fit 4, though
+        # the overrun of 5e-13 lies far inside an absolute 1e-9 of user lengths
+        ({"n_antennas": 4, "span_l": 4e-12, "d_min": 1.5e-12, "wavelength": 1e-12},
+         "infeasible geometry: (n_antennas - 1) * d_min = 4.5e-12 exceeds span_l = 4e-12"),
         # integers past the float range name their own field, as the JSON path does
         ({"span_l": 10**400}, "span_l: must be finite"),
         ({"d_min": 10**400}, "d_min: must be finite"),
