@@ -1,7 +1,15 @@
 """Physical model of a linear movable-antenna multicast downlink.
 
-Antenna positions are expressed in carrier wavelengths, transmit power and
-noise power in dBm, user angles in radians.  Every function here is pure.
+Antenna positions are lengths in the unit of the carrier wavelength (the
+config's length unit), transmit power and noise power in dBm, user angles in
+radians.  Every function here is pure.
+
+The array response has one contract.  steering_vector, beam_gain and
+beam_pattern check the positions (sorted, nonnegative, finite), then the
+wavelength, then the angles; beam_gain and beam_pattern then check the
+beamformer (a 1-D unit-norm vector of one entry per antenna).  snr_pair
+checks the positions against its config, then the beamformer.  Each input is
+checked once per call, and every gain comes from one kernel, _gain.
 """
 
 import math
@@ -31,15 +39,6 @@ class SnrPair:
         return cls(gamma_u1, gamma_u2, math.log2(1.0 + min(gamma_u1, gamma_u2)))
 
 
-def _as_position_array(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("positions must form a non-empty 1-D array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("positions must be finite")
-    return x
-
-
 def validate_position_rows(x: np.ndarray, span_l, d_min) -> None:
     """Check that every row of a (B, n) array is finite, starts at or after 0,
     keeps the minimum spacing and ends within the span.
@@ -62,7 +61,11 @@ def validate_position_rows(x: np.ndarray, span_l, d_min) -> None:
 
 def validate_positions(x, span_l: float, d_min: float) -> np.ndarray:
     """Check the ascending/spacing/aperture constraints and return x as floats."""
-    x = _as_position_array(x)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError("positions must form a non-empty 1-D array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("positions must be finite")
     validate_position_rows(x[None, :], span_l, d_min)
     return x
 
@@ -82,27 +85,33 @@ def _phase_rate(wavelength) -> float:
     return 2.0 * math.pi / wavelength
 
 
+def _steering_inputs(x, thetas, wavelength):
+    """x as floats and 2 pi / wavelength, after checking x, the wavelength and the angles."""
+    x = validate_positions(x, math.inf, 0.0)
+    rate = _phase_rate(wavelength)
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta must be finite")
+    return x, rate
+
+
 def steering_vector(x, theta: float, wavelength: float = 1.0) -> np.ndarray:
     """Unit-modulus steering vector of the array seen from direction theta.
 
     Parameters
     ----------
     x : array-like
-        Ascending antenna positions in wavelengths.
+        Ascending antenna positions, in the unit of ``wavelength``.
     theta : float
         Physical angle of the user in radians.
     wavelength : float
-        Carrier wavelength in the same unit as ``x``.
+        Carrier wavelength, in the config's length unit.
     """
-    x = validate_positions(x, math.inf, 0.0)
-    rate = _phase_rate(wavelength)
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    phase = rate * math.sin(theta)
-    return np.exp(1j * phase * x)
+    x, rate = _steering_inputs(x, theta, wavelength)
+    return np.exp(1j * (rate * math.sin(theta)) * x)
 
 
-def _check_unit_norm(w) -> np.ndarray:
+def _check_unit_norm(w, n: int) -> np.ndarray:
+    """w as a complex 1-D vector, after checking its unit norm and its n entries."""
     w = np.asarray(w, dtype=complex)
     if w.ndim != 1:
         raise ValueError("beamformer must be a 1-D vector")
@@ -110,37 +119,44 @@ def _check_unit_norm(w) -> np.ndarray:
     # written so that a NaN or inf entry, whose norm^2 is NaN or inf, fails too
     if not (abs(nrm2 - 1.0) <= UNIT_NORM_TOL):
         raise ValueError(f"beamformer norm^2 = {nrm2!r} is not 1 within {UNIT_NORM_TOL:g}")
+    if w.size != n:
+        raise ValueError("beamformer length does not match the number of antennas")
     return w
+
+
+def _gain(w: np.ndarray, x: np.ndarray, phase: float) -> float:
+    """|exp(j phase x)^T w|^2, for checked w and x and the phase rate of one user."""
+    return float(abs(np.exp(1j * phase * x) @ w) ** 2)
 
 
 def beam_gain(w, x, theta: float, wavelength: float = 1.0) -> float:
     """Array gain |h(theta)^T w|^2 of a unit-norm beamformer; lies in [0, N]."""
-    w = _check_unit_norm(w)
-    h = steering_vector(x, theta, wavelength)
-    if h.size != w.size:
-        raise ValueError("beamformer length does not match the number of antennas")
-    return float(abs(h @ w) ** 2)
+    x, rate = _steering_inputs(x, theta, wavelength)
+    return _gain(_check_unit_norm(w, x.size), x, rate * math.sin(theta))
 
 
 def beam_pattern(w, x, thetas, wavelength: float = 1.0) -> np.ndarray:
-    """Array gain evaluated over a batch of angles."""
-    w = _check_unit_norm(w)
-    x = _as_position_array(x)
+    """beam_gain over a batch of angles, under beam_gain's checks.
+
+    One batched matrix product over all angles.  It equals beam_gain at each
+    angle within rounding, since the phases take np.sin where beam_gain takes
+    math.sin.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    phases = _phase_rate(wavelength) * np.sin(thetas)
-    ent = np.exp(1j * np.outer(phases, x))
-    return np.abs(ent @ w) ** 2
+    x, rate = _steering_inputs(x, thetas, wavelength)
+    w = _check_unit_norm(w, x.size)
+    return np.abs(np.exp(1j * np.outer(rate * np.sin(thetas), x)) @ w) ** 2
 
 
 def snr_pair(w, x, cfg: SystemConfig) -> SnrPair:
     """Receive SNRs of both users under beamformer w and positions x.
 
-    Each user's gain is beam_gain's, bit for bit by construction: after
-    check_positions, snr_pair calls beam_gain at the user's angle and
-    cfg.wavelength and scales it by the user's SNR scale.  beam_gain's phase
-    rate (2 pi / wavelength) sin theta_i is the same float as cfg.kappas[i],
-    which the correlation and projection routes use.
+    After check_positions and the beamformer check, each user's gain is
+    _gain at cfg.kappas[i], scaled by the user's SNR scale.  cfg.kappas[i]
+    is the same float as beam_gain's phase rate (2 pi / wavelength)
+    sin theta_i, so each gain equals beam_gain's at cfg.wavelength bit for
+    bit.
     """
     x = check_positions(x, cfg)
-    gamma = tuple(c * beam_gain(w, x, theta, cfg.wavelength) for c, theta in zip(cfg.snr_scales, cfg.theta_su))
-    return SnrPair.from_gammas(*gamma)
+    w = _check_unit_norm(w, x.size)
+    return SnrPair.from_gammas(*(c * _gain(w, x, kappa) for c, kappa in zip(cfg.snr_scales, cfg.kappas)))

@@ -24,6 +24,7 @@ from ma_multicast import (
     steering_vector,
     validate_positions,
 )
+from ma_multicast import sysmodel
 from ma_multicast.sysmodel import SnrPair, validate_position_rows
 
 
@@ -348,16 +349,37 @@ def test_steering_vector_unit_modulus():
     assert np.allclose(np.abs(h), 1.0, atol=1e-14)
 
 
+def first_antenna_only(x):
+    return np.eye(len(x))[0]
+
+
+# the array responses under one contract, each called at positions x and one angle theta
+ARRAY_RESPONSES = {
+    "steering_vector": lambda x, theta: steering_vector(x, theta),
+    "beam_gain": lambda x, theta: beam_gain(first_antenna_only(x), x, theta),
+    "beam_pattern": lambda x, theta: beam_pattern(first_antenna_only(x), x, [0.3, theta]),
+}
+
+
 def test_steering_vector_needs_only_sorted_nonnegative_positions():
     # no span and no minimum spacing: coincident and far-out antennas are fine
     assert steering_vector([0.0, 0.0, 1e6], 0.7).shape == (3,)
-    steering_vector([-1e-12, 0.0], 0.7)  # within the feasibility tolerance
-    with pytest.raises(ValueError, match="infeasible.*spacing"):
-        steering_vector([0.0, 1.0, 0.5], 0.7)
-    with pytest.raises(ValueError, match="infeasible.*left of the aperture"):
-        steering_vector([-0.1, 0.5], 0.7)
-    with pytest.raises(ValueError, match="^theta must be finite$"):
-        steering_vector([0.0, 0.5], math.nan)
+    # beam_gain and beam_pattern take the same checks; beam_pattern once accepted
+    # unsorted and negative positions, and returned NaN at a NaN angle
+    for response in ARRAY_RESPONSES.values():
+        assert np.isfinite(response([0.0, 0.0, 1e6], 0.7)).all()
+        response([-1e-12, 0.0], 0.7)  # within the feasibility tolerance
+        with pytest.raises(ValueError, match="infeasible.*spacing"):
+            response([0.0, 1.0, 0.5], 0.7)
+        with pytest.raises(ValueError, match="infeasible.*spacing"):
+            response([0.5, 0.0], 0.7)
+        with pytest.raises(ValueError, match="infeasible.*left of the aperture"):
+            response([-0.1, 0.5], 0.7)
+        with pytest.raises(ValueError, match="infeasible.*left of the aperture"):
+            response([-3.0, 0.5], 0.7)
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^theta must be finite$"):
+                response([0.0, 0.5], theta)
 
 
 def test_steering_translation_is_global_phase():
@@ -414,8 +436,11 @@ def test_beam_gain_rejects_unnormalized():
         beam_gain(np.array([1.0, 1.0]), x, 0.5)
     with pytest.raises(ValueError, match="^beamformer must be a 1-D vector$"):
         beam_gain(np.array([[1.0, 0.0]]), x, 0.5)
-    with pytest.raises(ValueError, match="^beamformer length does not match the number of antennas$"):
-        beam_gain(np.array([1.0]), x, 0.5)
+    # beam_pattern once left a length mismatch to numpy's matmul
+    for w in (np.array([1.0]), np.array([1.0, 0.0, 0.0])):
+        for call in (lambda: beam_gain(w, x, 0.5), lambda: beam_pattern(w, x, [0.5, 1.2])):
+            with pytest.raises(ValueError, match="^beamformer length does not match the number of antennas$"):
+                call()
 
 
 def test_beam_pattern_matches_pointwise_gain():
@@ -444,14 +469,34 @@ def test_steering_vector_and_beam_pattern_refuse_a_wavelength_that_is_not_positi
 
 
 def test_snr_pair_is_scaled_beam_gain():
-    # the same operations as beam_gain, so equality must be exact
+    # the same operations as beam_gain, so equality must be exact: cfg.kappas[i]
+    # is beam_gain's phase rate (2 pi / wavelength) sin theta_i at any wavelength
     rng = np.random.default_rng(14)
-    cfg = SystemConfig(d_su=(80.0, 230.0))
-    x = random_feasible(rng, 5, 4.0, 0.5)
-    w = random_unit_beamformer(rng, 5)
-    snr = snr_pair(w, x, cfg)
-    assert snr.gamma_u1 == cfg.snr_scales[0] * beam_gain(w, x, cfg.theta_su[0])
-    assert snr.gamma_u2 == cfg.snr_scales[1] * beam_gain(w, x, cfg.theta_su[1])
+    configs = [SystemConfig(d_su=(80.0, 230.0))]
+    configs += [
+        SystemConfig(d_su=(80.0, 230.0), span_l=4.0 * unit, d_min=0.5 * unit, wavelength=unit)
+        for unit in (1e-6, 3.0, 1e6)
+    ]
+    configs.append(SystemConfig(d_su=(80.0, 230.0), n_antennas=28, span_l=20.0))
+    for cfg in configs:
+        x = random_feasible(rng, cfg.n_antennas, cfg.span_l, cfg.d_min)
+        w = random_unit_beamformer(rng, cfg.n_antennas)
+        snr = snr_pair(w, x, cfg)
+        assert snr.gamma_u1 == cfg.snr_scales[0] * beam_gain(w, x, cfg.theta_su[0], cfg.wavelength)
+        assert snr.gamma_u2 == cfg.snr_scales[1] * beam_gain(w, x, cfg.theta_su[1], cfg.wavelength)
+
+
+def test_each_array_response_checks_the_positions_once_per_call(monkeypatch):
+    # snr_pair once checked them three times: against its config, then once per user in beam_gain
+    calls = []
+    real = sysmodel.validate_position_rows
+    monkeypatch.setattr(sysmodel, "validate_position_rows", lambda *args: calls.append(args) or real(*args))
+    cfg = SystemConfig()
+    responses = dict(ARRAY_RESPONSES, snr_pair=lambda x, theta: snr_pair(first_antenna_only(x), x, cfg))
+    for name, response in responses.items():
+        calls.clear()
+        response([0.0, 0.5, 1.5, 2.5, 4.0], 0.3)
+        assert len(calls) == 1, name
 
 
 def test_snr_pair_min_rate_definition():
