@@ -64,7 +64,6 @@ _EXPORTS = {
     ),
     "sysmodel": (
         "SnrPair",
-        "beam_gain",
         "beam_pattern",
         "snr_pair",
         "steering_vector",

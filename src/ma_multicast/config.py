@@ -165,11 +165,9 @@ class SystemConfig:
                 "infeasible geometry: (n_antennas - 1) * d_min = "
                 f"{(n - 1) * d_min:g} exceeds span_l = {span_l:g}"
             )
-        d1, d2 = self.d_su
         try:
-            ps_w, sigma2_w = self.ps_w, self.sigma2_w
-            c1 = ps_w / (d1 ** self.tau * sigma2_w)
-            c2 = ps_w / (d2 ** self.tau * sigma2_w)
+            ps_w, sigma2_w = dbm_to_watt(self.ps_dbm), dbm_to_watt(self.sigma2_dbm)
+            c1, c2 = (ps_w / (d**self.tau * sigma2_w) for d in self.d_su)
         except (OverflowError, ZeroDivisionError):
             c1 = c2 = math.nan
         # the largest beam gain is n_antennas, so scale * n is the largest SNR
@@ -190,14 +188,6 @@ class SystemConfig:
         fields["snr_scales"] = (c1, c2)
         fields["kappas"] = (rate * sin1, rate * sin2)
         fields["kappa"] = rate * (sin2 - sin1)
-
-    @property
-    def ps_w(self) -> float:
-        return dbm_to_watt(self.ps_dbm)
-
-    @property
-    def sigma2_w(self) -> float:
-        return dbm_to_watt(self.sigma2_dbm)
 
 
 class Scheme(str, Enum):

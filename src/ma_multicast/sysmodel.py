@@ -4,12 +4,11 @@ Antenna positions are lengths in the unit of the carrier wavelength (the
 config's length unit), transmit power and noise power in dBm, user angles in
 radians.  Every function here is pure.
 
-The array response has one contract.  steering_vector, beam_gain and
-beam_pattern check the positions (sorted, nonnegative, finite), then the
-wavelength, then the angles; beam_gain and beam_pattern then check the
-beamformer (a 1-D unit-norm vector of one entry per antenna).  snr_pair
-checks the positions against its config, then the beamformer.  Each input is
-checked once per call, and every gain comes from one kernel, _gain.
+The array response has one contract.  steering_vector and beam_pattern check
+the positions (sorted, nonnegative, finite), then the wavelength, then the
+angles; beam_pattern then checks the beamformer (a 1-D unit-norm vector of
+one entry per antenna).  snr_pair checks the positions against its config,
+then the beamformer.  Each input is checked once per call.
 """
 
 import math
@@ -129,17 +128,13 @@ def _gain(w: np.ndarray, x: np.ndarray, phase: float) -> float:
     return float(abs(np.exp(1j * phase * x) @ w) ** 2)
 
 
-def beam_gain(w, x, theta: float, wavelength: float = 1.0) -> float:
-    """Array gain |h(theta)^T w|^2 of a unit-norm beamformer; lies in [0, N]."""
-    x, rate = _steering_inputs(x, theta, wavelength)
-    return _gain(_check_unit_norm(w, x.size), x, rate * math.sin(theta))
-
-
 def beam_pattern(w, x, thetas, wavelength: float = 1.0) -> np.ndarray:
-    """beam_gain over a batch of angles, under beam_gain's checks.
+    """Array gains |h(theta)^T w|^2 of a unit-norm beamformer over a batch of
+    angles; each lies in [0, N].
 
-    One batched matrix product over all angles.  It equals beam_gain at each
-    angle within rounding, since the phases take np.sin where beam_gain takes
+    One batched matrix product over all angles.  It equals
+    |steering_vector(x, theta, wavelength)^T w|^2 at each angle within
+    rounding, since the phases take np.sin where steering_vector takes
     math.sin.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -153,9 +148,9 @@ def snr_pair(w, x, cfg: SystemConfig) -> SnrPair:
 
     After check_positions and the beamformer check, each user's gain is
     _gain at cfg.kappas[i], scaled by the user's SNR scale.  cfg.kappas[i]
-    is the same float as beam_gain's phase rate (2 pi / wavelength)
-    sin theta_i, so each gain equals beam_gain's at cfg.wavelength bit for
-    bit.
+    is the same float as steering_vector's phase rate (2 pi / wavelength)
+    sin theta_i, so each gain equals
+    |steering_vector(x, theta_i, cfg.wavelength)^T w|^2 bit for bit.
     """
     x = check_positions(x, cfg)
     w = _check_unit_norm(w, x.size)

@@ -38,7 +38,7 @@ def _random_validation_config(rng, n=None, span=None) -> SystemConfig:
         if abs(math.sin(th2) - math.sin(th1)) >= 0.05:
             break
     d1, d2 = np.exp(rng.uniform(math.log(20.0), math.log(500.0), 2))
-    span_l = span if span is not None else (n - 1) * 0.5 + rng.uniform(0.5, 4.0)
+    span_l = span if span is not None else (n - 1) * SystemConfig.d_min + rng.uniform(0.5, 4.0)
     return SystemConfig(
         n_antennas=n,
         span_l=float(span_l),

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from ma_multicast import (
+    ConfigError,
     GridSpec,
     Scheme,
     SystemConfig,
@@ -750,6 +751,31 @@ def test_slack_in_wavelengths_or_grid_steps_is_no_looser_than_in_user_lengths(sc
     res = run_scheme(scheme, cfg, step)
     assert res.x[-1] <= cfg.span_l
     assert res.snr.min_rate == rate
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        pytest.param(
+            {"n_antennas": 5, "span_l": 4e30, "d_min": 1e30, "wavelength": 1e12},
+            id="span-4e18-wavelengths",
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "one ulp of a position here is hundreds of wavelengths, so the solve's phases are "
+                "rounding noise: the rate moves by 0.059 bps/Hz, and no check refuses the config")),
+        ),
+    ],
+)
+def test_a_system_past_phase_resolution_is_refused_or_keeps_its_rate(system):
+    """A proposed rate that an ulp of span_l can move is no result: refuse the config or keep the rate."""
+
+    def rate(span_l):
+        return run_scheme("proposed", SystemConfig(**{**system, "span_l": span_l})).snr.min_rate
+
+    try:
+        rates = [rate(system["span_l"]), rate(math.nextafter(system["span_l"], math.inf))]
+    except ConfigError:
+        return
+    assert abs(rates[1] - rates[0]) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import pytest
 
 from ma_multicast import (
     SystemConfig,
-    beam_gain,
     beam_pattern,
     dbm_to_watt,
     snr_pair,
@@ -72,7 +71,7 @@ def defining_constants(c):
     """snr_scales, kappas and kappa of c from their defining expressions."""
     rate = 2.0 * math.pi / c.wavelength
     return (
-        tuple(c.ps_w / (d**c.tau * c.sigma2_w) for d in c.d_su),
+        tuple(dbm_to_watt(c.ps_dbm) / (d**c.tau * dbm_to_watt(c.sigma2_dbm)) for d in c.d_su),
         tuple(rate * math.sin(t) for t in c.theta_su),
         rate * (math.sin(c.theta_su[1]) - math.sin(c.theta_su[0])),
     )
@@ -356,7 +355,6 @@ def first_antenna_only(x):
 # the array responses under one contract, each called at positions x and one angle theta
 ARRAY_RESPONSES = {
     "steering_vector": lambda x, theta: steering_vector(x, theta),
-    "beam_gain": lambda x, theta: beam_gain(first_antenna_only(x), x, theta),
     "beam_pattern": lambda x, theta: beam_pattern(first_antenna_only(x), x, [0.3, theta]),
 }
 
@@ -364,7 +362,7 @@ ARRAY_RESPONSES = {
 def test_steering_vector_needs_only_sorted_nonnegative_positions():
     # no span and no minimum spacing: coincident and far-out antennas are fine
     assert steering_vector([0.0, 0.0, 1e6], 0.7).shape == (3,)
-    # beam_gain and beam_pattern take the same checks; beam_pattern once accepted
+    # beam_pattern takes the same checks; it once accepted
     # unsorted and negative positions, and returned NaN at a NaN angle
     for response in ARRAY_RESPONSES.values():
         assert np.isfinite(response([0.0, 0.0, 1e6], 0.7)).all()
@@ -398,26 +396,25 @@ def test_steering_translation_is_global_phase():
 # Beam gains
 
 
-def test_beam_gain_matches_scalar_oracle():
+def test_beam_pattern_matches_scalar_oracle():
     rng = np.random.default_rng(10)
     for _ in range(200):
         n = int(rng.integers(2, 9))
         x = random_feasible(rng, n, 6.0, 0.5)
         w = random_unit_beamformer(rng, n)
-        theta = float(rng.uniform(0.0, math.pi))
-        got = beam_gain(w, x, theta)
-        want = scalar_gain(w, x, theta)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        thetas = rng.uniform(0.0, math.pi, 3)
+        for got, theta in zip(beam_pattern(w, x, thetas), thetas):
+            assert got == pytest.approx(scalar_gain(w, x, float(theta)), rel=1e-12, abs=1e-12)
 
 
-def test_beam_gain_bounded_by_n():
+def test_beam_pattern_bounded_by_n():
     rng = np.random.default_rng(11)
     for _ in range(300):
         n = int(rng.integers(2, 9))
         x = random_feasible(rng, n, 6.0, 0.5)
         w = random_unit_beamformer(rng, n)
-        theta = float(rng.uniform(0.0, math.pi))
-        assert beam_gain(w, x, theta) <= n + 1e-9
+        thetas = rng.uniform(0.0, math.pi, 3)
+        assert (beam_pattern(w, x, thetas) <= n + 1e-9).all()
 
 
 def test_matched_beamformer_reaches_n():
@@ -427,20 +424,19 @@ def test_matched_beamformer_reaches_n():
     theta = 1.1
     h = steering_vector(x, theta)
     w = np.conj(h) / math.sqrt(n)
-    assert beam_gain(w, x, theta) == pytest.approx(n, rel=1e-12)
+    assert beam_pattern(w, x, [theta])[0] == pytest.approx(n, rel=1e-12)
 
 
-def test_beam_gain_rejects_unnormalized():
+def test_beam_pattern_rejects_unnormalized():
     x = np.array([0.0, 0.5])
-    with pytest.raises(ValueError):
-        beam_gain(np.array([1.0, 1.0]), x, 0.5)
+    with pytest.raises(ValueError, match="^beamformer norm"):
+        beam_pattern(np.array([1.0, 1.0]), x, [0.5, 1.2])
     with pytest.raises(ValueError, match="^beamformer must be a 1-D vector$"):
-        beam_gain(np.array([[1.0, 0.0]]), x, 0.5)
+        beam_pattern(np.array([[1.0, 0.0]]), x, [0.5, 1.2])
     # beam_pattern once left a length mismatch to numpy's matmul
     for w in (np.array([1.0]), np.array([1.0, 0.0, 0.0])):
-        for call in (lambda: beam_gain(w, x, 0.5), lambda: beam_pattern(w, x, [0.5, 1.2])):
-            with pytest.raises(ValueError, match="^beamformer length does not match the number of antennas$"):
-                call()
+        with pytest.raises(ValueError, match="^beamformer length does not match the number of antennas$"):
+            beam_pattern(w, x, [0.5, 1.2])
 
 
 def test_beam_pattern_matches_pointwise_gain():
@@ -450,7 +446,7 @@ def test_beam_pattern_matches_pointwise_gain():
     thetas = np.linspace(0.0, math.pi, 37)
     pat = beam_pattern(w, x, thetas)
     for th, g in zip(thetas, pat):
-        assert g == pytest.approx(beam_gain(w, x, float(th)), rel=1e-12, abs=1e-12)
+        assert g == pytest.approx(abs(steering_vector(x, float(th)) @ w) ** 2, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("wavelength", [0.0, -1.0, math.nan])
@@ -469,8 +465,9 @@ def test_steering_vector_and_beam_pattern_refuse_a_wavelength_that_is_not_positi
 
 
 def test_snr_pair_is_scaled_beam_gain():
-    # the same operations as beam_gain, so equality must be exact: cfg.kappas[i]
-    # is beam_gain's phase rate (2 pi / wavelength) sin theta_i at any wavelength
+    # the same operations as |steering_vector^T w|^2, so equality must be exact:
+    # cfg.kappas[i] is steering_vector's phase rate (2 pi / wavelength) sin theta_i
+    # at any wavelength
     rng = np.random.default_rng(14)
     configs = [SystemConfig(d_su=(80.0, 230.0))]
     configs += [
@@ -482,12 +479,12 @@ def test_snr_pair_is_scaled_beam_gain():
         x = random_feasible(rng, cfg.n_antennas, cfg.span_l, cfg.d_min)
         w = random_unit_beamformer(rng, cfg.n_antennas)
         snr = snr_pair(w, x, cfg)
-        assert snr.gamma_u1 == cfg.snr_scales[0] * beam_gain(w, x, cfg.theta_su[0], cfg.wavelength)
-        assert snr.gamma_u2 == cfg.snr_scales[1] * beam_gain(w, x, cfg.theta_su[1], cfg.wavelength)
+        for gamma, c, theta in zip((snr.gamma_u1, snr.gamma_u2), cfg.snr_scales, cfg.theta_su):
+            assert gamma == c * abs(steering_vector(x, theta, cfg.wavelength) @ w) ** 2
 
 
 def test_each_array_response_checks_the_positions_once_per_call(monkeypatch):
-    # snr_pair once checked them three times: against its config, then once per user in beam_gain
+    # snr_pair once checked them three times: against its config, then once per user
     calls = []
     real = sysmodel.validate_position_rows
     monkeypatch.setattr(sysmodel, "validate_position_rows", lambda *args: calls.append(args) or real(*args))
@@ -521,12 +518,6 @@ def test_snr_pair_rejects_bad_norm():
 
 # a NaN entry gives a NaN norm^2, which a test for |norm^2 - 1| > tol lets pass
 NON_FINITE_BEAMFORMERS = [[math.nan, 0.5], [0.5, complex(0.0, math.nan)], [math.inf, 0.5]]
-
-
-def test_beam_gain_rejects_non_finite_beamformers():
-    for w in NON_FINITE_BEAMFORMERS:
-        with pytest.raises(ValueError, match="norm"):
-            beam_gain(w, [0.0, 0.5], 0.3)
 
 
 def test_beam_pattern_rejects_non_finite_beamformers():
