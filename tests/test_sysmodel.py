@@ -520,6 +520,13 @@ def test_snr_pair_rejects_bad_norm():
 NON_FINITE_BEAMFORMERS = [[math.nan, 0.5], [0.5, complex(0.0, math.nan)], [math.inf, 0.5]]
 
 
+def test_beam_gain_rejects_non_finite_beamformers():
+    # the gain |a(theta)^T w|^2 at a single angle, as beam_pattern gives it for one theta
+    for w in NON_FINITE_BEAMFORMERS:
+        with pytest.raises(ValueError, match="norm"):
+            beam_pattern(w, [0.0, 0.5], [0.3])
+
+
 def test_beam_pattern_rejects_non_finite_beamformers():
     for w in NON_FINITE_BEAMFORMERS:
         with pytest.raises(ValueError, match="norm"):
