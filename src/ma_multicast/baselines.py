@@ -10,7 +10,6 @@ a half-wavelength grid (FPA).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .beamformer import (
     optimize_mixing,
     theta_coefficients,
 )
-from .config import REFERENCE_SPACING, Scheme, SystemConfig, exceeds_span
+from .config import REFERENCE_SPACING, Record, Scheme, SystemConfig, exceeds_span
 from .posopt import (
     ScaTrace,
     _correlation_rows,
@@ -29,7 +28,7 @@ from .posopt import (
     correlation,
     multi_start_sca,
 )
-from .sysmodel import SnrPair, snr_pair, steering_vector
+from .sysmodel import SnrPair, _snr_pair, snr_pair, steering_vector
 
 APS_MAX_COMBINATIONS = 10_000_000
 # absolute window for treating two grid subsets as tied on the objective
@@ -40,8 +39,7 @@ class InfeasibleSchemeError(ValueError):
     """The configured geometry cannot host this scheme: a bad input, not a fault."""
 
 
-@dataclass(frozen=True, eq=False)
-class SchemeResult:
+class SchemeResult(Record, eq=False):
     scheme: Scheme
     x: np.ndarray
     w: Beamformer
@@ -59,9 +57,13 @@ def closed_form_beamformer(x, cfg: SystemConfig) -> Beamformer:
 def _closed_form_result(
     scheme: Scheme, x, cfg: SystemConfig, trace: ScaTrace | None = None
 ) -> SchemeResult:
-    """The closed-form beamformer at x and the SNRs it gives, as scheme's result."""
+    """The closed-form beamformer at x and the SNRs it gives, as scheme's result.
+
+    x is a float position array; build_beamformer checks it, and its unit-norm
+    vector needs no check, so the SNRs come from snr_pair's kernel.
+    """
     bf = closed_form_beamformer(x, cfg)
-    return SchemeResult(scheme, x, bf, snr_pair(bf.w, x, cfg), trace)
+    return SchemeResult(scheme, x, bf, _snr_pair(bf.w, x, cfg), trace)
 
 
 def proposed_scheme(cfg: SystemConfig) -> SchemeResult:

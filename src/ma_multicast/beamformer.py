@@ -6,12 +6,11 @@ trades the users off, and the best t follows from a three-case analysis.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import Record, SystemConfig
 from .sysmodel import check_positions
 
 # Below this norm the component of user 2's steering vector orthogonal to
@@ -28,8 +27,7 @@ class CaseLabel(str, Enum):
     DEGENERATE_PARALLEL = "degenerate_parallel"
 
 
-@dataclass(frozen=True, eq=False)
-class Beamformer:
+class Beamformer(Record, eq=False):
     """Unit-norm transmit vector, its mixing parameter and the case it came from."""
 
     w: np.ndarray
@@ -37,8 +35,7 @@ class Beamformer:
     case_label: CaseLabel | None = None
 
 
-@dataclass(frozen=True)
-class ThetaCoefficients:
+class ThetaCoefficients(Record):
     """Coefficients of the min-SNR objective as a function of the mixing t alone."""
 
     a1: float

@@ -1,13 +1,15 @@
-"""The system and experiment configuration, and the JSON config reader.
+"""The system and experiment configuration, the JSON config reader, and
+Record, the frozen-record base of the package's records.
 
 Everything here uses the standard library only, so loading and checking a
-config imports no numpy and none of the solver modules.
+config imports no numpy and none of the solver modules.  Record stands in
+for dataclasses, whose import (inspect, ast, dis) and generated methods
+cost a fresh process several milliseconds before numpy is loaded.
 """
 
 import json
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 
 # Slack of every geometric feasibility check (feasibility_slack): an absolute
@@ -68,126 +70,78 @@ class ConfigError(ValueError):
     """A config value refused; the message names its field, or the check across fields it fails."""
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    """Constants of one downlink instance.
+class Record:
+    """Base of the package's frozen records: fixed fields, set once.
 
-    Defaults encode the benchmark setup used throughout the test suite:
-    both users 100 m away at angles pi/4 and 9*pi/10, 25 dBm transmit
-    power, -80 dBm noise, free-space-like path-loss exponent 2, unit
-    wavelength and half-wavelength minimum spacing on a 4-wavelength
-    aperture with five antennas.
-
-    Building the config, or rebuilding it with dataclasses.replace, first
-    reads each field through its SYSTEM_FIELDS reader, the same one a JSON
-    config goes through: a bad field raises ConfigError, a ValueError, named
-    after the field as "span_l: must be positive" or "d_su[1]: must be
-    finite", where the JSON path says "system.span_l: ...".  Numbers become
-    floats, n_antennas an int and each pair a tuple; numpy scalars, lists and
-    tuples are accepted.  The checks across fields follow, each a ConfigError
-    too, in this order: (n_antennas - 1) d_min fits in span_l, compared in
-    wavelengths, the unit of the position solve (posopt._sca), within
-    feasibility_slack(span_l / wavelength, wavelength), and named in user
-    lengths if not; each user's SNR scale is positive, and finite
-    times n_antennas; then the domains of the phase rate and of the aperture
-    phase below.  Then three derived constants are computed once.  They are
-    plain attributes, not fields, so equality, hashing and asdict see only the
-    inputs.
-
-    Domain of the phase rate: 2 pi / wavelength must be finite.  Then every
-    kappa_i and kappa is finite.  The position solve forms kappa^2 only in
-    wavelengths (posopt._sca), with the phase rate per wavelength
-    kappa_w = kappa wavelength, |kappa_w| <= 2 pi, and ascends only when
-    |kappa_w| >= posopt.KAPPA_TOL = 1e-12.  Each round's curvature
-    2 kappa_w^2 max(|s|, 1) then lies between 2e-24 and
-    2 kappa_w^2 n <= 8 pi^2 * 4 098 < 3.3e5, a normal float at every
-    wavelength, and each step g / delta is at most 1 / |kappa_w| <= 1e12
-    wavelengths.  The cap on n_antennas, ARRAY_MAX_ANTENNAS, is a check of
-    that field alone, made by its reader: it bounds the solve's time and
-    memory, and keeps n a small float for the geometry and SNR checks,
-    which multiply by it.
-
-    Domain of the aperture phase: the largest phase a steering vector reaches,
-    phi = (2 pi / wavelength) span_l, must leave half the float range free,
-    checked as 2 phi finite (phi <= 9e307); the factor 2 is the margin.  Every
-    product the solve forms then stays finite:
-    - Phases.  Both sines lie in [0, 1], so |kappa_i|, |kappa| and the beam
-      pattern's (2 pi / wavelength) sin(theta) are at most 2 pi / wavelength,
-      and every position lies in [0, span_l + feasibility_slack(span_l)].
-      Each phase kappa x is then at most (1 + 2e-15) phi + 1e-9 * 1.8e308,
-      inside the free half.  The solve's phases kappa_w x_w, with
-      x_w = x / wavelength in [0, span_l / wavelength + 1e-9 + 2e-15 phi]
-      and span_l / wavelength = phi / (2 pi), are at most
-      (1 + 2e-15) phi + 6.3e-9.  So are the chain-DP start's kappa_w u and
-      kappa_w (i - 1) d_min / wavelength.
-    - The chain-DP step count, in wavelengths, is
-      hi / h_max = max(40 hi, (64 / pi) |kappa_w| hi), with
-      hi = span - (n - 1) d and span = span_l / wavelength,
-      d = d_min / wavelength.  The grid runs only when
-      |kappa_w| >= KAPPA_TOL and the aligned chain, of pitch p < d + P with
-      P = 2 pi / |kappa_w| <= 6.3e12, overruns the span.  Then
-      hi < (1 + 4 eps) (n - 1) P + 4 eps span, with eps = 2^-52 covering the
-      rounding of p, of its product with n - 1 and of hi.  Since
-      span = phi / (2 pi), |kappa_w| hi < 6.3 (n - 1) + 4 eps phi and
-      40 hi < 2.6e14 (n - 1) + 26 eps phi, both finite, since the solve
-      allocates arrays of n entries.  Bounding (64 / pi) |kappa_w| span
-      instead would refuse spans that run, such as wavelength 1e-100 with
-      span_l 1e207, whose aligned chain fits and skips the grid.
-
-    Attributes
-    ----------
-    kappas : tuple
-        Each user's phase rate (2 pi / wavelength) sin(theta_i).
-    kappa : float
-        Phase rate of the correlation, (2 pi / wavelength)
-        (sin(theta_2) - sin(theta_1)).
-    snr_scales : tuple
-        Each user's SNR prefactor ps / (d^tau * sigma^2).
+    A subclass's fields are its annotated names, in order, unless its body
+    sets _field_names; a field's class attribute, if any, is its default.
+    Records are built like dataclasses, from positional or keyword arguments,
+    with a TypeError on an unknown, repeated or missing one; then _check runs,
+    which may read the fields in place, through vars(self), and set attributes
+    that are not fields.  Assigning or deleting any attribute raises
+    AttributeError.  A record equals a record of its class with the same field
+    tuple, and hashes as that tuple; a subclass declared with eq=False keeps
+    identity equality and hashing.  Equality, hashing, asdict, replace and repr
+    see the fields only.
     """
 
-    n_antennas: int = 5
-    span_l: float = 4.0
-    d_min: float = 0.5
-    wavelength: float = 1.0
-    tau: float = 2.0
-    ps_dbm: float = 25.0
-    sigma2_dbm: float = -80.0
-    d_su: tuple = (100.0, 100.0)
-    theta_su: tuple = (math.pi / 4.0, 9.0 * math.pi / 10.0)
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_field_names" not in vars(cls):
+            cls._field_names = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._field_names if name in vars(cls)}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls._field_names
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
         fields = vars(self)
-        for name, read in SYSTEM_FIELDS.items():
-            fields[name] = read(fields[name], name)
-        n, span_l, d_min, wavelength = self.n_antennas, self.span_l, self.d_min, self.wavelength
-        if exceeds_span(n, d_min / wavelength, span_l / wavelength, wavelength):
-            raise ConfigError(
-                "infeasible geometry: (n_antennas - 1) * d_min = "
-                f"{(n - 1) * d_min:g} exceeds span_l = {span_l:g}"
-            )
-        try:
-            ps_w, sigma2_w = dbm_to_watt(self.ps_dbm), dbm_to_watt(self.sigma2_dbm)
-            c1, c2 = (ps_w / (d**self.tau * sigma2_w) for d in self.d_su)
-        except (OverflowError, ZeroDivisionError):
-            c1 = c2 = math.nan
-        # the largest beam gain is n_antennas, so scale * n is the largest SNR
-        if not (0.0 < c1 and c1 * n < math.inf and 0.0 < c2 and c2 * n < math.inf):
-            raise ConfigError(
-                "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive "
-                "SNR scale ps / (d^tau * sigma^2) whose product with n_antennas "
-                "is finite"
-            )
-        rate = 2.0 * math.pi / wavelength
-        if not math.isfinite(rate):
-            raise ConfigError("wavelength must keep 2 pi / wavelength finite")
-        if not math.isfinite(2.0 * rate * span_l):
-            raise ConfigError(
-                "span_l and wavelength must keep twice the aperture phase, 4 pi span_l / wavelength, finite"
-            )
-        sin1, sin2 = math.sin(self.theta_su[0]), math.sin(self.theta_su[1])
-        fields["snr_scales"] = (c1, c2)
-        fields["kappas"] = (rate * sin1, rate * sin2)
-        fields["kappa"] = rate * (sin2 - sin1)
+        fields.update(cls._defaults)
+        fields.update(zip(names, args))
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in names[: len(args)]:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+        fields.update(kwargs)
+        if len(fields) < len(names):
+            missing = [name for name in names if name not in fields]
+            raise TypeError(f"{cls.__name__}() missing required arguments {missing}")
+        self._check()
+
+    def _check(self):
+        """Run after the fields are set, on every build and replace; a subclass reads and checks them here."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._field_names))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self.asdict().items())})"
+
+    def asdict(self) -> dict:
+        """The fields by name, in order."""
+        return dict(zip(self._field_names, self._values()))
+
+    def replace(self, **changes):
+        """A new record of this class with changes to some fields, built and checked as any other."""
+        return type(self)(**{**self.asdict(), **changes})
 
 
 class Scheme(str, Enum):
@@ -344,9 +298,131 @@ SWEEP_FIELDS = {
 }
 
 
-# after SYSTEM_FIELDS: the default system is built, and read through it, here
-@dataclass(frozen=True)
-class ExperimentConfig:
+class SystemConfig(Record):
+    """Constants of one downlink instance.
+
+    Defaults encode the benchmark setup used throughout the test suite:
+    both users 100 m away at angles pi/4 and 9*pi/10, 25 dBm transmit
+    power, -80 dBm noise, free-space-like path-loss exponent 2, unit
+    wavelength and half-wavelength minimum spacing on a 4-wavelength
+    aperture with five antennas.
+
+    A frozen Record whose fields are SYSTEM_FIELDS's keys, in that order; each
+    default is a class attribute.  Building the config, or rebuilding it with
+    replace, first reads each field through its SYSTEM_FIELDS reader, the same
+    one a JSON config goes through: a bad field raises ConfigError, a
+    ValueError, named after the field as "span_l: must be positive" or
+    "d_su[1]: must be finite", where the JSON path says "system.span_l: ...".
+    Numbers become floats, n_antennas an int and each pair a tuple; numpy
+    scalars, lists and tuples are accepted.  The checks across fields follow, each a ConfigError
+    too, in this order: (n_antennas - 1) d_min fits in span_l, compared in
+    wavelengths, the unit of the position solve (posopt._sca), within
+    feasibility_slack(span_l / wavelength, wavelength), and named in user
+    lengths if not; each user's SNR scale is positive, and finite
+    times n_antennas; then the domains of the phase rate and of the aperture
+    phase below.  Then three derived constants are computed once.  They are
+    plain attributes, not fields, so equality, hashing, asdict and replace see
+    only the inputs.
+
+    Domain of the phase rate: 2 pi / wavelength must be finite.  Then every
+    kappa_i and kappa is finite.  The position solve forms kappa^2 only in
+    wavelengths (posopt._sca), with the phase rate per wavelength
+    kappa_w = kappa wavelength, |kappa_w| <= 2 pi, and ascends only when
+    |kappa_w| >= posopt.KAPPA_TOL = 1e-12.  Each round's curvature
+    2 kappa_w^2 max(|s|, 1) then lies between 2e-24 and
+    2 kappa_w^2 n <= 8 pi^2 * 4 098 < 3.3e5, a normal float at every
+    wavelength, and each step g / delta is at most 1 / |kappa_w| <= 1e12
+    wavelengths.  The cap on n_antennas, ARRAY_MAX_ANTENNAS, is a check of
+    that field alone, made by its reader: it bounds the solve's time and
+    memory, and keeps n a small float for the geometry and SNR checks,
+    which multiply by it.
+
+    Domain of the aperture phase: the largest phase a steering vector reaches,
+    phi = (2 pi / wavelength) span_l, must leave half the float range free,
+    checked as 2 phi finite (phi <= 9e307); the factor 2 is the margin.  Every
+    product the solve forms then stays finite:
+    - Phases.  Both sines lie in [0, 1], so |kappa_i|, |kappa| and the beam
+      pattern's (2 pi / wavelength) sin(theta) are at most 2 pi / wavelength,
+      and every position lies in [0, span_l + feasibility_slack(span_l)].
+      Each phase kappa x is then at most (1 + 2e-15) phi + 1e-9 * 1.8e308,
+      inside the free half.  The solve's phases kappa_w x_w, with
+      x_w = x / wavelength in [0, span_l / wavelength + 1e-9 + 2e-15 phi]
+      and span_l / wavelength = phi / (2 pi), are at most
+      (1 + 2e-15) phi + 6.3e-9.  So are the chain-DP start's kappa_w u and
+      kappa_w (i - 1) d_min / wavelength.
+    - The chain-DP step count, in wavelengths, is
+      hi / h_max = max(40 hi, (64 / pi) |kappa_w| hi), with
+      hi = span - (n - 1) d and span = span_l / wavelength,
+      d = d_min / wavelength.  The grid runs only when
+      |kappa_w| >= KAPPA_TOL and the aligned chain, of pitch p < d + P with
+      P = 2 pi / |kappa_w| <= 6.3e12, overruns the span.  Then
+      hi < (1 + 4 eps) (n - 1) P + 4 eps span, with eps = 2^-52 covering the
+      rounding of p, of its product with n - 1 and of hi.  Since
+      span = phi / (2 pi), |kappa_w| hi < 6.3 (n - 1) + 4 eps phi and
+      40 hi < 2.6e14 (n - 1) + 26 eps phi, both finite, since the solve
+      allocates arrays of n entries.  Bounding (64 / pi) |kappa_w| span
+      instead would refuse spans that run, such as wavelength 1e-100 with
+      span_l 1e207, whose aligned chain fits and skips the grid.
+
+    Attributes
+    ----------
+    kappas : tuple
+        Each user's phase rate (2 pi / wavelength) sin(theta_i).
+    kappa : float
+        Phase rate of the correlation, (2 pi / wavelength)
+        (sin(theta_2) - sin(theta_1)).
+    snr_scales : tuple
+        Each user's SNR prefactor ps / (d^tau * sigma^2).
+    """
+
+    # each field's type and range is its reader's
+    _field_names = tuple(SYSTEM_FIELDS)
+    n_antennas = 5
+    span_l = 4.0
+    d_min = 0.5
+    wavelength = 1.0
+    tau = 2.0
+    ps_dbm = 25.0
+    sigma2_dbm = -80.0
+    d_su = (100.0, 100.0)
+    theta_su = (math.pi / 4.0, 9.0 * math.pi / 10.0)
+
+    def _check(self):
+        fields = vars(self)
+        for name, read in SYSTEM_FIELDS.items():
+            fields[name] = read(fields[name], name)
+        n, span_l, d_min, wavelength = self.n_antennas, self.span_l, self.d_min, self.wavelength
+        if exceeds_span(n, d_min / wavelength, span_l / wavelength, wavelength):
+            raise ConfigError(
+                "infeasible geometry: (n_antennas - 1) * d_min = "
+                f"{(n - 1) * d_min:g} exceeds span_l = {span_l:g}"
+            )
+        try:
+            ps_w, sigma2_w = dbm_to_watt(self.ps_dbm), dbm_to_watt(self.sigma2_dbm)
+            c1, c2 = (ps_w / (d**self.tau * sigma2_w) for d in self.d_su)
+        except (OverflowError, ZeroDivisionError):
+            c1 = c2 = math.nan
+        # the largest beam gain is n_antennas, so scale * n is the largest SNR
+        if not (0.0 < c1 and c1 * n < math.inf and 0.0 < c2 and c2 * n < math.inf):
+            raise ConfigError(
+                "ps_dbm, sigma2_dbm, d_su and tau must give each user a positive "
+                "SNR scale ps / (d^tau * sigma^2) whose product with n_antennas "
+                "is finite"
+            )
+        rate = 2.0 * math.pi / wavelength
+        if not math.isfinite(rate):
+            raise ConfigError("wavelength must keep 2 pi / wavelength finite")
+        if not math.isfinite(2.0 * rate * span_l):
+            raise ConfigError(
+                "span_l and wavelength must keep twice the aperture phase, 4 pi span_l / wavelength, finite"
+            )
+        sin1, sin2 = math.sin(self.theta_su[0]), math.sin(self.theta_su[1])
+        fields["snr_scales"] = (c1, c2)
+        fields["kappas"] = (rate * sin1, rate * sin2)
+        fields["kappa"] = rate * (sin2 - sin1)
+
+
+class ExperimentConfig(Record):
     system: SystemConfig = SystemConfig()
     schemes: tuple = tuple(Scheme)
     aps_grid_step: float = REFERENCE_SPACING

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -69,7 +68,7 @@ def _configured_scheme(exp: ExperimentConfig, scheme: Scheme) -> SchemeResult:
 def run_single(exp: ExperimentConfig) -> dict:
     report = {
         "config": {
-            "system": asdict(exp.system),
+            "system": exp.system.asdict(),
             "schemes": [s.value for s in exp.schemes],
             "aps_grid_step": exp.aps_grid_step,
         },
@@ -152,7 +151,7 @@ def _run_sweep(exp: ExperimentConfig, key: str, field: str, values, infeasible: 
     for value in fit:
         label = f"{key}={_format_cell(value)}"
         try:
-            cfg = replace(exp.system, **{field: value})
+            cfg = exp.system.replace(**{field: value})
         except ConfigError as exc:
             raise ConfigError(f"{label}: {exc}") from exc
         for scheme in exp.schemes:

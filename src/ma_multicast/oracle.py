@@ -1,7 +1,6 @@
 """Brute-force references used to certify the optimizers on small instances."""
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -12,7 +11,7 @@ from .beamformer import (
     _theta_from_gains,
     min_snr_from_projections,
 )
-from .config import SystemConfig, feasibility_slack
+from .config import Record, SystemConfig, feasibility_slack
 from .posopt import _PASS_BUDGET, _first_best, _grid_combination_chunks
 
 MAX_EVALUATIONS = 100_000_000
@@ -22,14 +21,13 @@ JOINT_TIE_RTOL = 1e-12
 _ZOOM_POINTS = 33
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Resolution of the joint position/mixing search."""
 
     position_step: float = 0.05
     t_step: float = 1e-4
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.position_step > 0.0):
             raise ValueError("position_step must be positive")
         if not (0.0 < self.t_step <= 0.01):

@@ -31,11 +31,10 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, exceeds_span, feasibility_slack
+from .config import Record, SystemConfig, exceeds_span, feasibility_slack
 from .sysmodel import check_positions, validate_positions
 
 log = logging.getLogger(__name__)
@@ -66,8 +65,7 @@ DP_MAX_STEPS = 4096
 _PASS_BUDGET = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class ScaTrace:
+class ScaTrace(Record, eq=False):
     """Log of one surrogate-ascent run.
 
     f1_history[k] is the correlation excess after k rounds (entry 0 is the

@@ -12,18 +12,16 @@ then the beamformer.  Each input is checked once per call.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, feasibility_slack
+from .config import Record, SystemConfig, feasibility_slack
 
 # Allowed deviation of ||w||^2 from 1 for anything used as a beamformer.
 UNIT_NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SnrPair:
+class SnrPair(Record):
     """Receive SNRs of both users and the resulting common rate."""
 
     gamma_u1: float
@@ -153,5 +151,9 @@ def snr_pair(w, x, cfg: SystemConfig) -> SnrPair:
     |steering_vector(x, theta_i, cfg.wavelength)^T w|^2 bit for bit.
     """
     x = check_positions(x, cfg)
-    w = _check_unit_norm(w, x.size)
+    return _snr_pair(_check_unit_norm(w, x.size), x, cfg)
+
+
+def _snr_pair(w: np.ndarray, x: np.ndarray, cfg: SystemConfig) -> SnrPair:
+    """snr_pair for a checked complex w and checked float positions x of cfg."""
     return SnrPair.from_gammas(*(c * _gain(w, x, kappa) for c, kappa in zip(cfg.snr_scales, cfg.kappas)))

@@ -18,7 +18,6 @@ Oracles used here:
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -714,7 +713,7 @@ def test_schemes_keep_their_rate_in_any_length_unit(scheme, system, step, unit):
 
     def solve(scale):
         cfg = SystemConfig(**system)
-        cfg = replace(cfg, span_l=cfg.span_l * scale, d_min=cfg.d_min * scale, wavelength=cfg.wavelength * scale)
+        cfg = cfg.replace(span_l=cfg.span_l * scale, d_min=cfg.d_min * scale, wavelength=cfg.wavelength * scale)
         if scheme == "joint":
             joint = brute_force_joint(cfg, GridSpec(step * scale, 1e-3))
             return joint.x, joint.min_rate

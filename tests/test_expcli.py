@@ -1,7 +1,6 @@
 """Tests for config ingestion, experiment runs, artifacts, and the CLI."""
 
 import csv
-import dataclasses
 import gc
 import io
 import json
@@ -156,7 +155,7 @@ def test_config_from_dict_rejections(doc, fragment):
 
 
 def test_system_table_reads_every_system_config_field():
-    assert set(SYSTEM_FIELDS) == {f.name for f in dataclasses.fields(SystemConfig)}
+    assert set(SYSTEM_FIELDS) == set(SystemConfig._field_names)
 
 
 @pytest.mark.parametrize("command, kind", SWEEP_KINDS.items())
@@ -556,7 +555,7 @@ def test_optimize_report_system_block_parses_back_to_its_config(tmp_path, capsys
     out = tmp_path / "r.json"
     assert main(["optimize", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert set(report["config"]["system"]) == {f.name for f in dataclasses.fields(SystemConfig)}
+    assert set(report["config"]["system"]) == set(SystemConfig._field_names)
     # the config block is itself a valid config document
     exp = config_from_dict(report["config"])
     assert exp.system == system and exp.system != SystemConfig()
@@ -671,9 +670,13 @@ def test_no_command_imports_numpy_random(tmp_path):
 
 def test_loading_a_config_imports_no_numpy():
     # the config module uses the standard library only, so a script that
-    # reads, builds or refuses a config pays for no numpy import
+    # reads, builds or refuses a config pays for no numpy import, nor for
+    # dataclasses and the inspect module it pulls in.  Only the modules this
+    # adds count: -X dev and site hooks load others at start on some hosts
     code = (
-        "import sys, ma_multicast\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ma_multicast\n"
         "from ma_multicast.config import config_from_dict\n"
         "ma_multicast.load_config(sys.argv[1])\n"
         "config_from_dict({'sweep': {'kind': 'over_l', 'l_min': 3, 'l_max': 4, 'l_step': 0.5}})\n"
@@ -683,7 +686,8 @@ def test_loading_a_config_imports_no_numpy():
         "    pass\n"
         "else:\n"
         "    sys.exit('an infeasible geometry was accepted')\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(m for m in added if m.split('.')[0] in ('numpy', 'dataclasses', 'inspect')))\n"
     )
     proc = run_python("-c", code, str(REPO_ROOT / "configs" / "default.json"))
     assert proc.returncode == 0, proc.stderr

@@ -24,7 +24,6 @@ import logging
 import math
 import pathlib
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -905,8 +904,8 @@ def test_shared_solve_is_keyed_on_the_config_alone(kernel_calls):
     multi_start_sca(cfg)
     multi_start_sca(SystemConfig(n_antennas=4, span_l=3.0))  # equal config: a hit
     assert len(kernel_calls) == 2  # two starts, one solve
-    multi_start_sca(replace(cfg, span_l=3.5))
-    multi_start_sca(replace(cfg, theta_su=(0.3, 2.0)))
+    multi_start_sca(cfg.replace(span_l=3.5))
+    multi_start_sca(cfg.replace(theta_su=(0.3, 2.0)))
     assert len(kernel_calls) == 6
     # every scheme that needs the positions reuses the solve
     for scheme in (Scheme.PROPOSED, Scheme.AO, Scheme.MA_MRT):
